@@ -6,8 +6,9 @@ the data link while all groups harvest RF energy, plus a seeded Monte Carlo
 engine that validates every closed form.
 """
 
+__version__ = "0.1.0"
+
 from .bounds import (
-    ChannelSnapshot,
     FeasibleInterval,
     rho_bounds_linear,
     rho_bounds_nonlinear,
@@ -15,16 +16,16 @@ from .bounds import (
     zeta_bounds_nonlinear,
 )
 from .channel import (
+    ChannelSnapshot,
     CorrelationMatrix,
     DegenerateFitError,
     GammaFit,
     SystemParams,
     build_correlation_matrix,
-    composite,
     composite_moments,
-    correlate,
     fit_gamma_product,
     gamma_cdf,
+    sample_channels,
     sample_rician_vector,
 )
 from .energy import (
@@ -32,7 +33,6 @@ from .energy import (
     LINEAR_DEFAULT,
     NONLINEAR_DEFAULT,
     PowerBudget,
-    harvest,
     harvest_rate,
     required_energy_ps,
     required_energy_ts,
@@ -48,12 +48,9 @@ from .evt import (
 )
 from .selection import (
     EnergyFitError,
-    GroupObservation,
     RisMode,
     SelectionStrategy,
-    eligible_set,
     fit_energy_distribution,
-    kth_best_index,
     kth_best_pdf,
     mean_snr_scale,
     outage_ebgs,
@@ -66,20 +63,16 @@ from .sim import (
     TrialConfig,
     analytic_outage,
     estimate_outage,
-    run_trial,
     simulate_block,
     sweep,
 )
 from .specfun import (
     ConvergenceError,
-    Tolerance,
     bessel_i,
     reg_incomplete_beta,
     reg_lower_incomplete_gamma,
     sinc_corr,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "BisectionError",
@@ -92,7 +85,6 @@ __all__ = [
     "EvtConstants",
     "FeasibleInterval",
     "GammaFit",
-    "GroupObservation",
     "LINEAR_DEFAULT",
     "NONLINEAR_DEFAULT",
     "OutageCurve",
@@ -101,24 +93,18 @@ __all__ = [
     "RisMode",
     "SelectionStrategy",
     "SystemParams",
-    "Tolerance",
     "TrialConfig",
     "analytic_outage",
     "bessel_i",
     "build_correlation_matrix",
     "check_gumbel_domain",
-    "composite",
     "composite_moments",
-    "correlate",
-    "eligible_set",
     "estimate_outage",
     "fit_energy_distribution",
     "fit_gamma_product",
     "gamma_cdf",
     "gumbel_cdf",
-    "harvest",
     "harvest_rate",
-    "kth_best_index",
     "kth_best_pdf",
     "kth_limit_cdf",
     "mean_snr_scale",
@@ -133,7 +119,7 @@ __all__ = [
     "required_energy_ts",
     "rho_bounds_linear",
     "rho_bounds_nonlinear",
-    "run_trial",
+    "sample_channels",
     "sample_rician_vector",
     "simulate_block",
     "sinc_corr",

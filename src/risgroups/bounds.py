@@ -9,11 +9,9 @@ sweeps legitimately cross in and out of feasibility.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-import numpy as np
-
-from .channel import SystemParams
+from .channel import ChannelSnapshot, SystemParams
 from .energy import EhModel, PowerBudget, required_energy_ps
 
 
@@ -23,38 +21,6 @@ class FeasibleInterval:
     upper: float
     feasible: bool
     cause: str | None = None  # 'energy-limited' | 'rate-limited' | 'saturation'
-
-
-@dataclass(frozen=True)
-class ChannelSnapshot:
-    """One realization of the correlated per-group channels."""
-
-    tilde_h: np.ndarray = field(repr=False)
-    tilde_g: np.ndarray = field(repr=False)
-
-    @property
-    def sum_h_sq(self) -> float:
-        return float(np.sum(np.abs(self.tilde_h) ** 2))
-
-    @property
-    def h_min_sq(self) -> float:
-        return float(np.min(np.abs(self.tilde_h) ** 2))
-
-    @property
-    def h_max_sq(self) -> float:
-        return float(np.max(np.abs(self.tilde_h) ** 2))
-
-    @property
-    def h_c_sq(self) -> float:
-        return float(np.abs(np.sum(self.tilde_h)) ** 2)
-
-    @property
-    def g_c_sq(self) -> float:
-        return float(np.abs(np.sum(self.tilde_g)) ** 2)
-
-    @property
-    def z(self) -> float:
-        return self.h_c_sq * self.g_c_sq
 
 
 def _interval(lower: float, upper: float, cause_if_infeasible: str) -> FeasibleInterval:

@@ -4,6 +4,12 @@ Per-element channels are unit-second-moment complex Gaussians with a
 deterministic line-of-sight mean sqrt(K/(K+1)) and scattered variance 1/(K+1);
 path loss and link gain carry all scaling.  Correlation follows the sinc model
 through the principal square root of the correlation matrix.
+
+``sample_channels`` is the only code that turns normals into correlated
+channels.  Its stream layout is fixed: all (*shape, M, 2) source-side normals
+for h first, then the same number for g.  It returns a ``ChannelSnapshot``
+whose reductions run over the last (element) axis, so one type serves a
+single group snapshot (shape ``()``) and a block of trials (shape ``(n, B)``).
 """
 
 import logging
@@ -92,27 +98,14 @@ class GammaFit:
         return self.shape * self.scale ** 2
 
 
-def _element_positions(m: int, spacing: float, layout: str) -> np.ndarray:
-    if layout == "linear":
-        x = np.arange(m) * spacing
-        return np.column_stack([x, np.zeros(m)])
-    if layout == "square-grid":
-        side = math.ceil(math.sqrt(m))
-        idx = np.arange(m)
-        return np.column_stack([(idx % side) * spacing, (idx // side) * spacing])
-    raise ValueError(f"unknown layout {layout!r}")
-
-
-def build_correlation_matrix(
-    m: int, spacing: float, wavelength: float, layout: str = "linear"
-) -> CorrelationMatrix:
-    """Sinc correlation matrix for m elements with its principal square root."""
+def build_correlation_matrix(m: int, spacing: float, wavelength: float) -> CorrelationMatrix:
+    """Sinc correlation matrix of a uniform linear array with its principal square root."""
     if m < 1:
         raise ValueError("need at least one element")
     if spacing <= 0:
         raise ValueError("spacing must be positive")
-    pos = _element_positions(m, spacing, layout)
-    dist = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
+    x = np.arange(m) * spacing
+    dist = np.abs(x[:, None] - x[None, :])
     entries = np.vectorize(lambda d: sinc_corr(float(d), wavelength))(dist)
     entries = 0.5 * (entries + entries.T)
     w, v = np.linalg.eigh(entries)
@@ -127,28 +120,74 @@ def build_correlation_matrix(
     return CorrelationMatrix(dim=m, entries=entries, sqrt_entries=sqrt_entries)
 
 
-def sample_rician_vector(m: int, k_factor: float, rng: np.random.Generator) -> np.ndarray:
-    """m i.i.d. unit-power Rician channel gains (LoS mean, scattered CN part)."""
+def sample_rician_vector(shape: tuple, k_factor: float,
+                         rng: np.random.Generator) -> np.ndarray:
+    """I.i.d. unit-power Rician channel gains (LoS mean, scattered CN part),
+    drawn from ``(*shape, 2)`` normals."""
     if k_factor < 0:
         raise ValueError("Rician factor must be nonnegative")
     los = math.sqrt(k_factor / (k_factor + 1.0))
     sigma = math.sqrt(0.5 / (k_factor + 1.0))  # per real dimension
-    noise = rng.standard_normal((m, 2)) * sigma
-    return los + noise[:, 0] + 1j * noise[:, 1]
+    noise = rng.standard_normal((*shape, 2))
+    noise *= sigma
+    return los + noise[..., 0] + 1j * noise[..., 1]
 
 
-def correlate(corr: CorrelationMatrix, raw: np.ndarray, beta_gain: float = 1.0) -> np.ndarray:
-    """Apply sqrt(beta) R^(1/2) to a raw channel vector."""
-    if raw.shape[-1] != corr.dim:
-        raise ValueError(f"dimension mismatch: {raw.shape[-1]} != {corr.dim}")
-    return math.sqrt(beta_gain) * raw @ corr.sqrt_entries
+@dataclass(frozen=True)
+class ChannelSnapshot:
+    """Correlated channels tilde_h, tilde_g of shape (*batch, M).
+
+    Every reduction runs over the last (element) axis, so a batch reduces to
+    the values its rows would give one at a time.  The one exception is in
+    the last bit: for a single row, h_c_sq and g_c_sq square a NumPy scalar,
+    which goes through libm pow, while a batch squares by one multiply.
+    """
+
+    tilde_h: np.ndarray = field(repr=False)
+    tilde_g: np.ndarray = field(repr=False)
+
+    @property
+    def h_sq(self) -> np.ndarray:
+        return np.abs(self.tilde_h) ** 2
+
+    @property
+    def sum_h_sq(self):
+        return np.sum(self.h_sq, axis=-1)
+
+    @property
+    def h_min_sq(self):
+        return np.min(self.h_sq, axis=-1)
+
+    @property
+    def h_max_sq(self):
+        return np.max(self.h_sq, axis=-1)
+
+    @property
+    def h_c_sq(self):
+        """Composite gain |sum_j tilde_h_j|^2 under the optimal common phase."""
+        return np.abs(np.sum(self.tilde_h, axis=-1)) ** 2
+
+    @property
+    def g_c_sq(self):
+        return np.abs(np.sum(self.tilde_g, axis=-1)) ** 2
+
+    @property
+    def z(self):
+        return self.h_c_sq * self.g_c_sq
 
 
-def composite(tilde: np.ndarray) -> complex:
-    """Composite group channel: coherent sum of the correlated elements."""
-    if tilde.size < 1:
-        raise ValueError("need at least one element")
-    return complex(np.sum(tilde))
+def sample_channels(params: SystemParams, corr: CorrelationMatrix, shape: tuple,
+                    rng: np.random.Generator) -> ChannelSnapshot:
+    """Draw sqrt(beta) raw @ R^(1/2) for h, then for g, over ``(*shape, M)``."""
+    root_beta = math.sqrt(params.beta_gain)
+
+    def correlated(k_factor: float) -> np.ndarray:
+        raw = sample_rician_vector((*shape, corr.dim), k_factor, rng)
+        raw *= root_beta
+        return raw @ corr.sqrt_entries
+
+    tilde_h = correlated(params.k_h)
+    return ChannelSnapshot(tilde_h=tilde_h, tilde_g=correlated(params.k_g))
 
 
 def _composite_mean_var(params: SystemParams, k_factor: float) -> tuple[float, float]:

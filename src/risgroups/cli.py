@@ -8,18 +8,17 @@ back to defaults.
 
 import argparse
 import math
-import subprocess
 import sys
 from dataclasses import dataclass, replace
 
+from . import __version__
 from .bounds import (
-    ChannelSnapshot,
     rho_bounds_linear,
     rho_bounds_nonlinear,
     zeta_bounds_linear,
     zeta_bounds_nonlinear,
 )
-from .channel import SystemParams, build_correlation_matrix, sample_rician_vector
+from .channel import SystemParams, build_correlation_matrix, sample_channels
 from .energy import EhModel, PowerBudget, required_energy_ps, required_energy_ts
 from .selection import RisMode, SelectionStrategy
 from .sim import TrialConfig, block_rng, sweep
@@ -196,19 +195,6 @@ def load_scenario(path: str) -> Scenario:
     )
 
 
-def _git_describe() -> str:
-    try:
-        out = subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
-            capture_output=True, text=True, timeout=10,
-        )
-        if out.returncode == 0:
-            return out.stdout.strip()
-    except OSError:
-        pass
-    return "unknown"
-
-
 def _fmt(x) -> str:
     if isinstance(x, float):
         return f"{x:.17g}"
@@ -218,7 +204,7 @@ def _fmt(x) -> str:
 def _metadata_lines(scenario: Scenario) -> list[str]:
     lines = [
         f"# seed = {scenario.trial.seed}",
-        f"# version = {_git_describe()}",
+        f"# version = {__version__}",
     ]
     for key in sorted(scenario.raw):
         lines.append(f"# {key} = {_fmt(scenario.raw[key])}")
@@ -258,16 +244,10 @@ def run_bounds(scenario: Scenario, out_path: str) -> int:
     corr = build_correlation_matrix(
         params.m_per_group, params.spacing, params.wavelength
     )
-    root_beta = math.sqrt(params.beta_gain)
     rows = []
     any_feasible = False
     for draw in range(scenario.n_draws):
-        rng = block_rng(trial.seed, draw)
-        tilde_h = root_beta * sample_rician_vector(
-            params.m_per_group, params.k_h, rng) @ corr.sqrt_entries
-        tilde_g = root_beta * sample_rician_vector(
-            params.m_per_group, params.k_g, rng) @ corr.sqrt_entries
-        snap = ChannelSnapshot(tilde_h=tilde_h, tilde_g=tilde_g)
+        snap = sample_channels(params, corr, (), block_rng(trial.seed, draw))
         if trial.mode.kind == "PS" and trial.eh.kind == "linear":
             iv = rho_bounds_linear(params, scenario.budget, snap, trial.r_req)
         elif trial.mode.kind == "PS":

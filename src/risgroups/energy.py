@@ -78,9 +78,3 @@ def harvest_rate(model: EhModel, incident_power):
         return p
     return (model.a * p + model.b) / (p + model.c) - model.b / model.c
 
-
-def harvest(model: EhModel, incident_powers, duration: float) -> float:
-    """Total energy harvested by a group over the given duration."""
-    if duration < 0:
-        raise ValueError("duration must be nonnegative")
-    return duration * float(np.sum(harvest_rate(model, incident_powers)))

@@ -1,5 +1,5 @@
-"""SNR/rate computation, eligibility, k-th-best order statistics, and the
-closed-form outage of the RGS / SBGS / EBGS group selection schemes."""
+"""RIS modes, k-th-best order statistics, the closed-form outage of the
+RGS / SBGS / EBGS group selection schemes, and the per-group energy fits."""
 
 import math
 from dataclasses import dataclass
@@ -43,15 +43,6 @@ class SelectionStrategy:
             raise ValueError("k must be a positive integer")
 
 
-@dataclass(frozen=True)
-class GroupObservation:
-    group_id: int
-    snr: float
-    harvested: float
-    rate: float
-    eligible: bool
-
-
 def mean_snr_scale(params: SystemParams) -> float:
     """End-to-end SNR per unit Z: P_tx rho_L^2 (d_sr d_rd)^-alpha / sigma0^2."""
     return (
@@ -59,43 +50,6 @@ def mean_snr_scale(params: SystemParams) -> float:
         * (params.d_sr * params.d_rd) ** -params.alpha
         / params.noise_power
     )
-
-
-def snr_ps(params: SystemParams, rho: float, z: float) -> float:
-    """Received SNR in the PS configuration for product channel gain z."""
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError("rho must lie in [0,1]")
-    if z < 0:
-        raise ValueError("z must be nonnegative")
-    return (1.0 - rho) * mean_snr_scale(params) * z
-
-
-def snr_ts(params: SystemParams, z: float) -> float:
-    """Received SNR in the TS configuration (full power during IT)."""
-    return snr_ps(params, 0.0, z)
-
-
-def achievable_rate(mode: RisMode, snr: float) -> float:
-    """Rate f(zeta) log2(1+snr) in bits/s/Hz."""
-    if snr < 0:
-        raise ValueError("snr must be nonnegative")
-    return mode.rate_fraction * math.log2(1.0 + snr)
-
-
-def eligible_set(
-    observations: list[GroupObservation], r_req: float, e_req: float
-) -> list[GroupObservation]:
-    """Groups meeting both the rate and the harvested-energy requirement."""
-    return [o for o in observations if o.rate >= r_req and o.harvested >= e_req]
-
-
-def kth_best_index(values, k: int) -> int:
-    """Index of the k-th largest value; ties broken towards the lowest index."""
-    values = list(values)
-    if not 1 <= k <= len(values):
-        raise ValueError(f"k={k} out of range for {len(values)} values")
-    order = sorted(range(len(values)), key=lambda i: (-values[i], i))
-    return order[k - 1]
 
 
 def kth_best_pdf(pdf_at_x: float, cdf_at_x: float, n: int, k: int) -> float:

@@ -2,7 +2,10 @@
 
 Trials are processed in fixed-size blocks; each block gets an independent
 counter-based stream derived from (seed, block index), so results are
-bit-identical for any worker count and any block execution order.
+bit-identical for any worker count and any block execution order.  One block
+of n trials draws, in this order: the h normals and then the g normals of
+``channel.sample_channels`` over shape (n, B, M), then n uniforms that pick
+the RGS group.
 """
 
 import math
@@ -16,10 +19,10 @@ from .channel import (
     SystemParams,
     build_correlation_matrix,
     fit_gamma_product,
+    sample_channels,
 )
 from .energy import EhModel, harvest_rate
 from .selection import (
-    GroupObservation,
     RisMode,
     SelectionStrategy,
     eh_wiring,
@@ -43,13 +46,14 @@ class TrialConfig:
     r_req: float = 1.0          # bits/s/Hz
     e_req: float = 0.0          # joules
     metric: str = "data"        # 'data' | 'energy'
-    condition_on_eligible: bool = False
 
     def __post_init__(self):
         if self.n_trials < 1:
             raise ValueError("n_trials must be at least 1")
         if self.metric not in ("data", "energy"):
             raise ValueError(f"unknown metric {self.metric!r}")
+        if self.r_req < 0 or self.e_req < 0:
+            raise ValueError("r_req and e_req must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -76,99 +80,35 @@ def block_rng(seed: int, block_idx: int) -> np.random.Generator:
 def simulate_block(params: SystemParams, mode: RisMode, eh: EhModel,
                      n: int, rng: np.random.Generator):
     """Vectorized realizations: per-group SNR, harvested energy, rate, RGS draw."""
-    m, b = params.m_per_group, params.b_groups
-    sqrt_r = build_correlation_matrix(m, params.spacing, params.wavelength).sqrt_entries
-    root_beta = math.sqrt(params.beta_gain)
-
-    def correlated(k_factor: float) -> np.ndarray:
-        los = math.sqrt(k_factor / (k_factor + 1.0))
-        sigma = math.sqrt(0.5 / (k_factor + 1.0))
-        noise = rng.standard_normal((n, b, m, 2)) * sigma
-        raw = los + noise[..., 0] + 1j * noise[..., 1]
-        return root_beta * raw @ sqrt_r
-
-    tilde_h = correlated(params.k_h)
-    tilde_g = correlated(params.k_g)
+    corr = build_correlation_matrix(params.m_per_group, params.spacing, params.wavelength)
+    snap = sample_channels(params, corr, (n, params.b_groups), rng)
     rgs_u = rng.random(n)
 
     # optimal common phase per group leaves the magnitude product |g_c||h_c|
-    z = np.abs(tilde_h.sum(axis=-1)) ** 2 * np.abs(tilde_g.sum(axis=-1)) ** 2
     psi = mean_snr_scale(params)
-    if mode.kind == "PS":
-        snr = (1.0 - mode.rho) * psi * z
-    else:
-        snr = psi * z
+    snr = ((1.0 - mode.rho) * psi if mode.kind == "PS" else psi) * snap.z
     rate = mode.rate_fraction * np.log2(1.0 + snr)
 
     dur, w_p = eh_wiring(params, mode)
-    incident = w_p * np.abs(tilde_h) ** 2
-    harvested = dur * harvest_rate(eh, incident).sum(axis=-1)
+    harvested = dur * harvest_rate(eh, w_p * snap.h_sq).sum(axis=-1)
     return snr, harvested, rate, rgs_u
-
-
-def run_trial(params: SystemParams, cfg: TrialConfig,
-              rng: np.random.Generator) -> list[GroupObservation]:
-    """One independent trial: one observation per group."""
-    snr, harvested, rate, _ = simulate_block(params, cfg.mode, cfg.eh, 1, rng)
-    return [
-        GroupObservation(
-            group_id=i,
-            snr=float(snr[0, i]),
-            harvested=float(harvested[0, i]),
-            rate=float(rate[0, i]),
-            eligible=bool(rate[0, i] >= cfg.r_req and harvested[0, i] >= cfg.e_req),
-        )
-        for i in range(params.b_groups)
-    ]
-
-
-def _kth_largest(values: np.ndarray, k: int) -> np.ndarray:
-    return np.partition(values, values.shape[1] - k, axis=1)[:, values.shape[1] - k]
 
 
 def _kth_largest_index(values: np.ndarray, k: int) -> np.ndarray:
     return np.argpartition(-values, k - 1, axis=1)[:, k - 1]
 
 
-def _select_rows(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    return values[np.arange(values.shape[0]), idx]
-
-
 def _block_failures(params: SystemParams, cfg: TrialConfig, n: int,
                     block_idx: int) -> int:
     rng = block_rng(cfg.seed, block_idx)
     snr, harvested, rate, rgs_u = simulate_block(params, cfg.mode, cfg.eh, n, rng)
-    b = params.b_groups
-    k = cfg.strategy.k
-    scheme = cfg.strategy.scheme
-    if k > b:
-        raise ValueError(f"k={k} exceeds the number of groups {b}")
-
-    if scheme == "RGS" and cfg.condition_on_eligible:
-        eligible = (rate >= cfg.r_req) & (harvested >= cfg.e_req)
-        counts = eligible.sum(axis=1)
-        # uniform pick among eligible groups via the order statistics of the mask
-        pick_rank = np.floor(rgs_u * np.maximum(counts, 1)).astype(np.int64)
-        cum = np.cumsum(eligible, axis=1)
-        idx = np.argmax(cum == (pick_rank + 1)[:, None], axis=1)
-        if cfg.metric == "data":
-            fail = _select_rows(rate, idx) < cfg.r_req
-        else:
-            fail = _select_rows(harvested, idx) < cfg.e_req
-        fail |= counts == 0
-        return int(fail.sum())
-
-    if scheme == "RGS":
-        idx = np.floor(rgs_u * b).astype(np.int64)
-    elif scheme == "SBGS":
-        idx = _kth_largest_index(snr, k)
-    else:  # EBGS
-        idx = _kth_largest_index(harvested, k)
-    if cfg.metric == "data":
-        fail = _select_rows(rate, idx) < cfg.r_req
+    if cfg.strategy.scheme == "RGS":
+        idx = np.floor(rgs_u * params.b_groups).astype(np.int64)
     else:
-        fail = _select_rows(harvested, idx) < cfg.e_req
-    return int(fail.sum())
+        ranked = snr if cfg.strategy.scheme == "SBGS" else harvested
+        idx = _kth_largest_index(ranked, cfg.strategy.k)
+    value, req = (rate, cfg.r_req) if cfg.metric == "data" else (harvested, cfg.e_req)
+    return int(np.sum(value[np.arange(n), idx] < req))
 
 
 def _block_failures_star(args) -> int:
@@ -178,6 +118,8 @@ def _block_failures_star(args) -> int:
 def estimate_outage(params: SystemParams, cfg: TrialConfig,
                     workers: int = 1) -> OutageEstimate:
     """Empirical outage with a 95% normal-approximation binomial interval."""
+    if cfg.strategy.k > params.b_groups:
+        raise ValueError(f"k={cfg.strategy.k} exceeds the number of groups {params.b_groups}")
     n = cfg.n_trials
     blocks = [
         (params, cfg, min(BLOCK_SIZE, n - start), idx)

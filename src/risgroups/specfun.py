@@ -6,53 +6,39 @@ functions are pure and safe for concurrent use.
 """
 
 import math
-from dataclasses import dataclass
 
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Convergence control for the iterative special functions."""
-
-    abs_eps: float = 1e-15
-    rel_eps: float = 1e-15
-    max_iter: int = 1000
-
-    def __post_init__(self):
-        if self.abs_eps <= 0 or self.rel_eps <= 0:
-            raise ValueError("tolerances must be strictly positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-
-
-DEFAULT_TOL = Tolerance()
+# convergence control of the iterative evaluations
+REL_EPS = 1e-15
+ABS_EPS = 1e-15
+MAX_ITER = 1000
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when an iterative evaluation fails to converge within max_iter."""
+    """Raised when an iterative evaluation fails to converge within MAX_ITER."""
 
 
-def _gamma_series(s: float, x: float, tol: Tolerance) -> float:
+def _gamma_series(s: float, x: float) -> float:
     # lower series: P(s,x) = x^s e^-x / Gamma(s) * sum_n x^n / (s (s+1)...(s+n))
     term = 1.0 / s
     total = term
     a = s
-    for _ in range(tol.max_iter):
+    for _ in range(MAX_ITER):
         a += 1.0
         term *= x / a
         total += term
-        if abs(term) < abs(total) * tol.rel_eps:
+        if abs(term) < abs(total) * REL_EPS:
             return total * math.exp(-x + s * math.log(x) - math.lgamma(s))
     raise ConvergenceError(f"incomplete gamma series did not converge (s={s}, x={x})")
 
 
-def _gamma_cont_frac(s: float, x: float, tol: Tolerance) -> float:
+def _gamma_cont_frac(s: float, x: float) -> float:
     # upper continued fraction (modified Lentz): Q(s,x)
     tiny = 1e-300
     b = x + 1.0 - s
     c = 1.0 / tiny
     d = 1.0 / b
     h = d
-    for i in range(1, tol.max_iter + 1):
+    for i in range(1, MAX_ITER + 1):
         an = -i * (i - s)
         b += 2.0
         d = an * d + b
@@ -64,7 +50,7 @@ def _gamma_cont_frac(s: float, x: float, tol: Tolerance) -> float:
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < tol.rel_eps:
+        if abs(delta - 1.0) < REL_EPS:
             return h * math.exp(-x + s * math.log(x) - math.lgamma(s))
     raise ConvergenceError(
         f"incomplete gamma continued fraction did not converge (s={s}, x={x})"
@@ -82,7 +68,7 @@ def _gamma_wilson_hilferty(s: float, x: float) -> float:
 _GAMMA_LARGE_SHAPE = 1e8
 
 
-def reg_lower_incomplete_gamma(s: float, x: float, tol: Tolerance = DEFAULT_TOL) -> float:
+def reg_lower_incomplete_gamma(s: float, x: float) -> float:
     """Regularized lower incomplete gamma P(s,x) = gamma(s,x)/Gamma(s)."""
     if s <= 0:
         raise ValueError(f"shape must be positive, got {s}")
@@ -93,11 +79,11 @@ def reg_lower_incomplete_gamma(s: float, x: float, tol: Tolerance = DEFAULT_TOL)
     if s > _GAMMA_LARGE_SHAPE:
         return _gamma_wilson_hilferty(s, x)
     if x < s + 1.0:
-        return min(_gamma_series(s, x, tol), 1.0)
-    return max(1.0 - _gamma_cont_frac(s, x, tol), 0.0)
+        return min(_gamma_series(s, x), 1.0)
+    return max(1.0 - _gamma_cont_frac(s, x), 0.0)
 
 
-def _beta_cont_frac(a: float, b: float, x: float, tol: Tolerance) -> float:
+def _beta_cont_frac(a: float, b: float, x: float) -> float:
     tiny = 1e-300
     qab = a + b
     qap = a + 1.0
@@ -108,7 +94,7 @@ def _beta_cont_frac(a: float, b: float, x: float, tol: Tolerance) -> float:
         d = tiny
     d = 1.0 / d
     h = d
-    for m in range(1, tol.max_iter + 1):
+    for m in range(1, MAX_ITER + 1):
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
         d = 1.0 + aa * d
@@ -129,14 +115,14 @@ def _beta_cont_frac(a: float, b: float, x: float, tol: Tolerance) -> float:
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < tol.rel_eps:
+        if abs(delta - 1.0) < REL_EPS:
             return h
     raise ConvergenceError(
         f"incomplete beta continued fraction did not converge (a={a}, b={b}, x={x})"
     )
 
 
-def reg_incomplete_beta(x: float, a: float, b: float, tol: Tolerance = DEFAULT_TOL) -> float:
+def reg_incomplete_beta(x: float, a: float, b: float) -> float:
     """Regularized incomplete beta I_x(a,b)."""
     if a <= 0 or b <= 0:
         raise ValueError(f"beta parameters must be positive, got a={a}, b={b}")
@@ -155,15 +141,15 @@ def reg_incomplete_beta(x: float, a: float, b: float, tol: Tolerance = DEFAULT_T
     )
     # symmetry split keeps the continued fraction in its fast-converging region
     if x < (a + 1.0) / (a + b + 2.0):
-        return min(front * _beta_cont_frac(a, b, x, tol) / a, 1.0)
-    return max(1.0 - front * _beta_cont_frac(b, a, 1.0 - x, tol) / b, 0.0)
+        return min(front * _beta_cont_frac(a, b, x) / a, 1.0)
+    return max(1.0 - front * _beta_cont_frac(b, a, 1.0 - x) / b, 0.0)
 
 
 # ln of the float64 overflow threshold for the leading asymptotic e^x/sqrt(2 pi x)
 _BESSEL_LN_MAX = math.log(float.fromhex("0x1.fffffffffffffp+1023"))
 
 
-def bessel_i(order: float, x: float, tol: Tolerance = DEFAULT_TOL) -> float:
+def bessel_i(order: float, x: float) -> float:
     """Modified Bessel function of the first kind I_nu(x) for nu >= -1, x >= 0."""
     if order < -1:
         raise ValueError(f"order must be >= -1, got {order}")
@@ -181,14 +167,14 @@ def bessel_i(order: float, x: float, tol: Tolerance = DEFAULT_TOL) -> float:
     total = 0.0
     converged = False
     # terms rise until k ~ x/2, so allow the budget to scale with x
-    n_max = max(tol.max_iter, int(x) + 200)
+    n_max = max(MAX_ITER, int(x) + 200)
     for k in range(n_max):
         kv = k + order + 1.0
         if kv <= 0.0:
             continue  # Gamma pole (k=0, nu=-1): term vanishes
         term = math.exp((2 * k + order) * lhalf - math.lgamma(k + 1.0) - math.lgamma(kv))
         total += term
-        if k > x / 2.0 and term < abs(total) * tol.rel_eps + tol.abs_eps:
+        if k > x / 2.0 and term < abs(total) * REL_EPS + ABS_EPS:
             converged = True
             break
     if not converged:

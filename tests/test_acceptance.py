@@ -12,7 +12,6 @@ import pytest
 from scipy import special as sp
 
 from risgroups.bounds import (
-    ChannelSnapshot,
     rho_bounds_linear,
     rho_bounds_nonlinear,
     zeta_bounds_linear,
@@ -23,13 +22,13 @@ from risgroups.channel import (
     build_correlation_matrix,
     fit_gamma_product,
     gamma_cdf,
-    sample_rician_vector,
+    sample_channels,
 )
 from risgroups.energy import (
     LINEAR_DEFAULT,
     NONLINEAR_DEFAULT,
     PowerBudget,
-    harvest,
+    harvest_rate,
     required_energy_ps,
     required_energy_ts,
 )
@@ -78,6 +77,10 @@ def _ci(p_hat: float, n: int) -> float:
     return 1.96 * math.sqrt(p_hat * (1.0 - p_hat) / n)
 
 
+def _harvest(model, incident_powers, duration: float) -> float:
+    return duration * float(np.sum(harvest_rate(model, incident_powers)))
+
+
 def test_criterion_01_special_function_oracles():
     rng = np.random.default_rng(101)
     worst_g = worst_b = worst_i = 0.0
@@ -113,14 +116,7 @@ def test_criterion_02_gamma_fit_kolmogorov_distance():
     )
     n = 10 ** 6
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(102)))
-
-    def draw(k_factor):
-        los = math.sqrt(k_factor / (k_factor + 1.0))
-        sig = math.sqrt(0.5 / (k_factor + 1.0))
-        nz = rng.standard_normal((n, params.m_per_group, 2)) * sig
-        return (los + nz[..., 0] + 1j * nz[..., 1]) @ corr.sqrt_entries
-
-    z = np.abs(draw(params.k_h).sum(-1)) ** 2 * np.abs(draw(params.k_g).sum(-1)) ** 2
+    z = sample_channels(params, corr, (n,), rng).z
     z.sort()
     analytic = sp.gammainc(fit.shape, z / fit.scale)
     steps = np.arange(1, n + 1) / n
@@ -203,9 +199,7 @@ def test_criterion_05_feasibility_boundary_equalities():
     worst = 0.0
     rng = np.random.default_rng(105)
     for _ in range(100):
-        h = sample_rician_vector(m, params.k_h, rng) @ corr.sqrt_entries
-        g = sample_rician_vector(m, params.k_g, rng) @ corr.sqrt_entries
-        snap = ChannelSnapshot(tilde_h=h, tilde_g=g)
+        snap = sample_channels(params, corr, (), rng)
         pl_sr = params.p_tx * params.rho_l * params.d_sr ** -params.alpha
 
         iv = rho_bounds_linear(params, BUDGET, snap, r_req=0.5)
@@ -221,7 +215,7 @@ def test_criterion_05_feasibility_boundary_equalities():
 
         iv = rho_bounds_nonlinear(params, BUDGET, nl, snap, r_req=0.25)
         assert iv.feasible
-        harvested = harvest(nl, [iv.lower * pl_sr * snap.h_max_sq] * m, params.t_s)
+        harvested = _harvest(nl, [iv.lower * pl_sr * snap.h_max_sq] * m, params.t_s)
         worst = max(worst, abs(harvested / e_ps - 1.0))
         kappa = (
             nl.c * e_ps * params.rho_l * params.d_rd ** -params.alpha * snap.z
@@ -245,7 +239,7 @@ def test_criterion_05_feasibility_boundary_equalities():
 
         iv = zeta_bounds_nonlinear(params, BUDGET, nl, snap, r_req=1.5)
         assert iv.feasible
-        harvested = harvest(nl, [pl_sr * snap.h_max_sq] * m, iv.lower * params.t_s)
+        harvested = _harvest(nl, [pl_sr * snap.h_max_sq] * m, iv.lower * params.t_s)
         e_ts = required_energy_ts(m, BUDGET, params.t_s, iv.lower)
         worst = max(worst, abs(harvested / e_ts - 1.0))
         gamma_min = (

@@ -12,15 +12,11 @@ from risgroups.bounds import (
     zeta_bounds_linear,
     zeta_bounds_nonlinear,
 )
-from risgroups.channel import (
-    SystemParams,
-    build_correlation_matrix,
-    sample_rician_vector,
-)
+from risgroups.channel import SystemParams, build_correlation_matrix, sample_channels
 from risgroups.energy import (
     NONLINEAR_DEFAULT,
     PowerBudget,
-    harvest,
+    harvest_rate,
     required_energy_ps,
     required_energy_ts,
 )
@@ -34,11 +30,13 @@ BUDGET = PowerBudget(p_t=10.0 ** (5.0 / 10.0) / 1000.0, p_ph=10.0 ** (5.0 / 10.0
 
 
 def snapshot(seed: int, params: SystemParams = PARAMS) -> ChannelSnapshot:
-    rng = np.random.default_rng(seed)
     corr = build_correlation_matrix(params.m_per_group, params.spacing, params.wavelength)
-    h = sample_rician_vector(params.m_per_group, params.k_h, rng) @ corr.sqrt_entries
-    g = sample_rician_vector(params.m_per_group, params.k_g, rng) @ corr.sqrt_entries
-    return ChannelSnapshot(tilde_h=h, tilde_g=g)
+    return sample_channels(params, corr, (), np.random.default_rng(seed))
+
+
+def _harvest(model, incident_powers, duration: float) -> float:
+    """Energy a group harvests over ``duration``: the summed per-element rate."""
+    return duration * float(np.sum(harvest_rate(model, incident_powers)))
 
 
 class TestSnapshot:
@@ -103,7 +101,7 @@ class TestPsNonlinear:
             iv.lower * PARAMS.p_tx * PARAMS.rho_l * PARAMS.d_sr ** -PARAMS.alpha
             * snap.h_max_sq
         )
-        harvested = harvest(
+        harvested = _harvest(
             NONLINEAR_DEFAULT, [incident] * PARAMS.m_per_group, PARAMS.t_s
         )
         e_req = required_energy_ps(PARAMS.m_per_group, BUDGET, PARAMS.t_s)
@@ -171,7 +169,7 @@ class TestTsNonlinear:
         incident = (
             PARAMS.p_tx * PARAMS.rho_l * PARAMS.d_sr ** -PARAMS.alpha * snap.h_max_sq
         )
-        harvested = harvest(
+        harvested = _harvest(
             NONLINEAR_DEFAULT, [incident] * PARAMS.m_per_group, iv.lower * PARAMS.t_s
         )
         e_req = required_energy_ts(PARAMS.m_per_group, BUDGET, PARAMS.t_s, iv.lower)

@@ -2,20 +2,25 @@
 
 import math
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import special as sp
 
 from risgroups.channel import (
+    ChannelSnapshot,
     DegenerateFitError,
     GammaFit,
     SystemParams,
     build_correlation_matrix,
-    composite,
     composite_moments,
-    correlate,
     fit_gamma_product,
     gamma_cdf,
+    sample_channels,
     sample_rician_vector,
 )
 
@@ -59,23 +64,18 @@ class TestCorrelationMatrix:
         assert corr.entries[0, 1] == pytest.approx(math.sin(t) / t, rel=1e-13)
         assert corr.entries[0, 0] == 1.0
 
-    def test_square_grid_layout(self):
-        corr = build_correlation_matrix(9, 0.0125, 0.1, layout="square-grid")
-        # elements 0 and 3 sit one row apart: same correlation as 0 and 1
-        assert corr.entries[0, 3] == pytest.approx(corr.entries[0, 1], rel=1e-13)
-
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             build_correlation_matrix(0, 0.0125, 0.1)
         with pytest.raises(ValueError):
-            build_correlation_matrix(4, 0.0125, 0.1, layout="ring")
+            build_correlation_matrix(4, 0.0, 0.1)
 
 
 class TestRicianSampling:
     def test_moments(self):
         rng = np.random.default_rng(7)
         k = 2.5
-        h = sample_rician_vector(200_000, k, rng)
+        h = sample_rician_vector((200_000,), k, rng)
         # unit second moment with LoS fraction K/(K+1)  [DERIVED: law of h]
         assert np.mean(np.abs(h) ** 2) == pytest.approx(1.0, rel=5e-3)
         assert np.mean(h).real == pytest.approx(math.sqrt(k / (k + 1.0)), rel=5e-3)
@@ -83,30 +83,65 @@ class TestRicianSampling:
 
     def test_rayleigh_limit(self):
         rng = np.random.default_rng(8)
-        h = sample_rician_vector(100_000, 0.0, rng)
+        h = sample_rician_vector((100_000,), 0.0, rng)
         assert abs(np.mean(h)) < 5e-3
 
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
-            sample_rician_vector(4, -1.0, np.random.default_rng(0))
+            sample_rician_vector((4,), -1.0, np.random.default_rng(0))
 
 
 class TestCorrelateComposite:
     def test_correlate_applies_sqrt(self):
+        # sqrt(beta) scales every correlated entry: beta 4 doubles the draw
+        p = SystemParams(m_per_group=5, n_total=5 * 20)
         corr = build_correlation_matrix(5, 0.0125, 0.1)
-        raw = np.arange(5) + 1j * np.arange(5)
-        np.testing.assert_allclose(
-            correlate(corr, raw, beta_gain=4.0), 2.0 * raw @ corr.sqrt_entries
+        one = sample_channels(p, corr, (3, 2), np.random.default_rng(4))
+        four = sample_channels(
+            replace(p, beta_gain=4.0), corr, (3, 2), np.random.default_rng(4)
         )
-
-    def test_dimension_mismatch(self):
-        corr = build_correlation_matrix(5, 0.0125, 0.1)
-        with pytest.raises(ValueError):
-            correlate(corr, np.zeros(4, dtype=complex))
+        assert one.tilde_h.shape == (3, 2, 5)
+        np.testing.assert_array_equal(four.tilde_h, 2.0 * one.tilde_h)
+        np.testing.assert_array_equal(four.tilde_g, 2.0 * one.tilde_g)
 
     def test_composite_is_sum(self):
         v = np.array([1 + 1j, 2 - 1j, -0.5 + 0.25j])
-        assert composite(v) == pytest.approx(np.sum(v))
+        snap = ChannelSnapshot(tilde_h=v, tilde_g=2.0 * v)
+        assert snap.h_c_sq == pytest.approx(abs(np.sum(v)) ** 2)
+        assert snap.z == pytest.approx(4.0 * abs(np.sum(v)) ** 4)
+
+
+_finite = st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _channel_pair(draw):
+    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 24)))
+    return (draw(arrays(np.complex128, shape, elements=_finite)),
+            draw(arrays(np.complex128, shape, elements=_finite)))
+
+
+class TestChannelSnapshot:
+    @settings(max_examples=200, deadline=None)
+    @given(_channel_pair())
+    def test_batch_reductions_match_rows(self, pair):
+        # one snapshot type serves a block of trials and a single group
+        h, g = pair
+        batch = ChannelSnapshot(tilde_h=h, tilde_g=g)
+        exact = ("h_sq", "sum_h_sq", "h_min_sq", "h_max_sq")
+        # a row's composite magnitude is a NumPy scalar, squared by libm pow
+        # (at most 1 ulp from the batch's multiply); z multiplies two of them
+        max_ulp = {"h_c_sq": 1, "g_c_sq": 1, "z": 3}
+        for i in range(h.shape[0]):
+            row = ChannelSnapshot(tilde_h=h[i], tilde_g=g[i])
+            for name in exact:
+                np.testing.assert_array_equal(
+                    getattr(batch, name)[i], getattr(row, name), err_msg=name
+                )
+            for name, ulps in max_ulp.items():
+                np.testing.assert_array_max_ulp(
+                    getattr(batch, name)[i], getattr(row, name), maxulp=ulps
+                )
 
 
 class TestCompositeMoments:
@@ -115,13 +150,7 @@ class TestCompositeMoments:
         p = SystemParams(spacing=0.1 * spacing_frac)
         mean, var = composite_moments(p, "S")
         corr = build_correlation_matrix(p.m_per_group, p.spacing, p.wavelength)
-        rng = np.random.default_rng(11)
-        n = 400_000
-        los = math.sqrt(p.k_h / (p.k_h + 1.0))
-        sig = math.sqrt(0.5 / (p.k_h + 1.0))
-        nz = rng.standard_normal((n, p.m_per_group, 2)) * sig
-        h = (los + nz[..., 0] + 1j * nz[..., 1]) @ corr.sqrt_entries
-        g = np.abs(h.sum(axis=1)) ** 2
+        g = sample_channels(p, corr, (400_000,), np.random.default_rng(11)).h_c_sq
         assert mean == pytest.approx(float(g.mean()), rel=0.01)
         assert var == pytest.approx(float(g.var()), rel=0.03)
 

@@ -1,10 +1,15 @@
 """Scenario parsing and the run/bounds CSV harness."""
 
 import math
+from pathlib import Path
 
 import pytest
 
+import risgroups
 from risgroups.cli import ScenarioError, load_scenario, main
+
+ROOT = Path(__file__).resolve().parent.parent
+SHIPPED = sorted((ROOT / "scenarios").glob("*.cfg"))
 
 SCENARIO = """
 # comment line
@@ -108,6 +113,16 @@ class TestRunCommand:
         main(["run", scenario_file, "-o", str(b), "--workers", "2"])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_output_independent_of_cwd(self, scenario_file, tmp_path, monkeypatch):
+        outs = []
+        for cwd in (tmp_path, ROOT):
+            monkeypatch.chdir(cwd)
+            out = tmp_path / f"from-{len(outs)}.csv"
+            assert main(["run", scenario_file, "-o", str(out), "--trials", "256"]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        assert f"# version = {risgroups.__version__}\n".encode() in outs[0]
+
     def test_overrides(self, scenario_file, tmp_path):
         out = tmp_path / "o.csv"
         main(["run", scenario_file, "-o", str(out), "--trials", "2048",
@@ -143,3 +158,19 @@ class TestBoundsCommand:
         assert row[0] == "0"
         assert 0.0 <= float(row[1]) <= 1.0
         assert row[3] in ("true", "false")
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+def test_shipped_scenario_runs(path, tmp_path):
+    out = tmp_path / "out.csv"
+    scenario = load_scenario(str(path))
+    if path.stem.startswith("bounds"):
+        code = main(["bounds", str(path), "-o", str(out)])
+        expected_rows = scenario.n_draws
+    else:
+        code = main(["run", str(path), "-o", str(out), "--trials", "256"])
+        expected_rows = len(scenario.sweep_grid)
+    assert code == 0
+    data = [l for l in out.read_text(encoding="utf-8").splitlines()
+            if not l.startswith("#")]
+    assert len(data) == 1 + expected_rows

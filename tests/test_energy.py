@@ -3,16 +3,18 @@
 import numpy as np
 import pytest
 
+from risgroups.channel import SystemParams, build_correlation_matrix, sample_channels
 from risgroups.energy import (
     EhModel,
     LINEAR_DEFAULT,
     NONLINEAR_DEFAULT,
     PowerBudget,
-    harvest,
     harvest_rate,
     required_energy_ps,
     required_energy_ts,
 )
+from risgroups.selection import RisMode
+from risgroups.sim import block_rng, simulate_block
 
 
 class TestEhModel:
@@ -56,12 +58,17 @@ class TestEhModel:
 
 class TestHarvest:
     def test_sums_over_elements(self):
-        e = harvest(LINEAR_DEFAULT, [1.0, 2.0, 3.0], duration=0.5)
-        assert e == pytest.approx(3.0)
-
-    def test_negative_duration_rejected(self):
-        with pytest.raises(ValueError):
-            harvest(LINEAR_DEFAULT, [1.0], duration=-1.0)
+        # a group harvests over the EH phase the sum of its elements' rates
+        p = SystemParams()
+        corr = build_correlation_matrix(p.m_per_group, p.spacing, p.wavelength)
+        snap = sample_channels(p, corr, (16, p.b_groups), block_rng(2, 0))
+        incident = p.p_tx * p.rho_l * p.d_sr ** -p.alpha * snap.h_sq
+        for eh in (LINEAR_DEFAULT, NONLINEAR_DEFAULT):
+            _, harvested, _, _ = simulate_block(
+                p, RisMode("TS", zeta=0.25), eh, 16, block_rng(2, 0)
+            )
+            expected = 0.25 * p.t_s * harvest_rate(eh, incident).sum(axis=-1)
+            np.testing.assert_allclose(harvested, expected, rtol=1e-12)
 
 
 class TestRequiredEnergy:

@@ -6,27 +6,27 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
-from risgroups.channel import SystemParams, build_correlation_matrix
-from risgroups.energy import EhModel, LINEAR_DEFAULT, NONLINEAR_DEFAULT, harvest_rate
+from risgroups.channel import (
+    SystemParams,
+    build_correlation_matrix,
+    fit_gamma_product,
+    gamma_cdf,
+    sample_channels,
+)
+from risgroups.energy import LINEAR_DEFAULT, NONLINEAR_DEFAULT, harvest_rate
 from risgroups.selection import (
     DegenerateDist,
-    GroupObservation,
     RisMode,
     SelectionStrategy,
-    achievable_rate,
     eh_wiring,
-    eligible_set,
     fit_energy_distribution,
-    kth_best_index,
     kth_best_pdf,
     mean_snr_scale,
     outage_ebgs,
     outage_rgs,
     outage_sbgs,
-    snr_ps,
-    snr_ts,
 )
-from risgroups.channel import fit_gamma_product, gamma_cdf
+from risgroups.sim import _kth_largest_index, block_rng, simulate_block
 
 
 class TestModeAndStrategy:
@@ -45,46 +45,44 @@ class TestModeAndStrategy:
             SelectionStrategy("RGS", k=0)
 
 
+def _block_and_z(mode, n=64):
+    """simulate_block on one stream, and z, rgs_u drawn from a fresh copy of it.
+
+    Equality pins the block's stream layout: h normals, then g normals (both
+    through sample_channels), then n RGS uniforms.
+    """
+    p = SystemParams()
+    snr, _, rate, rgs_u = simulate_block(p, mode, LINEAR_DEFAULT, n, block_rng(5, 0))
+    rng = block_rng(5, 0)
+    corr = build_correlation_matrix(p.m_per_group, p.spacing, p.wavelength)
+    z = sample_channels(p, corr, (n, p.b_groups), rng).z
+    np.testing.assert_array_equal(rgs_u, rng.random(n))
+    return snr, rate, z
+
+
 class TestSnrAndRate:
     def test_ps_scaling(self):
-        p = SystemParams()
-        psi = mean_snr_scale(p)
-        assert snr_ps(p, 0.5, 2.0) == pytest.approx(0.5 * psi * 2.0)
-        assert snr_ts(p, 2.0) == pytest.approx(psi * 2.0)
+        psi = mean_snr_scale(SystemParams())
+        snr, _, z = _block_and_z(RisMode("PS", rho=0.3))
+        np.testing.assert_array_equal(snr, (1.0 - 0.3) * psi * z)
+        snr, _, z = _block_and_z(RisMode("TS", zeta=0.25))
+        np.testing.assert_array_equal(snr, psi * z)
 
     def test_rate(self):
-        assert achievable_rate(RisMode("PS"), 3.0) == pytest.approx(2.0)
-        assert achievable_rate(RisMode("TS", zeta=0.5), 3.0) == pytest.approx(1.0)
-
-    def test_validation(self):
-        p = SystemParams()
-        with pytest.raises(ValueError):
-            snr_ps(p, 1.5, 1.0)
-        with pytest.raises(ValueError):
-            snr_ps(p, 0.5, -1.0)
-        with pytest.raises(ValueError):
-            achievable_rate(RisMode("PS"), -1.0)
-
-
-class TestEligibility:
-    def test_filters_on_both_requirements(self):
-        obs = [
-            GroupObservation(0, 10.0, 1e-6, 3.0, True),
-            GroupObservation(1, 10.0, 1e-9, 3.0, True),
-            GroupObservation(2, 10.0, 1e-6, 0.5, True),
-        ]
-        kept = eligible_set(obs, r_req=1.0, e_req=1e-7)
-        assert [o.group_id for o in kept] == [0]
+        for mode in (RisMode("PS", rho=0.3), RisMode("TS", zeta=0.25)):
+            snr, rate, _ = _block_and_z(mode)
+            np.testing.assert_array_equal(
+                rate, mode.rate_fraction * np.log2(1.0 + snr)
+            )
 
 
 class TestKthBest:
     def test_index_selection(self):
-        vals = [3.0, 9.0, 1.0, 9.0, 5.0]
-        assert kth_best_index(vals, 1) == 1  # tie broken toward lowest index
-        assert kth_best_index(vals, 2) == 3
-        assert kth_best_index(vals, 3) == 4
-        with pytest.raises(ValueError):
-            kth_best_index(vals, 6)
+        values = np.random.default_rng(3).random((50, 9))
+        rows = np.arange(50)
+        for k in range(1, 10):
+            picked = values[rows, _kth_largest_index(values, k)]
+            np.testing.assert_array_equal(picked, np.sort(values, axis=1)[:, -k])
 
     def test_pdf_integrates_to_one(self):
         # k-th largest of n standard uniforms is Beta(n-k+1, k)  [DERIVED]
@@ -171,13 +169,9 @@ def _simulate_group_energy(params, mode, eh, n, seed):
     corr = build_correlation_matrix(
         params.m_per_group, params.spacing, params.wavelength
     )
-    rng = np.random.default_rng(seed)
-    los = math.sqrt(params.k_h / (params.k_h + 1.0))
-    sig = math.sqrt(0.5 / (params.k_h + 1.0))
-    nz = rng.standard_normal((n, params.m_per_group, 2)) * sig
-    h = (los + nz[..., 0] + 1j * nz[..., 1]) @ corr.sqrt_entries
+    snap = sample_channels(params, corr, (n,), np.random.default_rng(seed))
     dur, w_p = eh_wiring(params, mode)
-    return dur * np.asarray(harvest_rate(eh, w_p * np.abs(h) ** 2)).sum(axis=1)
+    return dur * harvest_rate(eh, w_p * snap.h_sq).sum(axis=1)
 
 
 class TestEnergyDistributionFit:

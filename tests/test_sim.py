@@ -8,13 +8,14 @@ import pytest
 from risgroups.channel import SystemParams
 from risgroups.energy import LINEAR_DEFAULT, NONLINEAR_DEFAULT
 from risgroups.selection import RisMode, SelectionStrategy
+from risgroups import sim
 from risgroups.sim import (
     BLOCK_SIZE,
     TrialConfig,
     analytic_outage,
     block_rng,
     estimate_outage,
-    run_trial,
+    simulate_block,
     sweep,
 )
 
@@ -48,15 +49,16 @@ class TestBlockRng:
         assert not np.array_equal(a, b)
 
 
-class TestRunTrial:
-    def test_one_observation_per_group(self):
-        obs = run_trial(PARAMS, cfg(), block_rng(1, 0))
-        assert len(obs) == PARAMS.b_groups
-        assert [o.group_id for o in obs] == list(range(PARAMS.b_groups))
-        for o in obs:
-            assert o.snr >= 0.0
-            assert o.harvested >= 0.0
-            assert o.eligible == (o.rate >= 22.0)
+class TestSimulateBlock:
+    def test_shapes_and_signs(self):
+        snr, harvested, rate, rgs_u = simulate_block(
+            PARAMS, RisMode("PS", rho=0.5), LINEAR_DEFAULT, 7, block_rng(1, 0)
+        )
+        for values in (snr, harvested, rate):
+            assert values.shape == (7, PARAMS.b_groups)
+        assert rgs_u.shape == (7,)
+        assert np.all(snr >= 0.0)
+        assert np.all(harvested >= 0.0)
 
 
 class TestEstimateOutage:
@@ -91,26 +93,33 @@ class TestEstimateOutage:
         ana = analytic_outage(p, c)
         assert abs(est.p_hat - ana) <= max(0.03, 3.0 * est.ci_halfwidth)
 
-    def test_rgs_conditioning_flag_lowers_outage(self):
-        # conditioned RGS only picks groups that meet the requirement, so it
-        # can only fail when no group qualifies
-        base = cfg(n_trials=20_000, r_req=23.0)
-        conditioned = cfg(n_trials=20_000, r_req=23.0, condition_on_eligible=True)
-        p_all = estimate_outage(PARAMS, base).p_hat
-        p_cond = estimate_outage(PARAMS, conditioned).p_hat
-        assert p_cond <= p_all
-        c_sbgs = cfg(n_trials=20_000, r_req=23.0, strategy=SelectionStrategy("SBGS", k=1))
-        assert p_cond == pytest.approx(estimate_outage(PARAMS, c_sbgs).p_hat, abs=1e-12)
-
     def test_k_exceeding_groups_rejected(self):
         with pytest.raises(ValueError):
             estimate_outage(PARAMS, cfg(strategy=SelectionStrategy("SBGS", k=21)))
+
+    def test_k_checked_before_any_block_or_pool(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("started work before validating k")
+
+        monkeypatch.setattr(sim, "simulate_block", forbidden)
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", forbidden)
+        c = cfg(n_trials=2 * BLOCK_SIZE, strategy=SelectionStrategy("SBGS", k=21))
+        with pytest.raises(ValueError, match="k=21"):
+            estimate_outage(PARAMS, c, workers=2)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             cfg(n_trials=0)
         with pytest.raises(ValueError):
             cfg(metric="latency")
+
+    def test_negative_rate_requirement_rejected(self):
+        with pytest.raises(ValueError, match="r_req"):
+            cfg(r_req=-0.5)
+
+    def test_negative_energy_requirement_rejected(self):
+        with pytest.raises(ValueError, match="e_req"):
+            cfg(e_req=-1e-6)
 
 
 class TestAnalyticOutage:

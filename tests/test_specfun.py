@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
+from risgroups import specfun
 from risgroups.specfun import (
     ConvergenceError,
-    Tolerance,
     bessel_i,
     reg_incomplete_beta,
     reg_lower_incomplete_gamma,
@@ -51,9 +51,10 @@ class TestRegLowerIncompleteGamma:
         with pytest.raises(ValueError):
             reg_lower_incomplete_gamma(1.0, -1.0)
 
-    def test_convergence_budget_enforced(self):
+    def test_convergence_budget_enforced(self, monkeypatch):
+        monkeypatch.setattr(specfun, "MAX_ITER", 2)
         with pytest.raises(ConvergenceError):
-            reg_lower_incomplete_gamma(5.0, 30.0, Tolerance(max_iter=2))
+            reg_lower_incomplete_gamma(5.0, 30.0)
 
 
 class TestRegIncompleteBeta:
@@ -130,10 +131,3 @@ class TestSincCorr:
         with pytest.raises(ValueError):
             sinc_corr(0.1, 0.0)
 
-
-class TestTolerance:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Tolerance(abs_eps=0.0)
-        with pytest.raises(ValueError):
-            Tolerance(max_iter=0)
