@@ -22,7 +22,7 @@ class EvtConstants:
 
 
 class BisectionError(RuntimeError):
-    """Quantile bisection failed to bracket or converge."""
+    """Quantile bisection found no bracket, or the pdf vanishes at the quantile."""
 
 
 def gumbel_cdf(x: float) -> float:
@@ -62,15 +62,15 @@ def _quantile_bisect(
             hi, lo = lo, lo * 2.0
         else:
             raise BisectionError(f"could not bracket quantile p={p}")
-    for _ in range(max_iter):
+    # each pass returns or strictly narrows [lo, hi], so this ends within the doubles
+    while True:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi or hi - lo <= 1e-14 * max(abs(lo), abs(hi)):
+            return mid
         if cdf(mid) < p:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-14 * max(1.0, abs(mid)):
-            return 0.5 * (lo + hi)
-    raise BisectionError(f"quantile bisection did not converge for p={p}")
 
 
 def hazard_ratio(cdf: Callable[[float], float], pdf: Callable[[float], float], x: float) -> float:

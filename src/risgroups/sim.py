@@ -6,6 +6,11 @@ bit-identical for any worker count and any block execution order.  One block
 of n trials draws, in this order: the h normals and then the g normals of
 ``channel.sample_channels`` over shape (n, B, M), then n uniforms that pick
 the RGS group.
+
+A block's draw depends only on the channel law (``m_per_group``, ``b_groups``,
+``spacing``, ``wavelength``, ``k_h``, ``k_g``, ``beta_gain``), the seed and the
+trial count; grid points that share these share each block's draw, so a sweep
+over snr, p_tx, rho, zeta or k draws its channels once.
 """
 
 import math
@@ -77,62 +82,85 @@ def block_rng(seed: int, block_idx: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def simulate_block(params: SystemParams, mode: RisMode, eh: EhModel,
-                     n: int, rng: np.random.Generator):
-    """Vectorized realizations: per-group SNR, harvested energy, rate, RGS draw."""
+def simulate_block(params: SystemParams, n: int, rng: np.random.Generator):
+    """Draw one block: per-group composite gain z, per-element |h|^2, RGS uniforms."""
     corr = build_correlation_matrix(params.m_per_group, params.spacing, params.wavelength)
     snap = sample_channels(params, corr, (n, params.b_groups), rng)
-    rgs_u = rng.random(n)
+    return snap.z, snap.h_sq, rng.random(n)
 
+
+def _realize(params: SystemParams, mode: RisMode, eh: EhModel, z, h_sq):
+    """Per-group SNR, harvested energy and rate of one grid point on a drawn block."""
     # optimal common phase per group leaves the magnitude product |g_c||h_c|
     psi = mean_snr_scale(params)
-    snr = ((1.0 - mode.rho) * psi if mode.kind == "PS" else psi) * snap.z
+    snr = ((1.0 - mode.rho) * psi if mode.kind == "PS" else psi) * z
     rate = mode.rate_fraction * np.log2(1.0 + snr)
-
     dur, w_p = eh_wiring(params, mode)
-    harvested = dur * harvest_rate(eh, w_p * snap.h_sq).sum(axis=-1)
-    return snr, harvested, rate, rgs_u
+    harvested = dur * harvest_rate(eh, w_p * h_sq).sum(axis=-1)
+    return snr, harvested, rate
 
 
 def _kth_largest_index(values: np.ndarray, k: int) -> np.ndarray:
     return np.argpartition(-values, k - 1, axis=1)[:, k - 1]
 
 
-def _block_failures(params: SystemParams, cfg: TrialConfig, n: int,
-                    block_idx: int) -> int:
-    rng = block_rng(cfg.seed, block_idx)
-    snr, harvested, rate, rgs_u = simulate_block(params, cfg.mode, cfg.eh, n, rng)
+def _point_failures(params: SystemParams, cfg: TrialConfig, z, h_sq, rgs_u) -> int:
+    snr, harvested, rate = _realize(params, cfg.mode, cfg.eh, z, h_sq)
     if cfg.strategy.scheme == "RGS":
         idx = np.floor(rgs_u * params.b_groups).astype(np.int64)
     else:
         ranked = snr if cfg.strategy.scheme == "SBGS" else harvested
         idx = _kth_largest_index(ranked, cfg.strategy.k)
     value, req = (rate, cfg.r_req) if cfg.metric == "data" else (harvested, cfg.e_req)
-    return int(np.sum(value[np.arange(n), idx] < req))
+    return int(np.sum(value[np.arange(len(rgs_u)), idx] < req))
 
 
-def _block_failures_star(args) -> int:
-    return _block_failures(*args)
+def _block_failures(points: list, n: int, block_idx: int) -> list[int]:
+    params, cfg = points[0]
+    z, h_sq, rgs_u = simulate_block(params, n, block_rng(cfg.seed, block_idx))
+    return [_point_failures(p, c, z, h_sq, rgs_u) for p, c in points]
 
 
-def estimate_outage(params: SystemParams, cfg: TrialConfig,
-                    workers: int = 1) -> OutageEstimate:
-    """Empirical outage with a 95% normal-approximation binomial interval."""
-    if cfg.strategy.k > params.b_groups:
-        raise ValueError(f"k={cfg.strategy.k} exceeds the number of groups {params.b_groups}")
-    n = cfg.n_trials
-    blocks = [
-        (params, cfg, min(BLOCK_SIZE, n - start), idx)
-        for idx, start in enumerate(range(0, n, BLOCK_SIZE))
-    ]
-    if workers > 1 and len(blocks) > 1:
+def _law_key(params: SystemParams, cfg: TrialConfig) -> tuple:
+    """Everything a block's draw depends on; points with equal keys share it."""
+    return (params.m_per_group, params.b_groups, params.spacing, params.wavelength,
+            params.k_h, params.k_g, params.beta_gain, cfg.seed, cfg.n_trials)
+
+
+def _check_k(points: list) -> None:
+    for params, cfg in points:
+        if cfg.strategy.k > params.b_groups:
+            raise ValueError(f"k={cfg.strategy.k} exceeds the number of groups {params.b_groups}")
+
+
+def estimate_outage(points: Sequence, workers: int = 1) -> list[OutageEstimate]:
+    """Empirical outage of each ``(params, cfg)`` point with a 95% normal-approximation
+    binomial interval; each block is drawn once per channel law (``_law_key``)."""
+    points = list(points)
+    _check_k(points)
+    groups = {}
+    for i, (params, cfg) in enumerate(points):
+        groups.setdefault(_law_key(params, cfg), []).append(i)
+    members, args = [], []
+    for idxs in groups.values():
+        shared, n = [points[i] for i in idxs], points[idxs[0]][1].n_trials
+        for block_idx, start in enumerate(range(0, n, BLOCK_SIZE)):
+            members.append(idxs)
+            args.append((shared, min(BLOCK_SIZE, n - start), block_idx))
+    if workers > 1 and len(args) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            failures = sum(pool.map(_block_failures_star, blocks, chunksize=4))
+            counts = list(pool.map(_block_failures, *zip(*args)))
     else:
-        failures = sum(_block_failures_star(args) for args in blocks)
-    p_hat = failures / n
-    ci = 1.96 * math.sqrt(p_hat * (1.0 - p_hat) / n)
-    return OutageEstimate(p_hat=p_hat, ci_halfwidth=ci, n=n)
+        counts = map(_block_failures, *zip(*args))
+    failures = np.zeros(len(points), dtype=np.int64)
+    for idxs, block_counts in zip(members, counts):
+        failures[idxs] += block_counts
+    estimates = []
+    for f, (_, cfg) in zip(failures.tolist(), points):
+        p_hat = f / cfg.n_trials
+        ci = 1.96 * math.sqrt(p_hat * (1.0 - p_hat) / cfg.n_trials)
+        estimates.append(OutageEstimate(p_hat=p_hat, ci_halfwidth=ci, n=cfg.n_trials))
+    return estimates
 
 
 def _apply_variable(params: SystemParams, cfg: TrialConfig, variable: str, value):
@@ -188,11 +216,8 @@ def sweep(params: SystemParams, cfg: TrialConfig, variable: str,
     diffs = np.diff(np.asarray(grid, dtype=float))
     if len(grid) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise ValueError("sweep grid must be strictly monotone")
-    analytic = []
-    estimates = []
-    for value in grid:
-        p, c = _apply_variable(params, cfg, variable, value)
-        analytic.append(analytic_outage(p, c))
-        estimates.append(estimate_outage(p, c, workers=workers))
-    return OutageCurve(variable=variable, grid=grid,
-                       analytic=analytic, estimates=estimates)
+    points = [_apply_variable(params, cfg, variable, value) for value in grid]
+    _check_k(points)
+    analytic = [analytic_outage(p, c) for p, c in points]
+    return OutageCurve(variable=variable, grid=grid, analytic=analytic,
+                       estimates=estimate_outage(points, workers=workers))

@@ -40,13 +40,7 @@ from risgroups.selection import (
     mean_snr_scale,
     outage_sbgs,
 )
-from risgroups.sim import (
-    BLOCK_SIZE,
-    TrialConfig,
-    analytic_outage,
-    block_rng,
-    simulate_block,
-)
+from risgroups.sim import TrialConfig, analytic_outage, estimate_outage
 from risgroups.specfun import bessel_i, reg_incomplete_beta, reg_lower_incomplete_gamma
 
 DEFAULTS = SystemParams()
@@ -64,17 +58,6 @@ def _psi_db_to_p_tx(params: SystemParams, psi_db: float) -> float:
         10.0 ** (psi_db / 10.0) * params.noise_power
         / (params.rho_l ** 2 * (params.d_sr * params.d_rd) ** -params.alpha)
     )
-
-
-def _iter_blocks(params, mode, eh, n_trials, seed):
-    """Reproducible per-block realizations, shared across thresholds/schemes."""
-    for idx, start in enumerate(range(0, n_trials, BLOCK_SIZE)):
-        n = min(BLOCK_SIZE, n_trials - start)
-        yield simulate_block(params, mode, eh, n, block_rng(seed, idx))
-
-
-def _ci(p_hat: float, n: int) -> float:
-    return 1.96 * math.sqrt(p_hat * (1.0 - p_hat) / n)
 
 
 def _harvest(model, incident_powers, duration: float) -> float:
@@ -136,25 +119,21 @@ def test_criterion_03_data_outage_cross_validation():
     n_trials = 100_000
     worst = 0.0
     analytic_rows = [[] for _ in r_reqs]
-    for psi_db in psi_grid:
-        p = replace(DEFAULTS, p_tx=_psi_db_to_p_tx(DEFAULTS, psi_db))
-        # one simulation pass per SNR point, evaluated at all three thresholds
-        fails = np.zeros(len(r_reqs), dtype=np.int64)
-        for _, _, rate, rgs_u in _iter_blocks(p, mode, LINEAR_DEFAULT, n_trials, 103):
-            picked = rate[np.arange(rate.shape[0]), (rgs_u * p.b_groups).astype(np.int64)]
-            for j, r_req in enumerate(r_reqs):
-                fails[j] += int(np.sum(picked < r_req))
-        for j, r_req in enumerate(r_reqs):
-            cfg = TrialConfig(
-                n_trials=n_trials, seed=103, strategy=SelectionStrategy("RGS", k=1),
-                mode=mode, r_req=r_req, metric="data",
-            )
-            ana = analytic_outage(p, cfg)
-            emp = fails[j] / n_trials
-            gap = abs(ana - emp)
-            assert gap <= max(0.03, 3.0 * _ci(emp, n_trials))
-            worst = max(worst, gap)
-            analytic_rows[j].append(ana)
+    # all 24 points share one channel law, so each block is drawn once
+    points = [
+        (replace(DEFAULTS, p_tx=_psi_db_to_p_tx(DEFAULTS, psi_db)), TrialConfig(
+            n_trials=n_trials, seed=103, strategy=SelectionStrategy("RGS", k=1),
+            mode=mode, r_req=r_req, metric="data",
+        ))
+        for psi_db in psi_grid for r_req in r_reqs
+    ]
+    for i, ((p, cfg), est) in enumerate(zip(points, estimate_outage(points))):
+        ana = analytic_outage(p, cfg)
+        emp = est.p_hat
+        gap = abs(ana - emp)
+        assert gap <= max(0.03, 3.0 * est.ci_halfwidth)
+        worst = max(worst, gap)
+        analytic_rows[i % len(r_reqs)].append(ana)
     for row in analytic_rows:
         # strictly decreasing in SNR
         assert all(a > b for a, b in zip(row, row[1:]))
@@ -289,14 +268,16 @@ def test_criterion_07_rgs_vs_sbgs_ordering():
     r_req = math.log2(1.0 + 10.0 ** 0.3)
     mode = RisMode("PS", rho=0.5)
     n_trials = 100_000
-    for psi_db in psi_grid:
-        p = replace(DEFAULTS, p_tx=_psi_db_to_p_tx(DEFAULTS, psi_db))
-        fails_rgs = fails_sbgs = 0
-        for _, _, rate, rgs_u in _iter_blocks(p, mode, LINEAR_DEFAULT, n_trials, 107):
-            picked = rate[np.arange(rate.shape[0]), (rgs_u * p.b_groups).astype(np.int64)]
-            fails_rgs += int(np.sum(picked < r_req))
-            fails_sbgs += int(np.sum(rate.max(axis=1) < r_req))
-        assert fails_rgs >= fails_sbgs
+    points = [
+        (replace(DEFAULTS, p_tx=_psi_db_to_p_tx(DEFAULTS, psi_db)), TrialConfig(
+            n_trials=n_trials, seed=107, strategy=SelectionStrategy(scheme, k=1),
+            mode=mode, r_req=r_req, metric="data",
+        ))
+        for psi_db in psi_grid for scheme in ("RGS", "SBGS")
+    ]
+    estimates = estimate_outage(points)
+    for rgs, sbgs in zip(estimates[::2], estimates[1::2]):
+        assert rgs.p_hat >= sbgs.p_hat
     _report(7, "empirical RGS outage >= empirical best-group outage at all 5 "
                "SNR points, 1e5 trials each (exact per-trial nesting)")
 
@@ -381,29 +362,24 @@ def test_criterion_10_energy_outage_trends():
     powers = [9.0, 11.0, 13.5, 16.5, 20.0]
     cases = [(LINEAR_DEFAULT, 7.383514e-4), (NONLINEAR_DEFAULT, 2.805012e-4)]
     n_trials = 100_000
+    keys = (1, 2, 3, "RGS")
+    # one pass over the 40 points of both laws and all four selections
+    points = [
+        (replace(base, p_tx=p_tx), TrialConfig(
+            n_trials=n_trials, seed=110, mode=mode, eh=eh, e_req=e_req, metric="energy",
+            strategy=(SelectionStrategy("RGS", k=1) if key == "RGS"
+                      else SelectionStrategy("EBGS", k=key)),
+        ))
+        for eh, e_req in cases for p_tx in powers for key in keys
+    ]
+    # tables[case][power, selection]
+    tables = np.reshape([est.p_hat for est in estimate_outage(points)],
+                        (len(cases), len(powers), len(keys)))
     worst_fit = 0.0
-    for eh, e_req in cases:
-        # one simulation pass per power point covers all four selections
-        curves = {key: [] for key in (1, 2, 3, "RGS")}
-        for p_tx in powers:
-            p = replace(base, p_tx=p_tx)
-            fails = {key: 0 for key in curves}
-            for _, harvested, _, rgs_u in _iter_blocks(p, mode, eh, n_trials, 110):
-                ranked = np.sort(harvested, axis=1)
-                for k in (1, 2, 3):
-                    fails[k] += int(np.sum(ranked[:, -k] < e_req))
-                picked = harvested[
-                    np.arange(harvested.shape[0]),
-                    (rgs_u * p.b_groups).astype(np.int64),
-                ]
-                fails["RGS"] += int(np.sum(picked < e_req))
-            for key in curves:
-                curves[key].append(fails[key] / n_trials)
-        for vals in curves.values():
-            assert all(b <= a for a, b in zip(vals, vals[1:]))
-        for i in range(len(powers)):
-            assert curves[1][i] <= curves[2][i] <= curves[3][i] <= curves["RGS"][i]
-        for p_tx, emp in zip(powers, curves["RGS"]):
+    for (eh, e_req), table in zip(cases, tables):
+        assert np.all(np.diff(table, axis=0) <= 0.0)  # nonincreasing in P_tx
+        assert np.all(np.diff(table, axis=1) >= 0.0)  # k=1 <= k=2 <= k=3 <= RGS
+        for p_tx, emp in zip(powers, table[:, -1]):
             fitted = fit_energy_distribution(replace(base, p_tx=p_tx), mode, eh)
             worst_fit = max(worst_fit, abs(fitted.cdf(e_req) - emp))
     assert worst_fit <= 0.03

@@ -14,7 +14,7 @@ from risgroups.energy import (
     required_energy_ts,
 )
 from risgroups.selection import RisMode
-from risgroups.sim import block_rng, simulate_block
+from risgroups.sim import _realize, block_rng, simulate_block
 
 
 class TestEhModel:
@@ -61,12 +61,16 @@ class TestHarvest:
         # a group harvests over the EH phase the sum of its elements' rates
         p = SystemParams()
         corr = build_correlation_matrix(p.m_per_group, p.spacing, p.wavelength)
-        snap = sample_channels(p, corr, (16, p.b_groups), block_rng(2, 0))
+        rng = block_rng(2, 0)
+        snap = sample_channels(p, corr, (16, p.b_groups), rng)
         incident = p.p_tx * p.rho_l * p.d_sr ** -p.alpha * snap.h_sq
+        # the block draws h, then g, then the RGS uniforms from one stream
+        z, h_sq, rgs_u = simulate_block(p, 16, block_rng(2, 0))
+        np.testing.assert_array_equal(h_sq, snap.h_sq)
+        np.testing.assert_array_equal(z, snap.z)
+        np.testing.assert_array_equal(rgs_u, rng.random(16))
         for eh in (LINEAR_DEFAULT, NONLINEAR_DEFAULT):
-            _, harvested, _, _ = simulate_block(
-                p, RisMode("TS", zeta=0.25), eh, 16, block_rng(2, 0)
-            )
+            _, harvested, _ = _realize(p, RisMode("TS", zeta=0.25), eh, z, h_sq)
             expected = 0.25 * p.t_s * harvest_rate(eh, incident).sum(axis=-1)
             np.testing.assert_allclose(harvested, expected, rtol=1e-12)
 

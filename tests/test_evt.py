@@ -61,6 +61,18 @@ class TestQuantileBisect:
             float(stats.norm.ppf(0.2)), rel=1e-8
         )
 
+    @pytest.mark.parametrize("scale", [10.0 ** e for e in range(-20, 7)])
+    def test_stopping_rule_is_relative(self, scale):
+        cdf = lambda x: -math.expm1(-x / scale) if x > 0 else 0.0
+        assert _quantile_bisect(cdf, 0.5) == pytest.approx(
+            scale * math.log(2.0), rel=1e-12
+        )
+
+    def test_quantile_at_zero_terminates(self):
+        # uniform on [-1, 1]: the median is exactly 0, where no relative width is reached
+        cdf = lambda x: min(max(0.5 * (x + 1.0), 0.0), 1.0)
+        assert _quantile_bisect(cdf, 0.5) == 0.0
+
 
 class TestNormalizingConstants:
     def test_exponential_closed_form(self):

@@ -26,7 +26,7 @@ from risgroups.selection import (
     outage_rgs,
     outage_sbgs,
 )
-from risgroups.sim import _kth_largest_index, block_rng, simulate_block
+from risgroups.sim import _kth_largest_index, _realize, block_rng, simulate_block
 
 
 class TestModeAndStrategy:
@@ -46,16 +46,19 @@ class TestModeAndStrategy:
 
 
 def _block_and_z(mode, n=64):
-    """simulate_block on one stream, and z, rgs_u drawn from a fresh copy of it.
+    """One grid point evaluated on simulate_block, and z, rgs_u drawn from a
+    fresh copy of the block's stream.
 
     Equality pins the block's stream layout: h normals, then g normals (both
     through sample_channels), then n RGS uniforms.
     """
     p = SystemParams()
-    snr, _, rate, rgs_u = simulate_block(p, mode, LINEAR_DEFAULT, n, block_rng(5, 0))
+    z_block, h_sq, rgs_u = simulate_block(p, n, block_rng(5, 0))
+    snr, _, rate = _realize(p, mode, LINEAR_DEFAULT, z_block, h_sq)
     rng = block_rng(5, 0)
     corr = build_correlation_matrix(p.m_per_group, p.spacing, p.wavelength)
     z = sample_channels(p, corr, (n, p.b_groups), rng).z
+    np.testing.assert_array_equal(z_block, z)
     np.testing.assert_array_equal(rgs_u, rng.random(n))
     return snr, rate, z
 
