@@ -5,10 +5,11 @@ deterministic line-of-sight mean sqrt(K/(K+1)) and scattered variance 1/(K+1);
 path loss and link gain carry all scaling.  Correlation follows the sinc model
 through the principal square root of the correlation matrix.
 
-``sample_channels`` is the only code that turns normals into correlated
-channels.  Its stream layout is fixed: all (*shape, M, 2) source-side normals
-for h first, then the same number for g.  It returns a ``ChannelSnapshot``
-whose reductions run over the last (element) axis, so one type serves a
+``sample_channels`` is the only code that turns normals into channels.  Its
+stream layout is fixed: all (*shape, M, 2) normals for the per-element h first,
+then (*shape, 2) for the composite g_c = sum_j tilde_g_j, which alone enters Z
+and is drawn from its exact law CN(m_c, var_c).  It returns a ``ChannelSnapshot``
+whose h reductions run over the last (element) axis, so one type serves a
 single group snapshot (shape ``()``) and a block of trials (shape ``(n, B)``).
 """
 
@@ -135,16 +136,16 @@ def sample_rician_vector(shape: tuple, k_factor: float,
 
 @dataclass(frozen=True)
 class ChannelSnapshot:
-    """Correlated channels tilde_h, tilde_g of shape (*batch, M).
+    """Correlated channels tilde_h of shape (*batch, M), composite g_c of shape (*batch).
 
-    Every reduction runs over the last (element) axis, so a batch reduces to
-    the values its rows would give one at a time.  The one exception is in
+    Every h reduction runs over the last (element) axis, so a batch reduces
+    to the values its rows would give one at a time.  The one exception is in
     the last bit: for a single row, h_c_sq and g_c_sq square a NumPy scalar,
     which goes through libm pow, while a batch squares by one multiply.
     """
 
     tilde_h: np.ndarray = field(repr=False)
-    tilde_g: np.ndarray = field(repr=False)
+    g_c: np.ndarray = field(repr=False)
 
     @property
     def h_sq(self) -> np.ndarray:
@@ -169,7 +170,7 @@ class ChannelSnapshot:
 
     @property
     def g_c_sq(self):
-        return np.abs(np.sum(self.tilde_g, axis=-1)) ** 2
+        return np.abs(self.g_c) ** 2
 
     @property
     def z(self):
@@ -178,23 +179,18 @@ class ChannelSnapshot:
 
 def sample_channels(params: SystemParams, corr: CorrelationMatrix, shape: tuple,
                     rng: np.random.Generator) -> ChannelSnapshot:
-    """Draw sqrt(beta) raw @ R^(1/2) for h, then for g, over ``(*shape, M)``."""
-    root_beta = math.sqrt(params.beta_gain)
-
-    def correlated(k_factor: float) -> np.ndarray:
-        raw = sample_rician_vector((*shape, corr.dim), k_factor, rng)
-        raw *= root_beta
-        return raw @ corr.sqrt_entries
-
-    tilde_h = correlated(params.k_h)
-    return ChannelSnapshot(tilde_h=tilde_h, tilde_g=correlated(params.k_g))
+    """Draw sqrt(beta) raw @ R^(1/2) for h over ``(*shape, M)``, then g_c ~ CN(m_c, var_c)."""
+    raw = sample_rician_vector((*shape, corr.dim), params.k_h, rng)
+    raw *= math.sqrt(params.beta_gain)
+    # sqrt(m^2 + v) times a unit-power Rician with K = m^2/v is CN(m, v)
+    m_c, var_c = _composite_mean_var(params, corr, params.k_g)
+    g_c = math.sqrt(m_c ** 2 + var_c) * sample_rician_vector(shape, m_c ** 2 / var_c, rng)
+    return ChannelSnapshot(tilde_h=raw @ corr.sqrt_entries, g_c=g_c)
 
 
-def _composite_mean_var(params: SystemParams, k_factor: float) -> tuple[float, float]:
+def _composite_mean_var(params: SystemParams, corr: CorrelationMatrix,
+                        k_factor: float) -> tuple[float, float]:
     # h_c = sqrt(beta) 1^T R^(1/2) h with h_j ~ CN(mu, sigma^2) i.i.d.
-    corr = build_correlation_matrix(
-        params.m_per_group, params.spacing, params.wavelength
-    )
     mu = math.sqrt(k_factor / (k_factor + 1.0))
     sigma_sq = 1.0 / (k_factor + 1.0)
     coeff = corr.sqrt_entries.sum(axis=0)
@@ -203,22 +199,29 @@ def _composite_mean_var(params: SystemParams, k_factor: float) -> tuple[float, f
     return m_c, var_c
 
 
-def composite_moments(params: SystemParams, side: str) -> tuple[float, float]:
-    """Mean and variance of |h_c|^2 (side='S') or |g_c|^2 (side='D')."""
-    side = side.upper()
-    if side not in ("S", "D"):
-        raise ValueError("side must be 'S' or 'D'")
-    k = params.k_h if side == "S" else params.k_g
-    m_c, var_c = _composite_mean_var(params, k)
+def _squared_moments(params: SystemParams, corr: CorrelationMatrix,
+                     k: float) -> tuple[float, float]:
+    # mean and variance of |x|^2 for the composite x ~ CN(m_c, var_c)
+    m_c, var_c = _composite_mean_var(params, corr, k)
     mean = m_c ** 2 + var_c
     fourth = m_c ** 4 + 4.0 * m_c ** 2 * var_c + 2.0 * var_c ** 2
     return mean, fourth - mean ** 2
 
 
+def composite_moments(params: SystemParams, side: str) -> tuple[float, float]:
+    """Mean and variance of |h_c|^2 (side='S') or |g_c|^2 (side='D')."""
+    side = side.upper()
+    if side not in ("S", "D"):
+        raise ValueError("side must be 'S' or 'D'")
+    corr = build_correlation_matrix(params.m_per_group, params.spacing, params.wavelength)
+    return _squared_moments(params, corr, params.k_h if side == "S" else params.k_g)
+
+
 def fit_gamma_product(params: SystemParams) -> GammaFit:
     """Moment-matched Gamma approximation of Z = |g_c|^2 |h_c|^2."""
-    mean_h, var_h = composite_moments(params, "S")
-    mean_g, var_g = composite_moments(params, "D")
+    corr = build_correlation_matrix(params.m_per_group, params.spacing, params.wavelength)
+    mean_h, var_h = _squared_moments(params, corr, params.k_h)
+    mean_g, var_g = _squared_moments(params, corr, params.k_g)
     mean_z = mean_h * mean_g
     second_z = (mean_h ** 2 + var_h) * (mean_g ** 2 + var_g)
     var_z = second_z - mean_z ** 2

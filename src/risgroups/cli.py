@@ -9,7 +9,7 @@ back to defaults.
 import argparse
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import __version__
 from .bounds import (
@@ -118,11 +118,13 @@ def _coerce(key: str, value):
     return value
 
 
-def load_scenario(path: str) -> Scenario:
-    """Parse and fully validate a scenario file, filling defaults."""
+def load_scenario(path: str, overrides: dict | None = None) -> Scenario:
+    """Parse and fully validate a scenario file, filling defaults; ``overrides``
+    (already typed values) replace file values before validation."""
     raw = dict(_DEFAULTS)
     for key, value in _parse_kv(path).items():
         raw[key] = _coerce(key, value)
+    raw.update(overrides or {})
 
     m, b = raw["m_per_group"], raw["b_groups"]
     try:
@@ -269,21 +271,6 @@ def run_bounds(scenario: Scenario, out_path: str) -> int:
     return 0
 
 
-def _apply_overrides(scenario: Scenario, args) -> Scenario:
-    trial = scenario.trial
-    if args.trials is not None:
-        trial = replace(trial, n_trials=args.trials)
-    if args.seed is not None:
-        trial = replace(trial, seed=args.seed)
-    if args.k is not None:
-        trial = replace(trial, strategy=replace(trial.strategy, k=args.k))
-    raw = dict(scenario.raw)
-    raw["n_trials"] = trial.n_trials
-    raw["seed"] = trial.seed
-    raw["k"] = trial.strategy.k
-    return replace(scenario, trial=trial, raw=raw)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="risgroups",
@@ -303,7 +290,11 @@ def main(argv=None) -> int:
         p.add_argument("--workers", type=int, default=1, help="parallel workers")
     args = parser.parse_args(argv)
     try:
-        scenario = _apply_overrides(load_scenario(args.scenario), args)
+        if args.workers < 1:
+            raise ScenarioError("--workers must be at least 1")
+        overrides = {"n_trials": args.trials, "seed": args.seed, "k": args.k}
+        scenario = load_scenario(
+            args.scenario, {k: v for k, v in overrides.items() if v is not None})
         if args.command == "run":
             return run(scenario, args.output, workers=args.workers)
         return run_bounds(scenario, args.output)

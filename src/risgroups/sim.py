@@ -3,9 +3,9 @@
 Trials are processed in fixed-size blocks; each block gets an independent
 counter-based stream derived from (seed, block index), so results are
 bit-identical for any worker count and any block execution order.  One block
-of n trials draws, in this order: the h normals and then the g normals of
-``channel.sample_channels`` over shape (n, B, M), then n uniforms that pick
-the RGS group.
+of n trials draws, in this order: the (n, B, M, 2) per-element h normals and
+then the (n, B, 2) composite g normals of ``channel.sample_channels``, then n
+uniforms that pick the RGS group.
 
 A block's draw depends only on the channel law (``m_per_group``, ``b_groups``,
 ``spacing``, ``wavelength``, ``k_h``, ``k_g``, ``beta_gain``), the seed and the

@@ -176,6 +176,7 @@ def test_criterion_05_feasibility_boundary_equalities():
     nl = NONLINEAR_DEFAULT
     headroom = nl.a - w / m - nl.b / nl.c
     worst = 0.0
+    rate_limited = 0
     rng = np.random.default_rng(105)
     for _ in range(100):
         snap = sample_channels(params, corr, (), rng)
@@ -217,21 +218,29 @@ def test_criterion_05_feasibility_boundary_equalities():
         worst = max(worst, abs(rate / 2.0 - 1.0))
 
         iv = zeta_bounds_nonlinear(params, BUDGET, nl, snap, r_req=1.5)
-        assert iv.feasible
-        harvested = _harvest(nl, [pl_sr * snap.h_max_sq] * m, iv.lower * params.t_s)
-        e_ts = required_energy_ts(m, BUDGET, params.t_s, iv.lower)
-        worst = max(worst, abs(harvested / e_ts - 1.0))
         gamma_min = (
             params.p_tx * params.rho_l ** 2
             * (params.d_sr * params.d_rd) ** -params.alpha
             * m ** 2 * snap.h_min_sq * snap.g_c_sq / params.noise_power
         )
+        if not iv.feasible:
+            # the worst-case rate rests on the weakest element, so about 0.15%
+            # of snapshots are rate-limited: no endpoint, but the cause must hold
+            # at the least zeta that meets the energy need
+            assert iv.cause == "rate-limited"
+            assert (1.0 - iv.lower) * math.log2(1.0 + gamma_min) < 1.5
+            rate_limited += 1
+            continue
+        harvested = _harvest(nl, [pl_sr * snap.h_max_sq] * m, iv.lower * params.t_s)
+        e_ts = required_energy_ts(m, BUDGET, params.t_s, iv.lower)
+        worst = max(worst, abs(harvested / e_ts - 1.0))
         rate = (1.0 - iv.upper) * math.log2(1.0 + gamma_min)
         worst = max(worst, abs(rate / 1.5 - 1.0))
     assert worst <= 1e-9
     _report(5, f"harvested-energy / rate equalities at all four interval "
                f"endpoints on 100 snapshots, worst relative error {worst:.2e} "
-               f"(tol 1e-9)")
+               f"(tol 1e-9); {rate_limited} TS-nonlinear snapshot(s) "
+               f"rate-limited with the cause verified")
 
 
 def test_criterion_06_order_statistics_exactness():

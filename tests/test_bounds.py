@@ -41,9 +41,7 @@ def _harvest(model, incident_powers, duration: float) -> float:
 
 class TestSnapshot:
     def test_derived_quantities(self):
-        snap = ChannelSnapshot(
-            tilde_h=np.array([1.0 + 0j, 0.0 + 1j]), tilde_g=np.array([2.0 + 0j, 0j])
-        )
+        snap = ChannelSnapshot(tilde_h=np.array([1.0 + 0j, 0.0 + 1j]), g_c=2.0 + 0j)
         assert snap.sum_h_sq == pytest.approx(2.0)
         assert snap.h_min_sq == pytest.approx(1.0)
         assert snap.h_c_sq == pytest.approx(2.0)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import special as sp
+from scipy import stats
 
 from risgroups.channel import (
     ChannelSnapshot,
@@ -93,7 +94,8 @@ class TestRicianSampling:
 
 class TestCorrelateComposite:
     def test_correlate_applies_sqrt(self):
-        # sqrt(beta) scales every correlated entry: beta 4 doubles the draw
+        # sqrt(beta) scales every correlated h entry and the composite g:
+        # beta 4 doubles the draw
         p = SystemParams(m_per_group=5, n_total=5 * 20)
         corr = build_correlation_matrix(5, 0.0125, 0.1)
         one = sample_channels(p, corr, (3, 2), np.random.default_rng(4))
@@ -101,12 +103,13 @@ class TestCorrelateComposite:
             replace(p, beta_gain=4.0), corr, (3, 2), np.random.default_rng(4)
         )
         assert one.tilde_h.shape == (3, 2, 5)
+        assert one.g_c.shape == (3, 2)
         np.testing.assert_array_equal(four.tilde_h, 2.0 * one.tilde_h)
-        np.testing.assert_array_equal(four.tilde_g, 2.0 * one.tilde_g)
+        np.testing.assert_array_equal(four.g_c, 2.0 * one.g_c)
 
     def test_composite_is_sum(self):
         v = np.array([1 + 1j, 2 - 1j, -0.5 + 0.25j])
-        snap = ChannelSnapshot(tilde_h=v, tilde_g=2.0 * v)
+        snap = ChannelSnapshot(tilde_h=v, g_c=2.0 * np.sum(v))
         assert snap.h_c_sq == pytest.approx(abs(np.sum(v)) ** 2)
         assert snap.z == pytest.approx(4.0 * abs(np.sum(v)) ** 4)
 
@@ -118,7 +121,7 @@ _finite = st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=
 def _channel_pair(draw):
     shape = (draw(st.integers(1, 6)), draw(st.integers(1, 24)))
     return (draw(arrays(np.complex128, shape, elements=_finite)),
-            draw(arrays(np.complex128, shape, elements=_finite)))
+            draw(arrays(np.complex128, shape[:1], elements=_finite)))
 
 
 class TestChannelSnapshot:
@@ -127,13 +130,13 @@ class TestChannelSnapshot:
     def test_batch_reductions_match_rows(self, pair):
         # one snapshot type serves a block of trials and a single group
         h, g = pair
-        batch = ChannelSnapshot(tilde_h=h, tilde_g=g)
+        batch = ChannelSnapshot(tilde_h=h, g_c=g)
         exact = ("h_sq", "sum_h_sq", "h_min_sq", "h_max_sq")
         # a row's composite magnitude is a NumPy scalar, squared by libm pow
         # (at most 1 ulp from the batch's multiply); z multiplies two of them
         max_ulp = {"h_c_sq": 1, "g_c_sq": 1, "z": 3}
         for i in range(h.shape[0]):
-            row = ChannelSnapshot(tilde_h=h[i], tilde_g=g[i])
+            row = ChannelSnapshot(tilde_h=h[i], g_c=g[i])
             for name in exact:
                 np.testing.assert_array_equal(
                     getattr(batch, name)[i], getattr(row, name), err_msg=name
@@ -154,6 +157,19 @@ class TestCompositeMoments:
         assert mean == pytest.approx(float(g.mean()), rel=0.01)
         assert var == pytest.approx(float(g.var()), rel=0.03)
 
+    @pytest.mark.parametrize("k_g, beta_gain", [(1.0, 1.0), (0.0, 1.0), (3.0, 2.5)])
+    def test_destination_composite_moments(self, k_g, beta_gain):
+        # g_c is drawn from its composite law, so |g_c|^2 has the closed-form
+        # mean and variance to within 4 standard errors
+        p = SystemParams(m_per_group=8, n_total=8 * 20, k_g=k_g, beta_gain=beta_gain)
+        corr = build_correlation_matrix(p.m_per_group, p.spacing, p.wavelength)
+        g = sample_channels(p, corr, (400_000,), np.random.default_rng(12)).g_c_sq
+        mean, var = composite_moments(p, "D")
+        dev_sq = (g - g.mean()) ** 2
+        m2, m4 = float(dev_sq.mean()), float(np.mean(dev_sq ** 2))
+        assert abs(float(g.mean()) - mean) <= 4.0 * math.sqrt(m2 / g.size)
+        assert abs(m2 - var) <= 4.0 * math.sqrt((m4 - m2 ** 2) / g.size)
+
     def test_identity_closed_form(self):
         # spacing lambda/2 gives i.i.d. elements: E|h_c|^2 = mu^2 M^2 + sigma^2 M
         p = SystemParams(spacing=0.05)
@@ -166,6 +182,30 @@ class TestCompositeMoments:
     def test_invalid_side(self):
         with pytest.raises(ValueError):
             composite_moments(SystemParams(), "X")
+
+
+def _per_element(p, corr, k_factor, n, rng):
+    """Composite sum_j of sqrt(beta) raw @ R^(1/2) over M drawn elements."""
+    raw = sample_rician_vector((n, corr.dim), k_factor, rng) * math.sqrt(p.beta_gain)
+    return np.sum(raw @ corr.sqrt_entries, axis=-1)
+
+
+class TestCompositeLaw:
+    @pytest.mark.parametrize("k_g, beta_gain, spacing", [
+        (1.0, 1.0, 0.1 / 8.0), (0.0, 1.0, 0.1 / 8.0), (3.0, 2.5, 0.1 / 5.0),
+    ])
+    def test_z_matches_per_element_reference(self, k_g, beta_gain, spacing):
+        # the composite g_c has the law of the sum of M correlated elements
+        n = 50_000
+        p = SystemParams(m_per_group=10, n_total=10 * 20, k_g=k_g,
+                         beta_gain=beta_gain, spacing=spacing)
+        corr = build_correlation_matrix(p.m_per_group, p.spacing, p.wavelength)
+        snap = sample_channels(p, corr, (n,), np.random.default_rng(31))
+        rng = np.random.default_rng(32)
+        h_c = _per_element(p, corr, p.k_h, n, rng)
+        g_c = _per_element(p, corr, p.k_g, n, rng)
+        assert stats.ks_2samp(snap.g_c_sq, np.abs(g_c) ** 2).pvalue > 1e-3
+        assert stats.ks_2samp(snap.z, np.abs(h_c) ** 2 * np.abs(g_c) ** 2).pvalue > 1e-3
 
 
 class TestGammaFit:

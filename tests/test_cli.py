@@ -131,6 +131,20 @@ class TestRunCommand:
         assert "# seed = 5" in text
         assert ",2048,SBGS,1,PS" in text
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--trials", "0", "n_trials"),
+        ("--k", "0", "k"),
+        ("--workers", "0", "--workers"),
+    ])
+    def test_bad_override_is_an_error(self, scenario_file, tmp_path, capsys,
+                                      flag, value, message):
+        out = tmp_path / "x.csv"
+        assert main(["run", scenario_file, "-o", str(out), flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_parse_error_returns_nonzero(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("bogus = 1\n", encoding="utf-8")

@@ -8,6 +8,7 @@ import pytest
 
 from risgroups.channel import (
     SystemParams,
+    _composite_mean_var,
     build_correlation_matrix,
     sample_channels,
 )
@@ -64,14 +65,25 @@ class TestSimulateBlock:
         assert np.all(h_sq >= 0.0)
 
     def test_stream_layout(self):
-        # h normals, then g normals (both through sample_channels), then n uniforms
-        z, h_sq, rgs_u = simulate_block(PARAMS, 7, block_rng(1, 0))
-        rng = block_rng(1, 0)
-        corr = build_correlation_matrix(PARAMS.m_per_group, PARAMS.spacing, PARAMS.wavelength)
-        snap = sample_channels(PARAMS, corr, (7, PARAMS.b_groups), rng)
+        # (n, B, M, 2) h normals, then (n, B, 2) composite g normals, then n uniforms
+        p = replace(PARAMS, k_h=2.0, k_g=0.5, beta_gain=3.0)
+        n, b, m = 7, p.b_groups, p.m_per_group
+        z, h_sq, rgs_u = simulate_block(p, n, block_rng(1, 0))
+        corr = build_correlation_matrix(m, p.spacing, p.wavelength)
+        snap = sample_channels(p, corr, (n, b), block_rng(1, 0))
         np.testing.assert_array_equal(z, snap.z)
         np.testing.assert_array_equal(h_sq, snap.h_sq)
-        np.testing.assert_array_equal(rgs_u, rng.random(7))
+
+        rng = block_rng(1, 0)
+        h_normals = rng.standard_normal((n, b, m, 2))
+        g_normals = rng.standard_normal((n, b, 2))
+        np.testing.assert_array_equal(rgs_u, rng.random(n))
+        scattered = math.sqrt(0.5 / (p.k_h + 1.0)) * (h_normals[..., 0] + 1j * h_normals[..., 1])
+        raw = math.sqrt(p.beta_gain) * (math.sqrt(p.k_h / (p.k_h + 1.0)) + scattered)
+        np.testing.assert_allclose(snap.tilde_h, raw @ corr.sqrt_entries, rtol=1e-12)
+        m_c, var_c = _composite_mean_var(p, corr, p.k_g)
+        g_c = m_c + math.sqrt(0.5 * var_c) * (g_normals[..., 0] + 1j * g_normals[..., 1])
+        np.testing.assert_allclose(snap.g_c, g_c, rtol=1e-12)
 
 
 def one(params, c, workers=1):
@@ -289,7 +301,7 @@ class TestDrawReuse:
         for name, value in OTHER_FIELDS.items():
             snap = draw(with_field(PARAMS, name, value))
             np.testing.assert_array_equal(snap.tilde_h, ref.tilde_h)
-            np.testing.assert_array_equal(snap.tilde_g, ref.tilde_g)
+            np.testing.assert_array_equal(snap.g_c, ref.g_c)
 
     def test_fields_in_the_key_change_the_draw(self):
         ref = draw(PARAMS)
@@ -297,7 +309,7 @@ class TestDrawReuse:
             snap = draw(with_field(PARAMS, name, value))
             same = (snap.tilde_h.shape == ref.tilde_h.shape
                     and np.array_equal(snap.tilde_h, ref.tilde_h)
-                    and np.array_equal(snap.tilde_g, ref.tilde_g))
+                    and np.array_equal(snap.g_c, ref.g_c))
             assert not same, name
 
     def test_worker_count_does_not_change_sweep(self):
