@@ -51,7 +51,6 @@ from .selection import (
     RisMode,
     SelectionStrategy,
     fit_energy_distribution,
-    kth_best_pdf,
     mean_snr_scale,
     outage_ebgs,
     outage_rgs,
@@ -68,7 +67,6 @@ from .sim import (
 )
 from .specfun import (
     ConvergenceError,
-    bessel_i,
     reg_incomplete_beta,
     reg_lower_incomplete_gamma,
     sinc_corr,
@@ -95,7 +93,6 @@ __all__ = [
     "SystemParams",
     "TrialConfig",
     "analytic_outage",
-    "bessel_i",
     "build_correlation_matrix",
     "check_gumbel_domain",
     "composite_moments",
@@ -105,7 +102,6 @@ __all__ = [
     "gamma_cdf",
     "gumbel_cdf",
     "harvest_rate",
-    "kth_best_pdf",
     "kth_limit_cdf",
     "mean_snr_scale",
     "normalizing_constants",

@@ -21,7 +21,7 @@ from .bounds import (
 from .channel import SystemParams, build_correlation_matrix, sample_channels
 from .energy import EhModel, PowerBudget, required_energy_ps, required_energy_ts
 from .selection import RisMode, SelectionStrategy
-from .sim import TrialConfig, block_rng, sweep
+from .sim import TrialConfig, block_rng, sweep, sweep_points
 
 
 class ScenarioError(ValueError):
@@ -178,14 +178,12 @@ def load_scenario(path: str, overrides: dict | None = None) -> Scenario:
             e_req=e_req,
             metric=raw["metric"],
         )
+        grid = [float(v) for v in str(raw["sweep_grid"]).split(",") if v.strip()]
+        sweep_points(params, trial, raw["sweep_variable"], grid)
     except ScenarioError:
         raise
     except ValueError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
-
-    grid = [float(v) for v in str(raw["sweep_grid"]).split(",") if v.strip()]
-    if not grid:
-        raise ScenarioError(f"{path}: sweep_grid is empty")
     return Scenario(
         params=params,
         budget=budget,

@@ -52,20 +52,6 @@ def mean_snr_scale(params: SystemParams) -> float:
     )
 
 
-def kth_best_pdf(pdf_at_x: float, cdf_at_x: float, n: int, k: int) -> float:
-    """Density of the k-th largest of n i.i.d. variables at a point."""
-    if not 0.0 <= cdf_at_x <= 1.0:
-        raise ValueError("cdf value must lie in [0,1]")
-    if pdf_at_x < 0:
-        raise ValueError("pdf value must be nonnegative")
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} out of range for n={n}")
-    return (
-        k * math.comb(n, k) * pdf_at_x
-        * cdf_at_x ** (n - k) * (1.0 - cdf_at_x) ** (k - 1)
-    )
-
-
 def outage_rgs(params: SystemParams, mode: RisMode, fit: GammaFit, r_req: float) -> float:
     """Closed-form data outage when one group is chosen uniformly at random."""
     if r_req < 0:
@@ -190,42 +176,42 @@ def eh_wiring(params: SystemParams, mode: RisMode) -> tuple[float, float]:
     return mode.zeta * params.t_s, pl
 
 
-_GH_NODES = 24
+# trapezoid nodes in y = ln(c u) for int_0^inf e^{-c u} f(u) du; the integrand
+# is analytic for |Im y| < pi/2, so the error falls like exp(-pi^2 / step)
+_Y_STEP = 0.3
+_Y_NODES = np.arange(-36.0, 3.7, _Y_STEP)
 
 
-def _gh_grid(n: int = _GH_NODES) -> tuple[np.ndarray, np.ndarray]:
-    # probabilists' Gauss-Hermite, normalized to a standard normal measure
-    x, w = np.polynomial.hermite_e.hermegauss(n)
-    return x, w / math.sqrt(2.0 * math.pi)
+def _recip_moments(mus: np.ndarray, s_sq: float, cov: np.ndarray, w_p: float,
+                   c: float) -> tuple[np.ndarray, np.ndarray]:
+    """Means and covariance matrix of phi_j = 1/(w_p |h_j|^2 + c), h ~ CN(mus, cov).
 
-
-def _recip_moments(mu: float, s_sq: float, w_p: float, c: float) -> tuple[float, float]:
-    """First two moments of 1/(w_p*|h|^2 + c) for h ~ CN(mu, s_sq)."""
-    x, w = _gh_grid()
-    sr = math.sqrt(0.5 * s_sq)
-    g = (mu + sr * x[:, None]) ** 2 + (sr * x[None, :]) ** 2
-    phi = 1.0 / (w_p * g + c)
-    w2 = w[:, None] * w[None, :]
-    return float(np.sum(w2 * phi)), float(np.sum(w2 * phi ** 2))
-
-
-def _recip_cross_moment(
-    mu_j: float, mu_k: float, r: float, s_sq: float, w_p: float, c: float
-) -> float:
-    """E[phi_j phi_k] for jointly circular Gaussian elements with correlation r."""
-    x, w = _gh_grid()
-    sr = math.sqrt(0.5 * s_sq)
-    u = x[:, None]
-    v = x[None, :]
-    g_j = (mu_j + sr * u) ** 2 + (sr * v) ** 2
-    phi_j = 1.0 / (w_p * g_j + c)
-    # conditional law of h_k given h_j: mean mu_k + r (h_j - mu_j), variance s_sq (1-r^2)
-    amp = np.hypot(mu_k + r * sr * u, r * sr * v)
-    sc = math.sqrt(0.5 * s_sq * (1.0 - r ** 2))
-    g_k = (amp[:, :, None, None] + sc * x[None, None, :, None]) ** 2 \
-        + (sc * x[None, None, None, :]) ** 2
-    inner = np.einsum("ijkl,k,l->ij", 1.0 / (w_p * g_k + c), w, w)
-    return float(np.einsum("ij,i,j->", phi_j * inner, w, w))
+    1/x = int_0^inf e^{-ux} du turns each moment into an integral of the
+    Laplace transform of a complex Gaussian pair (Turin 1960): with a = w_p u,
+    b = w_p v and C = cov[j, k],
+    E[e^{-a|h_j|^2 - b|h_k|^2}] = e^{-q}/D, D = (1+s^2 a)(1+s^2 b) - C^2 ab,
+    q = (a(1+s^2 b) m_j^2 + b(1+s^2 a) m_k^2 - 2abC m_j m_k)/D.
+    The covariance integrand is the product of the two marginal transforms
+    times expm1 of the log of its ratio to them, so it keeps full relative
+    accuracy however weakly the elements are driven.
+    """
+    a = w_p * np.exp(_Y_NODES) / c
+    wt = _Y_STEP * np.exp(_Y_NODES - np.exp(_Y_NODES)) / c
+    d1 = 1.0 + s_sq * a
+    q1 = np.outer(mus ** 2, a / d1)
+    lap = np.exp(-q1) / d1
+    ab, dd = np.outer(a, a), np.outer(d1, d1)
+    covar = np.empty_like(cov)
+    # row j against k >= j keeps each temporary at (M, nodes, nodes)
+    for j, m_j in enumerate(mus):
+        ck, mk = cov[j, j:, None, None], mus[j:, None, None]
+        r = ck ** 2 * ab / dd  # 1 - D / ((1+s^2 a)(1+s^2 b))
+        # q - q_j(a) - q_k(b) = abC (C (q_j(a) + q_k(b)) - 2 m_j m_k) / D
+        dq = (ab * ck * (ck * (q1[j, :, None] + q1[j:, None, :]) - 2.0 * m_j * mk)
+              / (dd * (1.0 - r)))
+        cross = lap[j, :, None] * lap[j:, None, :] * np.expm1(-dq - np.log1p(-r))
+        covar[j, j:] = covar[j:, j] = cross @ wt @ wt
+    return lap @ wt, covar
 
 
 def fit_energy_distribution(params: SystemParams, mode: RisMode, model: EhModel):
@@ -233,11 +219,12 @@ def fit_energy_distribution(params: SystemParams, mode: RisMode, model: EhModel)
 
     Linear law: Gamma fit of the weighted power-gain sum.  Nonlinear law:
     the group energy is an affine function of the summed reciprocal term,
-    which is fitted with an inverse-Gamma by matching its first two moments
-    (pairwise element correlation included via nested quadrature).
+    which is fitted with an inverse-Gamma by matching its first two moments;
+    those come from the closed-form Laplace transform of each correlated
+    element pair, integrated on one trapezoid node set (``_recip_moments``).
     """
     dur, w_p = eh_wiring(params, mode)
-    if dur == 0.0 or w_p == 0.0 or params.p_tx == 0.0:
+    if dur == 0.0 or w_p == 0.0:
         return DegenerateDist(0.0)
     mus, s_sq, cov = _element_stats(params)
     m = params.m_per_group
@@ -251,22 +238,9 @@ def fit_energy_distribution(params: SystemParams, mode: RisMode, model: EhModel)
         return GammaEnergyDist(shape=mean_e ** 2 / var_e, scale=var_e / mean_e)
 
     # nonlinear: E = dur (ac - b) (M/c - T), T = sum_j 1/(w_p |h_j|^2 + c)
-    first = np.empty(m)
-    second = np.empty(m)
-    for j in range(m):
-        first[j], second[j] = _recip_moments(float(mus[j]), s_sq, w_p, model.c)
+    first, covar = _recip_moments(mus, s_sq, cov, w_p, model.c)
     mean_t = float(np.sum(first))
-    var_t = float(np.sum(second - first ** 2))
-    corr_norm = cov / s_sq
-    for j in range(m):
-        for k in range(j + 1, m):
-            r = float(corr_norm[j, k])
-            if abs(r) < 1e-12:
-                continue
-            cross = _recip_cross_moment(
-                float(mus[j]), float(mus[k]), r, s_sq, w_p, model.c
-            )
-            var_t += 2.0 * (cross - first[j] * first[k])
+    var_t = float(np.sum(covar))
     if var_t <= 0:
         raise EnergyFitError("vanishing variance in nonlinear energy fit")
     inv_shape = mean_t ** 2 / var_t + 2.0

@@ -207,9 +207,10 @@ def analytic_outage(params: SystemParams, cfg: TrialConfig) -> float:
     return math.nan
 
 
-def sweep(params: SystemParams, cfg: TrialConfig, variable: str,
-          grid: Sequence, workers: int = 1) -> OutageCurve:
-    """One analytic value and one empirical estimate per grid point."""
+def sweep_points(params: SystemParams, cfg: TrialConfig, variable: str,
+                 grid: Sequence) -> list:
+    """The ``(params, cfg)`` point of each grid value, after checking the whole
+    grid (nonempty, strictly monotone, known variable, ``k <= b`` everywhere)."""
     grid = list(grid)
     if not grid:
         raise ValueError("sweep grid must be nonempty")
@@ -218,6 +219,14 @@ def sweep(params: SystemParams, cfg: TrialConfig, variable: str,
         raise ValueError("sweep grid must be strictly monotone")
     points = [_apply_variable(params, cfg, variable, value) for value in grid]
     _check_k(points)
+    return points
+
+
+def sweep(params: SystemParams, cfg: TrialConfig, variable: str,
+          grid: Sequence, workers: int = 1) -> OutageCurve:
+    """One analytic value and one empirical estimate per grid point."""
+    grid = list(grid)
+    points = sweep_points(params, cfg, variable, grid)
     analytic = [analytic_outage(p, c) for p, c in points]
     return OutageCurve(variable=variable, grid=grid, analytic=analytic,
                        estimates=estimate_outage(points, workers=workers))

@@ -1,15 +1,14 @@
 """Special functions backing the closed-form outage expressions.
 
 Regularized incomplete gamma/beta via the standard series / continued-fraction
-split, modified Bessel I via its power series evaluated in log space.  All
-functions are pure and safe for concurrent use.
+split, and the sinc correlation.  All functions are pure and safe for
+concurrent use.
 """
 
 import math
 
 # convergence control of the iterative evaluations
 REL_EPS = 1e-15
-ABS_EPS = 1e-15
 MAX_ITER = 1000
 
 
@@ -143,45 +142,6 @@ def reg_incomplete_beta(x: float, a: float, b: float) -> float:
     if x < (a + 1.0) / (a + b + 2.0):
         return min(front * _beta_cont_frac(a, b, x) / a, 1.0)
     return max(1.0 - front * _beta_cont_frac(b, a, 1.0 - x) / b, 0.0)
-
-
-# ln of the float64 overflow threshold for the leading asymptotic e^x/sqrt(2 pi x)
-_BESSEL_LN_MAX = math.log(float.fromhex("0x1.fffffffffffffp+1023"))
-
-
-def bessel_i(order: float, x: float) -> float:
-    """Modified Bessel function of the first kind I_nu(x) for nu >= -1, x >= 0."""
-    if order < -1:
-        raise ValueError(f"order must be >= -1, got {order}")
-    if x < 0:
-        raise ValueError(f"argument must be nonnegative, got {x}")
-    if x == 0.0:
-        if order == 0.0:
-            return 1.0
-        if order > 0.0 or order == -1.0:
-            return 0.0
-        return math.inf  # I_nu diverges at 0 for -1 < nu < 0
-    if x - 0.5 * math.log(2.0 * math.pi * x) > _BESSEL_LN_MAX:
-        raise OverflowError(f"bessel_i overflows double precision for x={x}")
-    lhalf = math.log(0.5 * x)
-    total = 0.0
-    converged = False
-    # terms rise until k ~ x/2, so allow the budget to scale with x
-    n_max = max(MAX_ITER, int(x) + 200)
-    for k in range(n_max):
-        kv = k + order + 1.0
-        if kv <= 0.0:
-            continue  # Gamma pole (k=0, nu=-1): term vanishes
-        term = math.exp((2 * k + order) * lhalf - math.lgamma(k + 1.0) - math.lgamma(kv))
-        total += term
-        if k > x / 2.0 and term < abs(total) * REL_EPS + ABS_EPS:
-            converged = True
-            break
-    if not converged:
-        raise ConvergenceError(f"bessel_i series did not converge (order={order}, x={x})")
-    if math.isinf(total):
-        raise OverflowError(f"bessel_i overflows double precision for x={x}")
-    return total
 
 
 def sinc_corr(d: float, wavelength: float) -> float:

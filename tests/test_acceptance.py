@@ -41,7 +41,7 @@ from risgroups.selection import (
     outage_sbgs,
 )
 from risgroups.sim import TrialConfig, analytic_outage, estimate_outage
-from risgroups.specfun import bessel_i, reg_incomplete_beta, reg_lower_incomplete_gamma
+from risgroups.specfun import reg_incomplete_beta, reg_lower_incomplete_gamma
 
 DEFAULTS = SystemParams()
 BUDGET = PowerBudget(
@@ -66,7 +66,7 @@ def _harvest(model, incident_powers, duration: float) -> float:
 
 def test_criterion_01_special_function_oracles():
     rng = np.random.default_rng(101)
-    worst_g = worst_b = worst_i = 0.0
+    worst_g = worst_b = 0.0
     for _ in range(1000):
         s = float(rng.uniform(0.05, 60.0))
         x = float(rng.uniform(0.0, 150.0))
@@ -79,16 +79,10 @@ def test_criterion_01_special_function_oracles():
         worst_b = max(worst_b, abs(
             reg_incomplete_beta(u, a, b) - float(sp.betainc(a, b, u))
         ))
-        nu = float(rng.uniform(-1.0, 8.0))
-        xb = float(rng.uniform(1e-6, 60.0))
-        ref = float(sp.iv(nu, xb))
-        worst_i = max(worst_i, abs(bessel_i(nu, xb) - ref) / max(abs(ref), 1.0))
     assert worst_g <= 1e-10
     assert worst_b <= 1e-10
-    assert worst_i <= 1e-10
-    _report(1, f"specfun vs scipy on 3x1000 points, worst errors "
-               f"gamma={worst_g:.2e} beta={worst_b:.2e} bessel={worst_i:.2e} "
-               f"(tol 1e-10)")
+    _report(1, f"specfun vs scipy on 2x1000 points, worst errors "
+               f"gamma={worst_g:.2e} beta={worst_b:.2e} (tol 1e-10)")
 
 
 def test_criterion_02_gamma_fit_kolmogorov_distance():

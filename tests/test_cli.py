@@ -89,6 +89,19 @@ class TestLoadScenario:
             load_scenario(str(path))
 
 
+    @pytest.mark.parametrize("sweep, message", [
+        ("sweep_variable = b\nsweep_grid = 2,8\n", "k=6 exceeds the number of groups 2"),
+        ("sweep_variable = k\nsweep_grid = 6,21\n", "k=21 exceeds the number of groups 20"),
+        ("sweep_variable = snr\nsweep_grid = 0,8,4\n", "strictly monotone"),
+        ("sweep_variable = speed\nsweep_grid = 1\n", "unknown sweep variable"),
+        ("sweep_grid = ,\n", "nonempty"),
+    ])
+    def test_invalid_sweep_rejected(self, tmp_path, sweep, message):
+        path = tmp_path / "sweep.cfg"
+        path.write_text("scheme = sbgs\nk = 6\n" + sweep, encoding="utf-8")
+        with pytest.raises(ScenarioError, match=rf"sweep\.cfg: .*{message}"):
+            load_scenario(str(path))
+
 class TestRunCommand:
     def test_csv_layout(self, scenario_file, tmp_path):
         out = tmp_path / "out.csv"
@@ -134,6 +147,7 @@ class TestRunCommand:
     @pytest.mark.parametrize("flag, value, message", [
         ("--trials", "0", "n_trials"),
         ("--k", "0", "k"),
+        ("--k", "21", "k=21 exceeds the number of groups 20"),
         ("--workers", "0", "--workers"),
     ])
     def test_bad_override_is_an_error(self, scenario_file, tmp_path, capsys,

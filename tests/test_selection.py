@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import special as sp
+from scipy import integrate, special
 
 from risgroups.channel import (
     SystemParams,
@@ -20,7 +20,6 @@ from risgroups.selection import (
     SelectionStrategy,
     eh_wiring,
     fit_energy_distribution,
-    kth_best_pdf,
     mean_snr_scale,
     outage_ebgs,
     outage_rgs,
@@ -77,22 +76,6 @@ class TestKthBest:
         for k in range(1, 10):
             picked = values[rows, _kth_largest_index(values, k)]
             np.testing.assert_array_equal(picked, np.sort(values, axis=1)[:, -k])
-
-    def test_pdf_integrates_to_one(self):
-        # k-th largest of n standard uniforms is Beta(n-k+1, k)  [DERIVED]
-        n, k = 7, 3
-        xs = np.linspace(0.0, 1.0, 20001)
-        pdf = np.array([kth_best_pdf(1.0, x, n, k) for x in xs])
-        assert np.trapezoid(pdf, xs) == pytest.approx(1.0, rel=1e-6)
-
-    def test_pdf_matches_beta_density(self):
-        n, k = 9, 4
-        for x in (0.2, 0.5, 0.8):
-            beta_pdf = (
-                x ** (n - k) * (1.0 - x) ** (k - 1)
-                / sp.beta(n - k + 1, k)
-            )
-            assert kth_best_pdf(1.0, x, n, k) == pytest.approx(beta_pdf, rel=1e-12)
 
 
 class TestClosedFormOutage:
@@ -168,6 +151,23 @@ def _simulate_group_energy(params, mode, eh, n, seed):
     return dur * harvest_rate(eh, w_p * snap.h_sq).sum(axis=1)
 
 
+def _t_moments(dist):
+    """Mean and variance of the fitted inverse-Gamma T."""
+    mean_t = dist.inv_scale / (dist.inv_shape - 1.0)
+    return mean_t, mean_t ** 2 / (dist.inv_shape - 2.0)
+
+
+def _check_nonlinear_moments(p_tx):
+    p = SystemParams(rho_l=0.1, d_sr=2.0, p_tx=p_tx)
+    mode = RisMode("PS", rho=0.5)
+    dist = fit_energy_distribution(p, mode, NONLINEAR_DEFAULT)
+    e = _simulate_group_energy(p, mode, NONLINEAR_DEFAULT, 300_000, seed=22)
+    # E = offset - slope * T with T ~ InvGamma(shape, scale)
+    mean_t, var_t = _t_moments(dist)
+    assert dist.offset - dist.slope * mean_t == pytest.approx(float(e.mean()), rel=0.01)
+    assert dist.slope ** 2 * var_t == pytest.approx(float(e.var()), rel=0.05)
+
+
 class TestEnergyDistributionFit:
     def test_linear_moments_match_monte_carlo(self):
         p = SystemParams()
@@ -179,19 +179,53 @@ class TestEnergyDistributionFit:
 
     def test_nonlinear_moments_match_monte_carlo(self):
         # operate the rectifier around its knee so the reciprocal term varies
-        p = SystemParams(rho_l=0.1, d_sr=2.0, p_tx=20.0)
+        _check_nonlinear_moments(p_tx=20.0)
+
+    def test_nonlinear_moments_match_monte_carlo_saturated(self):
+        # the rectifier saturates: w_p s^2 / c ~ 15
+        _check_nonlinear_moments(p_tx=2000.0)
+
+    @pytest.mark.parametrize("p_tx", [20.0, 2000.0])
+    @pytest.mark.parametrize("k_h", [0.0, 1.0, 3.0])
+    def test_nonlinear_single_element_matches_quadrature(self, k_h, p_tx):
+        # one element: T = 1/(w_p |h|^2 + c), and |h|^2 is a scaled
+        # noncentral chi-square with 2 degrees of freedom
+        p = SystemParams(rho_l=0.1, d_sr=2.0, p_tx=p_tx, k_h=k_h,
+                         m_per_group=1, b_groups=400)
         mode = RisMode("PS", rho=0.5)
-        dist = fit_energy_distribution(p, mode, NONLINEAR_DEFAULT)
-        e = _simulate_group_energy(p, mode, NONLINEAR_DEFAULT, 300_000, seed=22)
-        # E = offset - slope * T with T ~ InvGamma(shape, scale)
-        mean_t = dist.inv_scale / (dist.inv_shape - 1.0)
-        var_t = dist.inv_scale ** 2 / (
-            (dist.inv_shape - 1.0) ** 2 * (dist.inv_shape - 2.0)
-        )
-        assert dist.offset - dist.slope * mean_t == pytest.approx(
-            float(e.mean()), rel=0.01
-        )
-        assert dist.slope ** 2 * var_t == pytest.approx(float(e.var()), rel=0.05)
+        _, w_p = eh_wiring(p, mode)
+        c = NONLINEAR_DEFAULT.c
+        mu, s_sq = math.sqrt(k_h / (k_h + 1.0)), 1.0 / (k_h + 1.0)
+
+        def pdf(x):
+            r = math.sqrt(x)
+            return (math.exp(-(r - mu) ** 2 / s_sq)
+                    * special.i0e(2.0 * mu * r / s_sq) / s_sq)
+
+        def moment(n):
+            return integrate.quad(lambda x: pdf(x) / (w_p * x + c) ** n, 0.0,
+                                  math.inf, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+        m1, m2 = moment(1), moment(2)
+        mean_t, var_t = _t_moments(
+            fit_energy_distribution(p, mode, NONLINEAR_DEFAULT))
+        assert mean_t == pytest.approx(m1, rel=1e-9)
+        assert var_t == pytest.approx(m2 - m1 ** 2, rel=1e-9)
+
+    @pytest.mark.parametrize("p_tx", [1e-3, 1e-2])
+    def test_nonlinear_variance_under_weak_drive(self, p_tx):
+        # T ~ M/c - (w_p/c^2) sum_j |h_j|^2 as w_p -> 0, so var T tends to
+        # (w_p/c^2)^2 times the linear law's variance, with a relative error
+        # that falls in proportion to w_p (1e-8 and 1e-7 here), while
+        # var T / E[T]^2 is only 1e-19 to 1e-17
+        p = SystemParams(p_tx=p_tx)
+        mode = RisMode("PS", rho=0.5)
+        dur, w_p = eh_wiring(p, mode)
+        c = NONLINEAR_DEFAULT.c
+        linear = fit_energy_distribution(p, mode, LINEAR_DEFAULT)
+        var_s = linear.shape * linear.scale ** 2 / (dur * w_p) ** 2
+        _, var_t = _t_moments(fit_energy_distribution(p, mode, NONLINEAR_DEFAULT))
+        assert var_t == pytest.approx((w_p / c ** 2) ** 2 * var_s, rel=1e-6)
 
     def test_nonlinear_cdf_matches_empirical(self):
         p = SystemParams(rho_l=0.1, d_sr=2.0, p_tx=20.0)

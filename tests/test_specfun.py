@@ -9,7 +9,6 @@ from scipy import special as sp
 from risgroups import specfun
 from risgroups.specfun import (
     ConvergenceError,
-    bessel_i,
     reg_incomplete_beta,
     reg_lower_incomplete_gamma,
     sinc_corr,
@@ -84,36 +83,6 @@ class TestRegIncompleteBeta:
             reg_incomplete_beta(0.5, -1.0, 2.0)
         with pytest.raises(ValueError):
             reg_incomplete_beta(1.5, 1.0, 2.0)
-
-
-class TestBesselI:
-    def test_matches_scipy_on_grid(self):
-        rng = np.random.default_rng(3)
-        for _ in range(400):
-            nu = float(rng.uniform(-1.0, 8.0))
-            x = float(rng.uniform(0.0, 60.0))
-            ref = float(sp.iv(nu, x))
-            assert bessel_i(nu, x) == pytest.approx(ref, rel=1e-10, abs=1e-12)
-
-    def test_at_origin(self):
-        assert bessel_i(0.0, 0.0) == 1.0
-        assert bessel_i(2.0, 0.0) == 0.0
-        assert bessel_i(-1.0, 0.0) == 0.0
-        assert bessel_i(-0.5, 0.0) == math.inf
-
-    def test_negative_integer_symmetry(self):
-        # I_{-1}(x) = I_1(x)  [TRIVIAL]
-        assert bessel_i(-1.0, 2.5) == pytest.approx(bessel_i(1.0, 2.5), rel=1e-12)
-
-    def test_overflow_raises(self):
-        with pytest.raises(OverflowError):
-            bessel_i(0.0, 1e4)
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            bessel_i(-1.5, 1.0)
-        with pytest.raises(ValueError):
-            bessel_i(0.0, -1.0)
 
 
 class TestSincCorr:
