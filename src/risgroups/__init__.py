@@ -22,7 +22,6 @@ from .channel import (
     GammaFit,
     SystemParams,
     build_correlation_matrix,
-    composite_moments,
     fit_gamma_product,
     gamma_cdf,
     sample_channels,
@@ -47,7 +46,6 @@ from .evt import (
     outage_evt,
 )
 from .selection import (
-    EnergyFitError,
     RisMode,
     SelectionStrategy,
     fit_energy_distribution,
@@ -79,7 +77,6 @@ __all__ = [
     "CorrelationMatrix",
     "DegenerateFitError",
     "EhModel",
-    "EnergyFitError",
     "EvtConstants",
     "FeasibleInterval",
     "GammaFit",
@@ -95,7 +92,6 @@ __all__ = [
     "analytic_outage",
     "build_correlation_matrix",
     "check_gumbel_domain",
-    "composite_moments",
     "estimate_outage",
     "fit_energy_distribution",
     "fit_gamma_product",

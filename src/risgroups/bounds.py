@@ -12,7 +12,8 @@ import math
 from dataclasses import dataclass
 
 from .channel import ChannelSnapshot, SystemParams
-from .energy import EhModel, PowerBudget, required_energy_ps
+from .energy import EhModel, PowerBudget, harvest_rate, required_energy_ps
+from .selection import incident_power, mean_snr_scale
 
 
 @dataclass(frozen=True)
@@ -44,7 +45,7 @@ def rho_bounds_linear(
         raise ValueError("required rate must be nonnegative")
     m = params.m_per_group
     w = m * budget.p_t + budget.p_ph
-    gain = params.rho_l * params.d_sr ** -params.alpha * params.p_tx * snap.sum_h_sq
+    gain = incident_power(params) * snap.sum_h_sq
     if gain == 0.0:
         return FeasibleInterval(1.0, 0.0, False, "energy-limited")
     lower = w / gain
@@ -75,10 +76,7 @@ def rho_bounds_nonlinear(
     if headroom <= 0:
         # required per-element energy exceeds the rectifier saturation
         return FeasibleInterval(1.0, 0.0, False, "saturation")
-    denom = (
-        m * params.rho_l * params.d_sr ** -params.alpha * params.p_tx
-        * snap.h_max_sq * headroom
-    )
+    denom = m * incident_power(params) * snap.h_max_sq * headroom
     if denom == 0.0:
         return FeasibleInterval(1.0, 0.0, False, "energy-limited")
     lower = model.c * w / denom
@@ -89,14 +87,6 @@ def rho_bounds_nonlinear(
     )
     upper = kappa / (2.0 ** r_req - 1.0 + kappa) if kappa > 0 else 0.0
     return _interval(lower, upper, "rate-limited")
-
-
-def _gamma_ts(params: SystemParams, z: float) -> float:
-    return (
-        params.p_tx * params.rho_l ** 2
-        * (params.d_sr * params.d_rd) ** -params.alpha * z
-        / params.noise_power
-    )
 
 
 def zeta_bounds_linear(
@@ -110,12 +100,12 @@ def zeta_bounds_linear(
         raise ValueError("required rate must be nonnegative")
     m = params.m_per_group
     w = m * budget.p_t + budget.p_ph
-    gain = params.p_tx * params.rho_l * params.d_sr ** -params.alpha * snap.sum_h_sq
+    gain = incident_power(params) * snap.sum_h_sq
     denom = m * budget.p_t + gain
     if denom == 0.0 or gain == 0.0:
         return FeasibleInterval(1.0, 0.0, False, "energy-limited")
     lower = w / denom
-    gamma = _gamma_ts(params, snap.z)
+    gamma = mean_snr_scale(params) * snap.z
     if gamma <= 0:
         return FeasibleInterval(min(lower, 1.0), 0.0, False, "rate-limited")
     r_arc = math.log2(1.0 + gamma)
@@ -137,14 +127,13 @@ def zeta_bounds_nonlinear(
         raise ValueError("required rate must be nonnegative")
     m = params.m_per_group
     w = m * budget.p_t + budget.p_ph
-    phi = params.rho_l * params.d_sr ** -params.alpha * params.p_tx * snap.h_max_sq
-    rate_at_phi = (model.a * phi + model.b) / (phi + model.c) - model.b / model.c
-    denom = m * (budget.p_t + rate_at_phi)
+    phi = incident_power(params) * snap.h_max_sq
+    denom = m * (budget.p_t + float(harvest_rate(model, phi)))
     if denom == 0.0:
         return FeasibleInterval(1.0, 0.0, False, "energy-limited")
     lower = w / denom
     # worst-case achievable rate: all elements at |h_min|, so |h_c|^2 = M^2 |h_min|^2
-    gamma_min = _gamma_ts(params, m ** 2 * snap.h_min_sq * snap.g_c_sq)
+    gamma_min = mean_snr_scale(params) * m ** 2 * snap.h_min_sq * snap.g_c_sq
     if gamma_min <= 0:
         return FeasibleInterval(min(lower, 1.0), 0.0, False, "rate-limited")
     upper = 1.0 - r_req / math.log2(1.0 + gamma_min)

@@ -98,6 +98,16 @@ class GammaFit:
     def variance(self) -> float:
         return self.shape * self.scale ** 2
 
+    @classmethod
+    def from_moments(cls, mean: float, var: float) -> "GammaFit":
+        """The Gamma law with the given mean and variance."""
+        if var <= 0:
+            raise DegenerateFitError(f"cannot moment-match a Gamma law to variance {var}")
+        return cls(shape=mean ** 2 / var, scale=var / mean)
+
+    def cdf(self, x: float) -> float:
+        return gamma_cdf(self, x)
+
 
 def build_correlation_matrix(m: int, spacing: float, wavelength: float) -> CorrelationMatrix:
     """Sinc correlation matrix of a uniform linear array with its principal square root."""
@@ -208,15 +218,6 @@ def _squared_moments(params: SystemParams, corr: CorrelationMatrix,
     return mean, fourth - mean ** 2
 
 
-def composite_moments(params: SystemParams, side: str) -> tuple[float, float]:
-    """Mean and variance of |h_c|^2 (side='S') or |g_c|^2 (side='D')."""
-    side = side.upper()
-    if side not in ("S", "D"):
-        raise ValueError("side must be 'S' or 'D'")
-    corr = build_correlation_matrix(params.m_per_group, params.spacing, params.wavelength)
-    return _squared_moments(params, corr, params.k_h if side == "S" else params.k_g)
-
-
 def fit_gamma_product(params: SystemParams) -> GammaFit:
     """Moment-matched Gamma approximation of Z = |g_c|^2 |h_c|^2."""
     corr = build_correlation_matrix(params.m_per_group, params.spacing, params.wavelength)
@@ -224,10 +225,7 @@ def fit_gamma_product(params: SystemParams) -> GammaFit:
     mean_g, var_g = _squared_moments(params, corr, params.k_g)
     mean_z = mean_h * mean_g
     second_z = (mean_h ** 2 + var_h) * (mean_g ** 2 + var_g)
-    var_z = second_z - mean_z ** 2
-    if var_z <= 0:
-        raise DegenerateFitError("product distribution is degenerate (zero variance)")
-    return GammaFit(shape=mean_z ** 2 / var_z, scale=var_z / mean_z)
+    return GammaFit.from_moments(mean_z, second_z - mean_z ** 2)
 
 
 def gamma_cdf(fit: GammaFit, x: float) -> float:

@@ -109,25 +109,29 @@ def _parse_kv(path: str) -> dict:
 
 
 def _coerce(key: str, value):
-    if isinstance(value, str):
-        if key in _INT_KEYS:
-            return int(value)
-        if key not in _STR_KEYS:
-            return float(value)
+    if not isinstance(value, str):
+        return value
+    if key in _STR_KEYS:
         return value.lower() if key != "sweep_grid" else value
-    return value
+    try:
+        number = int(value) if key in _INT_KEYS else float(value)
+        if math.isfinite(number):
+            return number
+    except ValueError:
+        pass
+    kind = "an integer" if key in _INT_KEYS else "a finite number"
+    raise ValueError(f"{key} = {value!r} is not {kind}")
 
 
 def load_scenario(path: str, overrides: dict | None = None) -> Scenario:
     """Parse and fully validate a scenario file, filling defaults; ``overrides``
     (already typed values) replace file values before validation."""
     raw = dict(_DEFAULTS)
-    for key, value in _parse_kv(path).items():
-        raw[key] = _coerce(key, value)
-    raw.update(overrides or {})
-
-    m, b = raw["m_per_group"], raw["b_groups"]
     try:
+        for key, value in _parse_kv(path).items():
+            raw[key] = _coerce(key, value)
+        raw.update(overrides or {})
+        m, b = raw["m_per_group"], raw["b_groups"]
         params = SystemParams(
             p_tx=_dbm_to_watts(raw["p_tx_dbm"]),
             rho_l=raw["rho_l"],
@@ -180,9 +184,11 @@ def load_scenario(path: str, overrides: dict | None = None) -> Scenario:
         )
         grid = [float(v) for v in str(raw["sweep_grid"]).split(",") if v.strip()]
         sweep_points(params, trial, raw["sweep_variable"], grid)
+        if raw["n_draws"] < 1:
+            raise ValueError("n_draws must be at least 1")
     except ScenarioError:
         raise
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
     return Scenario(
         params=params,
@@ -259,8 +265,9 @@ def run_bounds(scenario: Scenario, out_path: str) -> int:
         any_feasible = any_feasible or iv.feasible
         rows.append(",".join([
             str(draw), _fmt(iv.lower), _fmt(iv.upper), str(iv.feasible).lower(),
+            iv.cause or "",
         ]))
-    header = "channel_draw,lower,upper,feasible"
+    header = "channel_draw,lower,upper,feasible,cause"
     body = "\n".join(_metadata_lines(scenario) + [header] + rows) + "\n"
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(body)

@@ -28,13 +28,6 @@ class EhModel:
                     f"(got a={self.a}, b={self.b}, c={self.c})"
                 )
 
-    @property
-    def saturation(self) -> float:
-        """Per-element saturation power a - b/c (nonlinear only)."""
-        if self.kind != "nonlinear":
-            raise ValueError("saturation is defined for the nonlinear model only")
-        return self.a - self.b / self.c
-
 
 # circuit constants of the measured rectifier used throughout the experiments
 NONLINEAR_DEFAULT = EhModel(kind="nonlinear", a=2.463, b=1.635, c=0.826)

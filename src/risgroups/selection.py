@@ -6,7 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import GammaFit, SystemParams, build_correlation_matrix, gamma_cdf
+from .channel import (DegenerateFitError, GammaFit, SystemParams, build_correlation_matrix,
+                      gamma_cdf)
 from .energy import EhModel
 from .specfun import reg_incomplete_beta, reg_lower_incomplete_gamma
 
@@ -24,11 +25,6 @@ class RisMode:
             raise ValueError(f"unknown mode {self.kind!r}")
         if not 0.0 <= self.rho <= 1.0 or not 0.0 <= self.zeta <= 1.0:
             raise ValueError("rho and zeta must lie in [0,1]")
-
-    @property
-    def rate_fraction(self) -> float:
-        """Pre-log factor f: 1 for PS, 1-zeta for TS."""
-        return 1.0 if self.kind == "PS" else 1.0 - self.zeta
 
 
 @dataclass(frozen=True)
@@ -52,20 +48,28 @@ def mean_snr_scale(params: SystemParams) -> float:
     )
 
 
+def incident_power(params: SystemParams) -> float:
+    """Power incident on one element per unit |h|^2: P_tx rho_L d_sr^-alpha."""
+    return params.p_tx * params.rho_l * params.d_sr ** -params.alpha
+
+
+def data_wiring(params: SystemParams, mode: RisMode) -> tuple[float, float]:
+    """(SNR per unit Z, pre-log factor f) of the data phase for the mode:
+    ((1-rho) psi, 1) for PS and (psi, 1-zeta) for TS."""
+    psi = mean_snr_scale(params)
+    if mode.kind == "PS":
+        return (1.0 - mode.rho) * psi, 1.0
+    return psi, 1.0 - mode.zeta
+
+
 def outage_rgs(params: SystemParams, mode: RisMode, fit: GammaFit, r_req: float) -> float:
     """Closed-form data outage when one group is chosen uniformly at random."""
     if r_req < 0:
         raise ValueError("required rate must be nonnegative")
-    psi = mean_snr_scale(params)
-    if mode.kind == "PS":
-        if mode.rho >= 1.0:
-            return 1.0
-        threshold = (2.0 ** r_req - 1.0) / ((1.0 - mode.rho) * psi)
-    else:
-        if mode.zeta >= 1.0:
-            return 1.0
-        threshold = (2.0 ** (r_req / (1.0 - mode.zeta)) - 1.0) / psi
-    return gamma_cdf(fit, threshold)
+    snr_per_z, f = data_wiring(params, mode)
+    if snr_per_z == 0.0 or f == 0.0:
+        return 1.0
+    return gamma_cdf(fit, (2.0 ** (r_req / f) - 1.0) / snr_per_z)
 
 
 def outage_sbgs(cdf_at_threshold: float, set_size: int, k: int) -> float:
@@ -82,10 +86,6 @@ def outage_ebgs(energy_cdf_at_ereq: float, set_size: int, k: int) -> float:
     return outage_sbgs(energy_cdf_at_ereq, set_size, k)
 
 
-class EnergyFitError(ValueError):
-    """The per-group energy distribution could not be moment-matched."""
-
-
 @dataclass(frozen=True)
 class DegenerateDist:
     """Point mass, e.g. zero harvested energy at zero transmit power."""
@@ -94,32 +94,6 @@ class DegenerateDist:
 
     def cdf(self, x: float) -> float:
         return 1.0 if x >= self.value else 0.0
-
-    def pdf(self, x: float) -> float:
-        return math.inf if x == self.value else 0.0
-
-
-@dataclass(frozen=True)
-class GammaEnergyDist:
-    """Gamma-distributed harvested energy (linear EH law)."""
-
-    shape: float
-    scale: float
-
-    def cdf(self, x: float) -> float:
-        if x <= 0:
-            return 0.0
-        return reg_lower_incomplete_gamma(self.shape, x / self.scale)
-
-    def pdf(self, x: float) -> float:
-        if x <= 0:
-            return 0.0
-        return math.exp(
-            (self.shape - 1.0) * math.log(x)
-            - x / self.scale
-            - self.shape * math.log(self.scale)
-            - math.lgamma(self.shape)
-        )
 
 
 @dataclass(frozen=True)
@@ -143,18 +117,6 @@ class ShiftedInvGammaEnergyDist:
         t = (self.offset - x) / self.slope
         return reg_lower_incomplete_gamma(self.inv_shape, self.inv_scale / t)
 
-    def pdf(self, x: float) -> float:
-        if x >= self.offset or x <= 0:
-            return 0.0
-        t = (self.offset - x) / self.slope
-        log_ft = (
-            self.inv_shape * math.log(self.inv_scale)
-            - math.lgamma(self.inv_shape)
-            - (self.inv_shape + 1.0) * math.log(t)
-            - self.inv_scale / t
-        )
-        return math.exp(log_ft) / self.slope
-
 
 def _element_stats(params: SystemParams) -> tuple[np.ndarray, float, np.ndarray]:
     """Per-element mean, scattered variance, and covariance of tilde_h."""
@@ -170,7 +132,7 @@ def _element_stats(params: SystemParams) -> tuple[np.ndarray, float, np.ndarray]
 
 def eh_wiring(params: SystemParams, mode: RisMode) -> tuple[float, float]:
     """(duration, per-element power factor) of the EH phase for the mode."""
-    pl = params.p_tx * params.rho_l * params.d_sr ** -params.alpha
+    pl = incident_power(params)
     if mode.kind == "PS":
         return params.t_s, mode.rho * pl
     return mode.zeta * params.t_s, pl
@@ -217,7 +179,7 @@ def _recip_moments(mus: np.ndarray, s_sq: float, cov: np.ndarray, w_p: float,
 def fit_energy_distribution(params: SystemParams, mode: RisMode, model: EhModel):
     """Moment-matched distribution of the per-group harvested energy.
 
-    Linear law: Gamma fit of the weighted power-gain sum.  Nonlinear law:
+    Linear law: ``GammaFit`` of the weighted power-gain sum.  Nonlinear law:
     the group energy is an affine function of the summed reciprocal term,
     which is fitted with an inverse-Gamma by matching its first two moments;
     those come from the closed-form Laplace transform of each correlated
@@ -231,18 +193,14 @@ def fit_energy_distribution(params: SystemParams, mode: RisMode, model: EhModel)
     if model.kind == "linear":
         mean_s = float(np.sum(mus ** 2)) + m * s_sq
         var_s = float(np.sum(2.0 * np.outer(mus, mus) * cov + cov ** 2))
-        if var_s <= 0:
-            raise EnergyFitError("vanishing variance in linear energy fit")
-        mean_e = dur * w_p * mean_s
-        var_e = (dur * w_p) ** 2 * var_s
-        return GammaEnergyDist(shape=mean_e ** 2 / var_e, scale=var_e / mean_e)
+        return GammaFit.from_moments(dur * w_p * mean_s, (dur * w_p) ** 2 * var_s)
 
     # nonlinear: E = dur (ac - b) (M/c - T), T = sum_j 1/(w_p |h_j|^2 + c)
     first, covar = _recip_moments(mus, s_sq, cov, w_p, model.c)
     mean_t = float(np.sum(first))
     var_t = float(np.sum(covar))
     if var_t <= 0:
-        raise EnergyFitError("vanishing variance in nonlinear energy fit")
+        raise DegenerateFitError("vanishing variance in nonlinear energy fit")
     inv_shape = mean_t ** 2 / var_t + 2.0
     inv_scale = mean_t * (inv_shape - 1.0)
     slope = dur * (model.a * model.c - model.b)

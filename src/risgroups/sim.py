@@ -30,9 +30,9 @@ from .energy import EhModel, harvest_rate
 from .selection import (
     RisMode,
     SelectionStrategy,
+    data_wiring,
     eh_wiring,
     fit_energy_distribution,
-    mean_snr_scale,
     outage_ebgs,
     outage_rgs,
     outage_sbgs,
@@ -55,6 +55,8 @@ class TrialConfig:
     def __post_init__(self):
         if self.n_trials < 1:
             raise ValueError("n_trials must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.metric not in ("data", "energy"):
             raise ValueError(f"unknown metric {self.metric!r}")
         if self.r_req < 0 or self.e_req < 0:
@@ -92,9 +94,9 @@ def simulate_block(params: SystemParams, n: int, rng: np.random.Generator):
 def _realize(params: SystemParams, mode: RisMode, eh: EhModel, z, h_sq):
     """Per-group SNR, harvested energy and rate of one grid point on a drawn block."""
     # optimal common phase per group leaves the magnitude product |g_c||h_c|
-    psi = mean_snr_scale(params)
-    snr = ((1.0 - mode.rho) * psi if mode.kind == "PS" else psi) * z
-    rate = mode.rate_fraction * np.log2(1.0 + snr)
+    snr_per_z, f = data_wiring(params, mode)
+    snr = snr_per_z * z
+    rate = f * np.log2(1.0 + snr)
     dur, w_p = eh_wiring(params, mode)
     harvested = dur * harvest_rate(eh, w_p * h_sq).sum(axis=-1)
     return snr, harvested, rate
@@ -210,13 +212,17 @@ def analytic_outage(params: SystemParams, cfg: TrialConfig) -> float:
 def sweep_points(params: SystemParams, cfg: TrialConfig, variable: str,
                  grid: Sequence) -> list:
     """The ``(params, cfg)`` point of each grid value, after checking the whole
-    grid (nonempty, strictly monotone, known variable, ``k <= b`` everywhere)."""
+    grid (nonempty, strictly monotone, integral for ``b`` and ``k``, known
+    variable, ``k <= b`` everywhere)."""
     grid = list(grid)
     if not grid:
         raise ValueError("sweep grid must be nonempty")
-    diffs = np.diff(np.asarray(grid, dtype=float))
+    values = np.asarray(grid, dtype=float)
+    diffs = np.diff(values)
     if len(grid) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise ValueError("sweep grid must be strictly monotone")
+    if variable in ("b", "k") and np.any(values != np.round(values)):
+        raise ValueError(f"{variable} sweep values must be integers")
     points = [_apply_variable(params, cfg, variable, value) for value in grid]
     _check_k(points)
     return points

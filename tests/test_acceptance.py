@@ -184,8 +184,9 @@ def test_criterion_05_feasibility_boundary_equalities():
             params.rho_l * e_ps * params.d_rd ** -params.alpha * snap.z
             / (params.t_s * params.noise_power * snap.sum_h_sq)
         )
-        rate = math.log2(1.0 + (1.0 / iv.upper - 1.0) * eta)
-        worst = max(worst, abs(rate / 0.5 - 1.0))
+        # the rate equality log2(1 + (1/upper - 1) eta) = r, solved for upper
+        # so that it stays well conditioned when upper is near 1
+        worst = max(worst, abs(iv.upper * (2.0 ** 0.5 - 1.0 + eta) / eta - 1.0))
 
         iv = rho_bounds_nonlinear(params, BUDGET, nl, snap, r_req=0.25)
         assert iv.feasible
@@ -195,8 +196,7 @@ def test_criterion_05_feasibility_boundary_equalities():
             nl.c * e_ps * params.rho_l * params.d_rd ** -params.alpha * snap.z
             / (m * params.t_s * snap.h_min_sq * headroom * params.noise_power)
         )
-        rate = math.log2(1.0 + (1.0 / iv.upper - 1.0) * kappa)
-        worst = max(worst, abs(rate / 0.25 - 1.0))
+        worst = max(worst, abs(iv.upper * (2.0 ** 0.25 - 1.0 + kappa) / kappa - 1.0))
 
         iv = zeta_bounds_linear(params, BUDGET, snap, r_req=2.0)
         assert iv.feasible

@@ -17,8 +17,8 @@ from risgroups.channel import (
     DegenerateFitError,
     GammaFit,
     SystemParams,
+    _squared_moments,
     build_correlation_matrix,
-    composite_moments,
     fit_gamma_product,
     gamma_cdf,
     sample_channels,
@@ -147,6 +147,12 @@ class TestChannelSnapshot:
                 )
 
 
+def composite_moments(p, side):
+    """Mean and variance of |h_c|^2 (side 'S') or |g_c|^2 (side 'D')."""
+    corr = build_correlation_matrix(p.m_per_group, p.spacing, p.wavelength)
+    return _squared_moments(p, corr, p.k_h if side == "S" else p.k_g)
+
+
 class TestCompositeMoments:
     @pytest.mark.parametrize("spacing_frac", [0.5, 0.125])
     def test_against_monte_carlo(self, spacing_frac):
@@ -178,10 +184,6 @@ class TestCompositeMoments:
         mu_sq = p.k_h / (p.k_h + 1.0)
         sig_sq = 1.0 / (p.k_h + 1.0)
         assert mean == pytest.approx(mu_sq * m * m + sig_sq * m, rel=1e-10)
-
-    def test_invalid_side(self):
-        with pytest.raises(ValueError):
-            composite_moments(SystemParams(), "X")
 
 
 def _per_element(p, corr, k_factor, n, rng):
@@ -218,6 +220,17 @@ class TestGammaFit:
         assert fit.variance == pytest.approx(
             (mh ** 2 + vh) * (mg ** 2 + vg) - (mh * mg) ** 2, rel=1e-12
         )
+
+    @pytest.mark.parametrize("mean, var", [(1.0, 0.5), (3.7e-9, 2.1e-20), (250.0, 4e5)])
+    def test_from_moments_round_trip(self, mean, var):
+        fit = GammaFit.from_moments(mean, var)
+        assert fit.mean == pytest.approx(mean, rel=1e-14)
+        assert fit.variance == pytest.approx(var, rel=1e-14)
+
+    @pytest.mark.parametrize("var", [0.0, -1e-3])
+    def test_from_moments_degenerate(self, var):
+        with pytest.raises(DegenerateFitError):
+            GammaFit.from_moments(1.0, var)
 
     def test_cdf_matches_scipy(self):
         fit = GammaFit(shape=3.2, scale=1.7)

@@ -1,12 +1,15 @@
 """Scenario parsing and the run/bounds CSV harness."""
 
 import math
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import risgroups
-from risgroups.cli import ScenarioError, load_scenario, main
+from risgroups.cli import _DEFAULTS, _STR_KEYS, ScenarioError, load_scenario, main
 
 ROOT = Path(__file__).resolve().parent.parent
 SHIPPED = sorted((ROOT / "scenarios").glob("*.cfg"))
@@ -88,6 +91,42 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError):
             load_scenario(str(path))
 
+    @pytest.mark.parametrize("line, message", [
+        ("n_trials = 1e5", "n_trials = '1e5' is not an integer"),
+        ("p_tx_dbm = abc", "p_tx_dbm = 'abc' is not a finite number"),
+        ("rho = nan", "rho = 'nan' is not a finite number"),
+        ("seed = -3", "seed must be nonnegative"),
+        ("n_draws = 0", "n_draws must be at least 1"),
+    ])
+    def test_bad_scalar_is_a_clean_error(self, tmp_path, capsys, line, message):
+        path = tmp_path / "scalar.cfg"
+        path.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(ScenarioError, match=r"scalar\.cfg: " + re.escape(message)):
+            load_scenario(str(path))
+        out = tmp_path / "x.csv"
+        assert main(["run", str(path), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(key=st.sampled_from(sorted(set(_DEFAULTS) - _STR_KEYS)),
+           value=st.text(st.characters(blacklist_categories=("Cc", "Cs"),
+                                       blacklist_characters="#"), min_size=1),
+           junk=st.text("bcdghjklmopqrstuvwxyz!?@", min_size=1))
+    def test_numeric_key_values_never_escape(self, tmp_path, key, value, junk):
+        # any text either loads or is a ScenarioError; text that is no number is the latter
+        path = tmp_path / "prop.cfg"
+        path.write_text(f"{key} = {value}\n", encoding="utf-8")
+        try:
+            load_scenario(str(path))
+        except ScenarioError:
+            pass
+        path.write_text(f"{key} = {junk}\n", encoding="utf-8")
+        with pytest.raises(ScenarioError, match=key):
+            load_scenario(str(path))
 
     @pytest.mark.parametrize("sweep, message", [
         ("sweep_variable = b\nsweep_grid = 2,8\n", "k=6 exceeds the number of groups 2"),
@@ -95,12 +134,15 @@ class TestLoadScenario:
         ("sweep_variable = snr\nsweep_grid = 0,8,4\n", "strictly monotone"),
         ("sweep_variable = speed\nsweep_grid = 1\n", "unknown sweep variable"),
         ("sweep_grid = ,\n", "nonempty"),
+        ("sweep_variable = b\nsweep_grid = 20,20.5\n", "b sweep values must be integers"),
+        ("sweep_variable = k\nsweep_grid = 1,2.5\n", "k sweep values must be integers"),
     ])
     def test_invalid_sweep_rejected(self, tmp_path, sweep, message):
         path = tmp_path / "sweep.cfg"
         path.write_text("scheme = sbgs\nk = 6\n" + sweep, encoding="utf-8")
         with pytest.raises(ScenarioError, match=rf"sweep\.cfg: .*{message}"):
             load_scenario(str(path))
+
 
 class TestRunCommand:
     def test_csv_layout(self, scenario_file, tmp_path):
@@ -169,8 +211,9 @@ class TestRunCommand:
 class TestBoundsCommand:
     def test_csv_layout(self, tmp_path):
         path = tmp_path / "b.cfg"
+        # at 17 dBm some of these snapshots are energy-limited
         path.write_text(
-            "rho_l = 0.1\nd_sr = 2\nd_rd = 3\nnoise_dbm = 17\n"
+            "rho_l = 0.1\nd_sr = 2\nd_rd = 3\nnoise_dbm = 17\np_tx_dbm = 17\n"
             "mode = ps\neh = linear\nr_req = 0.5\nn_draws = 10\nseed = 3\n",
             encoding="utf-8",
         )
@@ -180,12 +223,19 @@ class TestBoundsCommand:
             l for l in out.read_text(encoding="utf-8").splitlines()
             if not l.startswith("#")
         ]
-        assert lines[0] == "channel_draw,lower,upper,feasible"
+        assert lines[0] == "channel_draw,lower,upper,feasible,cause"
         assert len(lines) == 1 + 10
-        row = lines[1].split(",")
-        assert row[0] == "0"
-        assert 0.0 <= float(row[1]) <= 1.0
-        assert row[3] in ("true", "false")
+        rows = [line.split(",") for line in lines[1:]]
+        assert [row[0] for row in rows] == [str(d) for d in range(10)]
+        for row in rows:
+            assert 0.0 <= float(row[1]) <= 1.0
+            assert row[3] in ("true", "false")
+            # the cause is empty exactly when the interval is feasible; an
+            # energy-limited interval has its lower end clamped to 1
+            assert (row[4] == "") == (row[3] == "true")
+            if row[4]:
+                assert row[4] == "energy-limited" and float(row[1]) == 1.0
+        assert {row[3] for row in rows} == {"true", "false"}
 
 
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)

@@ -27,8 +27,7 @@ class TestEhModel:
 
     def test_nonlinear_saturates(self):
         m = NONLINEAR_DEFAULT
-        assert m.saturation == pytest.approx(m.a - m.b / m.c, rel=1e-14)
-        assert float(harvest_rate(m, 1e9)) == pytest.approx(m.saturation, rel=1e-6)
+        assert float(harvest_rate(m, 1e9)) == pytest.approx(m.a - m.b / m.c, rel=1e-6)
 
     def test_nonlinear_reference_point(self):
         # (a*1 + b)/(1 + c) - b/c at the circuit constants  [TRIVIAL]
@@ -48,8 +47,6 @@ class TestEhModel:
             EhModel("quadratic")
         with pytest.raises(ValueError):
             EhModel("nonlinear", a=1.0, b=2.0, c=1.0)  # a*c <= b
-        with pytest.raises(ValueError):
-            LINEAR_DEFAULT.saturation
 
     def test_negative_incident_rejected(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ import pytest
 from scipy import integrate, special
 
 from risgroups.channel import (
+    GammaFit,
     SystemParams,
     build_correlation_matrix,
     fit_gamma_product,
@@ -18,6 +19,7 @@ from risgroups.selection import (
     DegenerateDist,
     RisMode,
     SelectionStrategy,
+    data_wiring,
     eh_wiring,
     fit_energy_distribution,
     mean_snr_scale,
@@ -29,9 +31,11 @@ from risgroups.sim import _kth_largest_index, _realize, block_rng, simulate_bloc
 
 
 class TestModeAndStrategy:
-    def test_rate_fraction(self):
-        assert RisMode("PS", rho=0.3).rate_fraction == 1.0
-        assert RisMode("TS", zeta=0.25).rate_fraction == pytest.approx(0.75)
+    def test_data_wiring(self):
+        p = SystemParams()
+        psi = mean_snr_scale(p)
+        assert data_wiring(p, RisMode("PS", rho=0.3)) == ((1.0 - 0.3) * psi, 1.0)
+        assert data_wiring(p, RisMode("TS", zeta=0.25)) == (psi, 0.75)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -64,9 +68,8 @@ class TestSnrAndRate:
     def test_rate(self):
         for mode in (RisMode("PS", rho=0.3), RisMode("TS", zeta=0.25)):
             snr, rate, _ = _block_and_z(mode)
-            np.testing.assert_array_equal(
-                rate, mode.rate_fraction * np.log2(1.0 + snr)
-            )
+            _, f = data_wiring(SystemParams(), mode)
+            np.testing.assert_array_equal(rate, f * np.log2(1.0 + snr))
 
 
 class TestKthBest:
@@ -177,6 +180,13 @@ class TestEnergyDistributionFit:
         assert dist.shape * dist.scale == pytest.approx(float(e.mean()), rel=0.01)
         assert dist.shape * dist.scale ** 2 == pytest.approx(float(e.var()), rel=0.05)
 
+    def test_linear_fit_is_a_gamma_fit(self):
+        p = SystemParams()
+        dist = fit_energy_distribution(p, RisMode("TS", zeta=0.4), LINEAR_DEFAULT)
+        assert isinstance(dist, GammaFit)
+        for x in (0.0, 0.5 * dist.mean, dist.mean, 3.0 * dist.mean):
+            assert dist.cdf(x) == gamma_cdf(dist, x)
+
     def test_nonlinear_moments_match_monte_carlo(self):
         # operate the rectifier around its knee so the reciprocal term varies
         _check_nonlinear_moments(p_tx=20.0)
@@ -250,11 +260,3 @@ class TestEnergyDistributionFit:
         assert dist.cdf(dist.offset) == 1.0
         mid = dist.offset / 2.0
         assert 0.0 <= dist.cdf(mid) <= 1.0
-
-    def test_pdf_consistent_with_cdf(self):
-        p = SystemParams(rho_l=0.1, d_sr=2.0, p_tx=20.0)
-        dist = fit_energy_distribution(p, RisMode("PS", rho=0.5), NONLINEAR_DEFAULT)
-        x = dist.offset * 0.6
-        h = dist.offset * 1e-7
-        numeric = (dist.cdf(x + h) - dist.cdf(x - h)) / (2.0 * h)
-        assert dist.pdf(x) == pytest.approx(numeric, rel=1e-4)

@@ -138,6 +138,8 @@ class TestEstimateOutage:
             cfg(n_trials=0)
         with pytest.raises(ValueError):
             cfg(metric="latency")
+        with pytest.raises(ValueError, match="seed"):
+            cfg(seed=-1)
 
     def test_negative_rate_requirement_rejected(self):
         with pytest.raises(ValueError, match="r_req"):
