@@ -1,9 +1,11 @@
 """Feasibility intervals for the power-splitting factor rho and the
 time-switching factor zeta, for linear and nonlinear harvesting.
 
-The upper bounds eliminate the transmit power through the harvested-energy
-budget taken at the operating point (harvested = required), so every interval
-is a deterministic function of one channel snapshot.  Infeasible intervals are
+The PS upper bounds eliminate the transmit power through the harvested-energy
+budget taken at the operating point (harvested = required): their SNR term is
+lower * psi * z, times h_max^2/h_min^2 for the nonlinear law, where lower falls
+and psi = ``mean_snr_scale`` grows in proportion to P_tx.  Every interval is a
+deterministic function of one channel snapshot.  Infeasible intervals are
 returned with a machine-readable cause instead of raising, since parameter
 sweeps legitimately cross in and out of feasibility.
 """
@@ -12,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .channel import ChannelSnapshot, SystemParams
-from .energy import EhModel, PowerBudget, harvest_rate, required_energy_ps
+from .energy import EhModel, PowerBudget, harvest_rate
 from .selection import incident_power, mean_snr_scale
 
 
@@ -49,11 +51,7 @@ def rho_bounds_linear(
     if gain == 0.0:
         return FeasibleInterval(1.0, 0.0, False, "energy-limited")
     lower = w / gain
-    e_req = required_energy_ps(m, budget, params.t_s)
-    eta = (
-        params.rho_l * e_req * params.d_rd ** -params.alpha * snap.z
-        / (params.t_s * params.noise_power * snap.sum_h_sq)
-    )
+    eta = lower * mean_snr_scale(params) * snap.z
     upper = eta / (2.0 ** r_req - 1.0 + eta) if eta > 0 else 0.0
     return _interval(lower, upper, "rate-limited")
 
@@ -80,11 +78,7 @@ def rho_bounds_nonlinear(
     if denom == 0.0:
         return FeasibleInterval(1.0, 0.0, False, "energy-limited")
     lower = model.c * w / denom
-    e_req = required_energy_ps(m, budget, params.t_s)
-    kappa = (
-        model.c * e_req * params.rho_l * params.d_rd ** -params.alpha * snap.z
-        / (m * params.t_s * snap.h_min_sq * headroom * params.noise_power)
-    )
+    kappa = lower * (snap.h_max_sq / snap.h_min_sq) * mean_snr_scale(params) * snap.z
     upper = kappa / (2.0 ** r_req - 1.0 + kappa) if kappa > 0 else 0.0
     return _interval(lower, upper, "rate-limited")
 
@@ -106,10 +100,7 @@ def zeta_bounds_linear(
         return FeasibleInterval(1.0, 0.0, False, "energy-limited")
     lower = w / denom
     gamma = mean_snr_scale(params) * snap.z
-    if gamma <= 0:
-        return FeasibleInterval(min(lower, 1.0), 0.0, False, "rate-limited")
-    r_arc = math.log2(1.0 + gamma)
-    upper = 1.0 - r_req / r_arc
+    upper = 1.0 - r_req / math.log2(1.0 + gamma) if gamma > 0 else 0.0
     return _interval(lower, upper, "rate-limited")
 
 
@@ -134,7 +125,5 @@ def zeta_bounds_nonlinear(
     lower = w / denom
     # worst-case achievable rate: all elements at |h_min|, so |h_c|^2 = M^2 |h_min|^2
     gamma_min = mean_snr_scale(params) * m ** 2 * snap.h_min_sq * snap.g_c_sq
-    if gamma_min <= 0:
-        return FeasibleInterval(min(lower, 1.0), 0.0, False, "rate-limited")
-    upper = 1.0 - r_req / math.log2(1.0 + gamma_min)
+    upper = 1.0 - r_req / math.log2(1.0 + gamma_min) if gamma_min > 0 else 0.0
     return _interval(lower, upper, "rate-limited")

@@ -3,7 +3,9 @@
 Per-element channels are unit-second-moment complex Gaussians with a
 deterministic line-of-sight mean sqrt(K/(K+1)) and scattered variance 1/(K+1);
 path loss and link gain carry all scaling.  Correlation follows the sinc model
-through the principal square root of the correlation matrix.
+through the principal square root of the correlation matrix.  ``element_law``
+is the only statement of a group's law; ``composite_law`` and ``power_moments``
+derive from it the law of g_c, the Gamma fit of Z and the energy fits.
 
 ``sample_channels`` is the only code that turns normals into channels.  Its
 stream layout is fixed: all (*shape, M, 2) normals for the per-element h first,
@@ -187,42 +189,44 @@ class ChannelSnapshot:
         return self.h_c_sq * self.g_c_sq
 
 
+def element_law(params: SystemParams, corr: CorrelationMatrix,
+                k: float) -> tuple[np.ndarray, np.ndarray]:
+    """Mean vector and covariance of the M correlated elements sqrt(beta) x @ R^(1/2),
+    x i.i.d. unit-power Rician with factor k: CN(sqrt(beta K/(K+1)) R^(1/2) 1, beta R/(K+1))."""
+    mus = math.sqrt(params.beta_gain) * math.sqrt(k / (k + 1.0)) * corr.sqrt_entries.sum(axis=1)
+    return mus, params.beta_gain * (1.0 / (k + 1.0)) * corr.entries
+
+
+def composite_law(params: SystemParams, corr: CorrelationMatrix,
+                  k: float) -> tuple[np.ndarray, np.ndarray]:
+    """The 1x1 law (mean, variance) of the composite sum_j of the elements."""
+    mus, cov = element_law(params, corr, k)
+    return mus.sum(keepdims=True), cov.sum(keepdims=True)
+
+
+def power_moments(mus: np.ndarray, cov: np.ndarray) -> tuple[float, float]:
+    """Mean and variance of sum_j |x_j|^2 for x ~ CN(mus, cov) with a real mean;
+    for a 1x1 law (m, v) these are m^2 + v and 2 m^2 v + v^2."""
+    mean = float(np.sum(mus ** 2) + np.trace(cov))
+    return mean, float(np.sum(2.0 * np.outer(mus, mus) * cov + cov ** 2))
+
+
 def sample_channels(params: SystemParams, corr: CorrelationMatrix, shape: tuple,
                     rng: np.random.Generator) -> ChannelSnapshot:
     """Draw sqrt(beta) raw @ R^(1/2) for h over ``(*shape, M)``, then g_c ~ CN(m_c, var_c)."""
     raw = sample_rician_vector((*shape, corr.dim), params.k_h, rng)
     raw *= math.sqrt(params.beta_gain)
     # sqrt(m^2 + v) times a unit-power Rician with K = m^2/v is CN(m, v)
-    m_c, var_c = _composite_mean_var(params, corr, params.k_g)
+    m_c, var_c = (x.item() for x in composite_law(params, corr, params.k_g))
     g_c = math.sqrt(m_c ** 2 + var_c) * sample_rician_vector(shape, m_c ** 2 / var_c, rng)
     return ChannelSnapshot(tilde_h=raw @ corr.sqrt_entries, g_c=g_c)
-
-
-def _composite_mean_var(params: SystemParams, corr: CorrelationMatrix,
-                        k_factor: float) -> tuple[float, float]:
-    # h_c = sqrt(beta) 1^T R^(1/2) h with h_j ~ CN(mu, sigma^2) i.i.d.
-    mu = math.sqrt(k_factor / (k_factor + 1.0))
-    sigma_sq = 1.0 / (k_factor + 1.0)
-    coeff = corr.sqrt_entries.sum(axis=0)
-    m_c = math.sqrt(params.beta_gain) * mu * coeff.sum()
-    var_c = params.beta_gain * sigma_sq * float(coeff @ coeff)
-    return m_c, var_c
-
-
-def _squared_moments(params: SystemParams, corr: CorrelationMatrix,
-                     k: float) -> tuple[float, float]:
-    # mean and variance of |x|^2 for the composite x ~ CN(m_c, var_c)
-    m_c, var_c = _composite_mean_var(params, corr, k)
-    mean = m_c ** 2 + var_c
-    fourth = m_c ** 4 + 4.0 * m_c ** 2 * var_c + 2.0 * var_c ** 2
-    return mean, fourth - mean ** 2
 
 
 def fit_gamma_product(params: SystemParams) -> GammaFit:
     """Moment-matched Gamma approximation of Z = |g_c|^2 |h_c|^2."""
     corr = build_correlation_matrix(params.m_per_group, params.spacing, params.wavelength)
-    mean_h, var_h = _squared_moments(params, corr, params.k_h)
-    mean_g, var_g = _squared_moments(params, corr, params.k_g)
+    mean_h, var_h = power_moments(*composite_law(params, corr, params.k_h))
+    mean_g, var_g = power_moments(*composite_law(params, corr, params.k_g))
     mean_z = mean_h * mean_g
     second_z = (mean_h ** 2 + var_h) * (mean_g ** 2 + var_g)
     return GammaFit.from_moments(mean_z, second_z - mean_z ** 2)

@@ -9,7 +9,7 @@ back to defaults.
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import __version__
 from .bounds import (
@@ -19,7 +19,8 @@ from .bounds import (
     zeta_bounds_nonlinear,
 )
 from .channel import SystemParams, build_correlation_matrix, sample_channels
-from .energy import EhModel, PowerBudget, required_energy_ps, required_energy_ts
+from .energy import (NONLINEAR_DEFAULT, EhModel, PowerBudget, required_energy_ps,
+                     required_energy_ts)
 from .selection import RisMode, SelectionStrategy
 from .sim import TrialConfig, block_rng, sweep, sweep_points
 
@@ -28,34 +29,30 @@ class ScenarioError(ValueError):
     """Malformed or invalid scenario file."""
 
 
-def _dbm_to_watts(dbm: float) -> float:
-    return 10.0 ** (dbm / 10.0) / 1000.0
+def _from_db(raw: dict, key: str) -> float:
+    """The dB (or dBm) value of ``key`` as a linear ratio (or milliwatts)."""
+    try:
+        return 10.0 ** (raw[key] / 10.0)
+    except OverflowError:
+        raise ValueError(f"{key} = {raw[key]} overflows on conversion from dB") from None
 
+
+# SystemParams fields a scenario sets as they are; p_tx and the noise power
+# are given in dBm and n_total follows from the group sizes
+_PARAM_DEFAULTS = {f.name: f.default for f in fields(SystemParams)
+                   if f.name not in ("p_tx", "noise_power", "n_total")}
 
 _DEFAULTS = {
     # physical parameters
     "p_tx_dbm": 30.0,
-    "rho_l": 10.0 ** -3.53,
-    "alpha": 2.0,
-    "t_s": 100e-6,
-    "wavelength": 0.1,
     "noise_dbm": -104.0,
-    "m_per_group": 20,
-    "b_groups": 20,
-    "d_sr": 15.0,
-    "d_rd": 20.0,
-    "k_h": 1.0,
-    "k_g": 1.0,
-    "beta_gain": 1.0,
-    "spacing": 0.1 / 8.0,
+    **_PARAM_DEFAULTS,
     # RIS configuration and harvesting
     "mode": "ps",
     "rho": 0.5,
     "zeta": 0.5,
     "eh": "linear",
-    "eh_a": 2.463,
-    "eh_b": 1.635,
-    "eh_c": 0.826,
+    **{f"eh_{key}": getattr(NONLINEAR_DEFAULT, key) for key in "abc"},
     "p_t_dbm": 5.0,
     "p_ph_dbm": 5.0,
     # selection and thresholds
@@ -74,7 +71,7 @@ _DEFAULTS = {
 }
 
 _INT_KEYS = {"m_per_group", "b_groups", "k", "n_trials", "seed", "n_draws"}
-_STR_KEYS = {"mode", "eh", "scheme", "metric", "sweep_variable", "sweep_grid", "e_req"}
+_STR_KEYS = {"mode", "eh", "scheme", "metric", "sweep_variable", "sweep_grid"}
 
 
 @dataclass(frozen=True)
@@ -113,10 +110,13 @@ def _coerce(key: str, value):
         return value
     if key in _STR_KEYS:
         return value.lower() if key != "sweep_grid" else value
+    if key == "e_req" and value.lower() == "auto":
+        return "auto"
     try:
         number = int(value) if key in _INT_KEYS else float(value)
         if math.isfinite(number):
-            return number
+            # e_req keeps its text, which the CSV header echoes as written
+            return value.lower() if key == "e_req" else number
     except ValueError:
         pass
     kind = "an integer" if key in _INT_KEYS else "a finite number"
@@ -131,23 +131,11 @@ def load_scenario(path: str, overrides: dict | None = None) -> Scenario:
         for key, value in _parse_kv(path).items():
             raw[key] = _coerce(key, value)
         raw.update(overrides or {})
-        m, b = raw["m_per_group"], raw["b_groups"]
         params = SystemParams(
-            p_tx=_dbm_to_watts(raw["p_tx_dbm"]),
-            rho_l=raw["rho_l"],
-            alpha=raw["alpha"],
-            t_s=raw["t_s"],
-            wavelength=raw["wavelength"],
-            noise_power=_dbm_to_watts(raw["noise_dbm"]),
-            n_total=m * b,
-            m_per_group=m,
-            b_groups=b,
-            d_sr=raw["d_sr"],
-            d_rd=raw["d_rd"],
-            k_h=raw["k_h"],
-            k_g=raw["k_g"],
-            beta_gain=raw["beta_gain"],
-            spacing=raw["spacing"],
+            p_tx=_from_db(raw, "p_tx_dbm") / 1000.0,
+            noise_power=_from_db(raw, "noise_dbm") / 1000.0,
+            n_total=raw["m_per_group"] * raw["b_groups"],
+            **{key: raw[key] for key in _PARAM_DEFAULTS},
         )
         mode = RisMode(raw["mode"].upper(), rho=raw["rho"], zeta=raw["zeta"])
         if raw["eh"] == "linear":
@@ -156,20 +144,18 @@ def load_scenario(path: str, overrides: dict | None = None) -> Scenario:
             eh = EhModel("nonlinear", a=raw["eh_a"], b=raw["eh_b"], c=raw["eh_c"])
         else:
             raise ScenarioError(f"unknown eh model {raw['eh']!r}")
-        budget = PowerBudget(
-            p_t=_dbm_to_watts(raw["p_t_dbm"]), p_ph=_dbm_to_watts(raw["p_ph_dbm"])
-        )
+        budget = PowerBudget(p_t=_from_db(raw, "p_t_dbm") / 1000.0,
+                             p_ph=_from_db(raw, "p_ph_dbm") / 1000.0)
         strategy = SelectionStrategy(raw["scheme"].upper(), k=raw["k"])
         r_req = raw["r_req"]
         if raw["gamma_th_db"] is not None:
-            gamma_th = 10.0 ** (float(raw["gamma_th_db"]) / 10.0)
-            r_req = math.log2(1.0 + gamma_th)
+            r_req = math.log2(1.0 + _from_db(raw, "gamma_th_db"))
         e_req = raw["e_req"]
         if e_req == "auto":
             if mode.kind == "PS":
-                e_req = required_energy_ps(m, budget, params.t_s)
+                e_req = required_energy_ps(params.m_per_group, budget, params.t_s)
             else:
-                e_req = required_energy_ts(m, budget, params.t_s, mode.zeta)
+                e_req = required_energy_ts(params.m_per_group, budget, params.t_s, mode.zeta)
         else:
             e_req = float(e_req)
         trial = TrialConfig(

@@ -1,13 +1,12 @@
 """RIS modes, k-th-best order statistics, the closed-form outage of the
 RGS / SBGS / EBGS group selection schemes, and the per-group energy fits."""
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import (DegenerateFitError, GammaFit, SystemParams, build_correlation_matrix,
-                      gamma_cdf)
+                      element_law, gamma_cdf, power_moments)
 from .energy import EhModel
 from .specfun import reg_incomplete_beta, reg_lower_incomplete_gamma
 
@@ -118,18 +117,6 @@ class ShiftedInvGammaEnergyDist:
         return reg_lower_incomplete_gamma(self.inv_shape, self.inv_scale / t)
 
 
-def _element_stats(params: SystemParams) -> tuple[np.ndarray, float, np.ndarray]:
-    """Per-element mean, scattered variance, and covariance of tilde_h."""
-    corr = build_correlation_matrix(
-        params.m_per_group, params.spacing, params.wavelength
-    )
-    mu_scalar = math.sqrt(params.k_h / (params.k_h + 1.0))
-    sigma_sq = 1.0 / (params.k_h + 1.0)
-    mus = math.sqrt(params.beta_gain) * mu_scalar * corr.sqrt_entries.sum(axis=1)
-    cov = params.beta_gain * sigma_sq * corr.entries
-    return mus, params.beta_gain * sigma_sq, cov
-
-
 def eh_wiring(params: SystemParams, mode: RisMode) -> tuple[float, float]:
     """(duration, per-element power factor) of the EH phase for the mode."""
     pl = incident_power(params)
@@ -144,19 +131,20 @@ _Y_STEP = 0.3
 _Y_NODES = np.arange(-36.0, 3.7, _Y_STEP)
 
 
-def _recip_moments(mus: np.ndarray, s_sq: float, cov: np.ndarray, w_p: float,
+def _recip_moments(mus: np.ndarray, cov: np.ndarray, w_p: float,
                    c: float) -> tuple[np.ndarray, np.ndarray]:
     """Means and covariance matrix of phi_j = 1/(w_p |h_j|^2 + c), h ~ CN(mus, cov).
 
     1/x = int_0^inf e^{-ux} du turns each moment into an integral of the
     Laplace transform of a complex Gaussian pair (Turin 1960): with a = w_p u,
-    b = w_p v and C = cov[j, k],
+    b = w_p v, C = cov[j, k] and the marginal variance s^2 = cov[j, j],
     E[e^{-a|h_j|^2 - b|h_k|^2}] = e^{-q}/D, D = (1+s^2 a)(1+s^2 b) - C^2 ab,
     q = (a(1+s^2 b) m_j^2 + b(1+s^2 a) m_k^2 - 2abC m_j m_k)/D.
     The covariance integrand is the product of the two marginal transforms
     times expm1 of the log of its ratio to them, so it keeps full relative
     accuracy however weakly the elements are driven.
     """
+    s_sq = cov[0, 0]  # R has a unit diagonal: every element shares it
     a = w_p * np.exp(_Y_NODES) / c
     wt = _Y_STEP * np.exp(_Y_NODES - np.exp(_Y_NODES)) / c
     d1 = 1.0 + s_sq * a
@@ -188,15 +176,14 @@ def fit_energy_distribution(params: SystemParams, mode: RisMode, model: EhModel)
     dur, w_p = eh_wiring(params, mode)
     if dur == 0.0 or w_p == 0.0:
         return DegenerateDist(0.0)
-    mus, s_sq, cov = _element_stats(params)
-    m = params.m_per_group
+    corr = build_correlation_matrix(params.m_per_group, params.spacing, params.wavelength)
+    mus, cov = element_law(params, corr, params.k_h)
     if model.kind == "linear":
-        mean_s = float(np.sum(mus ** 2)) + m * s_sq
-        var_s = float(np.sum(2.0 * np.outer(mus, mus) * cov + cov ** 2))
+        mean_s, var_s = power_moments(mus, cov)
         return GammaFit.from_moments(dur * w_p * mean_s, (dur * w_p) ** 2 * var_s)
 
     # nonlinear: E = dur (ac - b) (M/c - T), T = sum_j 1/(w_p |h_j|^2 + c)
-    first, covar = _recip_moments(mus, s_sq, cov, w_p, model.c)
+    first, covar = _recip_moments(mus, cov, w_p, model.c)
     mean_t = float(np.sum(first))
     var_t = float(np.sum(covar))
     if var_t <= 0:
@@ -204,7 +191,7 @@ def fit_energy_distribution(params: SystemParams, mode: RisMode, model: EhModel)
     inv_shape = mean_t ** 2 / var_t + 2.0
     inv_scale = mean_t * (inv_shape - 1.0)
     slope = dur * (model.a * model.c - model.b)
-    offset = slope * m / model.c
+    offset = slope * params.m_per_group / model.c
     return ShiftedInvGammaEnergyDist(
         offset=offset, slope=slope, inv_shape=inv_shape, inv_scale=inv_scale
     )

@@ -33,6 +33,7 @@ from .selection import (
     data_wiring,
     eh_wiring,
     fit_energy_distribution,
+    mean_snr_scale,
     outage_ebgs,
     outage_rgs,
     outage_sbgs,
@@ -168,10 +169,13 @@ def estimate_outage(points: Sequence, workers: int = 1) -> list[OutageEstimate]:
 def _apply_variable(params: SystemParams, cfg: TrialConfig, variable: str, value):
     if variable == "snr":
         # value is the mean SNR scale in dB; realized by adjusting P_tx
-        psi = 10.0 ** (float(value) / 10.0)
-        p_tx = psi * params.noise_power / (
-            params.rho_l ** 2 * (params.d_sr * params.d_rd) ** -params.alpha
-        )
+        try:
+            p_tx = 10.0 ** (float(value) / 10.0) / mean_snr_scale(replace(params, p_tx=1.0))
+        except ArithmeticError:
+            p_tx = math.nan
+        if not 0.0 < p_tx < math.inf:
+            raise ValueError(f"no finite p_tx gives snr = {value} dB with this "
+                             "rho_l, alpha, d_sr, d_rd and noise power")
         return replace(params, p_tx=p_tx), cfg
     if variable == "p_tx":
         return replace(params, p_tx=float(value)), cfg

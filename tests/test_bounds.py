@@ -1,6 +1,7 @@
 """Feasibility intervals: boundary equalities and infeasibility causes."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -202,3 +203,20 @@ class TestClamping:
                 if iv.feasible:
                     assert iv.lower <= iv.upper
                     assert iv.cause is None
+
+
+class TestZeroSnr:
+    @pytest.mark.parametrize("p_tx, cause", [(1e-12, "energy-limited"), (1.0, "rate-limited")])
+    @pytest.mark.parametrize("bounds", [
+        lambda p, snap: zeta_bounds_linear(p, BUDGET, snap, 1.0),
+        lambda p, snap: zeta_bounds_nonlinear(p, BUDGET, NONLINEAR_DEFAULT, snap, 1.0),
+    ], ids=["linear", "nonlinear"])
+    def test_ts_cause_follows_lower(self, bounds, p_tx, cause):
+        # g_c = 0 leaves no rate at any zeta; the cause is energy-limited
+        # whenever the energy bound alone already exceeds 1, as elsewhere
+        snap = replace(snapshot(12), g_c=0j)
+        iv = bounds(replace(PARAMS, p_tx=p_tx), snap)
+        assert not iv.feasible
+        assert iv.cause == cause
+        assert iv.upper == 0.0
+        assert (iv.lower == 1.0) == (cause == "energy-limited")

@@ -17,10 +17,12 @@ from risgroups.channel import (
     DegenerateFitError,
     GammaFit,
     SystemParams,
-    _squared_moments,
     build_correlation_matrix,
+    composite_law,
+    element_law,
     fit_gamma_product,
     gamma_cdf,
+    power_moments,
     sample_channels,
     sample_rician_vector,
 )
@@ -147,10 +149,45 @@ class TestChannelSnapshot:
                 )
 
 
+class TestElementLaw:
+    @pytest.mark.parametrize("k_h, beta_gain, spacing", [(0.0, 1.0, 0.1 / 8.0),
+                                                         (2.0, 3.0, 0.1 / 5.0)])
+    def test_matches_sample_moments(self, k_h, beta_gain, spacing):
+        # mean and covariance of tilde_h, each entry within 4 standard errors
+        n = 200_000
+        p = SystemParams(m_per_group=8, n_total=8 * 20, k_h=k_h, beta_gain=beta_gain,
+                         spacing=spacing)
+        corr = build_correlation_matrix(p.m_per_group, p.spacing, p.wavelength)
+        mus, cov = element_law(p, corr, p.k_h)
+        h = sample_channels(p, corr, (n,), np.random.default_rng(41)).tilde_h
+        se_mean = np.sqrt(np.diag(cov) / n)
+        assert np.all(np.abs(h.mean(axis=0) - mus) <= 4.0 * se_mean)
+        dev = h - mus
+        for j in range(p.m_per_group):
+            prod = dev[:, j, None] * np.conj(dev)
+            est = prod.mean(axis=0)
+            se = np.sqrt(np.mean(np.abs(prod - est) ** 2, axis=0) / n)
+            assert np.all(np.abs(est - cov[j]) <= 4.0 * se), j
+
+    def test_composite_law_sums_the_elements(self):
+        p = SystemParams(k_g=3.0, beta_gain=2.5)
+        corr = build_correlation_matrix(p.m_per_group, p.spacing, p.wavelength)
+        mus, cov = element_law(p, corr, p.k_g)
+        m_c, var_c = composite_law(p, corr, p.k_g)
+        assert m_c.shape == (1,) and var_c.shape == (1, 1)
+        assert m_c[0] == mus.sum() and var_c[0, 0] == cov.sum()
+
+    @pytest.mark.parametrize("m, v", [(0.0, 1.0), (1.7, 0.3), (12.5, 4e-3)])
+    def test_power_moments_of_one_by_one_law(self, m, v):
+        mean, var = power_moments(np.array([m]), np.array([[v]]))
+        assert mean == pytest.approx(m ** 2 + v, rel=1e-15)
+        assert var == pytest.approx(2.0 * m ** 2 * v + v ** 2, rel=1e-15)
+
+
 def composite_moments(p, side):
     """Mean and variance of |h_c|^2 (side 'S') or |g_c|^2 (side 'D')."""
     corr = build_correlation_matrix(p.m_per_group, p.spacing, p.wavelength)
-    return _squared_moments(p, corr, p.k_h if side == "S" else p.k_g)
+    return power_moments(*composite_law(p, corr, p.k_h if side == "S" else p.k_g))
 
 
 class TestCompositeMoments:

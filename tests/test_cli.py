@@ -97,6 +97,14 @@ class TestLoadScenario:
         ("rho = nan", "rho = 'nan' is not a finite number"),
         ("seed = -3", "seed must be nonnegative"),
         ("n_draws = 0", "n_draws must be at least 1"),
+        ("p_tx_dbm = 1e308", "p_tx_dbm = 1e+308 overflows on conversion from dB"),
+        ("noise_dbm = 1e308", "noise_dbm = 1e+308 overflows on conversion from dB"),
+        ("p_t_dbm = 1e308", "p_t_dbm = 1e+308 overflows on conversion from dB"),
+        ("p_ph_dbm = 1e308", "p_ph_dbm = 1e+308 overflows on conversion from dB"),
+        ("gamma_th_db = 1e308", "gamma_th_db = 1e+308 overflows on conversion from dB"),
+        # the SNR per watt underflows to 0, so the snr grid has no p_tx
+        ("alpha = 1e4", "no finite p_tx gives snr = 0.0 dB with this rho_l, alpha,"),
+        ("e_req = abc", "e_req = 'abc' is not a finite number"),
     ])
     def test_bad_scalar_is_a_clean_error(self, tmp_path, capsys, line, message):
         path = tmp_path / "scalar.cfg"

@@ -8,8 +8,8 @@ import pytest
 
 from risgroups.channel import (
     SystemParams,
-    _composite_mean_var,
     build_correlation_matrix,
+    composite_law,
     sample_channels,
 )
 from risgroups.energy import LINEAR_DEFAULT, NONLINEAR_DEFAULT
@@ -81,7 +81,7 @@ class TestSimulateBlock:
         scattered = math.sqrt(0.5 / (p.k_h + 1.0)) * (h_normals[..., 0] + 1j * h_normals[..., 1])
         raw = math.sqrt(p.beta_gain) * (math.sqrt(p.k_h / (p.k_h + 1.0)) + scattered)
         np.testing.assert_allclose(snap.tilde_h, raw @ corr.sqrt_entries, rtol=1e-12)
-        m_c, var_c = _composite_mean_var(p, corr, p.k_g)
+        (m_c,), ((var_c,),) = composite_law(p, corr, p.k_g)
         g_c = m_c + math.sqrt(0.5 * var_c) * (g_normals[..., 0] + 1j * g_normals[..., 1])
         np.testing.assert_allclose(snap.g_c, g_c, rtol=1e-12)
 
