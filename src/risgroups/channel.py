@@ -10,9 +10,14 @@ derive from it the law of g_c, the Gamma fit of Z and the energy fits.
 ``sample_channels`` is the only code that turns normals into channels.  Its
 stream layout is fixed: all (*shape, M, 2) normals for the per-element h first,
 then (*shape, 2) for the composite g_c = sum_j tilde_g_j, which alone enters Z
-and is drawn from its exact law CN(m_c, var_c).  It returns a ``ChannelSnapshot``
-whose h reductions run over the last (element) axis, so one type serves a
-single group snapshot (shape ``()``) and a block of trials (shape ``(n, B)``).
+and is drawn from its exact law CN(m_c, var_c).  The h normals are drawn in
+row chunks of the leading axis and each chunk is reduced to |tilde_h_j|^2 and
+h_c = sum_j tilde_h_j before the next is drawn; successive draws continue one
+stream and the matmul runs per (B, M) slice either way, so the result is the
+one (*shape, M, 2) draw would give, bit for bit, and no (*shape, M) complex
+array exists.  It returns a ``ChannelSnapshot`` of ``h_sq``, ``h_c`` and
+``g_c`` whose h reductions run over the last (element) axis, so one type serves
+a single group snapshot (shape ``()``) and a block of trials (shape ``(n, B)``).
 """
 
 import logging
@@ -28,6 +33,10 @@ logger = logging.getLogger(__name__)
 # negative eigenvalues beyond this are treated as genuinely indefinite,
 # not roundoff, and rejected
 _CLAMP_LIMIT = 1e-8
+
+# complex h elements per drawn chunk (1 MiB): the chunk's normals, its complex
+# h and the matmul result stay in cache until they are reduced
+_CHUNK_ELEMENTS = 2 ** 16
 
 
 class DegenerateFitError(ValueError):
@@ -62,8 +71,8 @@ class SystemParams:
             )
         for name in ("p_tx", "rho_l", "t_s", "wavelength", "noise_power",
                      "d_sr", "d_rd", "beta_gain", "spacing"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be strictly positive and finite")
         if self.k_h < 0 or self.k_g < 0:
             raise ValueError("Rician factors must be nonnegative")
         if self.alpha < 2:
@@ -143,12 +152,15 @@ def sample_rician_vector(shape: tuple, k_factor: float,
     sigma = math.sqrt(0.5 / (k_factor + 1.0))  # per real dimension
     noise = rng.standard_normal((*shape, 2))
     noise *= sigma
-    return los + noise[..., 0] + 1j * noise[..., 1]
+    gains = noise.view(np.complex128)[..., 0]
+    gains.real += los
+    return gains
 
 
 @dataclass(frozen=True)
 class ChannelSnapshot:
-    """Correlated channels tilde_h of shape (*batch, M), composite g_c of shape (*batch).
+    """Per-element gains h_sq = |tilde_h_j|^2 of shape (*batch, M), composite
+    h_c = sum_j tilde_h_j and g_c of shape (*batch).
 
     Every h reduction runs over the last (element) axis, so a batch reduces
     to the values its rows would give one at a time.  The one exception is in
@@ -156,12 +168,9 @@ class ChannelSnapshot:
     which goes through libm pow, while a batch squares by one multiply.
     """
 
-    tilde_h: np.ndarray = field(repr=False)
+    h_sq: np.ndarray = field(repr=False)
+    h_c: np.ndarray = field(repr=False)
     g_c: np.ndarray = field(repr=False)
-
-    @property
-    def h_sq(self) -> np.ndarray:
-        return np.abs(self.tilde_h) ** 2
 
     @property
     def sum_h_sq(self):
@@ -178,7 +187,7 @@ class ChannelSnapshot:
     @property
     def h_c_sq(self):
         """Composite gain |sum_j tilde_h_j|^2 under the optimal common phase."""
-        return np.abs(np.sum(self.tilde_h, axis=-1)) ** 2
+        return np.abs(self.h_c) ** 2
 
     @property
     def g_c_sq(self):
@@ -211,15 +220,32 @@ def power_moments(mus: np.ndarray, cov: np.ndarray) -> tuple[float, float]:
     return mean, float(np.sum(2.0 * np.outer(mus, mus) * cov + cov ** 2))
 
 
-def sample_channels(params: SystemParams, corr: CorrelationMatrix, shape: tuple,
-                    rng: np.random.Generator) -> ChannelSnapshot:
-    """Draw sqrt(beta) raw @ R^(1/2) for h over ``(*shape, M)``, then g_c ~ CN(m_c, var_c)."""
+def _draw_h(params: SystemParams, corr: CorrelationMatrix, shape: tuple,
+            rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """|tilde_h_j|^2 and sum_j tilde_h_j of tilde_h = sqrt(beta) raw @ R^(1/2),
+    drawn over ``(*shape, M)``."""
     raw = sample_rician_vector((*shape, corr.dim), params.k_h, rng)
     raw *= math.sqrt(params.beta_gain)
+    tilde_h = raw @ corr.sqrt_entries
+    return np.abs(tilde_h) ** 2, np.sum(tilde_h, axis=-1)
+
+
+def sample_channels(params: SystemParams, corr: CorrelationMatrix, shape: tuple,
+                    rng: np.random.Generator) -> ChannelSnapshot:
+    """Draw h over ``(*shape, M)`` in row chunks, then g_c ~ CN(m_c, var_c) over ``shape``."""
+    if shape:
+        h_sq = np.empty((*shape, corr.dim))
+        h_c = np.empty(shape, dtype=np.complex128)
+        step = max(1, _CHUNK_ELEMENTS // h_sq[0].size)
+        for start in range(0, shape[0], step):
+            rows = slice(start, start + step)
+            h_sq[rows], h_c[rows] = _draw_h(params, corr, h_c[rows].shape, rng)
+    else:
+        h_sq, h_c = _draw_h(params, corr, shape, rng)
     # sqrt(m^2 + v) times a unit-power Rician with K = m^2/v is CN(m, v)
     m_c, var_c = (x.item() for x in composite_law(params, corr, params.k_g))
     g_c = math.sqrt(m_c ** 2 + var_c) * sample_rician_vector(shape, m_c ** 2 / var_c, rng)
-    return ChannelSnapshot(tilde_h=raw @ corr.sqrt_entries, g_c=g_c)
+    return ChannelSnapshot(h_sq=h_sq, h_c=h_c, g_c=g_c)
 
 
 def fit_gamma_product(params: SystemParams) -> GammaFit:

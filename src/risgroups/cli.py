@@ -37,6 +37,14 @@ def _from_db(raw: dict, key: str) -> float:
         raise ValueError(f"{key} = {raw[key]} overflows on conversion from dB") from None
 
 
+def _positive_watts(raw: dict, key: str) -> float:
+    """The dBm value of ``key`` in watts, which the link needs strictly positive."""
+    watts = _from_db(raw, key) / 1000.0
+    if watts == 0.0:
+        raise ValueError(f"{key} = {raw[key]} underflows to 0 W on conversion from dB")
+    return watts
+
+
 # SystemParams fields a scenario sets as they are; p_tx and the noise power
 # are given in dBm and n_total follows from the group sizes
 _PARAM_DEFAULTS = {f.name: f.default for f in fields(SystemParams)
@@ -132,8 +140,8 @@ def load_scenario(path: str, overrides: dict | None = None) -> Scenario:
             raw[key] = _coerce(key, value)
         raw.update(overrides or {})
         params = SystemParams(
-            p_tx=_from_db(raw, "p_tx_dbm") / 1000.0,
-            noise_power=_from_db(raw, "noise_dbm") / 1000.0,
+            p_tx=_positive_watts(raw, "p_tx_dbm"),
+            noise_power=_positive_watts(raw, "noise_dbm"),
             n_total=raw["m_per_group"] * raw["b_groups"],
             **{key: raw[key] for key in _PARAM_DEFAULTS},
         )

@@ -5,7 +5,9 @@ counter-based stream derived from (seed, block index), so results are
 bit-identical for any worker count and any block execution order.  One block
 of n trials draws, in this order: the (n, B, M, 2) per-element h normals and
 then the (n, B, 2) composite g normals of ``channel.sample_channels``, then n
-uniforms that pick the RGS group.
+uniforms that pick the RGS group.  The h normals are drawn and reduced to the
+(n, B, M) |h|^2 and the (n, B) composite h_c in cache-sized chunks, with the
+bits of one draw, so no (n, B, M) complex array exists.
 
 A block's draw depends only on the channel law (``m_per_group``, ``b_groups``,
 ``spacing``, ``wavelength``, ``k_h``, ``k_g``, ``beta_gain``), the seed and the
@@ -216,12 +218,15 @@ def analytic_outage(params: SystemParams, cfg: TrialConfig) -> float:
 def sweep_points(params: SystemParams, cfg: TrialConfig, variable: str,
                  grid: Sequence) -> list:
     """The ``(params, cfg)`` point of each grid value, after checking the whole
-    grid (nonempty, strictly monotone, integral for ``b`` and ``k``, known
-    variable, ``k <= b`` everywhere)."""
+    grid (nonempty, finite, strictly monotone, integral for ``b`` and ``k``,
+    known variable, ``k <= b`` everywhere)."""
     grid = list(grid)
     if not grid:
         raise ValueError("sweep grid must be nonempty")
     values = np.asarray(grid, dtype=float)
+    infinite = values[~np.isfinite(values)]
+    if infinite.size:
+        raise ValueError(f"sweep value {infinite[0]} is not finite")
     diffs = np.diff(values)
     if len(grid) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise ValueError("sweep grid must be strictly monotone")

@@ -42,7 +42,8 @@ def _harvest(model, incident_powers, duration: float) -> float:
 
 class TestSnapshot:
     def test_derived_quantities(self):
-        snap = ChannelSnapshot(tilde_h=np.array([1.0 + 0j, 0.0 + 1j]), g_c=2.0 + 0j)
+        # tilde_h = (1, i)
+        snap = ChannelSnapshot(h_sq=np.array([1.0, 1.0]), h_c=1.0 + 1j, g_c=2.0 + 0j)
         assert snap.sum_h_sq == pytest.approx(2.0)
         assert snap.h_min_sq == pytest.approx(1.0)
         assert snap.h_c_sq == pytest.approx(2.0)

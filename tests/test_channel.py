@@ -46,6 +46,8 @@ class TestSystemParams:
             SystemParams(k_h=-0.5)
         with pytest.raises(ValueError):
             SystemParams(spacing=0.0)
+        with pytest.raises(ValueError, match="p_tx must be strictly positive and finite"):
+            SystemParams(p_tx=math.inf)
 
 
 class TestCorrelationMatrix:
@@ -104,14 +106,16 @@ class TestCorrelateComposite:
         four = sample_channels(
             replace(p, beta_gain=4.0), corr, (3, 2), np.random.default_rng(4)
         )
-        assert one.tilde_h.shape == (3, 2, 5)
-        assert one.g_c.shape == (3, 2)
-        np.testing.assert_array_equal(four.tilde_h, 2.0 * one.tilde_h)
+        assert one.h_sq.shape == (3, 2, 5)
+        assert one.h_c.shape == one.g_c.shape == (3, 2)
+        # |2x| is one hypot call, which need not be correctly rounded
+        np.testing.assert_array_max_ulp(four.h_sq, 4.0 * one.h_sq, maxulp=1)
+        np.testing.assert_array_equal(four.h_c, 2.0 * one.h_c)
         np.testing.assert_array_equal(four.g_c, 2.0 * one.g_c)
 
     def test_composite_is_sum(self):
         v = np.array([1 + 1j, 2 - 1j, -0.5 + 0.25j])
-        snap = ChannelSnapshot(tilde_h=v, g_c=2.0 * np.sum(v))
+        snap = ChannelSnapshot(h_sq=np.abs(v) ** 2, h_c=np.sum(v), g_c=2.0 * np.sum(v))
         assert snap.h_c_sq == pytest.approx(abs(np.sum(v)) ** 2)
         assert snap.z == pytest.approx(4.0 * abs(np.sum(v)) ** 4)
 
@@ -132,13 +136,13 @@ class TestChannelSnapshot:
     def test_batch_reductions_match_rows(self, pair):
         # one snapshot type serves a block of trials and a single group
         h, g = pair
-        batch = ChannelSnapshot(tilde_h=h, g_c=g)
+        batch = ChannelSnapshot(h_sq=np.abs(h) ** 2, h_c=np.sum(h, axis=-1), g_c=g)
         exact = ("h_sq", "sum_h_sq", "h_min_sq", "h_max_sq")
         # a row's composite magnitude is a NumPy scalar, squared by libm pow
         # (at most 1 ulp from the batch's multiply); z multiplies two of them
         max_ulp = {"h_c_sq": 1, "g_c_sq": 1, "z": 3}
         for i in range(h.shape[0]):
-            row = ChannelSnapshot(tilde_h=h[i], g_c=g[i])
+            row = ChannelSnapshot(h_sq=np.abs(h[i]) ** 2, h_c=np.sum(h[i], axis=-1), g_c=g[i])
             for name in exact:
                 np.testing.assert_array_equal(
                     getattr(batch, name)[i], getattr(row, name), err_msg=name
@@ -153,21 +157,29 @@ class TestElementLaw:
     @pytest.mark.parametrize("k_h, beta_gain, spacing", [(0.0, 1.0, 0.1 / 8.0),
                                                          (2.0, 3.0, 0.1 / 5.0)])
     def test_matches_sample_moments(self, k_h, beta_gain, spacing):
-        # mean and covariance of tilde_h, each entry within 4 standard errors
+        # E|h_j|^2 = mu_j^2 + C_jj and Cov(|h_j|^2, |h_k|^2) = 2 mu_j mu_k C_jk + C_jk^2,
+        # and the composite h_c has mean m_c and variance var_c, each within
+        # 4 standard errors
         n = 200_000
         p = SystemParams(m_per_group=8, n_total=8 * 20, k_h=k_h, beta_gain=beta_gain,
                          spacing=spacing)
         corr = build_correlation_matrix(p.m_per_group, p.spacing, p.wavelength)
         mus, cov = element_law(p, corr, p.k_h)
-        h = sample_channels(p, corr, (n,), np.random.default_rng(41)).tilde_h
-        se_mean = np.sqrt(np.diag(cov) / n)
-        assert np.all(np.abs(h.mean(axis=0) - mus) <= 4.0 * se_mean)
-        dev = h - mus
+        snap = sample_channels(p, corr, (n,), np.random.default_rng(41))
+        power_cov = 2.0 * np.outer(mus, mus) * cov + cov ** 2
+        se_mean = np.sqrt(np.diag(power_cov) / n)
+        h_sq = snap.h_sq
+        assert np.all(np.abs(h_sq.mean(axis=0) - (mus ** 2 + np.diag(cov))) <= 4.0 * se_mean)
+        dev = h_sq - h_sq.mean(axis=0)
         for j in range(p.m_per_group):
-            prod = dev[:, j, None] * np.conj(dev)
+            prod = dev[:, j, None] * dev
             est = prod.mean(axis=0)
-            se = np.sqrt(np.mean(np.abs(prod - est) ** 2, axis=0) / n)
-            assert np.all(np.abs(est - cov[j]) <= 4.0 * se), j
+            se = np.sqrt(np.mean((prod - est) ** 2, axis=0) / n)
+            assert np.all(np.abs(est - power_cov[j]) <= 4.0 * se), j
+        (m_c,), ((var_c,),) = composite_law(p, corr, p.k_h)
+        dev_c = np.abs(snap.h_c - m_c) ** 2
+        assert abs(snap.h_c.mean() - m_c) <= 4.0 * math.sqrt(var_c / n)
+        assert abs(dev_c.mean() - var_c) <= 4.0 * dev_c.std() / math.sqrt(n)
 
     def test_composite_law_sums_the_elements(self):
         p = SystemParams(k_g=3.0, beta_gain=2.5)

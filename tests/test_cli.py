@@ -102,6 +102,8 @@ class TestLoadScenario:
         ("p_t_dbm = 1e308", "p_t_dbm = 1e+308 overflows on conversion from dB"),
         ("p_ph_dbm = 1e308", "p_ph_dbm = 1e+308 overflows on conversion from dB"),
         ("gamma_th_db = 1e308", "gamma_th_db = 1e+308 overflows on conversion from dB"),
+        ("p_tx_dbm = -1e300", "p_tx_dbm = -1e+300 underflows to 0 W on conversion from dB"),
+        ("noise_dbm = -1e300", "noise_dbm = -1e+300 underflows to 0 W on conversion from dB"),
         # the SNR per watt underflows to 0, so the snr grid has no p_tx
         ("alpha = 1e4", "no finite p_tx gives snr = 0.0 dB with this rho_l, alpha,"),
         ("e_req = abc", "e_req = 'abc' is not a finite number"),
@@ -144,6 +146,8 @@ class TestLoadScenario:
         ("sweep_grid = ,\n", "nonempty"),
         ("sweep_variable = b\nsweep_grid = 20,20.5\n", "b sweep values must be integers"),
         ("sweep_variable = k\nsweep_grid = 1,2.5\n", "k sweep values must be integers"),
+        ("sweep_variable = p_tx\nsweep_grid = 1e400\n", "sweep value inf is not finite"),
+        ("sweep_variable = spacing\nsweep_grid = 0.01,1e400\n", "sweep value inf is not finite"),
     ])
     def test_invalid_sweep_rejected(self, tmp_path, sweep, message):
         path = tmp_path / "sweep.cfg"

@@ -1,6 +1,7 @@
 """Monte Carlo engine: reproducibility, closed-form agreement, sweeps."""
 
 import math
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -14,7 +15,7 @@ from risgroups.channel import (
 )
 from risgroups.energy import LINEAR_DEFAULT, NONLINEAR_DEFAULT
 from risgroups.selection import RisMode, SelectionStrategy
-from risgroups import sim
+from risgroups import channel, sim
 from risgroups.sim import (
     BLOCK_SIZE,
     TrialConfig,
@@ -65,9 +66,12 @@ class TestSimulateBlock:
         assert np.all(h_sq >= 0.0)
 
     def test_stream_layout(self):
-        # (n, B, M, 2) h normals, then (n, B, 2) composite g normals, then n uniforms
+        # (n, B, M, 2) h normals, then (n, B, 2) composite g normals, then n
+        # uniforms; n spans two full h chunks and a ragged third, which draw
+        # and reduce to the bits one (n, B, M, 2) draw gives
         p = replace(PARAMS, k_h=2.0, k_g=0.5, beta_gain=3.0)
-        n, b, m = 7, p.b_groups, p.m_per_group
+        b, m = p.b_groups, p.m_per_group
+        n = 2 * (channel._CHUNK_ELEMENTS // (b * m)) + 5
         z, h_sq, rgs_u = simulate_block(p, n, block_rng(1, 0))
         corr = build_correlation_matrix(m, p.spacing, p.wavelength)
         snap = sample_channels(p, corr, (n, b), block_rng(1, 0))
@@ -78,12 +82,27 @@ class TestSimulateBlock:
         h_normals = rng.standard_normal((n, b, m, 2))
         g_normals = rng.standard_normal((n, b, 2))
         np.testing.assert_array_equal(rgs_u, rng.random(n))
-        scattered = math.sqrt(0.5 / (p.k_h + 1.0)) * (h_normals[..., 0] + 1j * h_normals[..., 1])
-        raw = math.sqrt(p.beta_gain) * (math.sqrt(p.k_h / (p.k_h + 1.0)) + scattered)
-        np.testing.assert_allclose(snap.tilde_h, raw @ corr.sqrt_entries, rtol=1e-12)
+        scattered = math.sqrt(0.5 / (p.k_h + 1.0)) * h_normals
+        raw = math.sqrt(p.k_h / (p.k_h + 1.0)) + scattered[..., 0] + 1j * scattered[..., 1]
+        tilde_h = (math.sqrt(p.beta_gain) * raw) @ corr.sqrt_entries
+        np.testing.assert_array_equal(snap.h_sq, np.abs(tilde_h) ** 2)
+        np.testing.assert_array_equal(snap.h_c, np.sum(tilde_h, axis=-1))
         (m_c,), ((var_c,),) = composite_law(p, corr, p.k_g)
         g_c = m_c + math.sqrt(0.5 * var_c) * (g_normals[..., 0] + 1j * g_normals[..., 1])
         np.testing.assert_allclose(snap.g_c, g_c, rtol=1e-12)
+
+    def test_peak_memory_is_near_the_output(self):
+        # h is drawn and reduced chunk by chunk, so no (n, B, M) complex or
+        # (n, B, M, 2) normal array adds to the (n, B, M) h_sq output
+        p = SystemParams(m_per_group=10, b_groups=140, n_total=10 * 140)
+        simulate_block(p, 8, block_rng(1, 0))
+        tracemalloc.start()
+        try:
+            _, h_sq, _ = simulate_block(p, BLOCK_SIZE, block_rng(1, 0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.0 * h_sq.nbytes
 
 
 def one(params, c, workers=1):
@@ -302,15 +321,17 @@ class TestDrawReuse:
         ref = draw(PARAMS)
         for name, value in OTHER_FIELDS.items():
             snap = draw(with_field(PARAMS, name, value))
-            np.testing.assert_array_equal(snap.tilde_h, ref.tilde_h)
+            np.testing.assert_array_equal(snap.h_sq, ref.h_sq)
+            np.testing.assert_array_equal(snap.h_c, ref.h_c)
             np.testing.assert_array_equal(snap.g_c, ref.g_c)
 
     def test_fields_in_the_key_change_the_draw(self):
         ref = draw(PARAMS)
         for name, value in LAW_FIELDS.items():
             snap = draw(with_field(PARAMS, name, value))
-            same = (snap.tilde_h.shape == ref.tilde_h.shape
-                    and np.array_equal(snap.tilde_h, ref.tilde_h)
+            same = (snap.h_sq.shape == ref.h_sq.shape
+                    and np.array_equal(snap.h_sq, ref.h_sq)
+                    and np.array_equal(snap.h_c, ref.h_c)
                     and np.array_equal(snap.g_c, ref.g_c))
             assert not same, name
 
