@@ -29,7 +29,6 @@ from .channel import (
 )
 from .energy import (
     EhModel,
-    LINEAR_DEFAULT,
     NONLINEAR_DEFAULT,
     PowerBudget,
     harvest_rate,
@@ -55,13 +54,12 @@ from .selection import (
     outage_sbgs,
 )
 from .sim import (
-    OutageCurve,
     OutageEstimate,
     TrialConfig,
     analytic_outage,
     estimate_outage,
     simulate_block,
-    sweep,
+    sweep_points,
 )
 from .specfun import (
     ConvergenceError,
@@ -80,9 +78,7 @@ __all__ = [
     "EvtConstants",
     "FeasibleInterval",
     "GammaFit",
-    "LINEAR_DEFAULT",
     "NONLINEAR_DEFAULT",
-    "OutageCurve",
     "OutageEstimate",
     "PowerBudget",
     "RisMode",
@@ -115,7 +111,7 @@ __all__ = [
     "sample_rician_vector",
     "simulate_block",
     "sinc_corr",
-    "sweep",
+    "sweep_points",
     "zeta_bounds_linear",
     "zeta_bounds_nonlinear",
 ]

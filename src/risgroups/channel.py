@@ -157,15 +157,23 @@ def sample_rician_vector(shape: tuple, k_factor: float,
     return gains
 
 
+def _abs_sq(x):
+    """|x|^2 as one multiply, in place on |x| so a batch allocates no second
+    array; a NumPy scalar's ``** 2`` would call libm pow, which can differ from
+    a batch in the last bit."""
+    mag = np.abs(x)
+    mag *= mag
+    return mag
+
+
 @dataclass(frozen=True)
 class ChannelSnapshot:
     """Per-element gains h_sq = |tilde_h_j|^2 of shape (*batch, M), composite
     h_c = sum_j tilde_h_j and g_c of shape (*batch).
 
-    Every h reduction runs over the last (element) axis, so a batch reduces
-    to the values its rows would give one at a time.  The one exception is in
-    the last bit: for a single row, h_c_sq and g_c_sq square a NumPy scalar,
-    which goes through libm pow, while a batch squares by one multiply.
+    Every h reduction runs over the last (element) axis and every square is
+    one multiply, so a batch reduces to the bits its rows would give one at a
+    time.
     """
 
     h_sq: np.ndarray = field(repr=False)
@@ -187,11 +195,11 @@ class ChannelSnapshot:
     @property
     def h_c_sq(self):
         """Composite gain |sum_j tilde_h_j|^2 under the optimal common phase."""
-        return np.abs(self.h_c) ** 2
+        return _abs_sq(self.h_c)
 
     @property
     def g_c_sq(self):
-        return np.abs(self.g_c) ** 2
+        return _abs_sq(self.g_c)
 
     @property
     def z(self):

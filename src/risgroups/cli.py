@@ -22,7 +22,7 @@ from .channel import SystemParams, build_correlation_matrix, sample_channels
 from .energy import (NONLINEAR_DEFAULT, EhModel, PowerBudget, required_energy_ps,
                      required_energy_ts)
 from .selection import RisMode, SelectionStrategy
-from .sim import TrialConfig, block_rng, sweep, sweep_points
+from .sim import TrialConfig, analytic_outage, block_rng, estimate_outage, sweep_points
 
 
 class ScenarioError(ValueError):
@@ -38,7 +38,7 @@ def _from_db(raw: dict, key: str) -> float:
 
 
 def _positive_watts(raw: dict, key: str) -> float:
-    """The dBm value of ``key`` in watts, which the link needs strictly positive."""
+    """The dBm value of ``key`` in watts, which must be strictly positive."""
     watts = _from_db(raw, key) / 1000.0
     if watts == 0.0:
         raise ValueError(f"{key} = {raw[key]} underflows to 0 W on conversion from dB")
@@ -84,11 +84,14 @@ _STR_KEYS = {"mode", "eh", "scheme", "metric", "sweep_variable", "sweep_grid"}
 
 @dataclass(frozen=True)
 class Scenario:
+    """A validated scenario: the base link and trial, and the ``(params, cfg)``
+    point of each ``sweep_grid`` value."""
+
     params: SystemParams
     budget: PowerBudget
     trial: TrialConfig
-    sweep_variable: str
     sweep_grid: list
+    points: list
     n_draws: int
     raw: dict
 
@@ -136,7 +139,10 @@ def load_scenario(path: str, overrides: dict | None = None) -> Scenario:
     (already typed values) replace file values before validation."""
     raw = dict(_DEFAULTS)
     try:
-        for key, value in _parse_kv(path).items():
+        values = _parse_kv(path)
+        if {"r_req", "gamma_th_db"} <= values.keys():
+            raise ValueError("r_req and gamma_th_db are both set; set only one")
+        for key, value in values.items():
             raw[key] = _coerce(key, value)
         raw.update(overrides or {})
         params = SystemParams(
@@ -152,8 +158,8 @@ def load_scenario(path: str, overrides: dict | None = None) -> Scenario:
             eh = EhModel("nonlinear", a=raw["eh_a"], b=raw["eh_b"], c=raw["eh_c"])
         else:
             raise ScenarioError(f"unknown eh model {raw['eh']!r}")
-        budget = PowerBudget(p_t=_from_db(raw, "p_t_dbm") / 1000.0,
-                             p_ph=_from_db(raw, "p_ph_dbm") / 1000.0)
+        budget = PowerBudget(p_t=_positive_watts(raw, "p_t_dbm"),
+                             p_ph=_positive_watts(raw, "p_ph_dbm"))
         strategy = SelectionStrategy(raw["scheme"].upper(), k=raw["k"])
         r_req = raw["r_req"]
         if raw["gamma_th_db"] is not None:
@@ -177,7 +183,7 @@ def load_scenario(path: str, overrides: dict | None = None) -> Scenario:
             metric=raw["metric"],
         )
         grid = [float(v) for v in str(raw["sweep_grid"]).split(",") if v.strip()]
-        sweep_points(params, trial, raw["sweep_variable"], grid)
+        points = sweep_points(params, trial, raw["sweep_variable"], grid)
         if raw["n_draws"] < 1:
             raise ValueError("n_draws must be at least 1")
     except ScenarioError:
@@ -188,8 +194,8 @@ def load_scenario(path: str, overrides: dict | None = None) -> Scenario:
         params=params,
         budget=budget,
         trial=trial,
-        sweep_variable=raw["sweep_variable"],
         sweep_grid=grid,
+        points=points,
         n_draws=raw["n_draws"],
         raw=raw,
     )
@@ -201,38 +207,30 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _metadata_lines(scenario: Scenario) -> list[str]:
-    lines = [
-        f"# seed = {scenario.trial.seed}",
-        f"# version = {__version__}",
-    ]
-    for key in sorted(scenario.raw):
-        lines.append(f"# {key} = {_fmt(scenario.raw[key])}")
-    return lines
+def _write_csv(out_path: str, scenario: Scenario, header: str, rows: list) -> None:
+    """Write the scenario's metadata lines, ``header`` and one line per row."""
+    lines = [f"# seed = {scenario.trial.seed}", f"# version = {__version__}"]
+    lines += [f"# {key} = {_fmt(scenario.raw[key])}" for key in sorted(scenario.raw)]
+    lines.append(header)
+    lines += [",".join(_fmt(x) for x in row) for row in rows]
+    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def run(scenario: Scenario, out_path: str, workers: int = 1) -> int:
-    """Run the configured sweep and write one CSV with a metadata header."""
-    curve = sweep(
-        scenario.params, scenario.trial, scenario.sweep_variable,
-        scenario.sweep_grid, workers=workers,
-    )
-    rows = []
-    for value, analytic, est in zip(curve.grid, curve.analytic, curve.estimates):
-        rows.append(",".join([
-            _fmt(float(value)),
-            _fmt(float(analytic)),
-            _fmt(est.p_hat),
-            _fmt(est.ci_halfwidth),
-            str(est.n),
-            scenario.trial.strategy.scheme,
-            str(scenario.trial.strategy.k),
-            scenario.trial.mode.kind,
-        ]))
-    header = "sweep_value,analytic_outage,empirical_outage,ci_halfwidth,n_trials,scheme,k,mode"
-    body = "\n".join(_metadata_lines(scenario) + [header] + rows) + "\n"
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(body)
+    """Evaluate every sweep point and write one CSV row per point; each row's
+    scheme, k and mode are those of its own point."""
+    analytic = [analytic_outage(p, c) for p, c in scenario.points]
+    estimates = estimate_outage(scenario.points, workers=workers)
+    rows = [
+        [value, float(a), est.p_hat, est.ci_halfwidth, cfg.n_trials,
+         cfg.strategy.scheme, cfg.strategy.k, cfg.mode.kind]
+        for value, a, est, (_, cfg) in zip(scenario.sweep_grid, analytic, estimates,
+                                           scenario.points)
+    ]
+    _write_csv(out_path, scenario,
+               "sweep_value,analytic_outage,empirical_outage,ci_halfwidth,n_trials,scheme,k,mode",
+               rows)
     return 0
 
 
@@ -257,14 +255,8 @@ def run_bounds(scenario: Scenario, out_path: str) -> int:
         else:
             iv = zeta_bounds_nonlinear(params, scenario.budget, trial.eh, snap, trial.r_req)
         any_feasible = any_feasible or iv.feasible
-        rows.append(",".join([
-            str(draw), _fmt(iv.lower), _fmt(iv.upper), str(iv.feasible).lower(),
-            iv.cause or "",
-        ]))
-    header = "channel_draw,lower,upper,feasible,cause"
-    body = "\n".join(_metadata_lines(scenario) + [header] + rows) + "\n"
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(body)
+        rows.append([draw, iv.lower, iv.upper, str(iv.feasible).lower(), iv.cause or ""])
+    _write_csv(out_path, scenario, "channel_draw,lower,upper,feasible,cause", rows)
     if not any_feasible:
         print("warning: no feasible interval in any channel draw", file=sys.stderr)
     return 0
@@ -276,26 +268,28 @@ def main(argv=None) -> int:
         description="Grouped self-sustainable RIS outage simulator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("run", "run the configured outage sweep and write a CSV"),
-        ("bounds", "emit feasibility intervals for random channel draws"),
-    ):
-        p = sub.add_parser(name, help=help_text)
+    run_parser = sub.add_parser("run", help="run the configured outage sweep and write a CSV")
+    bounds_parser = sub.add_parser(
+        "bounds", help="emit feasibility intervals for random channel draws")
+    for p in (run_parser, bounds_parser):
         p.add_argument("scenario", help="scenario file (key = value lines)")
         p.add_argument("-o", "--output", required=True, help="output CSV path")
-        p.add_argument("--trials", type=int, default=None, help="override n_trials")
-        p.add_argument("--seed", type=int, default=None, help="override seed")
-        p.add_argument("--k", type=int, default=None, help="override selection order k")
-        p.add_argument("--workers", type=int, default=1, help="parallel workers")
+        p.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="override seed")
+    run_parser.add_argument("--trials", dest="n_trials", type=int,
+                            default=argparse.SUPPRESS, help="override n_trials")
+    run_parser.add_argument("--k", type=int, default=argparse.SUPPRESS,
+                            help="override selection order k")
+    run_parser.add_argument("--workers", type=int, default=1, help="parallel workers")
     args = parser.parse_args(argv)
+    # an override flag sets nothing unless given, and is named after its scenario key
+    overrides = {key: value for key, value in vars(args).items() if key in _DEFAULTS}
+    workers = getattr(args, "workers", 1)
     try:
-        if args.workers < 1:
+        if workers < 1:
             raise ScenarioError("--workers must be at least 1")
-        overrides = {"n_trials": args.trials, "seed": args.seed, "k": args.k}
-        scenario = load_scenario(
-            args.scenario, {k: v for k, v in overrides.items() if v is not None})
+        scenario = load_scenario(args.scenario, overrides)
         if args.command == "run":
-            return run(scenario, args.output, workers=args.workers)
+            return run(scenario, args.output, workers=workers)
         return run_bounds(scenario, args.output)
     except (ScenarioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -31,7 +31,6 @@ class EhModel:
 
 # circuit constants of the measured rectifier used throughout the experiments
 NONLINEAR_DEFAULT = EhModel(kind="nonlinear", a=2.463, b=1.635, c=0.826)
-LINEAR_DEFAULT = EhModel(kind="linear")
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ over snr, p_tx, rho, zeta or k draws its channels once.
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -70,15 +70,6 @@ class TrialConfig:
 class OutageEstimate:
     p_hat: float
     ci_halfwidth: float
-    n: int
-
-
-@dataclass(frozen=True)
-class OutageCurve:
-    variable: str
-    grid: list = field(default_factory=list)
-    analytic: list = field(default_factory=list)
-    estimates: list = field(default_factory=list)
 
 
 def block_rng(seed: int, block_idx: int) -> np.random.Generator:
@@ -164,7 +155,7 @@ def estimate_outage(points: Sequence, workers: int = 1) -> list[OutageEstimate]:
     for f, (_, cfg) in zip(failures.tolist(), points):
         p_hat = f / cfg.n_trials
         ci = 1.96 * math.sqrt(p_hat * (1.0 - p_hat) / cfg.n_trials)
-        estimates.append(OutageEstimate(p_hat=p_hat, ci_halfwidth=ci, n=cfg.n_trials))
+        estimates.append(OutageEstimate(p_hat=p_hat, ci_halfwidth=ci))
     return estimates
 
 
@@ -235,13 +226,3 @@ def sweep_points(params: SystemParams, cfg: TrialConfig, variable: str,
     points = [_apply_variable(params, cfg, variable, value) for value in grid]
     _check_k(points)
     return points
-
-
-def sweep(params: SystemParams, cfg: TrialConfig, variable: str,
-          grid: Sequence, workers: int = 1) -> OutageCurve:
-    """One analytic value and one empirical estimate per grid point."""
-    grid = list(grid)
-    points = sweep_points(params, cfg, variable, grid)
-    analytic = [analytic_outage(p, c) for p, c in points]
-    return OutageCurve(variable=variable, grid=grid, analytic=analytic,
-                       estimates=estimate_outage(points, workers=workers))

@@ -25,8 +25,8 @@ from risgroups.channel import (
     sample_channels,
 )
 from risgroups.energy import (
-    LINEAR_DEFAULT,
     NONLINEAR_DEFAULT,
+    EhModel,
     PowerBudget,
     harvest_rate,
     required_energy_ps,
@@ -363,7 +363,7 @@ def test_criterion_10_energy_outage_trends():
     base = SystemParams(rho_l=0.1, d_sr=2.0, d_rd=3.0)
     mode = RisMode("PS", rho=0.5)
     powers = [9.0, 11.0, 13.5, 16.5, 20.0]
-    cases = [(LINEAR_DEFAULT, 7.383514e-4), (NONLINEAR_DEFAULT, 2.805012e-4)]
+    cases = [(EhModel(), 7.383514e-4), (NONLINEAR_DEFAULT, 2.805012e-4)]
     n_trials = 100_000
     keys = (1, 2, 3, "RGS")
     # one pass over the 40 points of both laws and all four selections

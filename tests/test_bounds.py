@@ -16,6 +16,7 @@ from risgroups.bounds import (
 from risgroups.channel import SystemParams, build_correlation_matrix, sample_channels
 from risgroups.energy import (
     NONLINEAR_DEFAULT,
+    EhModel,
     PowerBudget,
     harvest_rate,
     required_energy_ps,
@@ -132,10 +133,8 @@ class TestPsNonlinear:
         assert iv.cause == "saturation"
 
     def test_linear_model_rejected(self):
-        from risgroups.energy import LINEAR_DEFAULT
-
         with pytest.raises(ValueError):
-            rho_bounds_nonlinear(PARAMS, BUDGET, LINEAR_DEFAULT, snapshot(8), 1.0)
+            rho_bounds_nonlinear(PARAMS, BUDGET, EhModel(), snapshot(8), 1.0)
 
 
 class TestTsLinear:

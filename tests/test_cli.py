@@ -46,6 +46,10 @@ class TestLoadScenario:
         assert sc.trial.n_trials == 4096
         assert sc.trial.seed == 77
         assert sc.sweep_grid == [-56.0, -52.0, -48.0]
+        # one validated point per grid value, each at its own transmit power
+        assert len(sc.points) == 3
+        assert [c for _, c in sc.points] == [sc.trial] * 3
+        assert sc.points[0][0].p_tx < sc.points[1][0].p_tx < sc.points[2][0].p_tx
         # gamma_th in dB converted to a rate requirement
         assert sc.trial.r_req == pytest.approx(math.log2(1.0 + 10.0 ** 0.3))
         # untouched keys fall back to defaults
@@ -104,6 +108,9 @@ class TestLoadScenario:
         ("gamma_th_db = 1e308", "gamma_th_db = 1e+308 overflows on conversion from dB"),
         ("p_tx_dbm = -1e300", "p_tx_dbm = -1e+300 underflows to 0 W on conversion from dB"),
         ("noise_dbm = -1e300", "noise_dbm = -1e+300 underflows to 0 W on conversion from dB"),
+        ("p_t_dbm = -1e300", "p_t_dbm = -1e+300 underflows to 0 W on conversion from dB"),
+        ("p_ph_dbm = -1e300", "p_ph_dbm = -1e+300 underflows to 0 W on conversion from dB"),
+        ("r_req = 0.5\ngamma_th_db = 3", "r_req and gamma_th_db are both set; set only one"),
         # the SNR per watt underflows to 0, so the snr grid has no p_tx
         ("alpha = 1e4", "no finite p_tx gives snr = 0.0 dB with this rho_l, alpha,"),
         ("e_req = abc", "e_req = 'abc' is not a finite number"),
@@ -213,6 +220,19 @@ class TestRunCommand:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_rows_state_their_own_point(self, tmp_path):
+        # a k sweep prints each row's own k, not the scenario's base k
+        path = tmp_path / "k.cfg"
+        path.write_text("scheme = sbgs\nk = 1\nmode = ts\nsweep_variable = k\n"
+                        "sweep_grid = 1,2,5\nn_trials = 256\n", encoding="utf-8")
+        out = tmp_path / "k.csv"
+        assert main(["run", str(path), "-o", str(out)]) == 0
+        rows = [l.split(",") for l in out.read_text(encoding="utf-8").splitlines()
+                if not l.startswith("#")][1:]
+        assert [row[0] for row in rows] == ["1", "2", "5"]
+        assert [row[4:] for row in rows] == [
+            ["256", "SBGS", k, "TS"] for k in ("1", "2", "5")]
+
     def test_parse_error_returns_nonzero(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("bogus = 1\n", encoding="utf-8")
@@ -221,6 +241,20 @@ class TestRunCommand:
 
 
 class TestBoundsCommand:
+    @pytest.mark.parametrize("flag", ["--trials", "--k", "--workers"])
+    def test_takes_no_sweep_flags(self, scenario_file, tmp_path, capsys, flag):
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", scenario_file, "-o", str(out), flag, "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seed_override(self, scenario_file, tmp_path):
+        out = tmp_path / "s.csv"
+        assert main(["bounds", scenario_file, "-o", str(out), "--seed", "5"]) == 0
+        assert "# seed = 5\n" in out.read_text(encoding="utf-8")
+
     def test_csv_layout(self, tmp_path):
         path = tmp_path / "b.cfg"
         # at 17 dBm some of these snapshots are energy-limited

@@ -6,7 +6,6 @@ import pytest
 from risgroups.channel import SystemParams, build_correlation_matrix, sample_channels
 from risgroups.energy import (
     EhModel,
-    LINEAR_DEFAULT,
     NONLINEAR_DEFAULT,
     PowerBudget,
     harvest_rate,
@@ -20,7 +19,7 @@ from risgroups.sim import _realize, block_rng, simulate_block
 class TestEhModel:
     def test_linear_is_identity(self):
         p = np.array([0.0, 0.5, 2.0])
-        np.testing.assert_allclose(harvest_rate(LINEAR_DEFAULT, p), p)
+        np.testing.assert_allclose(harvest_rate(EhModel(), p), p)
 
     def test_nonlinear_zero_at_zero(self):
         assert harvest_rate(NONLINEAR_DEFAULT, 0.0) == pytest.approx(0.0, abs=1e-15)
@@ -50,7 +49,7 @@ class TestEhModel:
 
     def test_negative_incident_rejected(self):
         with pytest.raises(ValueError):
-            harvest_rate(LINEAR_DEFAULT, [-0.1])
+            harvest_rate(EhModel(), [-0.1])
 
 
 class TestHarvest:
@@ -66,7 +65,7 @@ class TestHarvest:
         np.testing.assert_array_equal(h_sq, snap.h_sq)
         np.testing.assert_array_equal(z, snap.z)
         np.testing.assert_array_equal(rgs_u, rng.random(16))
-        for eh in (LINEAR_DEFAULT, NONLINEAR_DEFAULT):
+        for eh in (EhModel(), NONLINEAR_DEFAULT):
             _, harvested, _ = _realize(p, RisMode("TS", zeta=0.25), eh, z, h_sq)
             expected = 0.25 * p.t_s * harvest_rate(eh, incident).sum(axis=-1)
             np.testing.assert_allclose(harvested, expected, rtol=1e-12)

@@ -14,7 +14,7 @@ from risgroups.channel import (
     gamma_cdf,
     sample_channels,
 )
-from risgroups.energy import LINEAR_DEFAULT, NONLINEAR_DEFAULT, harvest_rate
+from risgroups.energy import NONLINEAR_DEFAULT, EhModel, harvest_rate
 from risgroups.selection import (
     DegenerateDist,
     RisMode,
@@ -53,7 +53,7 @@ def _block_and_z(mode, n=64):
     (the block's stream layout is pinned in test_sim)."""
     p = SystemParams()
     z, h_sq, _ = simulate_block(p, n, block_rng(5, 0))
-    snr, _, rate = _realize(p, mode, LINEAR_DEFAULT, z, h_sq)
+    snr, _, rate = _realize(p, mode, EhModel(), z, h_sq)
     return snr, rate, z
 
 
@@ -175,14 +175,14 @@ class TestEnergyDistributionFit:
     def test_linear_moments_match_monte_carlo(self):
         p = SystemParams()
         mode = RisMode("PS", rho=0.5)
-        dist = fit_energy_distribution(p, mode, LINEAR_DEFAULT)
-        e = _simulate_group_energy(p, mode, LINEAR_DEFAULT, 300_000, seed=21)
+        dist = fit_energy_distribution(p, mode, EhModel())
+        e = _simulate_group_energy(p, mode, EhModel(), 300_000, seed=21)
         assert dist.shape * dist.scale == pytest.approx(float(e.mean()), rel=0.01)
         assert dist.shape * dist.scale ** 2 == pytest.approx(float(e.var()), rel=0.05)
 
     def test_linear_fit_is_a_gamma_fit(self):
         p = SystemParams()
-        dist = fit_energy_distribution(p, RisMode("TS", zeta=0.4), LINEAR_DEFAULT)
+        dist = fit_energy_distribution(p, RisMode("TS", zeta=0.4), EhModel())
         assert isinstance(dist, GammaFit)
         for x in (0.0, 0.5 * dist.mean, dist.mean, 3.0 * dist.mean):
             assert dist.cdf(x) == gamma_cdf(dist, x)
@@ -232,7 +232,7 @@ class TestEnergyDistributionFit:
         mode = RisMode("PS", rho=0.5)
         dur, w_p = eh_wiring(p, mode)
         c = NONLINEAR_DEFAULT.c
-        linear = fit_energy_distribution(p, mode, LINEAR_DEFAULT)
+        linear = fit_energy_distribution(p, mode, EhModel())
         var_s = linear.shape * linear.scale ** 2 / (dur * w_p) ** 2
         _, var_t = _t_moments(fit_energy_distribution(p, mode, NONLINEAR_DEFAULT))
         assert var_t == pytest.approx((w_p / c ** 2) ** 2 * var_s, rel=1e-6)
@@ -248,7 +248,7 @@ class TestEnergyDistributionFit:
 
     def test_zero_power_degenerate(self):
         p = SystemParams()
-        dist = fit_energy_distribution(p, RisMode("PS", rho=0.0), LINEAR_DEFAULT)
+        dist = fit_energy_distribution(p, RisMode("PS", rho=0.0), EhModel())
         assert isinstance(dist, DegenerateDist)
         assert dist.cdf(0.0) == 1.0
         assert dist.cdf(-1.0) == 0.0

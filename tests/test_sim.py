@@ -1,4 +1,4 @@
-"""Monte Carlo engine: reproducibility, closed-form agreement, sweeps."""
+"""Monte Carlo engine: reproducibility, closed-form agreement, sweep points."""
 
 import math
 import tracemalloc
@@ -13,9 +13,9 @@ from risgroups.channel import (
     composite_law,
     sample_channels,
 )
-from risgroups.energy import LINEAR_DEFAULT, NONLINEAR_DEFAULT
+from risgroups.energy import NONLINEAR_DEFAULT, EhModel
 from risgroups.selection import RisMode, SelectionStrategy
-from risgroups import channel, sim
+from risgroups import channel, cli, sim
 from risgroups.sim import (
     BLOCK_SIZE,
     TrialConfig,
@@ -23,7 +23,7 @@ from risgroups.sim import (
     block_rng,
     estimate_outage,
     simulate_block,
-    sweep,
+    sweep_points,
 )
 
 PARAMS = SystemParams()
@@ -35,7 +35,7 @@ def cfg(**kw):
         seed=9,
         strategy=SelectionStrategy("RGS", k=1),
         mode=RisMode("PS", rho=0.5),
-        eh=LINEAR_DEFAULT,
+        eh=EhModel(),
         r_req=22.0,
         e_req=0.0,
         metric="data",
@@ -169,10 +169,11 @@ class TestEstimateOutage:
             cfg(e_req=-1e-6)
 
 
-def forbid_work(monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("started work before validating k")
+def forbidden(*args, **kwargs):
+    raise AssertionError("started work before validating k")
 
+
+def forbid_work(monkeypatch):
     monkeypatch.setattr(sim, "simulate_block", forbidden)
     monkeypatch.setattr(sim, "ProcessPoolExecutor", forbidden)
 
@@ -189,45 +190,56 @@ class TestAnalyticOutage:
         )
 
 
+def evaluate(variable, grid, c, workers=1):
+    """The closed form and the estimate of each point of a sweep."""
+    points = sweep_points(PARAMS, c, variable, grid)
+    return [analytic_outage(p, pc) for p, pc in points], estimate_outage(points, workers)
+
+
 class TestSweep:
     def test_snr_sweep_monotone(self):
         c = cfg(n_trials=8_192, r_req=math.log2(1.0 + 10.0 ** 0.3))
-        curve = sweep(PARAMS, c, "snr", [-56.0, -52.0, -48.0, -44.0])
-        assert curve.variable == "snr"
-        ana = curve.analytic
+        ana, estimates = evaluate("snr", [-56.0, -52.0, -48.0, -44.0], c)
         assert all(a >= b for a, b in zip(ana, ana[1:]))
-        emp = [e.p_hat for e in curve.estimates]
+        emp = [e.p_hat for e in estimates]
         # common random numbers make the empirical curve monotone too
         assert all(a >= b for a, b in zip(emp, emp[1:]))
 
     def test_rho_sweep_increases_outage(self):
         c = cfg(n_trials=4_096)
-        curve = sweep(PARAMS, c, "rho", [0.1, 0.5, 0.9])
-        ana = curve.analytic
+        ana, _ = evaluate("rho", [0.1, 0.5, 0.9], c)
         assert all(a <= b for a, b in zip(ana, ana[1:]))
 
     def test_group_count_sweep_updates_n_total(self):
         c = cfg(n_trials=4_096, strategy=SelectionStrategy("SBGS", k=1), r_req=23.3)
-        curve = sweep(PARAMS, c, "b", [10, 20, 40])
-        ana = curve.analytic
+        points = sweep_points(PARAMS, c, "b", [10, 20, 40])
+        assert [p.n_total for p, _ in points] == [200, 400, 800]
+        ana = [analytic_outage(p, pc) for p, pc in points]
         assert all(a >= b for a, b in zip(ana, ana[1:]))
 
     def test_non_monotone_grid_rejected(self):
         with pytest.raises(ValueError):
-            sweep(PARAMS, cfg(n_trials=1024), "snr", [0.0, 2.0, 1.0])
+            sweep_points(PARAMS, cfg(n_trials=1024), "snr", [0.0, 2.0, 1.0])
         with pytest.raises(ValueError):
-            sweep(PARAMS, cfg(n_trials=1024), "snr", [])
+            sweep_points(PARAMS, cfg(n_trials=1024), "snr", [])
 
     def test_unknown_variable_rejected(self):
         with pytest.raises(ValueError):
-            sweep(PARAMS, cfg(n_trials=1024), "temperature", [1.0, 2.0])
+            sweep_points(PARAMS, cfg(n_trials=1024), "temperature", [1.0, 2.0])
 
-    def test_whole_grid_validated_before_any_work(self, monkeypatch):
+    def test_whole_grid_validated_before_any_work(self, monkeypatch, tmp_path, capsys):
+        # the CLI gets the points load_scenario validated, so a bad grid value
+        # stops it before any closed form, block or worker pool
         forbid_work(monkeypatch)
-        c = cfg(n_trials=2 * BLOCK_SIZE, strategy=SelectionStrategy("SBGS", k=1))
-        for workers in (1, 2):
-            with pytest.raises(ValueError, match="k=21"):
-                sweep(PARAMS, c, "k", [1, 5, 21], workers=workers)
+        monkeypatch.setattr(cli, "analytic_outage", forbidden)
+        path = tmp_path / "k.cfg"
+        path.write_text("scheme = sbgs\nk = 1\nsweep_variable = k\nsweep_grid = 1,5,21\n"
+                        f"n_trials = {2 * BLOCK_SIZE}\n", encoding="utf-8")
+        out = tmp_path / "k.csv"
+        for workers in ("1", "2"):
+            assert cli.main(["run", str(path), "-o", str(out), "--workers", workers]) == 2
+            assert "k=21" in capsys.readouterr().err
+            assert not out.exists()
 
 
 # (variable, grid, scheme, metric, threshold) for sweeps that keep the channel law
@@ -258,7 +270,7 @@ OTHER_FIELDS = {
 }
 
 
-def sweep_points(variable, grid, scheme, metric, threshold):
+def shared_law_points(variable, grid, scheme, metric, threshold):
     kind = "TS" if variable == "zeta" else "PS"
     c = cfg(
         n_trials=BLOCK_SIZE + 100,
@@ -270,7 +282,7 @@ def sweep_points(variable, grid, scheme, metric, threshold):
         metric=metric,
     )
     base = SMALL_ENERGY if metric == "energy" else SMALL
-    return [sim._apply_variable(base, c, variable, v) for v in grid]
+    return sweep_points(base, c, variable, grid)
 
 
 def with_field(params, name, value):
@@ -286,7 +298,7 @@ def draw(params):
 class TestDrawReuse:
     @pytest.mark.parametrize("sweep_case", SHARED_LAW_SWEEPS)
     def test_batched_equals_one_at_a_time(self, sweep_case):
-        points = sweep_points(*sweep_case)
+        points = shared_law_points(*sweep_case)
         batched = estimate_outage(points)
         assert batched == [estimate_outage([pt])[0] for pt in points]
         assert len({e.p_hat for e in batched}) > 1
@@ -305,7 +317,7 @@ class TestDrawReuse:
 
         monkeypatch.setattr(sim, "simulate_block", counting)
         c = cfg(n_trials=3 * BLOCK_SIZE, strategy=SelectionStrategy("SBGS", k=1))
-        sweep(PARAMS, c, variable, grid)
+        estimate_outage(sweep_points(PARAMS, c, variable, grid))
         assert len(seen) == calls
 
     def test_law_key_covers_every_field(self):
@@ -337,7 +349,5 @@ class TestDrawReuse:
 
     def test_worker_count_does_not_change_sweep(self):
         c = cfg(n_trials=2 * BLOCK_SIZE + 5, strategy=SelectionStrategy("SBGS", k=2))
-        grid = [-56.0, -52.0, -48.0]
-        serial = sweep(PARAMS, c, "snr", grid, workers=1)
-        parallel = sweep(PARAMS, c, "snr", grid, workers=2)
-        assert serial.estimates == parallel.estimates
+        points = sweep_points(PARAMS, c, "snr", [-56.0, -52.0, -48.0])
+        assert estimate_outage(points, workers=1) == estimate_outage(points, workers=2)
