@@ -8,16 +8,18 @@ is the only statement of a group's law; ``composite_law`` and ``power_moments``
 derive from it the law of g_c, the Gamma fit of Z and the energy fits.
 
 ``sample_channels`` is the only code that turns normals into channels.  Its
-stream layout is fixed: all (*shape, M, 2) normals for the per-element h first,
-then (*shape, 2) for the composite g_c = sum_j tilde_g_j, which alone enters Z
-and is drawn from its exact law CN(m_c, var_c).  The h normals are drawn in
-row chunks of the leading axis and each chunk is reduced to |tilde_h_j|^2 and
-h_c = sum_j tilde_h_j before the next is drawn; successive draws continue one
-stream and the matmul runs per (B, M) slice either way, so the result is the
-one (*shape, M, 2) draw would give, bit for bit, and no (*shape, M) complex
-array exists.  It returns a ``ChannelSnapshot`` of ``h_sq``, ``h_c`` and
-``g_c`` whose h reductions run over the last (element) axis, so one type serves
-a single group snapshot (shape ``()``) and a block of trials (shape ``(n, B)``).
+stream layout is group-major and fixed: for each group column j of an (n, B)
+draw in turn, the (n, M, 2) normals of its per-element h, then the (n, 2)
+normals of its composite g_c = sum_j tilde_g_j, which alone enters Z and is
+drawn from its exact law CN(m_c, var_c).  A column's h normals are drawn in
+row chunks and each chunk is reduced to |tilde_h_j|^2 and h_c = sum_j tilde_h_j
+before the next is drawn, so no (n, B, M) complex array exists.  Groups are
+iid and successive draws continue one stream, so the first b columns of a
+draw are the (n, b) draw bit for bit: a narrower block is a prefix of every
+wider one.  A single snapshot (shape ``()``) and one column (shape ``(n,)``)
+draw as a (1, 1) and an (n, 1) block.  The result is a ``ChannelSnapshot`` of
+``h_sq``, ``h_c`` and ``g_c`` whose h reductions run over the last (element)
+axis, so one type serves every shape.
 """
 
 import logging
@@ -228,11 +230,11 @@ def power_moments(mus: np.ndarray, cov: np.ndarray) -> tuple[float, float]:
     return mean, float(np.sum(2.0 * np.outer(mus, mus) * cov + cov ** 2))
 
 
-def _draw_h(params: SystemParams, corr: CorrelationMatrix, shape: tuple,
+def _draw_h(params: SystemParams, corr: CorrelationMatrix, rows: int,
             rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """|tilde_h_j|^2 and sum_j tilde_h_j of tilde_h = sqrt(beta) raw @ R^(1/2),
-    drawn over ``(*shape, M)``."""
-    raw = sample_rician_vector((*shape, corr.dim), params.k_h, rng)
+    drawn over ``(rows, M)``."""
+    raw = sample_rician_vector((rows, corr.dim), params.k_h, rng)
     raw *= math.sqrt(params.beta_gain)
     tilde_h = raw @ corr.sqrt_entries
     return np.abs(tilde_h) ** 2, np.sum(tilde_h, axis=-1)
@@ -240,20 +242,29 @@ def _draw_h(params: SystemParams, corr: CorrelationMatrix, shape: tuple,
 
 def sample_channels(params: SystemParams, corr: CorrelationMatrix, shape: tuple,
                     rng: np.random.Generator) -> ChannelSnapshot:
-    """Draw h over ``(*shape, M)`` in row chunks, then g_c ~ CN(m_c, var_c) over ``shape``."""
-    if shape:
-        h_sq = np.empty((*shape, corr.dim))
-        h_c = np.empty(shape, dtype=np.complex128)
-        step = max(1, _CHUNK_ELEMENTS // h_sq[0].size)
-        for start in range(0, shape[0], step):
-            rows = slice(start, start + step)
-            h_sq[rows], h_c[rows] = _draw_h(params, corr, h_c[rows].shape, rng)
-    else:
-        h_sq, h_c = _draw_h(params, corr, shape, rng)
+    """Draw ``shape`` = ``()``, ``(n,)`` or ``(n, B)`` group by group: each
+    column's h over ``(n, M)`` in row chunks, then its g_c ~ CN(m_c, var_c)."""
     # sqrt(m^2 + v) times a unit-power Rician with K = m^2/v is CN(m, v)
     m_c, var_c = (x.item() for x in composite_law(params, corr, params.k_g))
-    g_c = math.sqrt(m_c ** 2 + var_c) * sample_rician_vector(shape, m_c ** 2 / var_c, rng)
-    return ChannelSnapshot(h_sq=h_sq, h_c=h_c, g_c=g_c)
+    g_scale, g_k = math.sqrt(m_c ** 2 + var_c), m_c ** 2 / var_c
+    if not shape:
+        # the (1, 1) draw without the block's output arrays and column loop,
+        # which would add about a quarter to each bounds snapshot's draw
+        h_sq, h_c = _draw_h(params, corr, 1, rng)
+        return ChannelSnapshot(h_sq=h_sq[0], h_c=h_c[0],
+                               g_c=g_scale * sample_rician_vector((), g_k, rng))
+    n, b = (*shape, 1)[:2]
+    h_sq = np.empty((n, b, corr.dim))
+    h_c = np.empty((n, b), dtype=np.complex128)
+    g_c = np.empty((n, b), dtype=np.complex128)
+    step = max(1, _CHUNK_ELEMENTS // corr.dim)
+    for j in range(b):
+        for start in range(0, n, step):
+            stop = min(start + step, n)
+            h_sq[start:stop, j], h_c[start:stop, j] = _draw_h(params, corr, stop - start, rng)
+        g_c[:, j] = g_scale * sample_rician_vector((n,), g_k, rng)
+    return ChannelSnapshot(h_sq=h_sq.reshape((*shape, corr.dim)), h_c=h_c.reshape(shape),
+                           g_c=g_c.reshape(shape))
 
 
 def fit_gamma_product(params: SystemParams) -> GammaFit:

@@ -9,7 +9,7 @@ back to defaults.
 import argparse
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 from . import __version__
 from .bounds import (
@@ -80,6 +80,8 @@ _DEFAULTS = {
 
 _INT_KEYS = {"m_per_group", "b_groups", "k", "n_trials", "seed", "n_draws"}
 _STR_KEYS = {"mode", "eh", "scheme", "metric", "sweep_variable", "sweep_grid"}
+# keys only the sweep reads: the bounds command neither validates nor records them
+_SWEEP_KEYS = {"n_trials", "scheme", "k", "metric", "e_req", "sweep_variable", "sweep_grid"}
 
 
 @dataclass(frozen=True)
@@ -134,16 +136,19 @@ def _coerce(key: str, value):
     raise ValueError(f"{key} = {value!r} is not {kind}")
 
 
-def load_scenario(path: str, overrides: dict | None = None) -> Scenario:
+def load_scenario(path: str, overrides: dict | None = None, sweep: bool = True) -> Scenario:
     """Parse and fully validate a scenario file, filling defaults; ``overrides``
-    (already typed values) replace file values before validation."""
-    raw = dict(_DEFAULTS)
+    (already typed values) replace file values before validation.  With
+    ``sweep=False``, as for the bounds command, the ``_SWEEP_KEYS`` are ignored:
+    the trial keeps their defaults, ``raw`` leaves them out and there are no points."""
+    raw = {key: value for key, value in _DEFAULTS.items() if sweep or key not in _SWEEP_KEYS}
     try:
         values = _parse_kv(path)
         if {"r_req", "gamma_th_db"} <= values.keys():
             raise ValueError("r_req and gamma_th_db are both set; set only one")
         for key, value in values.items():
-            raw[key] = _coerce(key, value)
+            if key in raw:
+                raw[key] = _coerce(key, value)
         raw.update(overrides or {})
         params = SystemParams(
             p_tx=_positive_watts(raw, "p_tx_dbm"),
@@ -160,30 +165,28 @@ def load_scenario(path: str, overrides: dict | None = None) -> Scenario:
             raise ScenarioError(f"unknown eh model {raw['eh']!r}")
         budget = PowerBudget(p_t=_positive_watts(raw, "p_t_dbm"),
                              p_ph=_positive_watts(raw, "p_ph_dbm"))
-        strategy = SelectionStrategy(raw["scheme"].upper(), k=raw["k"])
         r_req = raw["r_req"]
         if raw["gamma_th_db"] is not None:
             r_req = math.log2(1.0 + _from_db(raw, "gamma_th_db"))
-        e_req = raw["e_req"]
-        if e_req == "auto":
-            if mode.kind == "PS":
-                e_req = required_energy_ps(params.m_per_group, budget, params.t_s)
-            else:
-                e_req = required_energy_ts(params.m_per_group, budget, params.t_s, mode.zeta)
-        else:
-            e_req = float(e_req)
-        trial = TrialConfig(
-            n_trials=raw["n_trials"],
-            seed=raw["seed"],
-            strategy=strategy,
-            mode=mode,
-            eh=eh,
-            r_req=r_req,
-            e_req=e_req,
-            metric=raw["metric"],
-        )
-        grid = [float(v) for v in str(raw["sweep_grid"]).split(",") if v.strip()]
-        points = sweep_points(params, trial, raw["sweep_variable"], grid)
+        trial = TrialConfig(seed=raw["seed"], mode=mode, eh=eh, r_req=r_req)
+        grid, points = [], []
+        if sweep:
+            e_req = raw["e_req"]
+            if e_req == "auto":
+                if mode.kind == "PS":
+                    e_req = required_energy_ps(params.m_per_group, budget, params.t_s)
+                else:
+                    e_req = required_energy_ts(params.m_per_group, budget, params.t_s,
+                                               mode.zeta)
+            trial = replace(
+                trial,
+                n_trials=raw["n_trials"],
+                strategy=SelectionStrategy(raw["scheme"].upper(), k=raw["k"]),
+                e_req=float(e_req),
+                metric=raw["metric"],
+            )
+            grid = [float(v) for v in str(raw["sweep_grid"]).split(",") if v.strip()]
+            points = sweep_points(params, trial, raw["sweep_variable"], grid)
         if raw["n_draws"] < 1:
             raise ValueError("n_draws must be at least 1")
     except ScenarioError:
@@ -287,7 +290,7 @@ def main(argv=None) -> int:
     try:
         if workers < 1:
             raise ScenarioError("--workers must be at least 1")
-        scenario = load_scenario(args.scenario, overrides)
+        scenario = load_scenario(args.scenario, overrides, sweep=args.command == "run")
         if args.command == "run":
             return run(scenario, args.output, workers=workers)
         return run_bounds(scenario, args.output)

@@ -1,18 +1,21 @@
 """Seeded Monte Carlo engine for per-group channel/energy/SNR realizations.
 
 Trials are processed in fixed-size blocks; each block gets an independent
-counter-based stream derived from (seed, block index), so results are
-bit-identical for any worker count and any block execution order.  One block
-of n trials draws, in this order: the (n, B, M, 2) per-element h normals and
-then the (n, B, 2) composite g normals of ``channel.sample_channels``, then n
-uniforms that pick the RGS group.  The h normals are drawn and reduced to the
-(n, B, M) |h|^2 and the (n, B) composite h_c in cache-sized chunks, with the
-bits of one draw, so no (n, B, M) complex array exists.
+SFC64 stream derived from (seed, block index), so results are bit-identical
+for any worker count and any block execution order.  One block of n trials
+draws, in this order: n uniforms that pick the RGS group, then the channels of
+``channel.sample_channels`` group by group (each column's (n, M, 2) h normals,
+then its (n, 2) composite g normals).  The h normals are drawn and reduced to
+the (n, B, M) |h|^2 and the (n, B) composite h_c in cache-sized chunks, so no
+(n, B, M) complex array exists.
 
-A block's draw depends only on the channel law (``m_per_group``, ``b_groups``,
-``spacing``, ``wavelength``, ``k_h``, ``k_g``, ``beta_gain``), the seed and the
-trial count; grid points that share these share each block's draw, so a sweep
-over snr, p_tx, rho, zeta or k draws its channels once.
+A block's draw depends only on the channel law (``m_per_group``, ``spacing``,
+``wavelength``, ``k_h``, ``k_g``, ``beta_gain``), the seed and the trial count;
+grid points that share these share each block's draw, so a sweep over snr,
+p_tx, rho, zeta or k draws its channels once.  The number of groups is not
+part of the law: the first b columns of a wider block are the b-group block,
+so a sweep over b draws once at its widest b and evaluates each point on its
+own first b columns.  A sweep over spacing still draws once per point.
 """
 
 import math
@@ -73,16 +76,19 @@ class OutageEstimate:
 
 
 def block_rng(seed: int, block_idx: int) -> np.random.Generator:
-    """Independent counter-based stream for one trial block."""
+    """Independent SFC64 stream for one trial block, seeded by the
+    ``SeedSequence`` spawned at ``(block_idx,)`` from ``seed``."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(block_idx,))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.SFC64(ss))
 
 
 def simulate_block(params: SystemParams, n: int, rng: np.random.Generator):
-    """Draw one block: per-group composite gain z, per-element |h|^2, RGS uniforms."""
+    """Draw one block: RGS uniforms first, then per-group composite gain z and
+    per-element |h|^2 group by group."""
+    rgs_u = rng.random(n)
     corr = build_correlation_matrix(params.m_per_group, params.spacing, params.wavelength)
     snap = sample_channels(params, corr, (n, params.b_groups), rng)
-    return snap.z, snap.h_sq, rng.random(n)
+    return snap.z, snap.h_sq, rgs_u
 
 
 def _realize(params: SystemParams, mode: RisMode, eh: EhModel, z, h_sq):
@@ -112,14 +118,18 @@ def _point_failures(params: SystemParams, cfg: TrialConfig, z, h_sq, rgs_u) -> i
 
 
 def _block_failures(points: list, n: int, block_idx: int) -> list[int]:
+    """Failures of each point on one block, drawn at the b of ``points[0]``, the
+    widest; each point is evaluated on its own first b group columns."""
     params, cfg = points[0]
     z, h_sq, rgs_u = simulate_block(params, n, block_rng(cfg.seed, block_idx))
-    return [_point_failures(p, c, z, h_sq, rgs_u) for p, c in points]
+    return [_point_failures(p, c, z[:, :p.b_groups], h_sq[:, :p.b_groups], rgs_u)
+            for p, c in points]
 
 
 def _law_key(params: SystemParams, cfg: TrialConfig) -> tuple:
-    """Everything a block's draw depends on; points with equal keys share it."""
-    return (params.m_per_group, params.b_groups, params.spacing, params.wavelength,
+    """Everything a block's draw depends on apart from its width b; points with
+    equal keys share the draw at their widest b."""
+    return (params.m_per_group, params.spacing, params.wavelength,
             params.k_h, params.k_g, params.beta_gain, cfg.seed, cfg.n_trials)
 
 
@@ -131,7 +141,8 @@ def _check_k(points: list) -> None:
 
 def estimate_outage(points: Sequence, workers: int = 1) -> list[OutageEstimate]:
     """Empirical outage of each ``(params, cfg)`` point with a 95% normal-approximation
-    binomial interval; each block is drawn once per channel law (``_law_key``)."""
+    binomial interval; each block is drawn once per channel law (``_law_key``), at
+    the widest b of the points that share it."""
     points = list(points)
     _check_k(points)
     groups = {}
@@ -139,6 +150,9 @@ def estimate_outage(points: Sequence, workers: int = 1) -> list[OutageEstimate]:
         groups.setdefault(_law_key(params, cfg), []).append(i)
     members, args = [], []
     for idxs in groups.values():
+        # widest first: it is drawn, and evaluating it before the narrower
+        # points lets their smaller temporaries reuse its freed memory
+        idxs.sort(key=lambda i: -points[i][0].b_groups)
         shared, n = [points[i] for i in idxs], points[idxs[0]][1].n_trials
         for block_idx, start in enumerate(range(0, n, BLOCK_SIZE)):
             members.append(idxs)

@@ -9,7 +9,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import risgroups
-from risgroups.cli import _DEFAULTS, _STR_KEYS, ScenarioError, load_scenario, main
+from risgroups.cli import (_DEFAULTS, _STR_KEYS, _SWEEP_KEYS, ScenarioError,
+                           load_scenario, main)
 
 ROOT = Path(__file__).resolve().parent.parent
 SHIPPED = sorted((ROOT / "scenarios").glob("*.cfg"))
@@ -254,6 +255,22 @@ class TestBoundsCommand:
         out = tmp_path / "s.csv"
         assert main(["bounds", scenario_file, "-o", str(out), "--seed", "5"]) == 0
         assert "# seed = 5\n" in out.read_text(encoding="utf-8")
+
+    def test_ignores_sweep_keys(self, tmp_path):
+        # bounds selects no group and runs no sweep, so keys only a sweep reads
+        # are neither validated nor recorded, while run still rejects them
+        path = tmp_path / "b.cfg"
+        text = (ROOT / "scenarios" / "bounds_ps_linear.cfg").read_text(encoding="utf-8")
+        path.write_text(text + "n_trials = 0\nscheme = best\nk = 21\nmetric = latency\n"
+                        "e_req = abc\nsweep_variable = speed\nsweep_grid = 2,1,x\n",
+                        encoding="utf-8")
+        out = tmp_path / "b.csv"
+        assert main(["bounds", str(path), "-o", str(out)]) == 0
+        recorded = {line[2:].partition(" = ")[0]
+                    for line in out.read_text(encoding="utf-8").splitlines()
+                    if line.startswith("# ")}
+        assert recorded == (set(_DEFAULTS) - _SWEEP_KEYS) | {"version"}
+        assert main(["run", str(path), "-o", str(tmp_path / "r.csv")]) == 2
 
     def test_csv_layout(self, tmp_path):
         path = tmp_path / "b.cfg"

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from risgroups import channel
 from risgroups.channel import SystemParams, build_correlation_matrix, sample_channels
 from risgroups.energy import (
     EhModel,
@@ -57,14 +58,17 @@ class TestHarvest:
         # a group harvests over the EH phase the sum of its elements' rates
         p = SystemParams()
         corr = build_correlation_matrix(p.m_per_group, p.spacing, p.wavelength)
+        # one full h row chunk per group column and a ragged one
+        n = channel._CHUNK_ELEMENTS // p.m_per_group + 5
         rng = block_rng(2, 0)
-        snap = sample_channels(p, corr, (16, p.b_groups), rng)
+        # the block draws the RGS uniforms, then group by group h and g, from one stream
+        u = rng.random(n)
+        snap = sample_channels(p, corr, (n, p.b_groups), rng)
         incident = p.p_tx * p.rho_l * p.d_sr ** -p.alpha * snap.h_sq
-        # the block draws h, then g, then the RGS uniforms from one stream
-        z, h_sq, rgs_u = simulate_block(p, 16, block_rng(2, 0))
+        z, h_sq, rgs_u = simulate_block(p, n, block_rng(2, 0))
+        np.testing.assert_array_equal(rgs_u, u)
         np.testing.assert_array_equal(h_sq, snap.h_sq)
         np.testing.assert_array_equal(z, snap.z)
-        np.testing.assert_array_equal(rgs_u, rng.random(16))
         for eh in (EhModel(), NONLINEAR_DEFAULT):
             _, harvested, _ = _realize(p, RisMode("TS", zeta=0.25), eh, z, h_sq)
             expected = 0.25 * p.t_s * harvest_rate(eh, incident).sum(axis=-1)

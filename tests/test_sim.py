@@ -66,30 +66,43 @@ class TestSimulateBlock:
         assert np.all(h_sq >= 0.0)
 
     def test_stream_layout(self):
-        # (n, B, M, 2) h normals, then (n, B, 2) composite g normals, then n
-        # uniforms; n spans two full h chunks and a ragged third, which draw
-        # and reduce to the bits one (n, B, M, 2) draw gives
-        p = replace(PARAMS, k_h=2.0, k_g=0.5, beta_gain=3.0)
+        # n uniforms, then group by group the (n, M, 2) h normals and the
+        # (n, 2) composite g normals of the column; n spans two full h row
+        # chunks and a ragged third, which draw and reduce to the bits one
+        # (n, M, 2) draw gives
+        p = replace(PARAMS, b_groups=3, n_total=3 * PARAMS.m_per_group,
+                    k_h=2.0, k_g=0.5, beta_gain=3.0)
         b, m = p.b_groups, p.m_per_group
-        n = 2 * (channel._CHUNK_ELEMENTS // (b * m)) + 5
+        n = 2 * (channel._CHUNK_ELEMENTS // m) + 5
         z, h_sq, rgs_u = simulate_block(p, n, block_rng(1, 0))
         corr = build_correlation_matrix(m, p.spacing, p.wavelength)
-        snap = sample_channels(p, corr, (n, b), block_rng(1, 0))
+        rng = block_rng(1, 0)
+        np.testing.assert_array_equal(rgs_u, rng.random(n))
+        snap = sample_channels(p, corr, (n, b), rng)
         np.testing.assert_array_equal(z, snap.z)
         np.testing.assert_array_equal(h_sq, snap.h_sq)
 
         rng = block_rng(1, 0)
-        h_normals = rng.standard_normal((n, b, m, 2))
-        g_normals = rng.standard_normal((n, b, 2))
-        np.testing.assert_array_equal(rgs_u, rng.random(n))
-        scattered = math.sqrt(0.5 / (p.k_h + 1.0)) * h_normals
-        raw = math.sqrt(p.k_h / (p.k_h + 1.0)) + scattered[..., 0] + 1j * scattered[..., 1]
-        tilde_h = (math.sqrt(p.beta_gain) * raw) @ corr.sqrt_entries
-        np.testing.assert_array_equal(snap.h_sq, np.abs(tilde_h) ** 2)
-        np.testing.assert_array_equal(snap.h_c, np.sum(tilde_h, axis=-1))
+        rng.random(n)
         (m_c,), ((var_c,),) = composite_law(p, corr, p.k_g)
-        g_c = m_c + math.sqrt(0.5 * var_c) * (g_normals[..., 0] + 1j * g_normals[..., 1])
-        np.testing.assert_allclose(snap.g_c, g_c, rtol=1e-12)
+        for j in range(b):
+            h_normals = rng.standard_normal((n, m, 2))
+            g_normals = rng.standard_normal((n, 2))
+            scattered = math.sqrt(0.5 / (p.k_h + 1.0)) * h_normals
+            raw = math.sqrt(p.k_h / (p.k_h + 1.0)) + scattered[..., 0] + 1j * scattered[..., 1]
+            tilde_h = (math.sqrt(p.beta_gain) * raw) @ corr.sqrt_entries
+            np.testing.assert_array_equal(snap.h_sq[:, j], np.abs(tilde_h) ** 2)
+            np.testing.assert_array_equal(snap.h_c[:, j], np.sum(tilde_h, axis=-1))
+            g_c = m_c + math.sqrt(0.5 * var_c) * (g_normals[..., 0] + 1j * g_normals[..., 1])
+            np.testing.assert_allclose(snap.g_c[:, j], g_c, rtol=1e-12)
+
+    def test_snapshot_is_a_one_group_block(self):
+        # shape () draws the stream and bits of shape (1, 1) without its arrays
+        corr = build_correlation_matrix(PARAMS.m_per_group, PARAMS.spacing, PARAMS.wavelength)
+        one = sample_channels(PARAMS, corr, (), block_rng(3, 0))
+        block = sample_channels(PARAMS, corr, (1, 1), block_rng(3, 0))
+        np.testing.assert_array_equal(one.h_sq, block.h_sq[0, 0])
+        assert one.h_c == block.h_c[0, 0] and one.g_c == block.g_c[0, 0]
 
     def test_peak_memory_is_near_the_output(self):
         # h is drawn and reduced chunk by chunk, so no (n, B, M) complex or
@@ -210,6 +223,15 @@ class TestSweep:
         ana, _ = evaluate("rho", [0.1, 0.5, 0.9], c)
         assert all(a <= b for a, b in zip(ana, ana[1:]))
 
+    def test_group_count_sweep_monotone(self):
+        c = cfg(n_trials=4_096, strategy=SelectionStrategy("SBGS", k=2), r_req=23.3)
+        _, estimates = evaluate("b", [3, 5, 10, 20], c)
+        emp = [e.p_hat for e in estimates]
+        # each b evaluates the first b groups of one shared draw, and the k-th
+        # best of more groups is never worse
+        assert all(a >= b for a, b in zip(emp, emp[1:]))
+        assert emp[0] > emp[-1]
+
     def test_group_count_sweep_updates_n_total(self):
         c = cfg(n_trials=4_096, strategy=SelectionStrategy("SBGS", k=1), r_req=23.3)
         points = sweep_points(PARAMS, c, "b", [10, 20, 40])
@@ -242,7 +264,8 @@ class TestSweep:
             assert not out.exists()
 
 
-# (variable, grid, scheme, metric, threshold) for sweeps that keep the channel law
+# (variable, grid, scheme, metric, threshold) for sweeps that keep the channel
+# law; a b sweep shares the draw at its widest b
 SHARED_LAW_SWEEPS = [
     ("snr", [-56.0, -52.0, -48.0], "SBGS", "data", math.log2(1.0 + 10.0 ** 0.3)),
     ("snr", [-56.0, -52.0, -48.0], "RGS", "data", math.log2(1.0 + 10.0 ** 0.3)),
@@ -254,19 +277,23 @@ SHARED_LAW_SWEEPS = [
     ("zeta", [0.2, 0.5, 0.8], "EBGS", "energy", 2e-4),
     ("k", [1, 2, 4], "SBGS", "data", 23.0),
     ("k", [1, 2, 4], "EBGS", "energy", 3e-4),
+    ("b", [2, 4, 6], "SBGS", "data", 23.0),
+    ("b", [2, 4, 6], "RGS", "data", 23.0),
+    ("b", [6, 4, 2], "EBGS", "energy", 3e-4),
 ]
 SMALL = SystemParams(b_groups=6, n_total=120)
 SMALL_ENERGY = replace(SMALL, rho_l=0.1, d_sr=2.0, d_rd=3.0, p_tx=13.5)
 
 # SystemParams fields a block's draw depends on; every other field, apart
-# from the derived n_total, must leave the draw bit-identical
+# from the derived n_total, must leave the draw bit-identical (a narrower
+# b_groups draws the first columns of the wider draw)
 LAW_FIELDS = {
-    "m_per_group": 10, "b_groups": 10, "spacing": 0.1 / 6.0, "wavelength": 0.12,
+    "m_per_group": 10, "spacing": 0.1 / 6.0, "wavelength": 0.12,
     "k_h": 2.0, "k_g": 3.0, "beta_gain": 2.0,
 }
 OTHER_FIELDS = {
     "p_tx": 3.0, "rho_l": 0.1, "alpha": 3.0, "t_s": 1e-3, "noise_power": 1e-9,
-    "d_sr": 2.0, "d_rd": 3.0,
+    "d_sr": 2.0, "d_rd": 3.0, "b_groups": 10,
 }
 
 
@@ -305,20 +332,22 @@ class TestDrawReuse:
 
     @pytest.mark.parametrize("variable, grid, calls", [
         ("snr", [-56.0, -52.0, -48.0, -44.0], 3),
-        ("b", [10, 20, 40], 9),
+        ("b", [10, 20, 40], 3),
     ])
     def test_one_draw_per_block_and_law(self, monkeypatch, variable, grid, calls):
         seen = []
         original = sim.simulate_block
 
         def counting(params, n, rng):
-            seen.append(n)
+            seen.append(params.b_groups)
             return original(params, n, rng)
 
         monkeypatch.setattr(sim, "simulate_block", counting)
         c = cfg(n_trials=3 * BLOCK_SIZE, strategy=SelectionStrategy("SBGS", k=1))
-        estimate_outage(sweep_points(PARAMS, c, variable, grid))
-        assert len(seen) == calls
+        points = sweep_points(PARAMS, c, variable, grid)
+        estimate_outage(points)
+        # every block is drawn at the widest b of the sweep
+        assert seen == [max(p.b_groups for p, _ in points)] * calls
 
     def test_law_key_covers_every_field(self):
         names = {f.name for f in fields(SystemParams)}
@@ -333,9 +362,10 @@ class TestDrawReuse:
         ref = draw(PARAMS)
         for name, value in OTHER_FIELDS.items():
             snap = draw(with_field(PARAMS, name, value))
-            np.testing.assert_array_equal(snap.h_sq, ref.h_sq)
-            np.testing.assert_array_equal(snap.h_c, ref.h_c)
-            np.testing.assert_array_equal(snap.g_c, ref.g_c)
+            b = snap.h_c.shape[-1]
+            np.testing.assert_array_equal(snap.h_sq, ref.h_sq[:, :b])
+            np.testing.assert_array_equal(snap.h_c, ref.h_c[:, :b])
+            np.testing.assert_array_equal(snap.g_c, ref.g_c[:, :b])
 
     def test_fields_in_the_key_change_the_draw(self):
         ref = draw(PARAMS)
@@ -349,5 +379,6 @@ class TestDrawReuse:
 
     def test_worker_count_does_not_change_sweep(self):
         c = cfg(n_trials=2 * BLOCK_SIZE + 5, strategy=SelectionStrategy("SBGS", k=2))
-        points = sweep_points(PARAMS, c, "snr", [-56.0, -52.0, -48.0])
-        assert estimate_outage(points, workers=1) == estimate_outage(points, workers=2)
+        for variable, grid in (("snr", [-56.0, -52.0, -48.0]), ("b", [5, 10, 20])):
+            points = sweep_points(PARAMS, c, variable, grid)
+            assert estimate_outage(points, workers=1) == estimate_outage(points, workers=2)
