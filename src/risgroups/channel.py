@@ -7,19 +7,19 @@ through the principal square root of the correlation matrix.  ``element_law``
 is the only statement of a group's law; ``composite_law`` and ``power_moments``
 derive from it the law of g_c, the Gamma fit of Z and the energy fits.
 
-``sample_channels`` is the only code that turns normals into channels.  Its
-stream layout is group-major and fixed: for each group column j of an (n, B)
-draw in turn, the (n, M, 2) normals of its per-element h, then the (n, 2)
+``sample_channels`` is the only code that turns normals into channels, and it
+draws one shape, an (n, B) block of n trials of B groups, from the law of
+``params``.  Its stream layout is group-major and fixed: for each group column
+j in turn, the (n, M, 2) normals of its per-element h, then the (n, 2)
 normals of its composite g_c = sum_j tilde_g_j, which alone enters Z and is
 drawn from its exact law CN(m_c, var_c).  A column's h normals are drawn in
 row chunks and each chunk is reduced to |tilde_h_j|^2 and h_c = sum_j tilde_h_j
 before the next is drawn, so no (n, B, M) complex array exists.  Groups are
 iid and successive draws continue one stream, so the first b columns of a
 draw are the (n, b) draw bit for bit: a narrower block is a prefix of every
-wider one.  A single snapshot (shape ``()``) and one column (shape ``(n,)``)
-draw as a (1, 1) and an (n, 1) block.  The result is a ``ChannelSnapshot`` of
-``h_sq``, ``h_c`` and ``g_c`` whose h reductions run over the last (element)
-axis, so one type serves every shape.
+wider one.  The result is a ``ChannelSnapshot`` of ``h_sq``, ``h_c`` and
+``g_c`` whose h reductions run over the last (element) axis; indexing its
+batch axes (``snaps[0, d]``, ``snaps[:, j]``) gives one group or one column.
 """
 
 import logging
@@ -182,6 +182,10 @@ class ChannelSnapshot:
     h_c: np.ndarray = field(repr=False)
     g_c: np.ndarray = field(repr=False)
 
+    def __getitem__(self, key):
+        """The snapshot at ``key`` of the batch axes, e.g. ``snaps[0, d]``."""
+        return ChannelSnapshot(h_sq=self.h_sq[key], h_c=self.h_c[key], g_c=self.g_c[key])
+
     @property
     def sum_h_sq(self):
         return np.sum(self.h_sq, axis=-1)
@@ -240,20 +244,15 @@ def _draw_h(params: SystemParams, corr: CorrelationMatrix, rows: int,
     return np.abs(tilde_h) ** 2, np.sum(tilde_h, axis=-1)
 
 
-def sample_channels(params: SystemParams, corr: CorrelationMatrix, shape: tuple,
+def sample_channels(params: SystemParams, shape: tuple,
                     rng: np.random.Generator) -> ChannelSnapshot:
-    """Draw ``shape`` = ``()``, ``(n,)`` or ``(n, B)`` group by group: each
-    column's h over ``(n, M)`` in row chunks, then its g_c ~ CN(m_c, var_c)."""
+    """Draw an ``(n, B)`` block group by group: each column's h over ``(n, M)``
+    in row chunks, then its g_c ~ CN(m_c, var_c)."""
+    n, b = shape
+    corr = build_correlation_matrix(params.m_per_group, params.spacing, params.wavelength)
     # sqrt(m^2 + v) times a unit-power Rician with K = m^2/v is CN(m, v)
     m_c, var_c = (x.item() for x in composite_law(params, corr, params.k_g))
     g_scale, g_k = math.sqrt(m_c ** 2 + var_c), m_c ** 2 / var_c
-    if not shape:
-        # the (1, 1) draw without the block's output arrays and column loop,
-        # which would add about a quarter to each bounds snapshot's draw
-        h_sq, h_c = _draw_h(params, corr, 1, rng)
-        return ChannelSnapshot(h_sq=h_sq[0], h_c=h_c[0],
-                               g_c=g_scale * sample_rician_vector((), g_k, rng))
-    n, b = (*shape, 1)[:2]
     h_sq = np.empty((n, b, corr.dim))
     h_c = np.empty((n, b), dtype=np.complex128)
     g_c = np.empty((n, b), dtype=np.complex128)
@@ -263,8 +262,7 @@ def sample_channels(params: SystemParams, corr: CorrelationMatrix, shape: tuple,
             stop = min(start + step, n)
             h_sq[start:stop, j], h_c[start:stop, j] = _draw_h(params, corr, stop - start, rng)
         g_c[:, j] = g_scale * sample_rician_vector((n,), g_k, rng)
-    return ChannelSnapshot(h_sq=h_sq.reshape((*shape, corr.dim)), h_c=h_c.reshape(shape),
-                           g_c=g_c.reshape(shape))
+    return ChannelSnapshot(h_sq=h_sq, h_c=h_c, g_c=g_c)
 
 
 def fit_gamma_product(params: SystemParams) -> GammaFit:

@@ -18,7 +18,7 @@ from .bounds import (
     zeta_bounds_linear,
     zeta_bounds_nonlinear,
 )
-from .channel import SystemParams, build_correlation_matrix, sample_channels
+from .channel import SystemParams, sample_channels
 from .energy import (NONLINEAR_DEFAULT, EhModel, PowerBudget, required_energy_ps,
                      required_energy_ts)
 from .selection import RisMode, SelectionStrategy
@@ -212,7 +212,7 @@ def _fmt(x) -> str:
 
 def _write_csv(out_path: str, scenario: Scenario, header: str, rows: list) -> None:
     """Write the scenario's metadata lines, ``header`` and one line per row."""
-    lines = [f"# seed = {scenario.trial.seed}", f"# version = {__version__}"]
+    lines = [f"# version = {__version__}"]
     lines += [f"# {key} = {_fmt(scenario.raw[key])}" for key in sorted(scenario.raw)]
     lines.append(header)
     lines += [",".join(_fmt(x) for x in row) for row in rows]
@@ -238,17 +238,17 @@ def run(scenario: Scenario, out_path: str, workers: int = 1) -> int:
 
 
 def run_bounds(scenario: Scenario, out_path: str) -> int:
-    """Emit the feasibility interval of the configured mode/EH model for
-    independently drawn channel snapshots."""
+    """Emit the feasibility interval of the configured mode/EH model for each
+    of ``n_draws`` snapshots.  Snapshot d is group d of the one trial of a
+    ``(1, n_draws)`` block from ``block_rng(seed, 0)``, so by the block
+    stream's prefix property it depends on the seed and d, not on ``n_draws``."""
     params = scenario.params
     trial = scenario.trial
-    corr = build_correlation_matrix(
-        params.m_per_group, params.spacing, params.wavelength
-    )
+    snaps = sample_channels(params, (1, scenario.n_draws), block_rng(trial.seed, 0))
     rows = []
     any_feasible = False
     for draw in range(scenario.n_draws):
-        snap = sample_channels(params, corr, (), block_rng(trial.seed, draw))
+        snap = snaps[0, draw]
         if trial.mode.kind == "PS" and trial.eh.kind == "linear":
             iv = rho_bounds_linear(params, scenario.budget, snap, trial.r_req)
         elif trial.mode.kind == "PS":

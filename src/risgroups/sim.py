@@ -3,11 +3,11 @@
 Trials are processed in fixed-size blocks; each block gets an independent
 SFC64 stream derived from (seed, block index), so results are bit-identical
 for any worker count and any block execution order.  One block of n trials
-draws, in this order: n uniforms that pick the RGS group, then the channels of
-``channel.sample_channels`` group by group (each column's (n, M, 2) h normals,
-then its (n, 2) composite g normals).  The h normals are drawn and reduced to
-the (n, B, M) |h|^2 and the (n, B) composite h_c in cache-sized chunks, so no
-(n, B, M) complex array exists.
+draws, in this order: n uniforms that pick the RGS group, then the (n, B)
+block of ``channel.sample_channels`` under the law of its ``params``, group by
+group (each column's (n, M, 2) h normals, then its (n, 2) composite g
+normals).  The bounds command reads the same stream: its snapshots are the
+group columns of one (1, n_draws) block drawn from ``block_rng(seed, 0)``.
 
 A block's draw depends only on the channel law (``m_per_group``, ``spacing``,
 ``wavelength``, ``k_h``, ``k_g``, ``beta_gain``), the seed and the trial count;
@@ -25,12 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import (
-    SystemParams,
-    build_correlation_matrix,
-    fit_gamma_product,
-    sample_channels,
-)
+from .channel import SystemParams, fit_gamma_product, sample_channels
 from .energy import EhModel, harvest_rate
 from .selection import (
     RisMode,
@@ -86,8 +81,7 @@ def simulate_block(params: SystemParams, n: int, rng: np.random.Generator):
     """Draw one block: RGS uniforms first, then per-group composite gain z and
     per-element |h|^2 group by group."""
     rgs_u = rng.random(n)
-    corr = build_correlation_matrix(params.m_per_group, params.spacing, params.wavelength)
-    snap = sample_channels(params, corr, (n, params.b_groups), rng)
+    snap = sample_channels(params, (n, params.b_groups), rng)
     return snap.z, snap.h_sq, rgs_u
 
 

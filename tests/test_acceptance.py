@@ -19,7 +19,6 @@ from risgroups.bounds import (
 )
 from risgroups.channel import (
     SystemParams,
-    build_correlation_matrix,
     fit_gamma_product,
     gamma_cdf,
     sample_channels,
@@ -88,12 +87,9 @@ def test_criterion_01_special_function_oracles():
 def test_criterion_02_gamma_fit_kolmogorov_distance():
     params = DEFAULTS  # M=20, K=1, lambda/8
     fit = fit_gamma_product(params)
-    corr = build_correlation_matrix(
-        params.m_per_group, params.spacing, params.wavelength
-    )
     n = 10 ** 6
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(102)))
-    z = sample_channels(params, corr, (n,), rng).z
+    z = sample_channels(params, (n, 1), rng)[:, 0].z
     z.sort()
     analytic = sp.gammainc(fit.shape, z / fit.scale)
     steps = np.arange(1, n + 1) / n
@@ -164,16 +160,15 @@ def test_criterion_04_spacing_and_correlation_trends():
 def test_criterion_05_feasibility_boundary_equalities():
     params = SystemParams(rho_l=0.1, d_sr=2.0, d_rd=3.0, noise_power=0.05)
     m = params.m_per_group
-    corr = build_correlation_matrix(m, params.spacing, params.wavelength)
     e_ps = required_energy_ps(m, BUDGET, params.t_s)
     w = m * BUDGET.p_t + BUDGET.p_ph
     nl = NONLINEAR_DEFAULT
     headroom = nl.a - w / m - nl.b / nl.c
     worst = 0.0
     rate_limited = 0
-    rng = np.random.default_rng(105)
-    for _ in range(100):
-        snap = sample_channels(params, corr, (), rng)
+    snaps = sample_channels(params, (1, 100), np.random.default_rng(105))
+    for d in range(100):
+        snap = snaps[0, d]
         pl_sr = params.p_tx * params.rho_l * params.d_sr ** -params.alpha
 
         iv = rho_bounds_linear(params, BUDGET, snap, r_req=0.5)

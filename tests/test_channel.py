@@ -101,11 +101,8 @@ class TestCorrelateComposite:
         # sqrt(beta) scales every correlated h entry and the composite g:
         # beta 4 doubles the draw
         p = SystemParams(m_per_group=5, n_total=5 * 20)
-        corr = build_correlation_matrix(5, 0.0125, 0.1)
-        one = sample_channels(p, corr, (3, 2), np.random.default_rng(4))
-        four = sample_channels(
-            replace(p, beta_gain=4.0), corr, (3, 2), np.random.default_rng(4)
-        )
+        one = sample_channels(p, (3, 2), np.random.default_rng(4))
+        four = sample_channels(replace(p, beta_gain=4.0), (3, 2), np.random.default_rng(4))
         assert one.h_sq.shape == (3, 2, 5)
         assert one.h_c.shape == one.g_c.shape == (3, 2)
         # |2x| is one hypot call, which need not be correctly rounded
@@ -138,13 +135,17 @@ class TestChannelSnapshot:
         h, g = pair
         batch = ChannelSnapshot(h_sq=np.abs(h) ** 2, h_c=np.sum(h, axis=-1), g_c=g)
         # every reduction runs over the last axis and every square is one
-        # multiply, so each row gives the bits of its batch row
+        # multiply, so each row, and the batch indexed at it, gives the bits
+        # of its batch row
         names = ("h_sq", "sum_h_sq", "h_min_sq", "h_max_sq", "h_c_sq", "g_c_sq", "z")
         for i in range(h.shape[0]):
             row = ChannelSnapshot(h_sq=np.abs(h[i]) ** 2, h_c=np.sum(h[i], axis=-1), g_c=g[i])
             for name in names:
                 np.testing.assert_array_equal(
                     getattr(batch, name)[i], getattr(row, name), err_msg=name
+                )
+                np.testing.assert_array_equal(
+                    getattr(batch[i], name), getattr(row, name), err_msg=name
                 )
 
 
@@ -160,7 +161,7 @@ class TestElementLaw:
                          spacing=spacing)
         corr = build_correlation_matrix(p.m_per_group, p.spacing, p.wavelength)
         mus, cov = element_law(p, corr, p.k_h)
-        snap = sample_channels(p, corr, (n,), np.random.default_rng(41))
+        snap = sample_channels(p, (n, 1), np.random.default_rng(41))[:, 0]
         power_cov = 2.0 * np.outer(mus, mus) * cov + cov ** 2
         se_mean = np.sqrt(np.diag(power_cov) / n)
         h_sq = snap.h_sq
@@ -202,8 +203,7 @@ class TestCompositeMoments:
     def test_against_monte_carlo(self, spacing_frac):
         p = SystemParams(spacing=0.1 * spacing_frac)
         mean, var = composite_moments(p, "S")
-        corr = build_correlation_matrix(p.m_per_group, p.spacing, p.wavelength)
-        g = sample_channels(p, corr, (400_000,), np.random.default_rng(11)).h_c_sq
+        g = sample_channels(p, (400_000, 1), np.random.default_rng(11))[:, 0].h_c_sq
         assert mean == pytest.approx(float(g.mean()), rel=0.01)
         assert var == pytest.approx(float(g.var()), rel=0.03)
 
@@ -212,8 +212,7 @@ class TestCompositeMoments:
         # g_c is drawn from its composite law, so |g_c|^2 has the closed-form
         # mean and variance to within 4 standard errors
         p = SystemParams(m_per_group=8, n_total=8 * 20, k_g=k_g, beta_gain=beta_gain)
-        corr = build_correlation_matrix(p.m_per_group, p.spacing, p.wavelength)
-        g = sample_channels(p, corr, (400_000,), np.random.default_rng(12)).g_c_sq
+        g = sample_channels(p, (400_000, 1), np.random.default_rng(12))[:, 0].g_c_sq
         mean, var = composite_moments(p, "D")
         dev_sq = (g - g.mean()) ** 2
         m2, m4 = float(dev_sq.mean()), float(np.mean(dev_sq ** 2))
@@ -246,7 +245,7 @@ class TestCompositeLaw:
         p = SystemParams(m_per_group=10, n_total=10 * 20, k_g=k_g,
                          beta_gain=beta_gain, spacing=spacing)
         corr = build_correlation_matrix(p.m_per_group, p.spacing, p.wavelength)
-        snap = sample_channels(p, corr, (n,), np.random.default_rng(31))
+        snap = sample_channels(p, (n, 1), np.random.default_rng(31))[:, 0]
         rng = np.random.default_rng(32)
         h_c = _per_element(p, corr, p.k_h, n, rng)
         g_c = _per_element(p, corr, p.k_g, n, rng)

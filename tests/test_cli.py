@@ -1,5 +1,6 @@
 """Scenario parsing and the run/bounds CSV harness."""
 
+import collections
 import math
 import re
 from pathlib import Path
@@ -9,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import risgroups
+from risgroups import cli
 from risgroups.cli import (_DEFAULTS, _STR_KEYS, _SWEEP_KEYS, ScenarioError,
                            load_scenario, main)
 
@@ -171,7 +173,7 @@ class TestRunCommand:
         lines = out.read_text(encoding="utf-8").splitlines()
         meta = [l for l in lines if l.startswith("#")]
         data = [l for l in lines if not l.startswith("#")]
-        assert any(l.startswith("# seed = 77") for l in meta)
+        assert [l for l in meta if l.startswith("# seed = ")] == ["# seed = 77"]
         assert data[0] == (
             "sweep_value,analytic_outage,empirical_outage,"
             "ci_halfwidth,n_trials,scheme,k,mode"
@@ -282,10 +284,10 @@ class TestBoundsCommand:
         )
         out = tmp_path / "b.csv"
         assert main(["bounds", str(path), "-o", str(out)]) == 0
-        lines = [
-            l for l in out.read_text(encoding="utf-8").splitlines()
-            if not l.startswith("#")
-        ]
+        text = out.read_text(encoding="utf-8").splitlines()
+        meta = [l for l in text if l.startswith("#")]
+        lines = [l for l in text if not l.startswith("#")]
+        assert [l for l in meta if l.startswith("# seed = ")] == ["# seed = 3"]
         assert lines[0] == "channel_draw,lower,upper,feasible,cause"
         assert len(lines) == 1 + 10
         rows = [line.split(",") for line in lines[1:]]
@@ -299,6 +301,27 @@ class TestBoundsCommand:
             if row[4]:
                 assert row[4] == "energy-limited" and float(row[1]) == 1.0
         assert {row[3] for row in rows} == {"true", "false"}
+
+    def test_snapshots_are_columns_of_one_draw(self, tmp_path, monkeypatch):
+        # one stream and one (1, n_draws) draw; by the block stream's prefix
+        # property snapshot d does not depend on n_draws
+        calls = collections.Counter()
+        for name in ("block_rng", "sample_channels"):
+            def counting(*args, _fn=getattr(cli, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(cli, name, counting)
+        rows = {}
+        for n_draws in (10, 25):
+            calls.clear()
+            scenario = load_scenario(str(ROOT / "scenarios" / "bounds_ps_linear.cfg"),
+                                     {"n_draws": n_draws}, sweep=False)
+            out = tmp_path / f"{n_draws}.csv"
+            assert cli.run_bounds(scenario, str(out)) == 0
+            assert calls == {"block_rng": 1, "sample_channels": 1}
+            rows[n_draws] = [l for l in out.read_text(encoding="utf-8").splitlines()
+                             if not l.startswith("#")][1:]
+        assert len(rows[10]) == 10 and rows[10] == rows[25][:10]
 
 
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)

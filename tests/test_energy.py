@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from risgroups import channel
-from risgroups.channel import SystemParams, build_correlation_matrix, sample_channels
+from risgroups.channel import SystemParams, sample_channels
 from risgroups.energy import (
     EhModel,
     NONLINEAR_DEFAULT,
@@ -57,13 +57,12 @@ class TestHarvest:
     def test_sums_over_elements(self):
         # a group harvests over the EH phase the sum of its elements' rates
         p = SystemParams()
-        corr = build_correlation_matrix(p.m_per_group, p.spacing, p.wavelength)
         # one full h row chunk per group column and a ragged one
         n = channel._CHUNK_ELEMENTS // p.m_per_group + 5
         rng = block_rng(2, 0)
         # the block draws the RGS uniforms, then group by group h and g, from one stream
         u = rng.random(n)
-        snap = sample_channels(p, corr, (n, p.b_groups), rng)
+        snap = sample_channels(p, (n, p.b_groups), rng)
         incident = p.p_tx * p.rho_l * p.d_sr ** -p.alpha * snap.h_sq
         z, h_sq, rgs_u = simulate_block(p, n, block_rng(2, 0))
         np.testing.assert_array_equal(rgs_u, u)

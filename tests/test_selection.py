@@ -9,7 +9,6 @@ from scipy import integrate, special
 from risgroups.channel import (
     GammaFit,
     SystemParams,
-    build_correlation_matrix,
     fit_gamma_product,
     gamma_cdf,
     sample_channels,
@@ -146,10 +145,7 @@ class TestEhWiring:
 
 
 def _simulate_group_energy(params, mode, eh, n, seed):
-    corr = build_correlation_matrix(
-        params.m_per_group, params.spacing, params.wavelength
-    )
-    snap = sample_channels(params, corr, (n,), np.random.default_rng(seed))
+    snap = sample_channels(params, (n, 1), np.random.default_rng(seed))[:, 0]
     dur, w_p = eh_wiring(params, mode)
     return dur * harvest_rate(eh, w_p * snap.h_sq).sum(axis=1)
 

@@ -78,7 +78,7 @@ class TestSimulateBlock:
         corr = build_correlation_matrix(m, p.spacing, p.wavelength)
         rng = block_rng(1, 0)
         np.testing.assert_array_equal(rgs_u, rng.random(n))
-        snap = sample_channels(p, corr, (n, b), rng)
+        snap = sample_channels(p, (n, b), rng)
         np.testing.assert_array_equal(z, snap.z)
         np.testing.assert_array_equal(h_sq, snap.h_sq)
 
@@ -95,14 +95,6 @@ class TestSimulateBlock:
             np.testing.assert_array_equal(snap.h_c[:, j], np.sum(tilde_h, axis=-1))
             g_c = m_c + math.sqrt(0.5 * var_c) * (g_normals[..., 0] + 1j * g_normals[..., 1])
             np.testing.assert_allclose(snap.g_c[:, j], g_c, rtol=1e-12)
-
-    def test_snapshot_is_a_one_group_block(self):
-        # shape () draws the stream and bits of shape (1, 1) without its arrays
-        corr = build_correlation_matrix(PARAMS.m_per_group, PARAMS.spacing, PARAMS.wavelength)
-        one = sample_channels(PARAMS, corr, (), block_rng(3, 0))
-        block = sample_channels(PARAMS, corr, (1, 1), block_rng(3, 0))
-        np.testing.assert_array_equal(one.h_sq, block.h_sq[0, 0])
-        assert one.h_c == block.h_c[0, 0] and one.g_c == block.g_c[0, 0]
 
     def test_peak_memory_is_near_the_output(self):
         # h is drawn and reduced chunk by chunk, so no (n, B, M) complex or
@@ -318,8 +310,7 @@ def with_field(params, name, value):
 
 
 def draw(params):
-    corr = build_correlation_matrix(params.m_per_group, params.spacing, params.wavelength)
-    return sample_channels(params, corr, (3, params.b_groups), block_rng(4, 0))
+    return sample_channels(params, (3, params.b_groups), block_rng(4, 0))
 
 
 class TestDrawReuse:
