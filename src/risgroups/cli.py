@@ -118,9 +118,7 @@ def _parse_kv(path: str) -> dict:
     return values
 
 
-def _coerce(key: str, value):
-    if not isinstance(value, str):
-        return value
+def _coerce(key: str, value: str):
     if key in _STR_KEYS:
         return value.lower() if key != "sweep_grid" else value
     if key == "e_req" and value.lower() == "auto":

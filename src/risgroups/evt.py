@@ -3,6 +3,8 @@
 Normalizing constants use the von-Mises construction: location at the
 1 - 1/B quantile, scale equal to the reciprocal hazard there.  Membership in
 the Gumbel domain of attraction is checked numerically rather than assumed.
+Laws live on [0, inf): quantiles are bracketed upwards from [0, 1], a quantile
+below 0 raises ValueError, and so does a pdf that vanishes at the quantile.
 """
 
 import math
@@ -22,7 +24,11 @@ class EvtConstants:
 
 
 class BisectionError(RuntimeError):
-    """Quantile bisection found no bracket, or the pdf vanishes at the quantile."""
+    """Quantile bisection found no bracket within the upward doublings."""
+
+
+# upward doublings of the bracket [0, 1]; 2**200 outgrows any double-scale law
+_BRACKET_DOUBLINGS = 200
 
 
 def gumbel_cdf(x: float) -> float:
@@ -43,25 +49,16 @@ def kth_limit_cdf(x: float, k: int) -> float:
     return gumbel_cdf(x) * total
 
 
-def _quantile_bisect(
-    cdf: Callable[[float], float], p: float, max_iter: int = 200
-) -> float:
+def _quantile_bisect(cdf: Callable[[float], float], p: float) -> float:
     lo, hi = 0.0, 1.0
-    for _ in range(max_iter):
+    for _ in range(_BRACKET_DOUBLINGS):
         if cdf(hi) >= p:
             break
         lo, hi = hi, hi * 2.0
     else:
         raise BisectionError(f"could not bracket quantile p={p}")
     if cdf(lo) > p:
-        # support may extend below zero; expand downwards
-        lo = -1.0
-        for _ in range(max_iter):
-            if cdf(lo) <= p:
-                break
-            hi, lo = lo, lo * 2.0
-        else:
-            raise BisectionError(f"could not bracket quantile p={p}")
+        raise ValueError(f"quantile p={p} lies below 0; the law must live on [0, inf)")
     # each pass returns or strictly narrows [lo, hi], so this ends within the doubles
     while True:
         mid = 0.5 * (lo + hi)
@@ -85,16 +82,16 @@ def check_gumbel_domain(
     cdf: Callable[[float], float],
     pdf: Callable[[float], float],
     b: int,
-    growth_tol: float = 2.0,
 ) -> bool:
     """Numerically test whether the tail hazard ratio stays bounded.
 
-    A ratio that keeps growing along rising tail quantiles indicates a heavy
-    (Frechet-type) tail; a warning is emitted and False returned.
+    A ratio that keeps growing along rising tail quantiles, to more than twice
+    its first value, indicates a heavy (Frechet-type) tail; a warning is
+    emitted and False returned.
     """
     probes = [1.0 - 1.0 / (b * 10 ** i) for i in range(3)]
     ratios = [hazard_ratio(cdf, pdf, _quantile_bisect(cdf, p)) for p in probes]
-    if ratios[0] < ratios[1] < ratios[2] and ratios[2] > growth_tol * ratios[0]:
+    if ratios[0] < ratios[1] < ratios[2] and ratios[2] > 2.0 * ratios[0]:
         warnings.warn(
             "tail hazard ratio keeps growing; distribution may lie in the "
             "Frechet domain and the Gumbel asymptotics may be inaccurate",
@@ -114,10 +111,7 @@ def normalizing_constants(
     if b < 2:
         raise ValueError("need at least two groups")
     location = _quantile_bisect(cdf, 1.0 - 1.0 / b)
-    f = pdf(location)
-    if f <= 0:
-        raise BisectionError("pdf vanishes at the 1-1/B quantile")
-    return EvtConstants(location=location, scale=(1.0 - cdf(location)) / f)
+    return EvtConstants(location=location, scale=hazard_ratio(cdf, pdf, location))
 
 
 def outage_evt(x: float, k: int, constants: EvtConstants) -> float:

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from risgroups.bounds import (
     ChannelSnapshot,
@@ -187,21 +189,45 @@ class TestTsNonlinear:
         assert rate == pytest.approx(r_req, rel=1e-12)
 
 
-class TestClamping:
-    def test_bounds_stay_in_unit_interval(self):
-        for seed in range(20):
-            snap = snapshot(seed)
-            for iv in (
-                rho_bounds_linear(PARAMS, BUDGET, snap, 1.0),
-                rho_bounds_nonlinear(PARAMS, BUDGET, NONLINEAR_DEFAULT, snap, 1.0),
-                zeta_bounds_linear(PARAMS, BUDGET, snap, 1.0),
-                zeta_bounds_nonlinear(PARAMS, BUDGET, NONLINEAR_DEFAULT, snap, 1.0),
-            ):
-                assert 0.0 <= iv.lower <= 1.0
-                assert 0.0 <= iv.upper <= 1.0
-                if iv.feasible:
-                    assert iv.lower <= iv.upper
-                    assert iv.cause is None
+def _watts(dbm: float) -> float:
+    return 10.0 ** ((dbm - 30.0) / 10.0)
+
+
+def _with_fixed_snapshots(test):
+    # the twenty snapshots every interval was first checked on, at PARAMS and BUDGET
+    for seed in range(20):
+        test = example(p_tx=PARAMS.p_tx, p_t=BUDGET.p_t, p_ph=BUDGET.p_ph,
+                       r_req=1.0, seed=seed)(test)
+    return test
+
+
+class TestIntervalInvariants:
+    # budgets reach past the 0.484 W per element (27 dBm) that the nonlinear
+    # law saturates at, so every cause is drawn
+    @settings(max_examples=200, deadline=None)
+    @given(p_tx=st.floats(-20.0, 60.0).map(_watts),
+           p_t=st.just(0.0) | st.floats(-60.0, 33.0).map(_watts),
+           p_ph=st.just(0.0) | st.floats(-60.0, 33.0).map(_watts),
+           r_req=st.floats(0.0, 20.0),
+           seed=st.integers(0, 2**32 - 1))
+    @_with_fixed_snapshots
+    def test_clamps_and_verdicts(self, p_tx, p_t, p_ph, r_req, seed):
+        params = replace(PARAMS, p_tx=p_tx)
+        budget = PowerBudget(p_t=p_t, p_ph=p_ph)
+        snap = snapshot(seed)
+        for iv in (
+            rho_bounds_linear(params, budget, snap, r_req),
+            rho_bounds_nonlinear(params, budget, NONLINEAR_DEFAULT, snap, r_req),
+            zeta_bounds_linear(params, budget, snap, r_req),
+            zeta_bounds_nonlinear(params, budget, NONLINEAR_DEFAULT, snap, r_req),
+        ):
+            assert 0.0 <= iv.lower <= 1.0
+            assert 0.0 <= iv.upper <= 1.0
+            assert iv.feasible == (iv.cause is None)
+            if iv.feasible:
+                assert iv.lower <= iv.upper
+            if iv.cause in ("energy-limited", "saturation"):
+                assert iv.lower == 1.0
 
 
 class TestZeroSnr:

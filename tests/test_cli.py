@@ -324,6 +324,40 @@ class TestBoundsCommand:
         assert len(rows[10]) == 10 and rows[10] == rows[25][:10]
 
 
+def _low_power_nonlinear_energy() -> str:
+    # the shipped nonlinear energy sweep at 20 and 25 dBm, with e_req in the
+    # bulk of the energy law: the fitted shape is 1.05e6 at 0.1 W
+    text = (ROOT / "scenarios" / "energy_ptx_nonlinear.cfg").read_text(encoding="utf-8")
+    text = re.sub(r"(?m)^sweep_grid = .*$", "sweep_grid = 0.1,0.3", text)
+    return re.sub(r"(?m)^e_req = .*$", "e_req = 3.5e-06", text)
+
+
+# strong line of sight: the Gamma fit of Z has shape 5e5
+STRONG_LOS_DATA = """
+k_h = 1e5
+k_g = 1e5
+scheme = rgs
+gamma_th_db = 3
+sweep_variable = snr
+sweep_grid = -57.66
+"""
+
+
+@pytest.mark.parametrize("text", [_low_power_nonlinear_energy(), STRONG_LOS_DATA],
+                         ids=["energy_nonlinear_low_power", "data_strong_los"])
+def test_large_shape_points_run(text, tmp_path):
+    # shapes from about 1e5 up to 1e8 once exhausted a fixed iteration cap
+    path = tmp_path / "large_shape.cfg"
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "out.csv"
+    assert main(["run", str(path), "-o", str(out), "--trials", "64"]) == 0
+    rows = [l for l in out.read_text(encoding="utf-8").splitlines()
+            if not l.startswith("#")][1:]
+    assert rows
+    for row in rows:
+        assert math.isfinite(float(row.split(",")[1]))
+
+
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
 def test_shipped_scenario_runs(path, tmp_path):
     out = tmp_path / "out.csv"

@@ -55,10 +55,13 @@ class TestQuantileBisect:
                 -math.log(1.0 - p), rel=1e-9
             )
 
-    def test_negative_support(self):
+    def test_quantile_below_zero_rejected(self):
+        # the group laws live on [0, inf); a quantile below 0 is a caller error
         cdf = lambda x: 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
-        assert _quantile_bisect(cdf, 0.2) == pytest.approx(
-            float(stats.norm.ppf(0.2)), rel=1e-8
+        with pytest.raises(ValueError, match="below 0"):
+            _quantile_bisect(cdf, 0.2)
+        assert _quantile_bisect(cdf, 0.8) == pytest.approx(
+            float(stats.norm.ppf(0.8)), rel=1e-8
         )
 
     @pytest.mark.parametrize("scale", [10.0 ** e for e in range(-20, 7)])
@@ -100,6 +103,9 @@ class TestNormalizingConstants:
         pdf = lambda x: math.exp(-x) if x > 0 else 0.0
         with pytest.raises(ValueError):
             normalizing_constants(cdf, pdf, 1)
+        with pytest.raises(ValueError):
+            # a pdf that vanishes at the location leaves no reciprocal hazard
+            normalizing_constants(cdf, lambda x: 0.0, 50)
         with pytest.raises(ValueError):
             EvtConstants(location=0.0, scale=0.0)
 
