@@ -12,14 +12,16 @@ draws one shape, an (n, B) block of n trials of B groups, from the law of
 ``params``.  Its stream layout is group-major and fixed: for each group column
 j in turn, the (n, M, 2) normals of its per-element h, then the (n, 2)
 normals of its composite g_c = sum_j tilde_g_j, which alone enters Z and is
-drawn from its exact law CN(m_c, var_c).  A column's h normals are drawn in
-row chunks and each chunk is reduced to |tilde_h_j|^2 and h_c = sum_j tilde_h_j
-before the next is drawn, so no (n, B, M) complex array exists.  Groups are
-iid and successive draws continue one stream, so the first b columns of a
-draw are the (n, b) draw bit for bit: a narrower block is a prefix of every
-wider one.  The result is a ``ChannelSnapshot`` of ``h_sq``, ``h_c`` and
-``g_c`` whose h reductions run over the last (element) axis; indexing its
-batch axes (``snaps[0, d]``, ``snaps[:, j]``) gives one group or one column.
+drawn from its exact law CN(m_c, var_c).  Narrow columns are drawn a slab of
+columns per call, wide ones in row chunks of their h, and each slab or chunk
+is reduced to |tilde_h_j|^2 and h_c = sum_j tilde_h_j before the next is
+drawn, so no (n, B, M) complex array exists; the tiling never changes the
+stream.  Groups are iid and successive draws continue one stream, so the
+first b columns of a draw are the (n, b) draw bit for bit: a narrower block
+is a prefix of every wider one.  The result is a ``ChannelSnapshot`` of
+``h_sq``, ``h_c`` and ``g_c`` whose h reductions run over the last (element)
+axis; indexing its batch axes (``snaps[0, d]``, ``snaps[:, j]``) gives one
+group or one column.
 """
 
 import logging
@@ -39,6 +41,8 @@ _CLAMP_LIMIT = 1e-8
 # complex h elements per drawn chunk (1 MiB): the chunk's normals, its complex
 # h and the matmul result stay in cache until they are reduced
 _CHUNK_ELEMENTS = 2 ** 16
+# complex h elements per slab of narrow columns drawn by one call (64 KiB)
+_SLAB_ELEMENTS = 2 ** 12
 
 
 class DegenerateFitError(ValueError):
@@ -144,15 +148,13 @@ def build_correlation_matrix(m: int, spacing: float, wavelength: float) -> Corre
     return CorrelationMatrix(dim=m, entries=entries, sqrt_entries=sqrt_entries)
 
 
-def sample_rician_vector(shape: tuple, k_factor: float,
-                         rng: np.random.Generator) -> np.ndarray:
-    """I.i.d. unit-power Rician channel gains (LoS mean, scattered CN part),
-    drawn from ``(*shape, 2)`` normals."""
+def sample_rician_vector(noise: np.ndarray, k_factor: float) -> np.ndarray:
+    """I.i.d. unit-power Rician channel gains (LoS mean, scattered CN part) made
+    in place from ``(..., 2)`` standard normals, as their complex view; no rng."""
     if k_factor < 0:
         raise ValueError("Rician factor must be nonnegative")
     los = math.sqrt(k_factor / (k_factor + 1.0))
     sigma = math.sqrt(0.5 / (k_factor + 1.0))  # per real dimension
-    noise = rng.standard_normal((*shape, 2))
     noise *= sigma
     gains = noise.view(np.complex128)[..., 0]
     gains.real += los
@@ -234,11 +236,11 @@ def power_moments(mus: np.ndarray, cov: np.ndarray) -> tuple[float, float]:
     return mean, float(np.sum(2.0 * np.outer(mus, mus) * cov + cov ** 2))
 
 
-def _draw_h(params: SystemParams, corr: CorrelationMatrix, rows: int,
-            rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+def _reduce_h(params: SystemParams, corr: CorrelationMatrix,
+              noise: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """|tilde_h_j|^2 and sum_j tilde_h_j of tilde_h = sqrt(beta) raw @ R^(1/2),
-    drawn over ``(rows, M)``."""
-    raw = sample_rician_vector((rows, corr.dim), params.k_h, rng)
+    raw the Rician gains of ``(..., M, 2)`` normals."""
+    raw = sample_rician_vector(noise, params.k_h)
     raw *= math.sqrt(params.beta_gain)
     tilde_h = raw @ corr.sqrt_entries
     return np.abs(tilde_h) ** 2, np.sum(tilde_h, axis=-1)
@@ -246,22 +248,32 @@ def _draw_h(params: SystemParams, corr: CorrelationMatrix, rows: int,
 
 def sample_channels(params: SystemParams, shape: tuple,
                     rng: np.random.Generator) -> ChannelSnapshot:
-    """Draw an ``(n, B)`` block group by group: each column's h over ``(n, M)``
-    in row chunks, then its g_c ~ CN(m_c, var_c)."""
+    """Draw an ``(n, B)`` block group by group, each column's h over ``(n, M)``
+    then its g_c ~ CN(m_c, var_c): narrow columns by slab, wide in row chunks."""
     n, b = shape
     corr = build_correlation_matrix(params.m_per_group, params.spacing, params.wavelength)
+    m = corr.dim
     # sqrt(m^2 + v) times a unit-power Rician with K = m^2/v is CN(m, v)
     m_c, var_c = (x.item() for x in composite_law(params, corr, params.k_g))
     g_scale, g_k = math.sqrt(m_c ** 2 + var_c), m_c ** 2 / var_c
-    h_sq = np.empty((n, b, corr.dim))
+    h_sq = np.empty((n, b, m))
     h_c = np.empty((n, b), dtype=np.complex128)
     g_c = np.empty((n, b), dtype=np.complex128)
-    step = max(1, _CHUNK_ELEMENTS // corr.dim)
-    for j in range(b):
-        for start in range(0, n, step):
-            stop = min(start + step, n)
-            h_sq[start:stop, j], h_c[start:stop, j] = _draw_h(params, corr, stop - start, rng)
-        g_c[:, j] = g_scale * sample_rician_vector((n,), g_k, rng)
+    cols = _SLAB_ELEMENTS // (n * m)
+    if cols >= 2:  # one slab row per column: its h normals, then its g normals
+        for j in range(0, b, cols):
+            noise = rng.standard_normal((min(cols, b - j), n * (m + 1), 2))
+            h_sq_s, h_c_s = _reduce_h(params, corr, noise[:, :n * m].reshape(-1, n, m, 2))
+            h_sq[:, j:j + cols], h_c[:, j:j + cols] = h_sq_s.swapaxes(0, 1), h_c_s.T
+            g_c[:, j:j + cols] = g_scale * sample_rician_vector(noise[:, n * m:], g_k).T
+    else:
+        step = max(1, _CHUNK_ELEMENTS // m)
+        for j in range(b):
+            for start in range(0, n, step):
+                stop = min(start + step, n)
+                h_sq[start:stop, j], h_c[start:stop, j] = _reduce_h(
+                    params, corr, rng.standard_normal((stop - start, m, 2)))
+            g_c[:, j] = g_scale * sample_rician_vector(rng.standard_normal((n, 2)), g_k)
     return ChannelSnapshot(h_sq=h_sq, h_c=h_c, g_c=g_c)
 
 

@@ -80,7 +80,7 @@ class TestRicianSampling:
     def test_moments(self):
         rng = np.random.default_rng(7)
         k = 2.5
-        h = sample_rician_vector((200_000,), k, rng)
+        h = sample_rician_vector(rng.standard_normal((200_000, 2)), k)
         # unit second moment with LoS fraction K/(K+1)  [DERIVED: law of h]
         assert np.mean(np.abs(h) ** 2) == pytest.approx(1.0, rel=5e-3)
         assert np.mean(h).real == pytest.approx(math.sqrt(k / (k + 1.0)), rel=5e-3)
@@ -88,12 +88,12 @@ class TestRicianSampling:
 
     def test_rayleigh_limit(self):
         rng = np.random.default_rng(8)
-        h = sample_rician_vector((100_000,), 0.0, rng)
+        h = sample_rician_vector(rng.standard_normal((100_000, 2)), 0.0)
         assert abs(np.mean(h)) < 5e-3
 
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
-            sample_rician_vector((4,), -1.0, np.random.default_rng(0))
+            sample_rician_vector(np.random.default_rng(0).standard_normal((4, 2)), -1.0)
 
 
 class TestCorrelateComposite:
@@ -231,7 +231,8 @@ class TestCompositeMoments:
 
 def _per_element(p, corr, k_factor, n, rng):
     """Composite sum_j of sqrt(beta) raw @ R^(1/2) over M drawn elements."""
-    raw = sample_rician_vector((n, corr.dim), k_factor, rng) * math.sqrt(p.beta_gain)
+    raw = sample_rician_vector(rng.standard_normal((n, corr.dim, 2)), k_factor)
+    raw *= math.sqrt(p.beta_gain)
     return np.sum(raw @ corr.sqrt_entries, axis=-1)
 
 

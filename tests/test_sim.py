@@ -65,15 +65,22 @@ class TestSimulateBlock:
         assert np.all(z >= 0.0)
         assert np.all(h_sq >= 0.0)
 
-    def test_stream_layout(self):
+    @pytest.mark.parametrize("n", [1, 3, None])
+    def test_stream_layout(self, n, monkeypatch):
         # n uniforms, then group by group the (n, M, 2) h normals and the
-        # (n, 2) composite g normals of the column; n spans two full h row
-        # chunks and a ragged third, which draw and reduce to the bits one
-        # (n, M, 2) draw gives
-        p = replace(PARAMS, b_groups=3, n_total=3 * PARAMS.m_per_group,
+        # (n, 2) composite g normals of the column.  At n = 1 and 3 the
+        # columns are drawn two per slab, so the 5 columns cross two slab
+        # boundaries and end mid-slab; the default n spans two full h row
+        # chunks and a ragged third.  Either tiling draws and reduces to the
+        # bits one per-column draw gives
+        p = replace(PARAMS, b_groups=5, n_total=5 * PARAMS.m_per_group,
                     k_h=2.0, k_g=0.5, beta_gain=3.0)
         b, m = p.b_groups, p.m_per_group
-        n = 2 * (channel._CHUNK_ELEMENTS // m) + 5
+        if n is None:
+            n = 2 * (channel._CHUNK_ELEMENTS // m) + 5
+            assert channel._SLAB_ELEMENTS // (n * m) < 2
+        else:
+            monkeypatch.setattr(channel, "_SLAB_ELEMENTS", 2 * n * m)
         z, h_sq, rgs_u = simulate_block(p, n, block_rng(1, 0))
         corr = build_correlation_matrix(m, p.spacing, p.wavelength)
         rng = block_rng(1, 0)
@@ -95,6 +102,16 @@ class TestSimulateBlock:
             np.testing.assert_array_equal(snap.h_c[:, j], np.sum(tilde_h, axis=-1))
             g_c = m_c + math.sqrt(0.5 * var_c) * (g_normals[..., 0] + 1j * g_normals[..., 1])
             np.testing.assert_allclose(snap.g_c[:, j], g_c, rtol=1e-12)
+
+    def test_one_row_block_is_a_prefix_across_slabs(self):
+        # a (1, N) draw comes a slab of columns at a time; a narrower draw that
+        # crosses a slab boundary and ends mid-slab is still its prefix
+        cols = channel._SLAB_ELEMENTS // PARAMS.m_per_group
+        wide = sample_channels(PARAMS, (1, 3 * cols), block_rng(2, 0))
+        narrow = sample_channels(PARAMS, (1, cols + 7), block_rng(2, 0))
+        for name in ("h_sq", "h_c", "g_c"):
+            np.testing.assert_array_equal(getattr(narrow, name),
+                                          getattr(wide, name)[:, :cols + 7])
 
     def test_peak_memory_is_near_the_output(self):
         # h is drawn and reduced chunk by chunk, so no (n, B, M) complex or
