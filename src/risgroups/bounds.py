@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .channel import ChannelSnapshot, SystemParams
 from .energy import EhModel, PowerBudget, harvest_rate
-from .selection import incident_power, mean_snr_scale
+from .selection import incident_power, mean_snr_scale, snr_threshold
 
 
 @dataclass(frozen=True)
@@ -36,6 +36,13 @@ def _interval(lower: float, upper: float, cause_if_infeasible: str) -> FeasibleI
     return FeasibleInterval(clamped_lower, clamped_upper, False, cause)
 
 
+def _group_need(params: SystemParams, budget: PowerBudget, r_req: float) -> tuple[int, float]:
+    """Group size M and its power need w = M p_t + p_ph, after checking r_req."""
+    if r_req < 0:
+        raise ValueError("required rate must be nonnegative")
+    return params.m_per_group, params.m_per_group * budget.p_t + budget.p_ph
+
+
 def rho_bounds_linear(
     params: SystemParams,
     budget: PowerBudget,
@@ -43,16 +50,13 @@ def rho_bounds_linear(
     r_req: float,
 ) -> FeasibleInterval:
     """PS feasibility interval under the linear harvesting law."""
-    if r_req < 0:
-        raise ValueError("required rate must be nonnegative")
-    m = params.m_per_group
-    w = m * budget.p_t + budget.p_ph
+    m, w = _group_need(params, budget, r_req)
     gain = incident_power(params) * snap.sum_h_sq
     if gain == 0.0:
         return FeasibleInterval(1.0, 0.0, False, "energy-limited")
     lower = w / gain
     eta = lower * mean_snr_scale(params) * snap.z
-    upper = eta / (2.0 ** r_req - 1.0 + eta) if eta > 0 else 0.0
+    upper = eta / (snr_threshold(r_req) + eta) if eta > 0 else 0.0
     return _interval(lower, upper, "rate-limited")
 
 
@@ -66,10 +70,7 @@ def rho_bounds_nonlinear(
     """PS feasibility interval under the nonlinear harvesting law."""
     if model.kind != "nonlinear":
         raise ValueError("nonlinear EH model required")
-    if r_req < 0:
-        raise ValueError("required rate must be nonnegative")
-    m = params.m_per_group
-    w = m * budget.p_t + budget.p_ph
+    m, w = _group_need(params, budget, r_req)
     headroom = model.a - w / m - model.b / model.c
     if headroom <= 0:
         # required per-element energy exceeds the rectifier saturation
@@ -79,7 +80,7 @@ def rho_bounds_nonlinear(
         return FeasibleInterval(1.0, 0.0, False, "energy-limited")
     lower = model.c * w / denom
     kappa = lower * (snap.h_max_sq / snap.h_min_sq) * mean_snr_scale(params) * snap.z
-    upper = kappa / (2.0 ** r_req - 1.0 + kappa) if kappa > 0 else 0.0
+    upper = kappa / (snr_threshold(r_req) + kappa) if kappa > 0 else 0.0
     return _interval(lower, upper, "rate-limited")
 
 
@@ -90,17 +91,14 @@ def zeta_bounds_linear(
     r_req: float,
 ) -> FeasibleInterval:
     """TS feasibility interval under the linear harvesting law."""
-    if r_req < 0:
-        raise ValueError("required rate must be nonnegative")
-    m = params.m_per_group
-    w = m * budget.p_t + budget.p_ph
+    m, w = _group_need(params, budget, r_req)
     gain = incident_power(params) * snap.sum_h_sq
     denom = m * budget.p_t + gain
     if denom == 0.0 or gain == 0.0:
         return FeasibleInterval(1.0, 0.0, False, "energy-limited")
     lower = w / denom
     gamma = mean_snr_scale(params) * snap.z
-    upper = 1.0 - r_req / math.log2(1.0 + gamma) if gamma > 0 else 0.0
+    upper = 1.0 - r_req / (math.log1p(gamma) / math.log(2.0)) if gamma > 0 else 0.0
     return _interval(lower, upper, "rate-limited")
 
 
@@ -114,10 +112,7 @@ def zeta_bounds_nonlinear(
     """TS feasibility interval under the nonlinear harvesting law."""
     if model.kind != "nonlinear":
         raise ValueError("nonlinear EH model required")
-    if r_req < 0:
-        raise ValueError("required rate must be nonnegative")
-    m = params.m_per_group
-    w = m * budget.p_t + budget.p_ph
+    m, w = _group_need(params, budget, r_req)
     phi = incident_power(params) * snap.h_max_sq
     denom = m * (budget.p_t + float(harvest_rate(model, phi)))
     if denom == 0.0:
@@ -125,5 +120,5 @@ def zeta_bounds_nonlinear(
     lower = w / denom
     # worst-case achievable rate: all elements at |h_min|, so |h_c|^2 = M^2 |h_min|^2
     gamma_min = mean_snr_scale(params) * m ** 2 * snap.h_min_sq * snap.g_c_sq
-    upper = 1.0 - r_req / math.log2(1.0 + gamma_min) if gamma_min > 0 else 0.0
+    upper = 1.0 - r_req / (math.log1p(gamma_min) / math.log(2.0)) if gamma_min > 0 else 0.0
     return _interval(lower, upper, "rate-limited")

@@ -289,8 +289,4 @@ def fit_gamma_product(params: SystemParams) -> GammaFit:
 
 def gamma_cdf(fit: GammaFit, x: float) -> float:
     """CDF of the moment-matched Gamma law at x >= 0."""
-    if x < 0:
-        raise ValueError("argument must be nonnegative")
-    if x == 0.0:
-        return 0.0
     return reg_lower_incomplete_gamma(fit.shape, x / fit.scale)

@@ -52,6 +52,11 @@ def incident_power(params: SystemParams) -> float:
     return params.p_tx * params.rho_l * params.d_sr ** -params.alpha
 
 
+def snr_threshold(r_req: float) -> float:
+    """SNR 2^r - 1 that a rate of r bits/s/Hz needs; inf where 2^r overflows."""
+    return 2.0 ** r_req - 1.0 if r_req < 1024.0 else np.inf
+
+
 def data_wiring(params: SystemParams, mode: RisMode) -> tuple[float, float]:
     """(SNR per unit Z, pre-log factor f) of the data phase for the mode:
     ((1-rho) psi, 1) for PS and (psi, 1-zeta) for TS."""
@@ -68,7 +73,7 @@ def outage_rgs(params: SystemParams, mode: RisMode, fit: GammaFit, r_req: float)
     snr_per_z, f = data_wiring(params, mode)
     if snr_per_z == 0.0 or f == 0.0:
         return 1.0
-    return gamma_cdf(fit, (2.0 ** (r_req / f) - 1.0) / snr_per_z)
+    return gamma_cdf(fit, snr_threshold(r_req / f) / snr_per_z)
 
 
 def outage_sbgs(cdf_at_threshold: float, set_size: int, k: int) -> float:

@@ -91,6 +91,8 @@ def reg_lower_incomplete_gamma(s: float, x: float) -> float:
         raise ValueError(f"argument must be nonnegative, got {x}")
     if x == 0.0:
         return 0.0
+    if x == math.inf:
+        return 1.0
     if s > _GAMMA_LARGE_SHAPE:
         return _gamma_wilson_hilferty(s, x)
     if x < s + 1.0:

@@ -24,6 +24,7 @@ from risgroups.energy import (
     required_energy_ps,
     required_energy_ts,
 )
+from risgroups.selection import mean_snr_scale
 
 # short-range, high-gain, high-noise setup so both interval endpoints are
 # interior: the far-field defaults are energy-infeasible (lower clamps to 1)
@@ -203,13 +204,16 @@ def _with_fixed_snapshots(test):
 
 class TestIntervalInvariants:
     # budgets reach past the 0.484 W per element (27 dBm) that the nonlinear
-    # law saturates at, so every cause is drawn
+    # law saturates at, so every cause is drawn; transmit powers reach SNRs
+    # below 2^-53 and rates reach past 1024 bits/s/Hz, where 2^r overflows
     @settings(max_examples=200, deadline=None)
-    @given(p_tx=st.floats(-20.0, 60.0).map(_watts),
+    @given(p_tx=st.floats(-200.0, 60.0).map(_watts),
            p_t=st.just(0.0) | st.floats(-60.0, 33.0).map(_watts),
            p_ph=st.just(0.0) | st.floats(-60.0, 33.0).map(_watts),
-           r_req=st.floats(0.0, 20.0),
+           r_req=st.floats(0.0, 2000.0),
            seed=st.integers(0, 2**32 - 1))
+    @example(p_tx=1e-22, p_t=BUDGET.p_t, p_ph=BUDGET.p_ph, r_req=1.0, seed=3)
+    @example(p_tx=PARAMS.p_tx, p_t=BUDGET.p_t, p_ph=BUDGET.p_ph, r_req=1100.0, seed=3)
     @_with_fixed_snapshots
     def test_clamps_and_verdicts(self, p_tx, p_t, p_ph, r_req, seed):
         params = replace(PARAMS, p_tx=p_tx)
@@ -230,12 +234,15 @@ class TestIntervalInvariants:
                 assert iv.lower == 1.0
 
 
+TS_BOUNDS = pytest.mark.parametrize("bounds", [
+    lambda p, snap: zeta_bounds_linear(p, BUDGET, snap, 1.0),
+    lambda p, snap: zeta_bounds_nonlinear(p, BUDGET, NONLINEAR_DEFAULT, snap, 1.0),
+], ids=["linear", "nonlinear"])
+
+
 class TestZeroSnr:
     @pytest.mark.parametrize("p_tx, cause", [(1e-12, "energy-limited"), (1.0, "rate-limited")])
-    @pytest.mark.parametrize("bounds", [
-        lambda p, snap: zeta_bounds_linear(p, BUDGET, snap, 1.0),
-        lambda p, snap: zeta_bounds_nonlinear(p, BUDGET, NONLINEAR_DEFAULT, snap, 1.0),
-    ], ids=["linear", "nonlinear"])
+    @TS_BOUNDS
     def test_ts_cause_follows_lower(self, bounds, p_tx, cause):
         # g_c = 0 leaves no rate at any zeta; the cause is energy-limited
         # whenever the energy bound alone already exceeds 1, as elsewhere
@@ -245,3 +252,16 @@ class TestZeroSnr:
         assert iv.cause == cause
         assert iv.upper == 0.0
         assert (iv.lower == 1.0) == (cause == "energy-limited")
+
+    @TS_BOUNDS
+    def test_ts_snr_below_double_epsilon(self, bounds):
+        # at 1e-22 W the SNR is below 2^-53, where log2(1 + snr) is 0 and the
+        # upper bound once divided by it; log1p keeps every rate unreachable
+        params = replace(PARAMS, p_tx=1e-22)
+        snap = snapshot(3)
+        psi = mean_snr_scale(params)
+        for snr in (psi * snap.z, psi * PARAMS.m_per_group ** 2 * snap.h_min_sq * snap.g_c_sq):
+            assert 0.0 < snr < 2.0 ** -53
+        iv = bounds(params, snap)
+        assert not iv.feasible
+        assert iv.upper == 0.0

@@ -358,6 +358,54 @@ def test_large_shape_points_run(text, tmp_path):
         assert math.isfinite(float(row.split(",")[1]))
 
 
+def _shipped_with(tmp_path, name: str, **keys) -> str:
+    """Path of a copy of a shipped scenario with each given key's line replaced."""
+    text = (ROOT / "scenarios" / f"{name}.cfg").read_text(encoding="utf-8")
+    kept = [line for line in text.splitlines() if line.partition("=")[0].strip() not in keys]
+    path = tmp_path / f"{name}.cfg"
+    path.write_text("\n".join(kept + [f"{k} = {v}" for k, v in keys.items()]) + "\n",
+                    encoding="utf-8")
+    return str(path)
+
+
+def _data_rows(path) -> list[list[str]]:
+    return [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()
+            if not line.startswith("#")][1:]
+
+
+class TestExtremeRequirements:
+    # an SNR below 2^-53 and a rate past 1024 bits/s/Hz (where 2^r overflows)
+    # once ended in a ZeroDivisionError or OverflowError traceback
+
+    def test_ts_bounds_at_tiny_snr(self, tmp_path):
+        path = _shipped_with(tmp_path, "bounds_ps_linear", mode="ts", p_tx_dbm=-190)
+        out = tmp_path / "b.csv"
+        assert main(["bounds", path, "-o", str(out)]) == 0
+        rows = _data_rows(out)
+        assert len(rows) == 100
+        assert all(row[3] == "false" for row in rows)
+
+    def test_ps_bounds_at_unreachable_rate(self, tmp_path):
+        path = _shipped_with(tmp_path, "bounds_ps_linear", r_req=1100)
+        out = tmp_path / "b.csv"
+        assert main(["bounds", path, "-o", str(out)]) == 0
+        rows = _data_rows(out)
+        assert len(rows) == 100
+        for row in rows:
+            assert float(row[2]) == 0.0 and row[3] == "false"
+            assert row[4] == ("energy-limited" if float(row[1]) == 1.0 else "rate-limited")
+
+    def test_run_at_unreachable_rate(self, tmp_path):
+        # at zeta = 0.999 the rate needs 2^(r/(1-zeta)) with r/(1-zeta) > 2000
+        path = _shipped_with(tmp_path, "data_zeta", sweep_grid="0.5,0.999")
+        out = tmp_path / "z.csv"
+        assert main(["run", path, "-o", str(out), "--trials", "64"]) == 0
+        rows = _data_rows(out)
+        assert [row[0] for row in rows] == ["0.5", "0.999"]
+        assert float(rows[0][1]) < 1.0
+        assert float(rows[1][1]) == 1.0 and float(rows[1][2]) == 1.0
+
+
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
 def test_shipped_scenario_runs(path, tmp_path):
     out = tmp_path / "out.csv"
