@@ -260,7 +260,7 @@ def sample_channels(params: SystemParams, shape: tuple,
     h_c = np.empty((n, b), dtype=np.complex128)
     g_c = np.empty((n, b), dtype=np.complex128)
     cols = _SLAB_ELEMENTS // (n * m)
-    if cols >= 2:  # one slab row per column: its h normals, then its g normals
+    if cols >= 2:  # columns share slabs, one row each: its h normals, then its g
         for j in range(0, b, cols):
             noise = rng.standard_normal((min(cols, b - j), n * (m + 1), 2))
             h_sq_s, h_c_s = _reduce_h(params, corr, noise[:, :n * m].reshape(-1, n, m, 2))

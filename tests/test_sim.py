@@ -65,7 +65,7 @@ class TestSimulateBlock:
         assert np.all(z >= 0.0)
         assert np.all(h_sq >= 0.0)
 
-    @pytest.mark.parametrize("n", [1, 3, None])
+    @pytest.mark.parametrize("n", [1, 3, None], ids=["slab-1-row", "slab-3-rows", "row-chunks"])
     def test_stream_layout(self, n, monkeypatch):
         # n uniforms, then group by group the (n, M, 2) h normals and the
         # (n, 2) composite g normals of the column.  At n = 1 and 3 the
