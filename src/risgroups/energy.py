@@ -64,8 +64,8 @@ def required_energy_ts(m: int, budget: PowerBudget, t_s: float, zeta: float) -> 
 def harvest_rate(model: EhModel, incident_power):
     """Harvested power per element for given incident power (vectorized)."""
     p = np.asarray(incident_power, dtype=float)
-    if np.any(p < 0):
-        raise ValueError("incident powers must be nonnegative")
+    if not np.all(p >= 0):  # NaN fails this too
+        raise ValueError("incident powers must be nonnegative and not NaN")
     if model.kind == "linear":
         return p
     return (model.a * p + model.b) / (p + model.c) - model.b / model.c

@@ -137,47 +137,51 @@ _Y_NODES = np.arange(-36.0, 3.7, _Y_STEP)
 
 
 def _recip_moments(mus: np.ndarray, cov: np.ndarray, w_p: float,
-                   c: float) -> tuple[np.ndarray, np.ndarray]:
-    """Means and covariance matrix of phi_j = 1/(w_p |h_j|^2 + c), h ~ CN(mus, cov).
+                   c: float) -> tuple[float, float]:
+    """Mean and variance of T = sum_j 1/(w_p |h_j|^2 + c), h ~ CN(mus, cov).
 
     1/x = int_0^inf e^{-ux} du turns each moment into an integral of the
     Laplace transform of a complex Gaussian pair (Turin 1960): with a = w_p u,
     b = w_p v, C = cov[j, k] and the marginal variance s^2 = cov[j, j],
     E[e^{-a|h_j|^2 - b|h_k|^2}] = e^{-q}/D, D = (1+s^2 a)(1+s^2 b) - C^2 ab,
-    q = (a(1+s^2 b) m_j^2 + b(1+s^2 a) m_k^2 - 2abC m_j m_k)/D.
-    The covariance integrand is the product of the two marginal transforms
-    times expm1 of the log of its ratio to them, so it keeps full relative
-    accuracy however weakly the elements are driven.
-    """
-    s_sq = cov[0, 0]  # R has a unit diagonal: every element shares it
+    q = (a(1+s^2 b) m_j^2 + b(1+s^2 a) m_k^2 - 2abC m_j m_k)/D.  The mean takes
+    every node.  The covariance integrand, the marginal transforms times expm1
+    of the log of its ratio to them, keeps full relative accuracy at any drive
+    and is O(ab) as a, b -> 0: nodes with a max_j E|h_j|^2 < e^-20 and y < -20
+    add under e^-40 of it, so it drops them."""
     a = w_p * np.exp(_Y_NODES) / c
     wt = _Y_STEP * np.exp(_Y_NODES - np.exp(_Y_NODES)) / c
-    d1 = 1.0 + s_sq * a
+    d1 = 1.0 + cov[0, 0] * a  # R has a unit diagonal: every element shares it
     q1 = np.outer(mus ** 2, a / d1)
     lap = np.exp(-q1) / d1
-    ab, dd = np.outer(a, a), np.outer(d1, d1)
-    covar = np.empty_like(cov)
-    # row j against k >= j keeps each temporary at (M, nodes, nodes)
+    keep = _Y_NODES >= min(0.0, np.log(c / (w_p * np.max(np.diag(cov) + mus ** 2)))) - 20.0
+    q1, lw = q1[:, keep], lap[:, keep] * wt[keep]  # transforms times node weights
+    abdd = np.outer(a[keep], a[keep]) / np.outer(d1[keep], d1[keep])
+    buf, var_t = np.empty((3, len(mus), *abdd.shape)), 0.0  # row j, k >= j: buf[:, j:]
     for j, m_j in enumerate(mus):
-        ck, mk = cov[j, j:, None, None], mus[j:, None, None]
-        r = ck ** 2 * ab / dd  # 1 - D / ((1+s^2 a)(1+s^2 b))
-        # q - q_j(a) - q_k(b) = abC (C (q_j(a) + q_k(b)) - 2 m_j m_k) / D
-        dq = (ab * ck * (ck * (q1[j, :, None] + q1[j:, None, :]) - 2.0 * m_j * mk)
-              / (dd * (1.0 - r)))
-        cross = lap[j, :, None] * lap[j:, None, :] * np.expm1(-dq - np.log1p(-r))
-        covar[j, j:] = covar[j:, j] = cross @ wt @ wt
-    return lap @ wt, covar
+        ck, (x, r, e) = cov[j, j:, None, None], buf[:, j:]
+        np.multiply(-ck ** 2, abdd, out=x)  # D / ((1+s^2 a)(1+s^2 b)) - 1
+        # q_j(a) + q_k(b) - q = abC (2 m_j m_k - C (q_j(a) + q_k(b))) / D
+        np.add(q1[j, :, None], q1[j:, None, :], out=e)
+        e *= -ck
+        e += 2.0 * m_j * mus[j:, None, None]
+        e *= ck
+        e *= abdd
+        e /= np.add(x, 1.0, out=r)
+        e -= np.log1p(x, out=x)
+        np.expm1(e, out=e)
+        row = (e @ lw[j:, :, None])[..., 0] @ lw[j]
+        var_t += row[0] + 2.0 * row[1:].sum()
+    return float(np.sum(lap @ wt)), float(var_t)
 
 
 def fit_energy_distribution(params: SystemParams, mode: RisMode, model: EhModel):
     """Moment-matched distribution of the per-group harvested energy.
 
     Linear law: ``GammaFit`` of the weighted power-gain sum.  Nonlinear law:
-    the group energy is an affine function of the summed reciprocal term,
-    which is fitted with an inverse-Gamma by matching its first two moments;
-    those come from the closed-form Laplace transform of each correlated
-    element pair, integrated on one trapezoid node set (``_recip_moments``).
-    """
+    an affine function of the summed reciprocal term T, whose inverse-Gamma
+    fit matches the mean and variance from ``_recip_moments``: the mean on
+    every trapezoid node, the variance on the nodes above double precision."""
     dur, w_p = eh_wiring(params, mode)
     if dur == 0.0 or w_p == 0.0:
         return DegenerateDist(0.0)
@@ -188,15 +192,11 @@ def fit_energy_distribution(params: SystemParams, mode: RisMode, model: EhModel)
         return GammaFit.from_moments(dur * w_p * mean_s, (dur * w_p) ** 2 * var_s)
 
     # nonlinear: E = dur (ac - b) (M/c - T), T = sum_j 1/(w_p |h_j|^2 + c)
-    first, covar = _recip_moments(mus, cov, w_p, model.c)
-    mean_t = float(np.sum(first))
-    var_t = float(np.sum(covar))
+    mean_t, var_t = _recip_moments(mus, cov, w_p, model.c)
     if var_t <= 0:
         raise DegenerateFitError("vanishing variance in nonlinear energy fit")
     inv_shape = mean_t ** 2 / var_t + 2.0
-    inv_scale = mean_t * (inv_shape - 1.0)
     slope = dur * (model.a * model.c - model.b)
-    offset = slope * params.m_per_group / model.c
     return ShiftedInvGammaEnergyDist(
-        offset=offset, slope=slope, inv_shape=inv_shape, inv_scale=inv_scale
-    )
+        offset=slope * params.m_per_group / model.c, slope=slope,
+        inv_shape=inv_shape, inv_scale=mean_t * (inv_shape - 1.0))

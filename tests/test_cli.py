@@ -6,7 +6,7 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import risgroups
@@ -147,6 +147,43 @@ class TestLoadScenario:
         path.write_text(f"{key} = {junk}\n", encoding="utf-8")
         with pytest.raises(ScenarioError, match=key):
             load_scenario(str(path))
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(shipped=st.sampled_from(SHIPPED), sweep=st.booleans(),
+           keys=st.fixed_dictionaries({}, optional={
+               "p_tx_dbm": st.floats(-40.0, 60.0),
+               "rho": st.floats(0.0, 1.0),
+               "zeta": st.floats(0.0, 1.0),
+               "k_h": st.floats(0.0, 100.0),
+               "spacing": st.floats(1e-3, 1.0),
+               "seed": st.integers(0, 2 ** 63),
+               "n_draws": st.integers(1, 10 ** 6),
+               "r_req": st.floats(0.0, 20.0),
+           }))
+    def test_raw_keys_round_trip(self, tmp_path, shipped, sweep, keys):
+        # a scenario written back from its raw keys loads to the same points
+        text = shipped.read_text(encoding="utf-8")
+        # a drawn r_req takes the place of the file's gamma_th_db
+        dropped = set(keys) | ({"gamma_th_db"} if "r_req" in keys else set())
+        kept = [l for l in text.splitlines() if l.partition("=")[0].strip() not in dropped]
+        first = tmp_path / "first.cfg"
+        first.write_text("\n".join(kept + [f"{k} = {v!r}" for k, v in keys.items()]) + "\n",
+                         encoding="utf-8")
+        try:
+            sc = load_scenario(str(first), sweep=sweep)
+        except ScenarioError:
+            assume(False)
+        # raw also keeps r_req's unused default next to a gamma_th_db, and a
+        # file may set only one of the two
+        skip = {"r_req"} if sc.raw["gamma_th_db"] is not None else set()
+        again = tmp_path / "again.cfg"
+        again.write_text("".join(f"{k} = {v}\n" for k, v in sc.raw.items()
+                                 if v is not None and k not in skip), encoding="utf-8")
+        back = load_scenario(str(again), sweep=sweep)
+        assert back.points == sc.points
+        assert back.sweep_grid == sc.sweep_grid
+        assert back.n_draws == sc.n_draws
 
     @pytest.mark.parametrize("sweep, message", [
         ("sweep_variable = b\nsweep_grid = 2,8\n", "k=6 exceeds the number of groups 2"),

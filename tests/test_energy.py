@@ -52,6 +52,14 @@ class TestEhModel:
         with pytest.raises(ValueError):
             harvest_rate(EhModel(), [-0.1])
 
+    @pytest.mark.parametrize("model", [EhModel(), NONLINEAR_DEFAULT], ids=["linear", "nonlinear"])
+    def test_nan_incident_rejected(self, model):
+        # a NaN harvest compares below no requirement, so it would count as no outage
+        with pytest.raises(ValueError, match="NaN"):
+            harvest_rate(model, [0.1, np.nan])
+        with pytest.raises(ValueError, match="NaN"):
+            harvest_rate(model, np.nan)
+
 
 class TestHarvest:
     def test_sums_over_elements(self):

@@ -9,15 +9,20 @@ from scipy import integrate, special
 from risgroups.channel import (
     GammaFit,
     SystemParams,
+    build_correlation_matrix,
+    element_law,
     fit_gamma_product,
     gamma_cdf,
     sample_channels,
 )
 from risgroups.energy import NONLINEAR_DEFAULT, EhModel, harvest_rate
 from risgroups.selection import (
+    _Y_NODES,
+    _Y_STEP,
     DegenerateDist,
     RisMode,
     SelectionStrategy,
+    _recip_moments,
     data_wiring,
     eh_wiring,
     fit_energy_distribution,
@@ -174,7 +179,7 @@ class TestEnergyDistributionFit:
         dist = fit_energy_distribution(p, mode, EhModel())
         e = _simulate_group_energy(p, mode, EhModel(), 300_000, seed=21)
         assert dist.shape * dist.scale == pytest.approx(float(e.mean()), rel=0.01)
-        assert dist.shape * dist.scale ** 2 == pytest.approx(float(e.var()), rel=0.05)
+        assert dist.shape * dist.scale ** 2 == pytest.approx(float(e.var()), rel=0.05, abs=0.0)
 
     def test_linear_fit_is_a_gamma_fit(self):
         p = SystemParams()
@@ -215,8 +220,8 @@ class TestEnergyDistributionFit:
         m1, m2 = moment(1), moment(2)
         mean_t, var_t = _t_moments(
             fit_energy_distribution(p, mode, NONLINEAR_DEFAULT))
-        assert mean_t == pytest.approx(m1, rel=1e-9)
-        assert var_t == pytest.approx(m2 - m1 ** 2, rel=1e-9)
+        assert mean_t == pytest.approx(m1, rel=1e-9, abs=0.0)
+        assert var_t == pytest.approx(m2 - m1 ** 2, rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("p_tx", [1e-3, 1e-2])
     def test_nonlinear_variance_under_weak_drive(self, p_tx):
@@ -231,7 +236,7 @@ class TestEnergyDistributionFit:
         linear = fit_energy_distribution(p, mode, EhModel())
         var_s = linear.shape * linear.scale ** 2 / (dur * w_p) ** 2
         _, var_t = _t_moments(fit_energy_distribution(p, mode, NONLINEAR_DEFAULT))
-        assert var_t == pytest.approx((w_p / c ** 2) ** 2 * var_s, rel=1e-6)
+        assert var_t == pytest.approx((w_p / c ** 2) ** 2 * var_s, rel=1e-6, abs=0.0)
 
     def test_nonlinear_cdf_matches_empirical(self):
         p = SystemParams(rho_l=0.1, d_sr=2.0, p_tx=20.0)
@@ -256,3 +261,52 @@ class TestEnergyDistributionFit:
         assert dist.cdf(dist.offset) == 1.0
         mid = dist.offset / 2.0
         assert 0.0 <= dist.cdf(mid) <= 1.0
+
+
+def _reference_recip_moments(mus, cov, w_p, c):
+    """Mean and variance of T = sum_j 1/(w_p |h_j|^2 + c), h ~ CN(mus, cov):
+    the Laplace-transform integrals on every node, pair (j, k) by pair."""
+    a = w_p * np.exp(_Y_NODES) / c
+    wt = _Y_STEP * np.exp(_Y_NODES - np.exp(_Y_NODES)) / c
+    d = 1.0 + cov[0, 0] * a
+    q = [m ** 2 * a / d for m in mus]
+    lap = [np.exp(-q_j) / d for q_j in q]
+    mean = sum(float(lap_j @ wt) for lap_j in lap)
+    ab, dd = np.outer(a, a), np.outer(d, d)
+    var = 0.0
+    for j in range(len(mus)):
+        for k in range(len(mus)):
+            cjk = cov[j, k]
+            r = cjk ** 2 * ab / dd
+            dq = (ab * cjk * (cjk * (q[j][:, None] + q[k][None, :]) - 2.0 * mus[j] * mus[k])
+                  / (dd * (1.0 - r)))
+            var += wt @ (np.outer(lap[j], lap[k]) * np.expm1(-dq - np.log1p(-r))) @ wt
+    return mean, var
+
+
+class TestRecipMoments:
+    # the covariance drops the nodes below min(0, ln(c / (w_p lambda))) - 20;
+    # weak drive (1e-3 W) needs the min(0, .) and strong drive (2e4 W) keeps
+    # nodes far below y = -20
+    @pytest.mark.parametrize("p_tx, m, k_h, per_wavelength, kind", [
+        (1e-3, 1, 0.0, 16, "PS"),
+        (1e-3, 20, 10.0, 2, "TS"),
+        (1e-3, 40, 0.0, 16, "TS"),
+        (20.0, 1, 10.0, 2, "TS"),
+        (20.0, 20, 0.0, 16, "PS"),
+        (20.0, 40, 10.0, 2, "PS"),
+        (2e4, 1, 0.0, 2, "PS"),
+        (2e4, 20, 10.0, 16, "TS"),
+        (2e4, 40, 0.0, 2, "TS"),
+    ])
+    def test_matches_every_pair_on_every_node(self, p_tx, m, k_h, per_wavelength, kind):
+        p = SystemParams(rho_l=0.1, d_sr=2.0, p_tx=p_tx, k_h=k_h, m_per_group=m,
+                         b_groups=400 // m, spacing=0.1 / per_wavelength)
+        _, w_p = eh_wiring(p, RisMode(kind, rho=0.5, zeta=0.4))
+        mus, cov = element_law(p, build_correlation_matrix(m, p.spacing, p.wavelength), k_h)
+        c = NONLINEAR_DEFAULT.c
+        mean_t, var_t = _recip_moments(mus, cov, w_p, c)
+        ref_mean, ref_var = _reference_recip_moments(mus, cov, w_p, c)
+        # abs=0: var_t is as small as 1e-19 at 1e-3 W
+        assert mean_t == pytest.approx(ref_mean, rel=1e-13, abs=0.0)
+        assert var_t == pytest.approx(ref_var, rel=1e-13, abs=0.0)
