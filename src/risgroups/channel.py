@@ -12,16 +12,17 @@ draws one shape, an (n, B) block of n trials of B groups, from the law of
 ``params``.  Its stream layout is group-major and fixed: for each group column
 j in turn, the (n, M, 2) normals of its per-element h, then the (n, 2)
 normals of its composite g_c = sum_j tilde_g_j, which alone enters Z and is
-drawn from its exact law CN(m_c, var_c).  Narrow columns are drawn a slab of
-columns per call, wide ones in row chunks of their h, and each slab or chunk
-is reduced to |tilde_h_j|^2 and h_c = sum_j tilde_h_j before the next is
-drawn, so no (n, B, M) complex array exists; the tiling never changes the
-stream.  Groups are iid and successive draws continue one stream, so the
-first b columns of a draw are the (n, b) draw bit for bit: a narrower block
-is a prefix of every wider one.  The result is a ``ChannelSnapshot`` of
-``h_sq``, ``h_c`` and ``g_c`` whose h reductions run over the last (element)
-axis; indexing its batch axes (``snaps[0, d]``, ``snaps[:, j]``) gives one
-group or one column.
+drawn from its exact law CN(m_c, var_c).  A column's h and g normals are
+contiguous in the stream, so one ``standard_normal`` call draws a slab of
+whole columns, as many as fit in 2^12 complex h elements and at least one (a
+wide column is a slab of its own), and the slab is reduced to |tilde_h_j|^2
+and h_c = sum_j tilde_h_j before the next is drawn; no (n, B, M) complex
+array exists, and the tiling never changes the stream.  Groups are iid and
+successive draws continue one stream, so the first b columns of a draw are
+the (n, b) draw bit for bit: a narrower block is a prefix of every wider one.
+The result is a ``ChannelSnapshot`` of ``h_sq``, ``h_c`` and ``g_c`` whose h
+reductions run over the last (element) axis; indexing its batch axes
+(``snaps[0, d]``, ``snaps[:, j]``) gives one group or one column.
 """
 
 import logging
@@ -38,10 +39,8 @@ logger = logging.getLogger(__name__)
 # not roundoff, and rejected
 _CLAMP_LIMIT = 1e-8
 
-# complex h elements per drawn chunk (1 MiB): the chunk's normals, its complex
-# h and the matmul result stay in cache until they are reduced
-_CHUNK_ELEMENTS = 2 ** 16
-# complex h elements per slab of narrow columns drawn by one call (64 KiB)
+# complex h elements per slab of whole columns drawn by one call (64 KiB); a
+# wider column is a slab of one column
 _SLAB_ELEMENTS = 2 ** 12
 
 
@@ -236,20 +235,10 @@ def power_moments(mus: np.ndarray, cov: np.ndarray) -> tuple[float, float]:
     return mean, float(np.sum(2.0 * np.outer(mus, mus) * cov + cov ** 2))
 
 
-def _reduce_h(params: SystemParams, corr: CorrelationMatrix,
-              noise: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """|tilde_h_j|^2 and sum_j tilde_h_j of tilde_h = sqrt(beta) raw @ R^(1/2),
-    raw the Rician gains of ``(..., M, 2)`` normals."""
-    raw = sample_rician_vector(noise, params.k_h)
-    raw *= math.sqrt(params.beta_gain)
-    tilde_h = raw @ corr.sqrt_entries
-    return np.abs(tilde_h) ** 2, np.sum(tilde_h, axis=-1)
-
-
 def sample_channels(params: SystemParams, shape: tuple,
                     rng: np.random.Generator) -> ChannelSnapshot:
     """Draw an ``(n, B)`` block group by group, each column's h over ``(n, M)``
-    then its g_c ~ CN(m_c, var_c): narrow columns by slab, wide in row chunks."""
+    then its g_c ~ CN(m_c, var_c), a slab of whole columns per normal call."""
     n, b = shape
     corr = build_correlation_matrix(params.m_per_group, params.spacing, params.wavelength)
     m = corr.dim
@@ -259,21 +248,15 @@ def sample_channels(params: SystemParams, shape: tuple,
     h_sq = np.empty((n, b, m))
     h_c = np.empty((n, b), dtype=np.complex128)
     g_c = np.empty((n, b), dtype=np.complex128)
-    cols = _SLAB_ELEMENTS // (n * m)
-    if cols >= 2:  # columns share slabs, one row each: its h normals, then its g
-        for j in range(0, b, cols):
-            noise = rng.standard_normal((min(cols, b - j), n * (m + 1), 2))
-            h_sq_s, h_c_s = _reduce_h(params, corr, noise[:, :n * m].reshape(-1, n, m, 2))
-            h_sq[:, j:j + cols], h_c[:, j:j + cols] = h_sq_s.swapaxes(0, 1), h_c_s.T
-            g_c[:, j:j + cols] = g_scale * sample_rician_vector(noise[:, n * m:], g_k).T
-    else:
-        step = max(1, _CHUNK_ELEMENTS // m)
-        for j in range(b):
-            for start in range(0, n, step):
-                stop = min(start + step, n)
-                h_sq[start:stop, j], h_c[start:stop, j] = _reduce_h(
-                    params, corr, rng.standard_normal((stop - start, m, 2)))
-            g_c[:, j] = g_scale * sample_rician_vector(rng.standard_normal((n, 2)), g_k)
+    cols = max(1, _SLAB_ELEMENTS // (n * m))
+    for j in range(0, b, cols):  # one slab row per column: its h normals, then its g
+        noise = rng.standard_normal((min(cols, b - j), n * (m + 1), 2))
+        raw = sample_rician_vector(noise[:, :n * m].reshape(-1, n, m, 2), params.k_h)
+        raw *= math.sqrt(params.beta_gain)
+        tilde_h = raw @ corr.sqrt_entries
+        h_sq[:, j:j + cols] = _abs_sq(tilde_h).swapaxes(0, 1)
+        h_c[:, j:j + cols] = np.sum(tilde_h, axis=-1).T
+        g_c[:, j:j + cols] = g_scale * sample_rician_vector(noise[:, n * m:], g_k).T
     return ChannelSnapshot(h_sq=h_sq, h_c=h_c, g_c=g_c)
 
 

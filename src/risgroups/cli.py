@@ -165,7 +165,9 @@ def load_scenario(path: str, overrides: dict | None = None, sweep: bool = True) 
                              p_ph=_positive_watts(raw, "p_ph_dbm"))
         r_req = raw["r_req"]
         if raw["gamma_th_db"] is not None:
+            # the threshold sets the rate, so raw drops r_req's unused default
             r_req = math.log2(1.0 + _from_db(raw, "gamma_th_db"))
+            del raw["r_req"]
         trial = TrialConfig(seed=raw["seed"], mode=mode, eh=eh, r_req=r_req)
         grid, points = [], []
         if sweep:

@@ -6,9 +6,9 @@ for any worker count and any block execution order.  One block of n trials
 draws, in this order: n uniforms that pick the RGS group, then the (n, B)
 block of ``channel.sample_channels`` under the law of its ``params``, group by
 group (each column's (n, M, 2) h normals, then its (n, 2) composite g
-normals; narrow columns are drawn by slab, wide ones in row chunks, and the
-tiling never changes the stream).  The bounds command's snapshots are the
-group columns of one (1, n_draws) block drawn from ``block_rng(seed, 0)``.
+normals; ``channel`` states how the draw is tiled).  The bounds command's
+snapshots are the group columns of one (1, n_draws) block drawn from
+``block_rng(seed, 0)``.
 
 A block's draw depends only on the channel law (``m_per_group``, ``spacing``,
 ``wavelength``, ``k_h``, ``k_g``, ``beta_gain``), the seed and the trial count;

@@ -33,7 +33,7 @@ class TestSystemParams:
         p = SystemParams()
         assert p.n_total == p.m_per_group * p.b_groups
         assert p.p_tx == pytest.approx(1.0)
-        assert p.noise_power == pytest.approx(10.0 ** (-104.0 / 10.0) / 1000.0)
+        assert p.noise_power == pytest.approx(10.0 ** (-104.0 / 10.0) / 1000.0, abs=0.0)
 
     def test_group_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -268,8 +268,8 @@ class TestGammaFit:
     @pytest.mark.parametrize("mean, var", [(1.0, 0.5), (3.7e-9, 2.1e-20), (250.0, 4e5)])
     def test_from_moments_round_trip(self, mean, var):
         fit = GammaFit.from_moments(mean, var)
-        assert fit.mean == pytest.approx(mean, rel=1e-14)
-        assert fit.variance == pytest.approx(var, rel=1e-14)
+        assert fit.mean == pytest.approx(mean, rel=1e-14, abs=0.0)
+        assert fit.variance == pytest.approx(var, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("var", [0.0, -1e-3])
     def test_from_moments_degenerate(self, var):

@@ -174,12 +174,9 @@ class TestLoadScenario:
             sc = load_scenario(str(first), sweep=sweep)
         except ScenarioError:
             assume(False)
-        # raw also keeps r_req's unused default next to a gamma_th_db, and a
-        # file may set only one of the two
-        skip = {"r_req"} if sc.raw["gamma_th_db"] is not None else set()
         again = tmp_path / "again.cfg"
-        again.write_text("".join(f"{k} = {v}\n" for k, v in sc.raw.items()
-                                 if v is not None and k not in skip), encoding="utf-8")
+        again.write_text("".join(f"{k} = {v}\n" for k, v in sc.raw.items() if v is not None),
+                         encoding="utf-8")
         back = load_scenario(str(again), sweep=sweep)
         assert back.points == sc.points
         assert back.sweep_grid == sc.sweep_grid
@@ -211,6 +208,9 @@ class TestRunCommand:
         meta = [l for l in lines if l.startswith("#")]
         data = [l for l in lines if not l.startswith("#")]
         assert [l for l in meta if l.startswith("# seed = ")] == ["# seed = 77"]
+        # gamma_th_db sets the rate, so the unused r_req is not echoed
+        assert "# gamma_th_db = 3" in meta
+        assert not [l for l in meta if l.startswith("# r_req")]
         assert data[0] == (
             "sweep_value,analytic_outage,empirical_outage,"
             "ci_halfwidth,n_trials,scheme,k,mode"

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from risgroups import channel
 from risgroups.channel import SystemParams, sample_channels
 from risgroups.energy import (
     EhModel,
@@ -65,8 +64,8 @@ class TestHarvest:
     def test_sums_over_elements(self):
         # a group harvests over the EH phase the sum of its elements' rates
         p = SystemParams()
-        # one full h row chunk per group column and a ragged one
-        n = channel._CHUNK_ELEMENTS // p.m_per_group + 5
+        # columns of 3281 rows, each drawn and reduced by its own normal call
+        n = 3281
         rng = block_rng(2, 0)
         # the block draws the RGS uniforms, then group by group h and g, from one stream
         u = rng.random(n)

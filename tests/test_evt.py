@@ -68,7 +68,7 @@ class TestQuantileBisect:
     def test_stopping_rule_is_relative(self, scale):
         cdf = lambda x: -math.expm1(-x / scale) if x > 0 else 0.0
         assert _quantile_bisect(cdf, 0.5) == pytest.approx(
-            scale * math.log(2.0), rel=1e-12
+            scale * math.log(2.0), rel=1e-12, abs=0.0
         )
 
     def test_quantile_at_zero_terminates(self):

@@ -65,20 +65,24 @@ class TestSimulateBlock:
         assert np.all(z >= 0.0)
         assert np.all(h_sq >= 0.0)
 
-    @pytest.mark.parametrize("n", [1, 3, None], ids=["slab-1-row", "slab-3-rows", "row-chunks"])
+    @pytest.mark.parametrize("n", [1, 3, 2 * 3276 + 5, 3277],
+                             ids=["slab-1-row", "slab-3-rows", "one-column-per-call",
+                                  "one-column-of-3277-rows"])
     def test_stream_layout(self, n, monkeypatch):
         # n uniforms, then group by group the (n, M, 2) h normals and the
         # (n, 2) composite g normals of the column.  At n = 1 and 3 the
         # columns are drawn two per slab, so the 5 columns cross two slab
-        # boundaries and end mid-slab; the default n spans two full h row
-        # chunks and a ragged third.  Either tiling draws and reduces to the
-        # bits one per-column draw gives
+        # boundaries and end mid-slab; wider columns are drawn one per call.
+        # A one-row product @ R^½ rounds differently from a row of a larger
+        # one, so 2·3276 + 5 and 3276 + 1 rows (3276 = 2^16 // 20) check that
+        # a column's h is multiplied in one piece, not in rows of 2^16
+        # elements.  Every tiling draws and reduces to the bits one
+        # per-column draw gives
         p = replace(PARAMS, b_groups=5, n_total=5 * PARAMS.m_per_group,
                     k_h=2.0, k_g=0.5, beta_gain=3.0)
         b, m = p.b_groups, p.m_per_group
-        if n is None:
-            n = 2 * (channel._CHUNK_ELEMENTS // m) + 5
-            assert channel._SLAB_ELEMENTS // (n * m) < 2
+        if n > 3:
+            assert channel._SLAB_ELEMENTS // (n * m) <= 1
         else:
             monkeypatch.setattr(channel, "_SLAB_ELEMENTS", 2 * n * m)
         z, h_sq, rgs_u = simulate_block(p, n, block_rng(1, 0))
@@ -114,8 +118,9 @@ class TestSimulateBlock:
                                           getattr(wide, name)[:, :cols + 7])
 
     def test_peak_memory_is_near_the_output(self):
-        # h is drawn and reduced chunk by chunk, so no (n, B, M) complex or
-        # (n, B, M, 2) normal array adds to the (n, B, M) h_sq output
+        # h is drawn and reduced one column at a time, so no (n, B, M)
+        # complex or (n, B, M, 2) normal array adds to the (n, B, M) h_sq
+        # output
         p = SystemParams(m_per_group=10, b_groups=140, n_total=10 * 140)
         simulate_block(p, 8, block_rng(1, 0))
         tracemalloc.start()
