@@ -6,7 +6,7 @@ the data link while all groups harvest RF energy, plus a seeded Monte Carlo
 engine that validates every closed form.
 """
 
-__version__ = "0.3.1"
+__version__ = "0.4.0"
 
 from .bounds import (
     FeasibleInterval,
@@ -32,8 +32,6 @@ from .energy import (
     NONLINEAR_DEFAULT,
     PowerBudget,
     harvest_rate,
-    required_energy_ps,
-    required_energy_ts,
 )
 from .evt import (
     BisectionError,
@@ -52,6 +50,7 @@ from .selection import (
     outage_ebgs,
     outage_rgs,
     outage_sbgs,
+    required_energy,
 )
 from .sim import (
     OutageEstimate,
@@ -103,8 +102,7 @@ __all__ = [
     "outage_sbgs",
     "reg_incomplete_beta",
     "reg_lower_incomplete_gamma",
-    "required_energy_ps",
-    "required_energy_ts",
+    "required_energy",
     "rho_bounds_linear",
     "rho_bounds_nonlinear",
     "sample_channels",

@@ -22,18 +22,21 @@ from .selection import incident_power, mean_snr_scale, snr_threshold
 class FeasibleInterval:
     lower: float
     upper: float
-    feasible: bool
     cause: str | None = None  # 'energy-limited' | 'rate-limited' | 'saturation'
 
+    @property
+    def feasible(self) -> bool:
+        return self.cause is None
 
-def _interval(lower: float, upper: float, cause_if_infeasible: str) -> FeasibleInterval:
+
+def _interval(lower: float, upper: float) -> FeasibleInterval:
+    """The clamped interval; a NaN end fails the test, so it reads infeasible."""
     clamped_lower = min(max(lower, 0.0), 1.0)
     clamped_upper = min(max(upper, 0.0), 1.0)
-    feasible = lower <= 1.0 and lower <= upper
-    if feasible:
-        return FeasibleInterval(clamped_lower, clamped_upper, True)
-    cause = "energy-limited" if lower > 1.0 else cause_if_infeasible
-    return FeasibleInterval(clamped_lower, clamped_upper, False, cause)
+    if lower <= 1.0 and lower <= upper:
+        return FeasibleInterval(clamped_lower, clamped_upper)
+    cause = "energy-limited" if lower > 1.0 else "rate-limited"
+    return FeasibleInterval(clamped_lower, clamped_upper, cause)
 
 
 def _group_need(params: SystemParams, budget: PowerBudget, r_req: float) -> tuple[int, float]:
@@ -53,11 +56,11 @@ def rho_bounds_linear(
     m, w = _group_need(params, budget, r_req)
     gain = incident_power(params) * snap.sum_h_sq
     if gain == 0.0:
-        return FeasibleInterval(1.0, 0.0, False, "energy-limited")
+        return FeasibleInterval(1.0, 0.0, "energy-limited")
     lower = w / gain
     eta = lower * mean_snr_scale(params) * snap.z
     upper = eta / (snr_threshold(r_req) + eta) if eta > 0 else 0.0
-    return _interval(lower, upper, "rate-limited")
+    return _interval(lower, upper)
 
 
 def rho_bounds_nonlinear(
@@ -74,14 +77,14 @@ def rho_bounds_nonlinear(
     headroom = model.a - w / m - model.b / model.c
     if headroom <= 0:
         # required per-element energy exceeds the rectifier saturation
-        return FeasibleInterval(1.0, 0.0, False, "saturation")
+        return FeasibleInterval(1.0, 0.0, "saturation")
     denom = m * incident_power(params) * snap.h_max_sq * headroom
     if denom == 0.0:
-        return FeasibleInterval(1.0, 0.0, False, "energy-limited")
+        return FeasibleInterval(1.0, 0.0, "energy-limited")
     lower = model.c * w / denom
     kappa = lower * (snap.h_max_sq / snap.h_min_sq) * mean_snr_scale(params) * snap.z
     upper = kappa / (snr_threshold(r_req) + kappa) if kappa > 0 else 0.0
-    return _interval(lower, upper, "rate-limited")
+    return _interval(lower, upper)
 
 
 def zeta_bounds_linear(
@@ -95,11 +98,11 @@ def zeta_bounds_linear(
     gain = incident_power(params) * snap.sum_h_sq
     denom = m * budget.p_t + gain
     if denom == 0.0 or gain == 0.0:
-        return FeasibleInterval(1.0, 0.0, False, "energy-limited")
+        return FeasibleInterval(1.0, 0.0, "energy-limited")
     lower = w / denom
     gamma = mean_snr_scale(params) * snap.z
     upper = 1.0 - r_req / (math.log1p(gamma) / math.log(2.0)) if gamma > 0 else 0.0
-    return _interval(lower, upper, "rate-limited")
+    return _interval(lower, upper)
 
 
 def zeta_bounds_nonlinear(
@@ -116,9 +119,9 @@ def zeta_bounds_nonlinear(
     phi = incident_power(params) * snap.h_max_sq
     denom = m * (budget.p_t + float(harvest_rate(model, phi)))
     if denom == 0.0:
-        return FeasibleInterval(1.0, 0.0, False, "energy-limited")
+        return FeasibleInterval(1.0, 0.0, "energy-limited")
     lower = w / denom
     # worst-case achievable rate: all elements at |h_min|, so |h_c|^2 = M^2 |h_min|^2
     gamma_min = mean_snr_scale(params) * m ** 2 * snap.h_min_sq * snap.g_c_sq
     upper = 1.0 - r_req / (math.log1p(gamma_min) / math.log(2.0)) if gamma_min > 0 else 0.0
-    return _interval(lower, upper, "rate-limited")
+    return _interval(lower, upper)

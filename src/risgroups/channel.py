@@ -90,7 +90,6 @@ class SystemParams:
 class CorrelationMatrix:
     """Spatial correlation matrix with its precomputed principal square root."""
 
-    dim: int
     entries: np.ndarray = field(repr=False)
     sqrt_entries: np.ndarray = field(repr=False)
 
@@ -105,14 +104,6 @@ class GammaFit:
     def __post_init__(self):
         if self.shape <= 0 or self.scale <= 0:
             raise ValueError("Gamma shape and scale must be positive")
-
-    @property
-    def mean(self) -> float:
-        return self.shape * self.scale
-
-    @property
-    def variance(self) -> float:
-        return self.shape * self.scale ** 2
 
     @classmethod
     def from_moments(cls, mean: float, var: float) -> "GammaFit":
@@ -134,7 +125,6 @@ def build_correlation_matrix(m: int, spacing: float, wavelength: float) -> Corre
     x = np.arange(m) * spacing
     dist = np.abs(x[:, None] - x[None, :])
     entries = np.vectorize(lambda d: sinc_corr(float(d), wavelength))(dist)
-    entries = 0.5 * (entries + entries.T)
     w, v = np.linalg.eigh(entries)
     worst = w.min()
     if worst < -_CLAMP_LIMIT:
@@ -144,7 +134,7 @@ def build_correlation_matrix(m: int, spacing: float, wavelength: float) -> Corre
     if worst < 0:
         logger.debug("clamping correlation eigenvalues by %.3e", -worst)
     sqrt_entries = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
-    return CorrelationMatrix(dim=m, entries=entries, sqrt_entries=sqrt_entries)
+    return CorrelationMatrix(entries=entries, sqrt_entries=sqrt_entries)
 
 
 def sample_rician_vector(noise: np.ndarray, k_factor: float) -> np.ndarray:
@@ -240,8 +230,8 @@ def sample_channels(params: SystemParams, shape: tuple,
     """Draw an ``(n, B)`` block group by group, each column's h over ``(n, M)``
     then its g_c ~ CN(m_c, var_c), a slab of whole columns per normal call."""
     n, b = shape
-    corr = build_correlation_matrix(params.m_per_group, params.spacing, params.wavelength)
-    m = corr.dim
+    m = params.m_per_group
+    corr = build_correlation_matrix(m, params.spacing, params.wavelength)
     # sqrt(m^2 + v) times a unit-power Rician with K = m^2/v is CN(m, v)
     m_c, var_c = (x.item() for x in composite_law(params, corr, params.k_g))
     g_scale, g_k = math.sqrt(m_c ** 2 + var_c), m_c ** 2 / var_c

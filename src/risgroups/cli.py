@@ -19,9 +19,8 @@ from .bounds import (
     zeta_bounds_nonlinear,
 )
 from .channel import SystemParams, sample_channels
-from .energy import (NONLINEAR_DEFAULT, EhModel, PowerBudget, required_energy_ps,
-                     required_energy_ts)
-from .selection import RisMode, SelectionStrategy
+from .energy import NONLINEAR_DEFAULT, EhModel, PowerBudget
+from .selection import RisMode, SelectionStrategy, required_energy
 from .sim import TrialConfig, analytic_outage, block_rng, estimate_outage, sweep_points
 
 
@@ -69,7 +68,7 @@ _DEFAULTS = {
     "metric": "data",
     "gamma_th_db": None,
     "r_req": 1.0,
-    "e_req": 0.0,          # joules, or the string 'auto' for the mode's budget
+    "e_req": 0.0,          # joules, or the string 'auto' for the mode's required_energy
     # trials and sweep
     "n_trials": 100_000,
     "seed": 12345,
@@ -78,8 +77,6 @@ _DEFAULTS = {
     "sweep_grid": "0,4,8,12,16,20,24,28",
 }
 
-_INT_KEYS = {"m_per_group", "b_groups", "k", "n_trials", "seed", "n_draws"}
-_STR_KEYS = {"mode", "eh", "scheme", "metric", "sweep_variable", "sweep_grid"}
 # keys only the sweep reads: the bounds command neither validates nor records them
 _SWEEP_KEYS = {"n_trials", "scheme", "k", "metric", "e_req", "sweep_variable", "sweep_grid"}
 
@@ -119,19 +116,21 @@ def _parse_kv(path: str) -> dict:
 
 
 def _coerce(key: str, value: str):
-    if key in _STR_KEYS:
+    """``value`` as the kind of ``key``'s default: int, str, or otherwise float."""
+    kind = type(_DEFAULTS[key])
+    if kind is str:
         return value.lower() if key != "sweep_grid" else value
     if key == "e_req" and value.lower() == "auto":
         return "auto"
     try:
-        number = int(value) if key in _INT_KEYS else float(value)
+        number = int(value) if kind is int else float(value)
         if math.isfinite(number):
             # e_req keeps its text, which the CSV header echoes as written
             return value.lower() if key == "e_req" else number
     except ValueError:
         pass
-    kind = "an integer" if key in _INT_KEYS else "a finite number"
-    raise ValueError(f"{key} = {value!r} is not {kind}")
+    what = "an integer" if kind is int else "a finite number"
+    raise ValueError(f"{key} = {value!r} is not {what}")
 
 
 def load_scenario(path: str, overrides: dict | None = None, sweep: bool = True) -> Scenario:
@@ -172,17 +171,11 @@ def load_scenario(path: str, overrides: dict | None = None, sweep: bool = True) 
         grid, points = [], []
         if sweep:
             e_req = raw["e_req"]
-            if e_req == "auto":
-                if mode.kind == "PS":
-                    e_req = required_energy_ps(params.m_per_group, budget, params.t_s)
-                else:
-                    e_req = required_energy_ts(params.m_per_group, budget, params.t_s,
-                                               mode.zeta)
             trial = replace(
                 trial,
                 n_trials=raw["n_trials"],
                 strategy=SelectionStrategy(raw["scheme"].upper(), k=raw["k"]),
-                e_req=float(e_req),
+                e_req=required_energy(params, budget, mode) if e_req == "auto" else float(e_req),
                 metric=raw["metric"],
             )
             grid = [float(v) for v in str(raw["sweep_grid"]).split(",") if v.strip()]

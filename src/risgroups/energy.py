@@ -1,4 +1,4 @@
-"""Energy-harvesting laws and per-slot phase-shift energy budgets."""
+"""Energy-harvesting laws and the phase-shift power budget."""
 
 from dataclasses import dataclass
 
@@ -43,22 +43,6 @@ class PowerBudget:
     def __post_init__(self):
         if self.p_t < 0 or self.p_ph < 0:
             raise ValueError("powers must be nonnegative")
-
-
-def required_energy_ps(m: int, budget: PowerBudget, t_s: float) -> float:
-    """Energy a group of m elements needs per slot in the PS configuration."""
-    if m < 1:
-        raise ValueError("group size must be at least 1")
-    return t_s * (m * budget.p_t + budget.p_ph)
-
-
-def required_energy_ts(m: int, budget: PowerBudget, t_s: float, zeta: float) -> float:
-    """Energy a group needs per slot in the TS configuration (EH fraction zeta)."""
-    if m < 1:
-        raise ValueError("group size must be at least 1")
-    if not 0.0 <= zeta <= 1.0:
-        raise ValueError(f"zeta must lie in [0,1], got {zeta}")
-    return t_s * ((1.0 - zeta) * m * budget.p_t + budget.p_ph)
 
 
 def harvest_rate(model: EhModel, incident_power):

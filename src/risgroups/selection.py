@@ -1,5 +1,6 @@
-"""RIS modes, k-th-best order statistics, the closed-form outage of the
-RGS / SBGS / EBGS group selection schemes, and the per-group energy fits."""
+"""RIS modes and their data, EH and energy-need wiring, k-th-best order
+statistics, the closed-form outage of the RGS / SBGS / EBGS group selection
+schemes, and the per-group energy fits."""
 
 from dataclasses import dataclass
 
@@ -7,7 +8,7 @@ import numpy as np
 
 from .channel import (DegenerateFitError, GammaFit, SystemParams, build_correlation_matrix,
                       element_law, gamma_cdf, power_moments)
-from .energy import EhModel
+from .energy import EhModel, PowerBudget
 from .specfun import reg_incomplete_beta, reg_lower_incomplete_gamma
 
 
@@ -128,6 +129,13 @@ def eh_wiring(params: SystemParams, mode: RisMode) -> tuple[float, float]:
     if mode.kind == "PS":
         return params.t_s, mode.rho * pl
     return mode.zeta * params.t_s, pl
+
+
+def required_energy(params: SystemParams, budget: PowerBudget, mode: RisMode) -> float:
+    """Energy a group needs per slot, t_s (on M p_t + p_ph): its M phase shifters
+    draw p_t while the data phase is on, on = 1 - zeta for TS and 1 for PS."""
+    on = 1.0 - mode.zeta if mode.kind == "TS" else 1.0
+    return params.t_s * (on * params.m_per_group * budget.p_t + budget.p_ph)
 
 
 # trapezoid nodes in y = ln(c u) for int_0^inf e^{-c u} f(u) du; the integrand

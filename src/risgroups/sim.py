@@ -19,6 +19,7 @@ so a sweep over b draws once at its widest b and evaluates each point on its
 own first b columns.  A sweep over spacing still draws once per point.
 """
 
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -156,7 +157,7 @@ def estimate_outage(points: Sequence, workers: int = 1) -> list[OutageEstimate]:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             counts = list(pool.map(_block_failures, *zip(*args)))
     else:
-        counts = map(_block_failures, *zip(*args))
+        counts = itertools.starmap(_block_failures, args)
     failures = np.zeros(len(points), dtype=np.int64)
     for idxs, block_counts in zip(members, counts):
         failures[idxs] += block_counts

@@ -28,8 +28,6 @@ from risgroups.energy import (
     EhModel,
     PowerBudget,
     harvest_rate,
-    required_energy_ps,
-    required_energy_ts,
 )
 from risgroups.evt import normalizing_constants, outage_evt
 from risgroups.selection import (
@@ -38,6 +36,7 @@ from risgroups.selection import (
     fit_energy_distribution,
     mean_snr_scale,
     outage_sbgs,
+    required_energy,
 )
 from risgroups.sim import TrialConfig, analytic_outage, estimate_outage
 from risgroups.specfun import reg_incomplete_beta, reg_lower_incomplete_gamma
@@ -150,8 +149,9 @@ def test_criterion_04_spacing_and_correlation_trends():
     # both run at the same normalized mean SNR (threshold as a fraction of it)
     fit_c = fit_gamma_product(replace(DEFAULTS, spacing=lam / 8))
     fit_i = fit_gamma_product(replace(DEFAULTS, spacing=lam / 2))
+    mean_i, mean_c = fit_i.shape * fit_i.scale, fit_c.shape * fit_c.scale
     for u in (0.01, 0.05, 0.1, 0.3, 0.5, 0.8, 1.0):
-        assert gamma_cdf(fit_i, u * fit_i.mean) <= gamma_cdf(fit_c, u * fit_c.mean)
+        assert gamma_cdf(fit_i, u * mean_i) <= gamma_cdf(fit_c, u * mean_c)
     _report(4, "analytic outage nonincreasing over spacing lambda/2 -> lambda/8 "
                "for 3 thresholds; identity baseline below correlated curve at "
                "equal normalized SNR (exact inequalities)")
@@ -160,7 +160,7 @@ def test_criterion_04_spacing_and_correlation_trends():
 def test_criterion_05_feasibility_boundary_equalities():
     params = SystemParams(rho_l=0.1, d_sr=2.0, d_rd=3.0, noise_power=0.05)
     m = params.m_per_group
-    e_ps = required_energy_ps(m, BUDGET, params.t_s)
+    e_ps = required_energy(params, BUDGET, RisMode("PS"))
     w = m * BUDGET.p_t + BUDGET.p_ph
     nl = NONLINEAR_DEFAULT
     headroom = nl.a - w / m - nl.b / nl.c
@@ -196,7 +196,7 @@ def test_criterion_05_feasibility_boundary_equalities():
         iv = zeta_bounds_linear(params, BUDGET, snap, r_req=2.0)
         assert iv.feasible
         harvested = iv.lower * params.t_s * pl_sr * snap.sum_h_sq
-        e_ts = required_energy_ts(m, BUDGET, params.t_s, iv.lower)
+        e_ts = required_energy(params, BUDGET, RisMode("TS", zeta=iv.lower))
         worst = max(worst, abs(harvested / e_ts - 1.0))
         gamma = (
             params.p_tx * params.rho_l ** 2
@@ -221,7 +221,7 @@ def test_criterion_05_feasibility_boundary_equalities():
             rate_limited += 1
             continue
         harvested = _harvest(nl, [pl_sr * snap.h_max_sq] * m, iv.lower * params.t_s)
-        e_ts = required_energy_ts(m, BUDGET, params.t_s, iv.lower)
+        e_ts = required_energy(params, BUDGET, RisMode("TS", zeta=iv.lower))
         worst = max(worst, abs(harvested / e_ts - 1.0))
         rate = (1.0 - iv.upper) * math.log2(1.0 + gamma_min)
         worst = max(worst, abs(rate / 1.5 - 1.0))
@@ -309,6 +309,7 @@ def test_criterion_08_splitting_factor_monotonicity():
 def test_criterion_09_evt_convergence():
     p10 = SystemParams(m_per_group=10, n_total=10 * DEFAULTS.b_groups)
     fit = fit_gamma_product(p10)
+    mean = fit.shape * fit.scale
 
     def cdf(x):
         return gamma_cdf(fit, x)
@@ -319,7 +320,7 @@ def test_criterion_09_evt_convergence():
             - fit.shape * math.log(fit.scale) - math.lgamma(fit.shape)
         )
 
-    xs = np.geomspace(fit.mean * 0.01, fit.mean * 3.0, 40)
+    xs = np.geomspace(mean * 0.01, mean * 3.0, 40)
     bs = [20, 80, 140]
     for k in (1, 6):
         sups = []
@@ -334,7 +335,7 @@ def test_criterion_09_evt_convergence():
     # exact finite-B law vs simulated k-th best of B=140 i.i.d. gamma draws
     b = 140
     f_target = 1.0 - 6.0 / b
-    lo, hi = 0.0, fit.mean * 10.0
+    lo, hi = 0.0, mean * 10.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if cdf(mid) < f_target else (lo, mid)

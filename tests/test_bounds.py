@@ -21,10 +21,8 @@ from risgroups.energy import (
     EhModel,
     PowerBudget,
     harvest_rate,
-    required_energy_ps,
-    required_energy_ts,
 )
-from risgroups.selection import mean_snr_scale
+from risgroups.selection import RisMode, mean_snr_scale, required_energy
 
 # short-range, high-gain, high-noise setup so both interval endpoints are
 # interior: the far-field defaults are energy-infeasible (lower clamps to 1)
@@ -62,14 +60,14 @@ class TestPsLinear:
             PARAMS.t_s * iv.lower * PARAMS.p_tx * PARAMS.rho_l
             * PARAMS.d_sr ** -PARAMS.alpha * snap.sum_h_sq
         )
-        e_req = required_energy_ps(PARAMS.m_per_group, BUDGET, PARAMS.t_s)
+        e_req = required_energy(PARAMS, BUDGET, RisMode("PS"))
         assert harvested == pytest.approx(e_req, rel=1e-12)
 
     def test_upper_bound_meets_rate(self):
         snap = snapshot(1)
         r_req = 0.5
         iv = rho_bounds_linear(PARAMS, BUDGET, snap, r_req=r_req)
-        e_req = required_energy_ps(PARAMS.m_per_group, BUDGET, PARAMS.t_s)
+        e_req = required_energy(PARAMS, BUDGET, RisMode("PS"))
         eta = (
             PARAMS.rho_l * e_req * PARAMS.d_rd ** -PARAMS.alpha * snap.z
             / (PARAMS.t_s * PARAMS.noise_power * snap.sum_h_sq)
@@ -107,7 +105,7 @@ class TestPsNonlinear:
         harvested = _harvest(
             NONLINEAR_DEFAULT, [incident] * PARAMS.m_per_group, PARAMS.t_s
         )
-        e_req = required_energy_ps(PARAMS.m_per_group, BUDGET, PARAMS.t_s)
+        e_req = required_energy(PARAMS, BUDGET, RisMode("PS"))
         assert harvested == pytest.approx(e_req, rel=1e-12)
 
     def test_upper_bound_meets_rate(self):
@@ -115,7 +113,7 @@ class TestPsNonlinear:
         r_req = 0.25
         iv = rho_bounds_nonlinear(PARAMS, BUDGET, NONLINEAR_DEFAULT, snap, r_req=r_req)
         m = NONLINEAR_DEFAULT
-        e_req = required_energy_ps(PARAMS.m_per_group, BUDGET, PARAMS.t_s)
+        e_req = required_energy(PARAMS, BUDGET, RisMode("PS"))
         w = PARAMS.m_per_group * BUDGET.p_t + BUDGET.p_ph
         headroom = m.a - w / PARAMS.m_per_group - m.b / m.c
         kappa = (
@@ -147,7 +145,7 @@ class TestTsLinear:
             iv.lower * PARAMS.t_s * PARAMS.p_tx * PARAMS.rho_l
             * PARAMS.d_sr ** -PARAMS.alpha * snap.sum_h_sq
         )
-        e_req = required_energy_ts(PARAMS.m_per_group, BUDGET, PARAMS.t_s, iv.lower)
+        e_req = required_energy(PARAMS, BUDGET, RisMode("TS", zeta=iv.lower))
         assert harvested == pytest.approx(e_req, rel=1e-12)
 
     def test_upper_bound_meets_rate(self):
@@ -173,7 +171,7 @@ class TestTsNonlinear:
         harvested = _harvest(
             NONLINEAR_DEFAULT, [incident] * PARAMS.m_per_group, iv.lower * PARAMS.t_s
         )
-        e_req = required_energy_ts(PARAMS.m_per_group, BUDGET, PARAMS.t_s, iv.lower)
+        e_req = required_energy(PARAMS, BUDGET, RisMode("TS", zeta=iv.lower))
         assert harvested == pytest.approx(e_req, rel=1e-12)
 
     def test_upper_bound_meets_rate(self):

@@ -231,7 +231,7 @@ class TestCompositeMoments:
 
 def _per_element(p, corr, k_factor, n, rng):
     """Composite sum_j of sqrt(beta) raw @ R^(1/2) over M drawn elements."""
-    raw = sample_rician_vector(rng.standard_normal((n, corr.dim, 2)), k_factor)
+    raw = sample_rician_vector(rng.standard_normal((n, p.m_per_group, 2)), k_factor)
     raw *= math.sqrt(p.beta_gain)
     return np.sum(raw @ corr.sqrt_entries, axis=-1)
 
@@ -260,16 +260,16 @@ class TestGammaFit:
         fit = fit_gamma_product(p)
         mh, vh = composite_moments(p, "S")
         mg, vg = composite_moments(p, "D")
-        assert fit.mean == pytest.approx(mh * mg, rel=1e-12)
-        assert fit.variance == pytest.approx(
+        assert fit.shape * fit.scale == pytest.approx(mh * mg, rel=1e-12)
+        assert fit.shape * fit.scale ** 2 == pytest.approx(
             (mh ** 2 + vh) * (mg ** 2 + vg) - (mh * mg) ** 2, rel=1e-12
         )
 
     @pytest.mark.parametrize("mean, var", [(1.0, 0.5), (3.7e-9, 2.1e-20), (250.0, 4e5)])
     def test_from_moments_round_trip(self, mean, var):
         fit = GammaFit.from_moments(mean, var)
-        assert fit.mean == pytest.approx(mean, rel=1e-14, abs=0.0)
-        assert fit.variance == pytest.approx(var, rel=1e-14, abs=0.0)
+        assert fit.shape * fit.scale == pytest.approx(mean, rel=1e-14, abs=0.0)
+        assert fit.shape * fit.scale ** 2 == pytest.approx(var, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("var", [0.0, -1e-3])
     def test_from_moments_degenerate(self, var):

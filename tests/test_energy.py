@@ -9,10 +9,8 @@ from risgroups.energy import (
     NONLINEAR_DEFAULT,
     PowerBudget,
     harvest_rate,
-    required_energy_ps,
-    required_energy_ts,
 )
-from risgroups.selection import RisMode
+from risgroups.selection import RisMode, required_energy
 from risgroups.sim import _realize, block_rng, simulate_block
 
 
@@ -82,23 +80,31 @@ class TestHarvest:
 
 
 class TestRequiredEnergy:
+    P10 = SystemParams(m_per_group=10, b_groups=20, n_total=200, t_s=1e-4)
+
     def test_ps_budget(self):
         b = PowerBudget(p_t=0.003, p_ph=0.002)
         # T_s (M p_t + p_ph)  [TRIVIAL]
-        assert required_energy_ps(10, b, 1e-4) == pytest.approx(1e-4 * 0.032)
+        assert required_energy(self.P10, b, RisMode("PS")) == pytest.approx(1e-4 * 0.032)
+
+    def test_ps_ignores_zeta(self):
+        # a PS scenario still carries the default zeta = 0.5, which it must not read
+        b = PowerBudget(p_t=0.003, p_ph=0.002)
+        assert (required_energy(self.P10, b, RisMode("PS", zeta=0.9))
+                == required_energy(self.P10, b, RisMode("PS", zeta=0.0)))
 
     def test_ts_budget_scales_transmit_part(self):
         b = PowerBudget(p_t=0.003, p_ph=0.002)
-        full = required_energy_ts(10, b, 1e-4, zeta=0.0)
-        assert full == pytest.approx(required_energy_ps(10, b, 1e-4))
-        half = required_energy_ts(10, b, 1e-4, zeta=0.5)
+        full = required_energy(self.P10, b, RisMode("TS", zeta=0.0))
+        assert full == pytest.approx(required_energy(self.P10, b, RisMode("PS")))
+        half = required_energy(self.P10, b, RisMode("TS", zeta=0.5))
         assert half == pytest.approx(1e-4 * (0.5 * 0.03 + 0.002))
 
     def test_invalid_inputs(self):
-        b = PowerBudget(p_t=0.003, p_ph=0.002)
+        # the group size and the TS fraction are checked where they are stored
         with pytest.raises(ValueError):
-            required_energy_ps(0, b, 1e-4)
+            SystemParams(m_per_group=0, b_groups=20, n_total=0)
         with pytest.raises(ValueError):
-            required_energy_ts(10, b, 1e-4, zeta=1.5)
+            RisMode("TS", zeta=1.5)
         with pytest.raises(ValueError):
             PowerBudget(p_t=-1.0, p_ph=0.0)

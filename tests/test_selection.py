@@ -185,7 +185,8 @@ class TestEnergyDistributionFit:
         p = SystemParams()
         dist = fit_energy_distribution(p, RisMode("TS", zeta=0.4), EhModel())
         assert isinstance(dist, GammaFit)
-        for x in (0.0, 0.5 * dist.mean, dist.mean, 3.0 * dist.mean):
+        mean = dist.shape * dist.scale
+        for x in (0.0, 0.5 * mean, mean, 3.0 * mean):
             assert dist.cdf(x) == gamma_cdf(dist, x)
 
     def test_nonlinear_moments_match_monte_carlo(self):

@@ -168,6 +168,11 @@ class TestEstimateOutage:
         ana = analytic_outage(p, c)
         assert abs(est.p_hat - ana) <= max(0.03, 3.0 * est.ci_halfwidth)
 
+    def test_no_points_give_no_estimates(self, monkeypatch):
+        forbid_work(monkeypatch)
+        assert estimate_outage([]) == []
+        assert estimate_outage([], workers=2) == []
+
     def test_k_exceeding_groups_rejected(self):
         with pytest.raises(ValueError):
             one(PARAMS, cfg(strategy=SelectionStrategy("SBGS", k=21)))
