@@ -6,7 +6,7 @@ the data link while all groups harvest RF energy, plus a seeded Monte Carlo
 engine that validates every closed form.
 """
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .bounds import (
     FeasibleInterval,
@@ -37,7 +37,6 @@ from .evt import (
     BisectionError,
     EvtConstants,
     check_gumbel_domain,
-    gumbel_cdf,
     kth_limit_cdf,
     normalizing_constants,
     outage_evt,
@@ -91,7 +90,6 @@ __all__ = [
     "fit_energy_distribution",
     "fit_gamma_product",
     "gamma_cdf",
-    "gumbel_cdf",
     "harvest_rate",
     "kth_limit_cdf",
     "mean_snr_scale",

@@ -31,22 +31,16 @@ class BisectionError(RuntimeError):
 _BRACKET_DOUBLINGS = 200
 
 
-def gumbel_cdf(x: float) -> float:
-    """Standard Gumbel CDF exp(-exp(-x))."""
-    return math.exp(-math.exp(-x))
-
-
 def kth_limit_cdf(x: float, k: int) -> float:
-    """Limiting CDF of the k-th best of many i.i.d. draws, standardized."""
+    """Limiting CDF of the k-th best of many i.i.d. draws, standardized:
+    exp(-e^-x) sum_{j<k} e^-jx / j!, each term taken in log space.  Below
+    x = -709, e^-x overflows and the CDF lies below the smallest double."""
     if k < 1:
         raise ValueError("k must be a positive integer")
-    total = 0.0
-    term = 1.0
-    for j in range(k):
-        if j > 0:
-            term *= math.exp(-x) / j
-        total += term
-    return gumbel_cdf(x) * total
+    if x < -709.0:
+        return 0.0
+    e = math.exp(-x)
+    return math.exp(-e) + sum(math.exp(-j * x - math.lgamma(j + 1.0) - e) for j in range(1, k))
 
 
 def _quantile_bisect(cdf: Callable[[float], float], p: float) -> float:

@@ -1,6 +1,7 @@
 """RIS modes and their data, EH and energy-need wiring, k-th-best order
 statistics, the closed-form outage of the RGS / SBGS / EBGS group selection
-schemes, and the per-group energy fits."""
+schemes, and the per-group energy fits.  A selected group is in outage when
+its Z lies below ``data_threshold`` (data) or its energy below e_req (energy)."""
 
 from dataclasses import dataclass
 
@@ -67,14 +68,22 @@ def data_wiring(params: SystemParams, mode: RisMode) -> tuple[float, float]:
     return psi, 1.0 - mode.zeta
 
 
+def data_threshold(params: SystemParams, mode: RisMode, r_req: float) -> float:
+    """Value of Z below which a group misses the rate r_req: 0 at r_req = 0, which
+    is always met, and inf when the data phase has no SNR or no time."""
+    if not r_req >= 0:  # NaN fails this too
+        raise ValueError(f"required rate must be nonnegative, got {r_req}")
+    snr_per_z, f = data_wiring(params, mode)
+    if r_req == 0.0:
+        return 0.0
+    if snr_per_z == 0.0 or f == 0.0:
+        return np.inf
+    return snr_threshold(r_req / f) / snr_per_z
+
+
 def outage_rgs(params: SystemParams, mode: RisMode, fit: GammaFit, r_req: float) -> float:
     """Closed-form data outage when one group is chosen uniformly at random."""
-    if r_req < 0:
-        raise ValueError("required rate must be nonnegative")
-    snr_per_z, f = data_wiring(params, mode)
-    if snr_per_z == 0.0 or f == 0.0:
-        return 1.0
-    return gamma_cdf(fit, snr_threshold(r_req / f) / snr_per_z)
+    return gamma_cdf(fit, data_threshold(params, mode, r_req))
 
 
 def outage_sbgs(cdf_at_threshold: float, set_size: int, k: int) -> float:
@@ -97,8 +106,8 @@ class DegenerateDist:
 
     value: float
 
-    def cdf(self, x: float) -> float:
-        return 1.0 if x >= self.value else 0.0
+    def cdf(self, x: float) -> float:  # P(E < x), the event the simulator counts
+        return 1.0 if x > self.value else 0.0
 
 
 @dataclass(frozen=True)

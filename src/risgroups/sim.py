@@ -1,4 +1,7 @@
-"""Seeded Monte Carlo engine for per-group channel/energy/SNR realizations.
+"""Seeded Monte Carlo engine for the outage of the group selection schemes.
+
+A trial fails when its selected group's z lies below ``data_threshold`` (data)
+or its harvested energy below e_req (energy), the events of the closed forms.
 
 Trials are processed in fixed-size blocks; each block gets an independent
 SFC64 stream derived from (seed, block index), so results are bit-identical
@@ -32,7 +35,7 @@ from .energy import EhModel, harvest_rate
 from .selection import (
     RisMode,
     SelectionStrategy,
-    data_wiring,
+    data_threshold,
     eh_wiring,
     fit_energy_distribution,
     mean_snr_scale,
@@ -42,6 +45,9 @@ from .selection import (
 )
 
 BLOCK_SIZE = 4096
+
+# the metric each ranking scheme selects its group by; RGS picks at random
+RANKED_METRIC = {"SBGS": "data", "EBGS": "energy"}
 
 
 @dataclass(frozen=True)
@@ -87,15 +93,10 @@ def simulate_block(params: SystemParams, n: int, rng: np.random.Generator):
     return snap.z, snap.h_sq, rgs_u
 
 
-def _realize(params: SystemParams, mode: RisMode, eh: EhModel, z, h_sq):
-    """Per-group SNR, harvested energy and rate of one grid point on a drawn block."""
-    # optimal common phase per group leaves the magnitude product |g_c||h_c|
-    snr_per_z, f = data_wiring(params, mode)
-    snr = snr_per_z * z
-    rate = f * np.log2(1.0 + snr)
+def _group_energy(params: SystemParams, mode: RisMode, eh: EhModel, h_sq):
+    """Energy each group harvests over the EH phase of one grid point."""
     dur, w_p = eh_wiring(params, mode)
-    harvested = dur * harvest_rate(eh, w_p * h_sq).sum(axis=-1)
-    return snr, harvested, rate
+    return dur * harvest_rate(eh, w_p * h_sq).sum(axis=-1)
 
 
 def _kth_largest_index(values: np.ndarray, k: int) -> np.ndarray:
@@ -103,14 +104,17 @@ def _kth_largest_index(values: np.ndarray, k: int) -> np.ndarray:
 
 
 def _point_failures(params: SystemParams, cfg: TrialConfig, z, h_sq, rgs_u) -> int:
-    snr, harvested, rate = _realize(params, cfg.mode, cfg.eh, z, h_sq)
-    if cfg.strategy.scheme == "RGS":
+    """Trials whose selected group's statistic lies below the point's threshold;
+    SBGS ranks by z, which the SNR snr_per_z z >= 0 never reorders."""
+    stats = {"data": z, "energy": _group_energy(params, cfg.mode, cfg.eh, h_sq)}
+    ranked = RANKED_METRIC.get(cfg.strategy.scheme)
+    if ranked is None:
         idx = np.floor(rgs_u * params.b_groups).astype(np.int64)
     else:
-        ranked = snr if cfg.strategy.scheme == "SBGS" else harvested
-        idx = _kth_largest_index(ranked, cfg.strategy.k)
-    value, req = (rate, cfg.r_req) if cfg.metric == "data" else (harvested, cfg.e_req)
-    return int(np.sum(value[np.arange(len(rgs_u)), idx] < req))
+        idx = _kth_largest_index(stats[ranked], cfg.strategy.k)
+    threshold = (data_threshold(params, cfg.mode, cfg.r_req) if cfg.metric == "data"
+                 else cfg.e_req)
+    return int(np.sum(stats[cfg.metric][np.arange(len(rgs_u)), idx] < threshold))
 
 
 def _block_failures(points: list, n: int, block_idx: int) -> list[int]:
@@ -197,23 +201,16 @@ def _apply_variable(params: SystemParams, cfg: TrialConfig, variable: str, value
 
 
 def analytic_outage(params: SystemParams, cfg: TrialConfig) -> float:
-    """Closed-form outage for the configured scheme/metric; NaN when the
-    combination has no closed form."""
-    scheme = cfg.strategy.scheme
+    """Closed-form outage for the configured scheme/metric; NaN, before any law
+    is fitted, when the scheme ranks groups by the other metric."""
+    scheme, k = cfg.strategy.scheme, cfg.strategy.k
+    if RANKED_METRIC.get(scheme, cfg.metric) != cfg.metric:
+        return math.nan
     if cfg.metric == "data":
         f_single = outage_rgs(params, cfg.mode, fit_gamma_product(params), cfg.r_req)
-        if scheme == "RGS":
-            return f_single
-        if scheme == "SBGS":
-            return outage_sbgs(f_single, params.b_groups, cfg.strategy.k)
-        return math.nan
-    dist = fit_energy_distribution(params, cfg.mode, cfg.eh)
-    f_single = dist.cdf(cfg.e_req)
-    if scheme == "RGS":
-        return f_single
-    if scheme == "EBGS":
-        return outage_ebgs(f_single, params.b_groups, cfg.strategy.k)
-    return math.nan
+        return f_single if scheme == "RGS" else outage_sbgs(f_single, params.b_groups, k)
+    f_single = fit_energy_distribution(params, cfg.mode, cfg.eh).cdf(cfg.e_req)
+    return f_single if scheme == "RGS" else outage_ebgs(f_single, params.b_groups, k)
 
 
 def sweep_points(params: SystemParams, cfg: TrialConfig, variable: str,

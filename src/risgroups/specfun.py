@@ -85,10 +85,10 @@ _GAMMA_LARGE_SHAPE = 1e8
 
 def reg_lower_incomplete_gamma(s: float, x: float) -> float:
     """Regularized lower incomplete gamma P(s,x) = gamma(s,x)/Gamma(s)."""
-    if s <= 0:
-        raise ValueError(f"shape must be positive, got {s}")
-    if x < 0:
-        raise ValueError(f"argument must be nonnegative, got {x}")
+    if not s > 0:  # NaN fails this too
+        raise ValueError(f"shape s must be positive, got {s}")
+    if not x >= 0:
+        raise ValueError(f"argument x must be nonnegative, got {x}")
     if x == 0.0:
         return 0.0
     if x == math.inf:
@@ -120,10 +120,10 @@ def _beta_cont_frac(a: float, b: float, x: float) -> float:
 
 def reg_incomplete_beta(x: float, a: float, b: float) -> float:
     """Regularized incomplete beta I_x(a,b)."""
-    if a <= 0 or b <= 0:
+    if not (a > 0 and b > 0):  # NaN fails this too
         raise ValueError(f"beta parameters must be positive, got a={a}, b={b}")
     if not 0.0 <= x <= 1.0:
-        raise ValueError(f"argument must lie in [0,1], got {x}")
+        raise ValueError(f"argument x must lie in [0,1], got {x}")
     if x == 0.0:
         return 0.0
     if x == 1.0:
@@ -143,9 +143,9 @@ def reg_incomplete_beta(x: float, a: float, b: float) -> float:
 
 def sinc_corr(d: float, wavelength: float) -> float:
     """Sinc spatial correlation sin(2 pi d / lambda) / (2 pi d / lambda)."""
-    if d < 0:
-        raise ValueError(f"distance must be nonnegative, got {d}")
-    if wavelength <= 0:
+    if not d >= 0:  # NaN fails this too
+        raise ValueError(f"distance d must be nonnegative, got {d}")
+    if not wavelength > 0:
         raise ValueError(f"wavelength must be positive, got {wavelength}")
     if d == 0.0:
         return 1.0

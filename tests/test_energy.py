@@ -11,7 +11,7 @@ from risgroups.energy import (
     harvest_rate,
 )
 from risgroups.selection import RisMode, required_energy
-from risgroups.sim import _realize, block_rng, simulate_block
+from risgroups.sim import _group_energy, block_rng, simulate_block
 
 
 class TestEhModel:
@@ -74,7 +74,7 @@ class TestHarvest:
         np.testing.assert_array_equal(h_sq, snap.h_sq)
         np.testing.assert_array_equal(z, snap.z)
         for eh in (EhModel(), NONLINEAR_DEFAULT):
-            _, harvested, _ = _realize(p, RisMode("TS", zeta=0.25), eh, z, h_sq)
+            harvested = _group_energy(p, RisMode("TS", zeta=0.25), eh, h_sq)
             expected = 0.25 * p.t_s * harvest_rate(eh, incident).sum(axis=-1)
             np.testing.assert_allclose(harvested, expected, rtol=1e-12)
 

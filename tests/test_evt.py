@@ -4,13 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from risgroups.evt import (
     BisectionError,
     EvtConstants,
     check_gumbel_domain,
-    gumbel_cdf,
     kth_limit_cdf,
     normalizing_constants,
     outage_evt,
@@ -18,11 +17,16 @@ from risgroups.evt import (
 )
 
 
+def gumbel_cdf(x):
+    """Standard Gumbel CDF exp(-exp(-x)), the k = 1 limit."""
+    return math.exp(-math.exp(-x))
+
+
 class TestGumbelCdf:
     def test_reference_values(self):
-        assert gumbel_cdf(0.0) == pytest.approx(math.exp(-1.0), rel=1e-14)
-        assert gumbel_cdf(10.0) == pytest.approx(1.0, abs=1e-4)
-        assert gumbel_cdf(-3.0) == pytest.approx(math.exp(-math.exp(3.0)), rel=1e-12)
+        assert kth_limit_cdf(0.0, 1) == pytest.approx(math.exp(-1.0), rel=1e-14)
+        assert kth_limit_cdf(10.0, 1) == pytest.approx(1.0, abs=1e-4)
+        assert kth_limit_cdf(-3.0, 1) == pytest.approx(math.exp(-math.exp(3.0)), rel=1e-12)
 
 
 class TestKthLimitCdf:
@@ -37,6 +41,23 @@ class TestKthLimitCdf:
             math.exp(-j * x) / math.factorial(j) for j in range(k)
         )
         assert kth_limit_cdf(x, k) == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_matches_upper_incomplete_gamma(self, k):
+        # P(fewer than k of Poisson(e^-x) points) = Q(k, e^-x)
+        for x in np.linspace(-6.5, 40.0, 94):
+            expected = special.gammaincc(k, math.exp(-x))
+            assert kth_limit_cdf(float(x), k) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("x", [-700.0, -710.0, -1e4])
+    def test_far_left_tail_is_zero(self, x):
+        # e^-x overflows below x = -709.78, where 0 * inf would give NaN
+        assert kth_limit_cdf(x, 6) == 0.0
+        assert kth_limit_cdf(x, 1) == 0.0
+
+    def test_right_end_is_one(self):
+        assert kth_limit_cdf(math.inf, 1) == 1.0
+        assert kth_limit_cdf(math.inf, 6) == 1.0
 
     def test_monotone_in_k(self):
         vals = [kth_limit_cdf(0.3, k) for k in range(1, 8)]

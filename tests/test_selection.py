@@ -1,6 +1,7 @@
 """Selection strategies, order-statistics formulas, and energy-distribution fits."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from risgroups.selection import (
     RisMode,
     SelectionStrategy,
     _recip_moments,
+    data_threshold,
     data_wiring,
     eh_wiring,
     fit_energy_distribution,
@@ -31,7 +33,10 @@ from risgroups.selection import (
     outage_rgs,
     outage_sbgs,
 )
-from risgroups.sim import _kth_largest_index, _realize, block_rng, simulate_block
+from risgroups.cli import load_scenario
+from risgroups.sim import _kth_largest_index, block_rng, simulate_block
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestModeAndStrategy:
@@ -52,28 +57,31 @@ class TestModeAndStrategy:
             SelectionStrategy("RGS", k=0)
 
 
-def _block_and_z(mode, n=64):
-    """One grid point evaluated on a simulate_block draw, and the draw's z
-    (the block's stream layout is pinned in test_sim)."""
-    p = SystemParams()
-    z, h_sq, _ = simulate_block(p, n, block_rng(5, 0))
-    snr, _, rate = _realize(p, mode, EhModel(), z, h_sq)
-    return snr, rate, z
+class TestDataThreshold:
+    @pytest.mark.parametrize("mode", [RisMode("PS", rho=0.5), RisMode("TS", zeta=0.5)],
+                             ids=["PS", "TS"])
+    def test_failures_match_rate_form(self, mode):
+        # on one simulate_block draw, at each data_snr_sbgs point, the groups
+        # below the Z threshold are those whose rate misses r_req
+        sc = load_scenario(str(ROOT / "scenarios" / "data_snr_sbgs.cfg"))
+        z, _, _ = simulate_block(sc.params, 4096, block_rng(5, 0))
+        counts = []
+        for p, c in sc.points:
+            snr_per_z, f = data_wiring(p, mode)
+            rate = f * np.log2(1.0 + snr_per_z * z)
+            counts.append(int(np.sum(z < data_threshold(p, mode, c.r_req))))
+            assert counts[-1] == int(np.sum(rate < c.r_req))
+        assert any(0 < n < z.size for n in counts)
 
-
-class TestSnrAndRate:
-    def test_ps_scaling(self):
-        psi = mean_snr_scale(SystemParams())
-        snr, _, z = _block_and_z(RisMode("PS", rho=0.3))
-        np.testing.assert_array_equal(snr, (1.0 - 0.3) * psi * z)
-        snr, _, z = _block_and_z(RisMode("TS", zeta=0.25))
-        np.testing.assert_array_equal(snr, psi * z)
-
-    def test_rate(self):
-        for mode in (RisMode("PS", rho=0.3), RisMode("TS", zeta=0.25)):
-            snr, rate, _ = _block_and_z(mode)
-            _, f = data_wiring(SystemParams(), mode)
-            np.testing.assert_array_equal(rate, f * np.log2(1.0 + snr))
+    def test_edges(self):
+        p = SystemParams()
+        assert data_threshold(p, RisMode("PS", rho=0.5), 0.0) == 0.0
+        for mode in (RisMode("PS", rho=1.0), RisMode("TS", zeta=1.0)):
+            assert data_threshold(p, mode, 0.0) == 0.0
+            assert data_threshold(p, mode, 1.0) == math.inf
+        for r_req in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="required rate"):
+                data_threshold(p, RisMode("PS"), r_req)
 
 
 class TestKthBest:
@@ -123,8 +131,10 @@ class TestClosedFormOutage:
     def test_degenerate_modes(self):
         p = SystemParams()
         fit = fit_gamma_product(p)
-        assert outage_rgs(p, RisMode("PS", rho=1.0), fit, 1.0) == 1.0
-        assert outage_rgs(p, RisMode("TS", zeta=1.0), fit, 1.0) == 1.0
+        for mode in (RisMode("PS", rho=1.0), RisMode("TS", zeta=1.0)):
+            assert outage_rgs(p, mode, fit, 1.0) == 1.0
+            # a zero rate is met even without a data phase
+            assert outage_rgs(p, mode, fit, 0.0) == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -252,7 +262,9 @@ class TestEnergyDistributionFit:
         p = SystemParams()
         dist = fit_energy_distribution(p, RisMode("PS", rho=0.0), EhModel())
         assert isinstance(dist, DegenerateDist)
-        assert dist.cdf(0.0) == 1.0
+        # P(E < x): zero energy meets a zero need and misses any positive one
+        assert dist.cdf(0.0) == 0.0
+        assert dist.cdf(1e-300) == 1.0
         assert dist.cdf(-1.0) == 0.0
 
     def test_cdf_support_boundaries(self):

@@ -210,8 +210,22 @@ def forbid_work(monkeypatch):
     monkeypatch.setattr(sim, "ProcessPoolExecutor", forbidden)
 
 
+# (mode, metric, requirement, ranking scheme): the data phase has no SNR or no
+# time, or the group harvests nothing; a zero need is met, any other missed
+NO_DATA_PHASE = {"PS-rho=1": RisMode("PS", rho=1.0), "TS-zeta=1": RisMode("TS", zeta=1.0)}
+EDGES = [
+    *[pytest.param(mode, "data", r_req, "SBGS", id=f"{name}-r_req={r_req:g}")
+      for name, mode in NO_DATA_PHASE.items() for r_req in (0.0, 1.0)],
+    *[pytest.param(RisMode("PS", rho=0.0), "energy", e_req, "EBGS", id=f"PS-rho=0-e_req={e_req:g}")
+      for e_req in (0.0, 1e-9)],
+]
+
+
 class TestAnalyticOutage:
-    def test_unsupported_combinations_are_nan(self):
+    def test_unsupported_combinations_are_nan(self, monkeypatch):
+        # the cross cells return before any law is fitted
+        monkeypatch.setattr(sim, "fit_gamma_product", forbidden)
+        monkeypatch.setattr(sim, "fit_energy_distribution", forbidden)
         assert math.isnan(
             analytic_outage(PARAMS, cfg(strategy=SelectionStrategy("EBGS", k=1)))
         )
@@ -220,6 +234,15 @@ class TestAnalyticOutage:
                 PARAMS, cfg(strategy=SelectionStrategy("SBGS", k=1), metric="energy")
             )
         )
+
+    @pytest.mark.parametrize("scheme", ["RGS", "ranked"])
+    @pytest.mark.parametrize("mode, metric, need, ranked", EDGES)
+    def test_edges_equal_the_estimate(self, mode, metric, need, ranked, scheme):
+        c = cfg(n_trials=500, mode=mode, metric=metric, r_req=need, e_req=need,
+                strategy=SelectionStrategy(ranked if scheme == "ranked" else "RGS", k=2))
+        expected = 1.0 if need > 0 else 0.0
+        assert analytic_outage(PARAMS, c) == expected
+        assert one(PARAMS, c).p_hat == expected
 
 
 def evaluate(variable, grid, c, workers=1):

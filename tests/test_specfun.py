@@ -185,3 +185,23 @@ class TestSincCorr:
         with pytest.raises(ValueError):
             sinc_corr(0.1, 0.0)
 
+
+
+NAN = math.nan
+
+
+@pytest.mark.parametrize("func, args, name", [
+    (reg_lower_incomplete_gamma, (2.0, NAN), "argument x"),
+    (reg_lower_incomplete_gamma, (NAN, 1.0), "shape s"),
+    (reg_lower_incomplete_gamma, (2e8, NAN), "argument x"),
+    (reg_incomplete_beta, (0.5, NAN, 1.0), "a=nan"),
+    (reg_incomplete_beta, (0.5, 1.0, NAN), "b=nan"),
+    (reg_incomplete_beta, (NAN, 1.0, 1.0), "argument x"),
+    (sinc_corr, (NAN, 0.1), "distance d"),
+    (sinc_corr, (0.1, NAN), "wavelength"),
+])
+def test_nan_argument_rejected(func, args, name):
+    # NaN fails every ordered comparison, so each check is written to pass
+    # only for a number inside the domain
+    with pytest.raises(ValueError, match=name):
+        func(*args)
