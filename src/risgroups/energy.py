@@ -9,8 +9,8 @@ import numpy as np
 class EhModel:
     """Linear or nonlinear (saturating rational) harvesting law.
 
-    For the nonlinear law the per-element harvested power is
-    (a*p + b)/(p + c) - b/c, zero at p=0 and saturating at a - b/c.
+    For the nonlinear law the per-element harvested power is (a*p + b)/(p + c)
+    - b/c = (a - b/c)*p/(p + c), zero at p=0 and saturating at a - b/c.
     """
 
     kind: str = "linear"
@@ -52,5 +52,5 @@ def harvest_rate(model: EhModel, incident_power):
         raise ValueError("incident powers must be nonnegative and not NaN")
     if model.kind == "linear":
         return p
-    return (model.a * p + model.b) / (p + model.c) - model.b / model.c
+    return (model.a - model.b / model.c) * (p / (p + model.c))
 

@@ -19,7 +19,11 @@ grid points that share these share each block's draw, so a sweep over snr,
 p_tx, rho, zeta or k draws its channels once.  The number of groups is not
 part of the law: the first b columns of a wider block are the b-group block,
 so a sweep over b draws once at its widest b and evaluates each point on its
-own first b columns.  A sweep over spacing still draws once per point.
+own first b columns.  A sweep over spacing still draws once per point.  The
+linear EH law is additive, so it harvests each group's power sum sum_j |h_j|^2,
+reduced once per block if a point uses that law (a row sum does not depend on
+b); only the nonlinear law harvests per element.  Data points compute the
+energy too, because the benchmark traces ``harvest_rate`` there.
 """
 
 import itertools
@@ -68,8 +72,8 @@ class TrialConfig:
             raise ValueError("seed must be nonnegative")
         if self.metric not in ("data", "energy"):
             raise ValueError(f"unknown metric {self.metric!r}")
-        if self.r_req < 0 or self.e_req < 0:
-            raise ValueError("r_req and e_req must be nonnegative")
+        if not (self.r_req >= 0 and self.e_req >= 0):  # NaN fails this too
+            raise ValueError("r_req and e_req must be nonnegative and not NaN")
 
 
 @dataclass(frozen=True)
@@ -93,9 +97,12 @@ def simulate_block(params: SystemParams, n: int, rng: np.random.Generator):
     return snap.z, snap.h_sq, rgs_u
 
 
-def _group_energy(params: SystemParams, mode: RisMode, eh: EhModel, h_sq):
-    """Energy each group harvests over the EH phase of one grid point."""
+def _group_energy(params: SystemParams, mode: RisMode, eh: EhModel, h_sq, sum_h_sq):
+    """Energy each group harvests over the EH phase of one grid point: the linear
+    law from its power sum ``sum_h_sq``, the nonlinear law element by element."""
     dur, w_p = eh_wiring(params, mode)
+    if eh.kind == "linear":
+        return dur * harvest_rate(eh, w_p * sum_h_sq)
     return dur * harvest_rate(eh, w_p * h_sq).sum(axis=-1)
 
 
@@ -103,10 +110,10 @@ def _kth_largest_index(values: np.ndarray, k: int) -> np.ndarray:
     return np.argpartition(-values, k - 1, axis=1)[:, k - 1]
 
 
-def _point_failures(params: SystemParams, cfg: TrialConfig, z, h_sq, rgs_u) -> int:
+def _point_failures(params: SystemParams, cfg: TrialConfig, z, h_sq, sum_h_sq, rgs_u) -> int:
     """Trials whose selected group's statistic lies below the point's threshold;
     SBGS ranks by z, which the SNR snr_per_z z >= 0 never reorders."""
-    stats = {"data": z, "energy": _group_energy(params, cfg.mode, cfg.eh, h_sq)}
+    stats = {"data": z, "energy": _group_energy(params, cfg.mode, cfg.eh, h_sq, sum_h_sq)}
     ranked = RANKED_METRIC.get(cfg.strategy.scheme)
     if ranked is None:
         idx = np.floor(rgs_u * params.b_groups).astype(np.int64)
@@ -122,7 +129,10 @@ def _block_failures(points: list, n: int, block_idx: int) -> list[int]:
     widest; each point is evaluated on its own first b group columns."""
     params, cfg = points[0]
     z, h_sq, rgs_u = simulate_block(params, n, block_rng(cfg.seed, block_idx))
-    return [_point_failures(p, c, z[:, :p.b_groups], h_sq[:, :p.b_groups], rgs_u)
+    linear = any(c.eh.kind == "linear" for _, c in points)
+    sum_h_sq = h_sq.sum(axis=-1) if linear else None
+    return [_point_failures(p, c, z[:, :p.b_groups], h_sq[:, :p.b_groups],
+                            sum_h_sq[:, :p.b_groups] if linear else None, rgs_u)
             for p, c in points]
 
 

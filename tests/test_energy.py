@@ -1,5 +1,7 @@
 """Harvesting laws and phase-shift energy budgets."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,15 @@ class TestEhModel:
         m = NONLINEAR_DEFAULT
         expected = (m.a + m.b) / (1.0 + m.c) - m.b / m.c
         assert float(harvest_rate(m, 1.0)) == pytest.approx(expected, rel=1e-14)
+
+    def test_nonlinear_matches_rational_oracle(self):
+        # (a p + b)/(p + c) - b/c in exact rationals at the double inputs: the
+        # law must not lose digits to cancellation as p falls far below c
+        m = NONLINEAR_DEFAULT
+        p = np.logspace(-9.0, 0.0, 2000)
+        a, b, c = (Fraction(v) for v in (m.a, m.b, m.c))
+        exact = [float((a * x + b) / (x + c) - b / c) for x in map(Fraction, p.tolist())]
+        np.testing.assert_allclose(harvest_rate(m, p), exact, rtol=1e-15, atol=0.0)
 
     def test_nonlinear_monotone_concave(self):
         p = np.linspace(0.0, 10.0, 200)
@@ -74,7 +85,7 @@ class TestHarvest:
         np.testing.assert_array_equal(h_sq, snap.h_sq)
         np.testing.assert_array_equal(z, snap.z)
         for eh in (EhModel(), NONLINEAR_DEFAULT):
-            harvested = _group_energy(p, RisMode("TS", zeta=0.25), eh, h_sq)
+            harvested = _group_energy(p, RisMode("TS", zeta=0.25), eh, h_sq, h_sq.sum(axis=-1))
             expected = 0.25 * p.t_s * harvest_rate(eh, incident).sum(axis=-1)
             np.testing.assert_allclose(harvested, expected, rtol=1e-12)
 

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from risgroups.channel import (
     composite_law,
     sample_channels,
 )
-from risgroups.energy import NONLINEAR_DEFAULT, EhModel
-from risgroups.selection import RisMode, SelectionStrategy
+from risgroups.energy import NONLINEAR_DEFAULT, EhModel, harvest_rate
+from risgroups.selection import RisMode, SelectionStrategy, eh_wiring
 from risgroups import channel, cli, sim
 from risgroups.sim import (
     BLOCK_SIZE,
@@ -26,6 +27,7 @@ from risgroups.sim import (
     sweep_points,
 )
 
+ROOT = Path(__file__).resolve().parents[1]
 PARAMS = SystemParams()
 
 
@@ -199,6 +201,44 @@ class TestEstimateOutage:
     def test_negative_energy_requirement_rejected(self):
         with pytest.raises(ValueError, match="e_req"):
             cfg(e_req=-1e-6)
+
+    @pytest.mark.parametrize("field", ["r_req", "e_req"])
+    def test_nan_requirement_rejected(self, field):
+        # a NaN e_req lies below no harvest, so every trial would pass
+        with pytest.raises(ValueError, match="NaN"):
+            cfg(**{field: math.nan})
+
+
+class TestLinearHarvest:
+    @pytest.mark.parametrize("scheme", ["EBGS", "RGS"])
+    def test_power_sum_counts_as_per_element_harvest(self, scheme):
+        # the linear law harvests each group's power sum, reduced once per block;
+        # the counts must be those of the per-element harvest summed per group
+        scenario = cli.load_scenario(str(ROOT / "scenarios" / "energy_ptx_linear.cfg"))
+        points = [(p, replace(c, strategy=replace(c.strategy, scheme=scheme)))
+                  for p, c in scenario.points]
+        params, c0 = points[0]
+        n = 1500
+        z, h_sq, rgs_u = simulate_block(params, n, block_rng(c0.seed, 0))
+        expected = []
+        for p, c in points:
+            dur, w_p = eh_wiring(p, c.mode)
+            energy = dur * harvest_rate(c.eh, w_p * h_sq).sum(-1)
+            if scheme == "EBGS":
+                idx = np.argsort(-energy, axis=1)[:, c.strategy.k - 1]
+            else:
+                idx = np.floor(rgs_u * p.b_groups).astype(np.int64)
+            expected.append(int(np.sum(energy[np.arange(n), idx] < c.e_req)))
+            assert sim._point_failures(p, c, z, h_sq, h_sq.sum(axis=-1), rgs_u) == expected[-1]
+        assert sim._block_failures(points, n, 0) == expected
+        assert len(set(expected)) > 1
+
+    def test_nonlinear_block_makes_no_power_sums(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(sim, "_point_failures", lambda p, c, z, h_sq, sums, u: seen.append(sums))
+        c = cfg(eh=NONLINEAR_DEFAULT, metric="energy", strategy=SelectionStrategy("EBGS", k=1))
+        sim._block_failures(sweep_points(PARAMS, c, "p_tx", [1.0, 2.0]), 8, 0)
+        assert seen == [None, None]
 
 
 def forbidden(*args, **kwargs):
