@@ -41,8 +41,8 @@ def _interval(lower: float, upper: float) -> FeasibleInterval:
 
 def _group_need(params: SystemParams, budget: PowerBudget, r_req: float) -> tuple[int, float]:
     """Group size M and its power need w = M p_t + p_ph, after checking r_req."""
-    if r_req < 0:
-        raise ValueError("required rate must be nonnegative")
+    if not r_req >= 0:  # NaN fails this too
+        raise ValueError(f"required rate must be nonnegative, got {r_req}")
     return params.m_per_group, params.m_per_group * budget.p_t + budget.p_ph
 
 

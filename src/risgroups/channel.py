@@ -15,14 +15,15 @@ normals of its composite g_c = sum_j tilde_g_j, which alone enters Z and is
 drawn from its exact law CN(m_c, var_c).  A column's h and g normals are
 contiguous in the stream, so one ``standard_normal`` call draws a slab of
 whole columns, as many as fit in 2^12 complex h elements and at least one (a
-wide column is a slab of its own), and the slab is reduced to |tilde_h_j|^2
-and h_c = sum_j tilde_h_j before the next is drawn; no (n, B, M) complex
-array exists, and the tiling never changes the stream.  Groups are iid and
-successive draws continue one stream, so the first b columns of a draw are
-the (n, b) draw bit for bit: a narrower block is a prefix of every wider one.
-The result is a ``ChannelSnapshot`` of ``h_sq``, ``h_c`` and ``g_c`` whose h
-reductions run over the last (element) axis; indexing its batch axes
-(``snaps[0, d]``, ``snaps[:, j]``) gives one group or one column.
+wide column is a slab of its own), and the slab is reduced to |tilde_h_j|^2,
+|h_c|^2 = |sum_j tilde_h_j|^2 and |g_c|^2 before the next is drawn; complex
+values exist only within a slab, and the tiling never changes the stream.
+Groups are iid and successive draws continue one stream, so the first b
+columns of a draw are the (n, b) draw bit for bit: a narrower block is a
+prefix of every wider one.  The result is a ``ChannelSnapshot`` of the real
+``h_sq``, ``h_c_sq`` and ``g_c_sq`` whose h reductions run over the last
+(element) axis; indexing its batch axes (``snaps[0, d]``, ``snaps[:, j]``)
+gives one group or one column.
 """
 
 import logging
@@ -151,9 +152,7 @@ def sample_rician_vector(noise: np.ndarray, k_factor: float) -> np.ndarray:
 
 
 def _abs_sq(x):
-    """|x|^2 as one multiply, in place on |x| so a batch allocates no second
-    array; a NumPy scalar's ``** 2`` would call libm pow, which can differ from
-    a batch in the last bit."""
+    """|x|^2 as one multiply, in place on |x| so it allocates no second array."""
     mag = np.abs(x)
     mag *= mag
     return mag
@@ -161,21 +160,22 @@ def _abs_sq(x):
 
 @dataclass(frozen=True)
 class ChannelSnapshot:
-    """Per-element gains h_sq = |tilde_h_j|^2 of shape (*batch, M), composite
-    h_c = sum_j tilde_h_j and g_c of shape (*batch).
+    """Per-element gains h_sq = |tilde_h_j|^2 of shape (*batch, M) and the
+    composite gains h_c_sq = |sum_j tilde_h_j|^2 (under the optimal common
+    phase) and g_c_sq = |g_c|^2 of shape (*batch), all real.
 
-    Every h reduction runs over the last (element) axis and every square is
-    one multiply, so a batch reduces to the bits its rows would give one at a
-    time.
+    Every h reduction runs over the last (element) axis, so a batch reduces
+    to the bits its rows would give one at a time.
     """
 
     h_sq: np.ndarray = field(repr=False)
-    h_c: np.ndarray = field(repr=False)
-    g_c: np.ndarray = field(repr=False)
+    h_c_sq: np.ndarray = field(repr=False)
+    g_c_sq: np.ndarray = field(repr=False)
 
     def __getitem__(self, key):
         """The snapshot at ``key`` of the batch axes, e.g. ``snaps[0, d]``."""
-        return ChannelSnapshot(h_sq=self.h_sq[key], h_c=self.h_c[key], g_c=self.g_c[key])
+        return ChannelSnapshot(h_sq=self.h_sq[key], h_c_sq=self.h_c_sq[key],
+                               g_c_sq=self.g_c_sq[key])
 
     @property
     def sum_h_sq(self):
@@ -188,15 +188,6 @@ class ChannelSnapshot:
     @property
     def h_max_sq(self):
         return np.max(self.h_sq, axis=-1)
-
-    @property
-    def h_c_sq(self):
-        """Composite gain |sum_j tilde_h_j|^2 under the optimal common phase."""
-        return _abs_sq(self.h_c)
-
-    @property
-    def g_c_sq(self):
-        return _abs_sq(self.g_c)
 
     @property
     def z(self):
@@ -236,8 +227,8 @@ def sample_channels(params: SystemParams, shape: tuple,
     m_c, var_c = (x.item() for x in composite_law(params, corr, params.k_g))
     g_scale, g_k = math.sqrt(m_c ** 2 + var_c), m_c ** 2 / var_c
     h_sq = np.empty((n, b, m))
-    h_c = np.empty((n, b), dtype=np.complex128)
-    g_c = np.empty((n, b), dtype=np.complex128)
+    h_c_sq = np.empty((n, b))
+    g_c_sq = np.empty((n, b))
     cols = max(1, _SLAB_ELEMENTS // (n * m))
     for j in range(0, b, cols):  # one slab row per column: its h normals, then its g
         noise = rng.standard_normal((min(cols, b - j), n * (m + 1), 2))
@@ -245,9 +236,9 @@ def sample_channels(params: SystemParams, shape: tuple,
         raw *= math.sqrt(params.beta_gain)
         tilde_h = raw @ corr.sqrt_entries
         h_sq[:, j:j + cols] = _abs_sq(tilde_h).swapaxes(0, 1)
-        h_c[:, j:j + cols] = np.sum(tilde_h, axis=-1).T
-        g_c[:, j:j + cols] = g_scale * sample_rician_vector(noise[:, n * m:], g_k).T
-    return ChannelSnapshot(h_sq=h_sq, h_c=h_c, g_c=g_c)
+        h_c_sq[:, j:j + cols] = _abs_sq(np.sum(tilde_h, axis=-1)).T
+        g_c_sq[:, j:j + cols] = _abs_sq(g_scale * sample_rician_vector(noise[:, n * m:], g_k)).T
+    return ChannelSnapshot(h_sq=h_sq, h_c_sq=h_c_sq, g_c_sq=g_c_sq)
 
 
 def fit_gamma_product(params: SystemParams) -> GammaFit:

@@ -48,8 +48,9 @@ class PowerBudget:
 def harvest_rate(model: EhModel, incident_power):
     """Harvested power per element for given incident power (vectorized)."""
     p = np.asarray(incident_power, dtype=float)
-    if not np.all(p >= 0):  # NaN fails this too
-        raise ValueError("incident powers must be nonnegative and not NaN")
+    # NaN fails this too; an infinite power would give a NaN nonlinear harvest
+    if not (p.min(initial=0.0) >= 0 and p.max(initial=0.0) < np.inf):
+        raise ValueError("incident powers must be nonnegative, finite and not NaN")
     if model.kind == "linear":
         return p
     return (model.a - model.b / model.c) * (p / (p + model.c))

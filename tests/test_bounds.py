@@ -44,11 +44,9 @@ def _harvest(model, incident_powers, duration: float) -> float:
 class TestSnapshot:
     def test_derived_quantities(self):
         # tilde_h = (1, i)
-        snap = ChannelSnapshot(h_sq=np.array([1.0, 1.0]), h_c=1.0 + 1j, g_c=2.0 + 0j)
+        snap = ChannelSnapshot(h_sq=np.array([1.0, 1.0]), h_c_sq=2.0, g_c_sq=4.0)
         assert snap.sum_h_sq == pytest.approx(2.0)
         assert snap.h_min_sq == pytest.approx(1.0)
-        assert snap.h_c_sq == pytest.approx(2.0)
-        assert snap.g_c_sq == pytest.approx(4.0)
         assert snap.z == pytest.approx(8.0)
 
 
@@ -231,6 +229,17 @@ class TestIntervalInvariants:
             if iv.cause in ("energy-limited", "saturation"):
                 assert iv.lower == 1.0
 
+    @pytest.mark.parametrize("bounds", [
+        lambda snap, r: rho_bounds_linear(PARAMS, BUDGET, snap, r),
+        lambda snap, r: rho_bounds_nonlinear(PARAMS, BUDGET, NONLINEAR_DEFAULT, snap, r),
+        lambda snap, r: zeta_bounds_linear(PARAMS, BUDGET, snap, r),
+        lambda snap, r: zeta_bounds_nonlinear(PARAMS, BUDGET, NONLINEAR_DEFAULT, snap, r),
+    ], ids=["rho-linear", "rho-nonlinear", "zeta-linear", "zeta-nonlinear"])
+    def test_nan_rate_rejected(self, bounds):
+        # a NaN r_req would read as an interval, with a NaN upper end for zeta
+        with pytest.raises(ValueError, match="nan"):
+            bounds(snapshot(4), math.nan)
+
 
 TS_BOUNDS = pytest.mark.parametrize("bounds", [
     lambda p, snap: zeta_bounds_linear(p, BUDGET, snap, 1.0),
@@ -242,9 +251,9 @@ class TestZeroSnr:
     @pytest.mark.parametrize("p_tx, cause", [(1e-12, "energy-limited"), (1.0, "rate-limited")])
     @TS_BOUNDS
     def test_ts_cause_follows_lower(self, bounds, p_tx, cause):
-        # g_c = 0 leaves no rate at any zeta; the cause is energy-limited
+        # |g_c|^2 = 0 leaves no rate at any zeta; the cause is energy-limited
         # whenever the energy bound alone already exceeds 1, as elsewhere
-        snap = replace(snapshot(12), g_c=0j)
+        snap = replace(snapshot(12), g_c_sq=0.0)
         iv = bounds(replace(PARAMS, p_tx=p_tx), snap)
         assert not iv.feasible
         assert iv.cause == cause

@@ -68,6 +68,14 @@ class TestEhModel:
         with pytest.raises(ValueError, match="NaN"):
             harvest_rate(model, np.nan)
 
+    @pytest.mark.parametrize("model", [EhModel(), NONLINEAR_DEFAULT], ids=["linear", "nonlinear"])
+    def test_infinite_incident_rejected(self, model):
+        # the nonlinear law gives inf/inf = NaN at an infinite incident power
+        with pytest.raises(ValueError, match="finite"):
+            harvest_rate(model, [0.1, np.inf])
+        with pytest.raises(ValueError, match="finite"):
+            harvest_rate(model, np.inf)
+
 
 class TestHarvest:
     def test_sums_over_elements(self):

@@ -105,9 +105,10 @@ class TestSimulateBlock:
             raw = math.sqrt(p.k_h / (p.k_h + 1.0)) + scattered[..., 0] + 1j * scattered[..., 1]
             tilde_h = (math.sqrt(p.beta_gain) * raw) @ corr.sqrt_entries
             np.testing.assert_array_equal(snap.h_sq[:, j], np.abs(tilde_h) ** 2)
-            np.testing.assert_array_equal(snap.h_c[:, j], np.sum(tilde_h, axis=-1))
+            np.testing.assert_array_equal(snap.h_c_sq[:, j],
+                                          np.abs(np.sum(tilde_h, axis=-1)) ** 2)
             g_c = m_c + math.sqrt(0.5 * var_c) * (g_normals[..., 0] + 1j * g_normals[..., 1])
-            np.testing.assert_allclose(snap.g_c[:, j], g_c, rtol=1e-12)
+            np.testing.assert_allclose(snap.g_c_sq[:, j], np.abs(g_c) ** 2, rtol=1e-12)
 
     def test_one_row_block_is_a_prefix_across_slabs(self):
         # a (1, N) draw comes a slab of columns at a time; a narrower draw that
@@ -115,7 +116,7 @@ class TestSimulateBlock:
         cols = channel._SLAB_ELEMENTS // PARAMS.m_per_group
         wide = sample_channels(PARAMS, (1, 3 * cols), block_rng(2, 0))
         narrow = sample_channels(PARAMS, (1, cols + 7), block_rng(2, 0))
-        for name in ("h_sq", "h_c", "g_c"):
+        for name in ("h_sq", "h_c_sq", "g_c_sq"):
             np.testing.assert_array_equal(getattr(narrow, name),
                                           getattr(wide, name)[:, :cols + 7])
 
@@ -207,6 +208,15 @@ class TestEstimateOutage:
         # a NaN e_req lies below no harvest, so every trial would pass
         with pytest.raises(ValueError, match="NaN"):
             cfg(**{field: math.nan})
+
+    def test_infinite_incident_power_rejected(self):
+        # w_p |h|^2 overflows to inf here; its NaN nonlinear harvest would lie
+        # below no e_req, so a true outage of 1 would read 0
+        p = SystemParams(p_tx=1e308, rho_l=1.0, d_sr=0.5)
+        c = cfg(n_trials=64, strategy=SelectionStrategy("EBGS", k=1), eh=NONLINEAR_DEFAULT,
+                metric="energy", e_req=1e3)
+        with pytest.raises(ValueError, match="finite"):
+            one(p, c)
 
 
 class TestLinearHarvest:
@@ -443,10 +453,10 @@ class TestDrawReuse:
         ref = draw(PARAMS)
         for name, value in OTHER_FIELDS.items():
             snap = draw(with_field(PARAMS, name, value))
-            b = snap.h_c.shape[-1]
+            b = snap.h_c_sq.shape[-1]
             np.testing.assert_array_equal(snap.h_sq, ref.h_sq[:, :b])
-            np.testing.assert_array_equal(snap.h_c, ref.h_c[:, :b])
-            np.testing.assert_array_equal(snap.g_c, ref.g_c[:, :b])
+            np.testing.assert_array_equal(snap.h_c_sq, ref.h_c_sq[:, :b])
+            np.testing.assert_array_equal(snap.g_c_sq, ref.g_c_sq[:, :b])
 
     def test_fields_in_the_key_change_the_draw(self):
         ref = draw(PARAMS)
@@ -454,8 +464,8 @@ class TestDrawReuse:
             snap = draw(with_field(PARAMS, name, value))
             same = (snap.h_sq.shape == ref.h_sq.shape
                     and np.array_equal(snap.h_sq, ref.h_sq)
-                    and np.array_equal(snap.h_c, ref.h_c)
-                    and np.array_equal(snap.g_c, ref.g_c))
+                    and np.array_equal(snap.h_c_sq, ref.h_c_sq)
+                    and np.array_equal(snap.g_c_sq, ref.g_c_sq))
             assert not same, name
 
     def test_worker_count_does_not_change_sweep(self):
