@@ -53,7 +53,7 @@ def rho_bounds_linear(
     r_req: float,
 ) -> FeasibleInterval:
     """PS feasibility interval under the linear harvesting law."""
-    m, w = _group_need(params, budget, r_req)
+    _, w = _group_need(params, budget, r_req)
     gain = incident_power(params) * snap.sum_h_sq
     if gain == 0.0:
         return FeasibleInterval(1.0, 0.0, "energy-limited")
@@ -82,7 +82,10 @@ def rho_bounds_nonlinear(
     if denom == 0.0:
         return FeasibleInterval(1.0, 0.0, "energy-limited")
     lower = model.c * w / denom
-    kappa = lower * (snap.h_max_sq / snap.h_min_sq) * mean_snr_scale(params) * snap.z
+    if (h_min_sq := snap.h_min_sq) == 0.0:  # h_min -> 0 sends kappa to inf
+        grows = lower * mean_snr_scale(params) * snap.z > 0 and snr_threshold(r_req) < math.inf
+        return _interval(lower, 1.0 if grows else 0.0)
+    kappa = lower * (snap.h_max_sq / h_min_sq) * mean_snr_scale(params) * snap.z
     upper = kappa / (snr_threshold(r_req) + kappa) if kappa > 0 else 0.0
     return _interval(lower, upper)
 

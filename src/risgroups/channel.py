@@ -2,7 +2,7 @@
 
 Per-element channels are unit-second-moment complex Gaussians with a
 deterministic line-of-sight mean sqrt(K/(K+1)) and scattered variance 1/(K+1);
-path loss and link gain carry all scaling.  Correlation follows the sinc model
+the path loss alone carries all scaling.  Correlation follows the sinc model
 through the principal square root of the correlation matrix.  ``element_law``
 is the only statement of a group's law; ``composite_law`` and ``power_moments``
 derive from it the law of g_c, the Gamma fit of Z and the energy fits.
@@ -66,7 +66,6 @@ class SystemParams:
     d_rd: float = 20.0
     k_h: float = 1.0
     k_g: float = 1.0
-    beta_gain: float = 1.0
     spacing: float = 0.1 / 8.0       # lambda/8
 
     def __post_init__(self):
@@ -76,13 +75,13 @@ class SystemParams:
                 f"{self.m_per_group * self.b_groups}"
             )
         for name in ("p_tx", "rho_l", "t_s", "wavelength", "noise_power",
-                     "d_sr", "d_rd", "beta_gain", "spacing"):
+                     "d_sr", "d_rd", "spacing"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be strictly positive and finite")
-        if self.k_h < 0 or self.k_g < 0:
-            raise ValueError("Rician factors must be nonnegative")
-        if self.alpha < 2:
-            raise ValueError("path-loss exponent must be >= 2")
+        if not (0 <= self.k_h < math.inf and 0 <= self.k_g < math.inf):  # NaN fails too
+            raise ValueError("Rician factors must be nonnegative and finite")
+        if not self.alpha >= 2:
+            raise ValueError("path-loss exponent must be >= 2 and not NaN")
         if self.m_per_group < 1 or self.b_groups < 1:
             raise ValueError("group sizes must be positive")
 
@@ -103,8 +102,8 @@ class GammaFit:
     scale: float
 
     def __post_init__(self):
-        if self.shape <= 0 or self.scale <= 0:
-            raise ValueError("Gamma shape and scale must be positive")
+        if not (self.shape > 0 and self.scale > 0):  # NaN fails this too
+            raise ValueError("Gamma shape and scale must be positive and not NaN")
 
     @classmethod
     def from_moments(cls, mean: float, var: float) -> "GammaFit":
@@ -194,18 +193,16 @@ class ChannelSnapshot:
         return self.h_c_sq * self.g_c_sq
 
 
-def element_law(params: SystemParams, corr: CorrelationMatrix,
-                k: float) -> tuple[np.ndarray, np.ndarray]:
-    """Mean vector and covariance of the M correlated elements sqrt(beta) x @ R^(1/2),
-    x i.i.d. unit-power Rician with factor k: CN(sqrt(beta K/(K+1)) R^(1/2) 1, beta R/(K+1))."""
-    mus = math.sqrt(params.beta_gain) * math.sqrt(k / (k + 1.0)) * corr.sqrt_entries.sum(axis=1)
-    return mus, params.beta_gain * (1.0 / (k + 1.0)) * corr.entries
+def element_law(corr: CorrelationMatrix, k: float) -> tuple[np.ndarray, np.ndarray]:
+    """Mean vector and covariance of the M correlated elements x @ R^(1/2), x i.i.d.
+    unit-power Rician with factor k: CN(sqrt(K/(K+1)) R^(1/2) 1, R/(K+1))."""
+    mus = math.sqrt(k / (k + 1.0)) * corr.sqrt_entries.sum(axis=1)
+    return mus, (1.0 / (k + 1.0)) * corr.entries
 
 
-def composite_law(params: SystemParams, corr: CorrelationMatrix,
-                  k: float) -> tuple[np.ndarray, np.ndarray]:
+def composite_law(corr: CorrelationMatrix, k: float) -> tuple[np.ndarray, np.ndarray]:
     """The 1x1 law (mean, variance) of the composite sum_j of the elements."""
-    mus, cov = element_law(params, corr, k)
+    mus, cov = element_law(corr, k)
     return mus.sum(keepdims=True), cov.sum(keepdims=True)
 
 
@@ -224,7 +221,7 @@ def sample_channels(params: SystemParams, shape: tuple,
     m = params.m_per_group
     corr = build_correlation_matrix(m, params.spacing, params.wavelength)
     # sqrt(m^2 + v) times a unit-power Rician with K = m^2/v is CN(m, v)
-    m_c, var_c = (x.item() for x in composite_law(params, corr, params.k_g))
+    m_c, var_c = (x.item() for x in composite_law(corr, params.k_g))
     g_scale, g_k = math.sqrt(m_c ** 2 + var_c), m_c ** 2 / var_c
     h_sq = np.empty((n, b, m))
     h_c_sq = np.empty((n, b))
@@ -233,7 +230,6 @@ def sample_channels(params: SystemParams, shape: tuple,
     for j in range(0, b, cols):  # one slab row per column: its h normals, then its g
         noise = rng.standard_normal((min(cols, b - j), n * (m + 1), 2))
         raw = sample_rician_vector(noise[:, :n * m].reshape(-1, n, m, 2), params.k_h)
-        raw *= math.sqrt(params.beta_gain)
         tilde_h = raw @ corr.sqrt_entries
         h_sq[:, j:j + cols] = _abs_sq(tilde_h).swapaxes(0, 1)
         h_c_sq[:, j:j + cols] = _abs_sq(np.sum(tilde_h, axis=-1)).T
@@ -244,8 +240,8 @@ def sample_channels(params: SystemParams, shape: tuple,
 def fit_gamma_product(params: SystemParams) -> GammaFit:
     """Moment-matched Gamma approximation of Z = |g_c|^2 |h_c|^2."""
     corr = build_correlation_matrix(params.m_per_group, params.spacing, params.wavelength)
-    mean_h, var_h = power_moments(*composite_law(params, corr, params.k_h))
-    mean_g, var_g = power_moments(*composite_law(params, corr, params.k_g))
+    mean_h, var_h = power_moments(*composite_law(corr, params.k_h))
+    mean_g, var_g = power_moments(*composite_law(corr, params.k_g))
     mean_z = mean_h * mean_g
     second_z = (mean_h ** 2 + var_h) * (mean_g ** 2 + var_g)
     return GammaFit.from_moments(mean_z, second_z - mean_z ** 2)

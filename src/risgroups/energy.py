@@ -22,7 +22,7 @@ class EhModel:
         if self.kind not in ("linear", "nonlinear"):
             raise ValueError(f"unknown EH model kind {self.kind!r}")
         if self.kind == "nonlinear":
-            if self.c <= 0 or self.b <= 0 or self.a * self.c <= self.b:
+            if not (self.c > 0 and self.b > 0 and self.a * self.c > self.b):  # NaN fails
                 raise ValueError(
                     "nonlinear EH requires a > b/c > 0 and c > 0 "
                     f"(got a={self.a}, b={self.b}, c={self.c})"
@@ -41,8 +41,8 @@ class PowerBudget:
     p_ph: float
 
     def __post_init__(self):
-        if self.p_t < 0 or self.p_ph < 0:
-            raise ValueError("powers must be nonnegative")
+        if not (self.p_t >= 0 and self.p_ph >= 0):  # NaN fails this too
+            raise ValueError("powers must be nonnegative and not NaN")
 
 
 def harvest_rate(model: EhModel, incident_power):

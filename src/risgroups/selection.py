@@ -36,8 +36,8 @@ class SelectionStrategy:
     def __post_init__(self):
         if self.scheme not in ("RGS", "SBGS", "EBGS"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.k < 1:
-            raise ValueError("k must be a positive integer")
+        if not (self.k >= 1 and self.k % 1 == 0):  # NaN fails this too
+            raise ValueError(f"k must be a positive integer, got {self.k}")
 
 
 def mean_snr_scale(params: SystemParams) -> float:
@@ -203,7 +203,7 @@ def fit_energy_distribution(params: SystemParams, mode: RisMode, model: EhModel)
     if dur == 0.0 or w_p == 0.0:
         return DegenerateDist(0.0)
     corr = build_correlation_matrix(params.m_per_group, params.spacing, params.wavelength)
-    mus, cov = element_law(params, corr, params.k_h)
+    mus, cov = element_law(corr, params.k_h)
     if model.kind == "linear":
         mean_s, var_s = power_moments(mus, cov)
         return GammaFit.from_moments(dur * w_p * mean_s, (dur * w_p) ** 2 * var_s)

@@ -14,8 +14,8 @@ snapshots are the group columns of one (1, n_draws) block drawn from
 ``block_rng(seed, 0)``.
 
 A block's draw depends only on the channel law (``m_per_group``, ``spacing``,
-``wavelength``, ``k_h``, ``k_g``, ``beta_gain``), the seed and the trial count;
-grid points that share these share each block's draw, so a sweep over snr,
+``wavelength``, ``k_h``, ``k_g``), the seed and the trial count; grid points
+that share these share each block's draw, so a sweep over snr,
 p_tx, rho, zeta or k draws its channels once.  The number of groups is not
 part of the law: the first b columns of a wider block are the b-group block,
 so a sweep over b draws once at its widest b and evaluates each point on its
@@ -137,10 +137,10 @@ def _block_failures(points: list, n: int, block_idx: int) -> list[int]:
 
 
 def _law_key(params: SystemParams, cfg: TrialConfig) -> tuple:
-    """Everything a block's draw depends on apart from its width b; points with
-    equal keys share the draw at their widest b."""
+    """The unit-power channel law, seed and n: all a block's draw depends on but its
+    width b; points with equal keys share the draw at their widest b."""
     return (params.m_per_group, params.spacing, params.wavelength,
-            params.k_h, params.k_g, params.beta_gain, cfg.seed, cfg.n_trials)
+            params.k_h, params.k_g, cfg.seed, cfg.n_trials)
 
 
 def _check_k(points: list) -> None:

@@ -124,6 +124,24 @@ class TestPsNonlinear:
         rate = math.log2(1.0 + (1.0 / iv.upper - 1.0) * kappa)
         assert rate == pytest.approx(r_req, rel=1e-12)
 
+    def test_zero_gain_element_gives_the_limit(self):
+        # h_max^2 / h_min^2 is unbounded as h_min -> 0, so upper reaches 1
+        # there, the limit of ever weaker elements, instead of inf/inf
+        params = replace(PARAMS, m_per_group=2, n_total=2 * PARAMS.b_groups)
+        iv = rho_bounds_nonlinear(params, BUDGET, NONLINEAR_DEFAULT,
+                                  ChannelSnapshot(h_sq=np.array([0.0, 1.0]), h_c_sq=1.0,
+                                                  g_c_sq=1.0), 1.0)
+        weak = rho_bounds_nonlinear(params, BUDGET, NONLINEAR_DEFAULT,
+                                    ChannelSnapshot(h_sq=np.array([1e-300, 1.0]), h_c_sq=1.0,
+                                                    g_c_sq=1.0), 1.0)
+        assert iv == weak
+        assert iv.feasible and 0.0 < iv.lower < 1.0 and iv.upper == 1.0
+        # no SNR at all, or a rate that needs an infinite one, still reads 0
+        for h_c_sq, r_req in ((0.0, 1.0), (1.0, 2000.0)):
+            snap = ChannelSnapshot(h_sq=np.array([0.0, 1.0]), h_c_sq=h_c_sq, g_c_sq=1.0)
+            iv = rho_bounds_nonlinear(params, BUDGET, NONLINEAR_DEFAULT, snap, r_req)
+            assert iv.cause == "rate-limited" and iv.upper == 0.0
+
     def test_saturation_infeasible(self):
         big = PowerBudget(p_t=10.0, p_ph=10.0)  # beyond the rectifier ceiling
         iv = rho_bounds_nonlinear(PARAMS, big, NONLINEAR_DEFAULT, snapshot(7), 1.0)

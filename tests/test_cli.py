@@ -274,6 +274,15 @@ class TestRunCommand:
         assert [row[4:] for row in rows] == [
             ["256", "SBGS", k, "TS"] for k in ("1", "2", "5")]
 
+    def test_removed_beta_gain_key_rejected(self, tmp_path, capsys):
+        # the link budget carries all scaling: set rho_l to beta * rho_l instead
+        path = tmp_path / "beta.cfg"
+        path.write_text("beta_gain = 2\n", encoding="utf-8")
+        out = tmp_path / "x.csv"
+        assert main(["run", str(path), "-o", str(out)]) == 2
+        assert "unknown key 'beta_gain'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_parse_error_returns_nonzero(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("bogus = 1\n", encoding="utf-8")

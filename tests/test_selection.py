@@ -55,6 +55,10 @@ class TestModeAndStrategy:
             SelectionStrategy("BEST")
         with pytest.raises(ValueError):
             SelectionStrategy("RGS", k=0)
+        # a fractional k would get a closed form from the incomplete beta,
+        # while the simulator cannot rank a group 2.5th
+        with pytest.raises(ValueError, match="2.5"):
+            SelectionStrategy("SBGS", k=2.5)
 
 
 class TestDataThreshold:
@@ -316,7 +320,7 @@ class TestRecipMoments:
         p = SystemParams(rho_l=0.1, d_sr=2.0, p_tx=p_tx, k_h=k_h, m_per_group=m,
                          b_groups=400 // m, spacing=0.1 / per_wavelength)
         _, w_p = eh_wiring(p, RisMode(kind, rho=0.5, zeta=0.4))
-        mus, cov = element_law(p, build_correlation_matrix(m, p.spacing, p.wavelength), k_h)
+        mus, cov = element_law(build_correlation_matrix(m, p.spacing, p.wavelength), k_h)
         c = NONLINEAR_DEFAULT.c
         mean_t, var_t = _recip_moments(mus, cov, w_p, c)
         ref_mean, ref_var = _reference_recip_moments(mus, cov, w_p, c)

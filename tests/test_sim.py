@@ -81,7 +81,7 @@ class TestSimulateBlock:
         # elements.  Every tiling draws and reduces to the bits one
         # per-column draw gives
         p = replace(PARAMS, b_groups=5, n_total=5 * PARAMS.m_per_group,
-                    k_h=2.0, k_g=0.5, beta_gain=3.0)
+                    k_h=2.0, k_g=0.5)
         b, m = p.b_groups, p.m_per_group
         if n > 3:
             assert channel._SLAB_ELEMENTS // (n * m) <= 1
@@ -97,13 +97,13 @@ class TestSimulateBlock:
 
         rng = block_rng(1, 0)
         rng.random(n)
-        (m_c,), ((var_c,),) = composite_law(p, corr, p.k_g)
+        (m_c,), ((var_c,),) = composite_law(corr, p.k_g)
         for j in range(b):
             h_normals = rng.standard_normal((n, m, 2))
             g_normals = rng.standard_normal((n, 2))
             scattered = math.sqrt(0.5 / (p.k_h + 1.0)) * h_normals
             raw = math.sqrt(p.k_h / (p.k_h + 1.0)) + scattered[..., 0] + 1j * scattered[..., 1]
-            tilde_h = (math.sqrt(p.beta_gain) * raw) @ corr.sqrt_entries
+            tilde_h = raw @ corr.sqrt_entries
             np.testing.assert_array_equal(snap.h_sq[:, j], np.abs(tilde_h) ** 2)
             np.testing.assert_array_equal(snap.h_c_sq[:, j],
                                           np.abs(np.sum(tilde_h, axis=-1)) ** 2)
@@ -381,7 +381,7 @@ SMALL_ENERGY = replace(SMALL, rho_l=0.1, d_sr=2.0, d_rd=3.0, p_tx=13.5)
 # b_groups draws the first columns of the wider draw)
 LAW_FIELDS = {
     "m_per_group": 10, "spacing": 0.1 / 6.0, "wavelength": 0.12,
-    "k_h": 2.0, "k_g": 3.0, "beta_gain": 2.0,
+    "k_h": 2.0, "k_g": 3.0,
 }
 OTHER_FIELDS = {
     "p_tx": 3.0, "rho_l": 0.1, "alpha": 3.0, "t_s": 1e-3, "noise_power": 1e-9,
