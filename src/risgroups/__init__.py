@@ -6,7 +6,7 @@ the data link while all groups harvest RF energy, plus a seeded Monte Carlo
 engine that validates every closed form.
 """
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .bounds import (
     FeasibleInterval,
@@ -63,7 +63,6 @@ from .specfun import (
     ConvergenceError,
     reg_incomplete_beta,
     reg_lower_incomplete_gamma,
-    sinc_corr,
 )
 
 __all__ = [
@@ -106,7 +105,6 @@ __all__ = [
     "sample_channels",
     "sample_rician_vector",
     "simulate_block",
-    "sinc_corr",
     "sweep_points",
     "zeta_bounds_linear",
     "zeta_bounds_nonlinear",

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .specfun import reg_lower_incomplete_gamma, sinc_corr
+from .specfun import reg_lower_incomplete_gamma
 
 logger = logging.getLogger(__name__)
 
@@ -116,15 +116,12 @@ class GammaFit:
         return gamma_cdf(self, x)
 
 
-def build_correlation_matrix(m: int, spacing: float, wavelength: float) -> CorrelationMatrix:
-    """Sinc correlation matrix of a uniform linear array with its principal square root."""
-    if m < 1:
-        raise ValueError("need at least one element")
-    if spacing <= 0:
-        raise ValueError("spacing must be positive")
-    x = np.arange(m) * spacing
-    dist = np.abs(x[:, None] - x[None, :])
-    entries = np.vectorize(lambda d: sinc_corr(float(d), wavelength))(dist)
+def build_correlation_matrix(params: SystemParams) -> CorrelationMatrix:
+    """Sinc correlation R_ij = sin(t)/t, t = 2 pi |x_i - x_j| / lambda, of the
+    uniform linear array of one group, with its principal square root."""
+    x = np.arange(params.m_per_group) * params.spacing
+    t = 2.0 * math.pi * np.abs(x[:, None] - x[None, :]) / params.wavelength
+    entries = np.divide(np.sin(t), t, out=np.ones_like(t), where=t != 0)
     w, v = np.linalg.eigh(entries)
     worst = w.min()
     if worst < -_CLAMP_LIMIT:
@@ -140,8 +137,8 @@ def build_correlation_matrix(m: int, spacing: float, wavelength: float) -> Corre
 def sample_rician_vector(noise: np.ndarray, k_factor: float) -> np.ndarray:
     """I.i.d. unit-power Rician channel gains (LoS mean, scattered CN part) made
     in place from ``(..., 2)`` standard normals, as their complex view; no rng."""
-    if k_factor < 0:
-        raise ValueError("Rician factor must be nonnegative")
+    if not 0 <= k_factor < math.inf:  # NaN fails this too
+        raise ValueError(f"Rician factor must be nonnegative and finite, got {k_factor}")
     los = math.sqrt(k_factor / (k_factor + 1.0))
     sigma = math.sqrt(0.5 / (k_factor + 1.0))  # per real dimension
     noise *= sigma
@@ -219,7 +216,7 @@ def sample_channels(params: SystemParams, shape: tuple,
     then its g_c ~ CN(m_c, var_c), a slab of whole columns per normal call."""
     n, b = shape
     m = params.m_per_group
-    corr = build_correlation_matrix(m, params.spacing, params.wavelength)
+    corr = build_correlation_matrix(params)
     # sqrt(m^2 + v) times a unit-power Rician with K = m^2/v is CN(m, v)
     m_c, var_c = (x.item() for x in composite_law(corr, params.k_g))
     g_scale, g_k = math.sqrt(m_c ** 2 + var_c), m_c ** 2 / var_c
@@ -239,7 +236,7 @@ def sample_channels(params: SystemParams, shape: tuple,
 
 def fit_gamma_product(params: SystemParams) -> GammaFit:
     """Moment-matched Gamma approximation of Z = |g_c|^2 |h_c|^2."""
-    corr = build_correlation_matrix(params.m_per_group, params.spacing, params.wavelength)
+    corr = build_correlation_matrix(params)
     mean_h, var_h = power_moments(*composite_law(corr, params.k_h))
     mean_g, var_g = power_moments(*composite_law(corr, params.k_g))
     mean_z = mean_h * mean_g

@@ -22,9 +22,12 @@ class EhModel:
         if self.kind not in ("linear", "nonlinear"):
             raise ValueError(f"unknown EH model kind {self.kind!r}")
         if self.kind == "nonlinear":
-            if not (self.c > 0 and self.b > 0 and self.a * self.c > self.b):  # NaN fails
+            # NaN fails too; an infinite constant would make the saturation
+            # a - b/c or the energy fit's offset infinite or NaN
+            finite = all(0 < x < np.inf for x in (self.a, self.b, self.c))
+            if not (finite and self.a * self.c > self.b):
                 raise ValueError(
-                    "nonlinear EH requires a > b/c > 0 and c > 0 "
+                    "nonlinear EH requires finite a > b/c > 0 and c > 0 "
                     f"(got a={self.a}, b={self.b}, c={self.c})"
                 )
 
@@ -41,8 +44,8 @@ class PowerBudget:
     p_ph: float
 
     def __post_init__(self):
-        if not (self.p_t >= 0 and self.p_ph >= 0):  # NaN fails this too
-            raise ValueError("powers must be nonnegative and not NaN")
+        if not (0 <= self.p_t < np.inf and 0 <= self.p_ph < np.inf):  # NaN fails too
+            raise ValueError("powers must be nonnegative and finite")
 
 
 def harvest_rate(model: EhModel, incident_power):

@@ -36,7 +36,8 @@ class SelectionStrategy:
     def __post_init__(self):
         if self.scheme not in ("RGS", "SBGS", "EBGS"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if not (self.k >= 1 and self.k % 1 == 0):  # NaN fails this too
+        # an integral float such as 2.0 fails too: numpy cannot partition by it
+        if not (isinstance(self.k, (int, np.integer)) and self.k >= 1):
             raise ValueError(f"k must be a positive integer, got {self.k}")
 
 
@@ -202,7 +203,7 @@ def fit_energy_distribution(params: SystemParams, mode: RisMode, model: EhModel)
     dur, w_p = eh_wiring(params, mode)
     if dur == 0.0 or w_p == 0.0:
         return DegenerateDist(0.0)
-    corr = build_correlation_matrix(params.m_per_group, params.spacing, params.wavelength)
+    corr = build_correlation_matrix(params)
     mus, cov = element_law(corr, params.k_h)
     if model.kind == "linear":
         mean_s, var_s = power_moments(mus, cov)

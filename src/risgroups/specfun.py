@@ -1,11 +1,11 @@
 """Special functions backing the closed-form outage expressions.
 
 Regularized incomplete gamma and beta via the standard series /
-continued-fraction split, and the sinc correlation.  Both continued fractions
-run through one modified-Lentz loop (Thompson & Barnett 1986, J. Comput. Phys.
-64), and every iterative evaluation gets an iteration budget that grows with
-the square root of its argument size, so any shape up to the Wilson-Hilferty
-cutover at 1e8 converges.  All functions are pure and safe for concurrent use.
+continued-fraction split.  Both continued fractions run through one
+modified-Lentz loop (Thompson & Barnett 1986, J. Comput. Phys. 64), and every
+iterative evaluation gets an iteration budget that grows with the square root
+of its argument size, so any shape up to the Wilson-Hilferty cutover at 1e8
+converges.  All functions are pure and safe for concurrent use.
 """
 
 import math
@@ -139,15 +139,3 @@ def reg_incomplete_beta(x: float, a: float, b: float) -> float:
     if x < (a + 1.0) / (a + b + 2.0):
         return min(front * _beta_cont_frac(a, b, x) / a, 1.0)
     return max(1.0 - front * _beta_cont_frac(b, a, 1.0 - x) / b, 0.0)
-
-
-def sinc_corr(d: float, wavelength: float) -> float:
-    """Sinc spatial correlation sin(2 pi d / lambda) / (2 pi d / lambda)."""
-    if not d >= 0:  # NaN fails this too
-        raise ValueError(f"distance d must be nonnegative, got {d}")
-    if not wavelength > 0:
-        raise ValueError(f"wavelength must be positive, got {wavelength}")
-    if d == 0.0:
-        return 1.0
-    t = 2.0 * math.pi * d / wavelength
-    return math.sin(t) / t

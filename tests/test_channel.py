@@ -46,6 +46,10 @@ class TestSystemParams:
             SystemParams(k_h=-0.5)
         with pytest.raises(ValueError):
             SystemParams(spacing=0.0)
+        for bad in (dict(wavelength=0.0), dict(wavelength=math.nan), dict(spacing=math.nan),
+                    dict(m_per_group=0, n_total=0)):
+            with pytest.raises(ValueError):
+                SystemParams(**bad)
         with pytest.raises(ValueError, match="p_tx must be strictly positive and finite"):
             SystemParams(p_tx=math.inf)
 
@@ -64,38 +68,74 @@ class TestSystemParams:
     lambda: GammaFit(math.nan, 1.0),
     lambda: GammaFit(1.0, math.nan),
     lambda: SelectionStrategy("SBGS", k=math.nan),
+    # an infinite constant makes the nonlinear saturation or the energy fit's
+    # offset NaN or infinite, and an infinite budget an infinite requirement
+    lambda: EhModel("nonlinear", a=math.inf, b=1.635, c=0.826),
+    lambda: EhModel("nonlinear", a=2.463, b=1.635, c=math.inf),
+    lambda: PowerBudget(p_t=math.inf, p_ph=0.0),
+    lambda: PowerBudget(p_t=0.0, p_ph=math.inf),
+    # the simulator ranks groups by an integer partition index
+    lambda: SelectionStrategy("SBGS", k=2.0),
 ], ids=["k_h", "k_g", "k_h_inf", "alpha", "p_t", "p_ph", "eh_a", "eh_b", "eh_c",
-        "gamma_shape", "gamma_scale", "k"])
+        "gamma_shape", "gamma_scale", "k", "eh_a_inf", "eh_c_inf", "p_t_inf", "p_ph_inf",
+        "k_float"])
 def test_config_types_reject_nan(make):
     # every check is written so that NaN fails it, not as x < 0, which NaN passes
     with pytest.raises(ValueError):
         make()
 
 
+def _params(m, spacing, wavelength=0.1):
+    return SystemParams(m_per_group=m, b_groups=1, n_total=m, spacing=spacing,
+                        wavelength=wavelength)
+
+
 class TestCorrelationMatrix:
     def test_half_wavelength_is_identity(self):
-        corr = build_correlation_matrix(8, 0.05, 0.1)
+        corr = build_correlation_matrix(_params(8, 0.05))
         np.testing.assert_allclose(corr.entries, np.eye(8), atol=1e-14)
         np.testing.assert_allclose(corr.sqrt_entries, np.eye(8), atol=1e-7)
 
     def test_sqrt_reproduces_matrix(self):
-        corr = build_correlation_matrix(12, 0.1 / 8.0, 0.1)
+        corr = build_correlation_matrix(_params(12, 0.1 / 8.0))
         np.testing.assert_allclose(
             corr.sqrt_entries @ corr.sqrt_entries, corr.entries, atol=1e-12
         )
 
     def test_entries_follow_sinc(self):
+        # sin(2 pi d / lambda) / (2 pi d / lambda)  [TRIVIAL]
         lam = 0.1
-        corr = build_correlation_matrix(4, lam / 8.0, lam)
+        corr = build_correlation_matrix(_params(4, lam / 8.0, lam))
         t = math.pi / 4.0
-        assert corr.entries[0, 1] == pytest.approx(math.sin(t) / t, rel=1e-13)
+        assert corr.entries[0, 1] == pytest.approx(math.sin(t) / t, rel=1e-14)
         assert corr.entries[0, 0] == 1.0
+        half = build_correlation_matrix(_params(2, lam / 2.0, lam))
+        assert half.entries[0, 1] == pytest.approx(0.0, abs=1e-15)
 
     def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            build_correlation_matrix(0, 0.0125, 0.1)
-        with pytest.raises(ValueError):
-            build_correlation_matrix(4, 0.0, 0.1)
+        # the matrix reads m_per_group, spacing and wavelength and checks none
+        # of them: an empty group, a zero spacing or wavelength and a NaN one
+        # are stopped where the parameters are built
+        for bad in (dict(m=0, spacing=0.0125), dict(m=4, spacing=0.0),
+                    dict(m=4, spacing=math.nan), dict(m=4, spacing=0.0125, wavelength=0.0),
+                    dict(m=4, spacing=0.0125, wavelength=math.nan)):
+            with pytest.raises(ValueError):
+                build_correlation_matrix(_params(**bad))
+
+    @pytest.mark.parametrize("m", [10, 20])
+    @pytest.mark.parametrize("spacing", [0.05, 0.033333333, 0.025, 0.016666667, 0.0125])
+    def test_entries_match_scalar_sinc(self, m, spacing):
+        # at the grid of data_spacing.cfg, each entry is the scalar sin(t)/t at
+        # t = 2 pi d / lambda to within 1 ulp (numpy's vectorised sin may
+        # round differently from libm's)
+        p = _params(m, spacing)
+        entries = build_correlation_matrix(p).entries
+        x = np.arange(m) * p.spacing
+        for i in range(m):
+            for j in range(m):
+                t = 2.0 * math.pi * abs(float(x[i] - x[j])) / p.wavelength
+                ref = math.sin(t) / t if t != 0.0 else 1.0
+                np.testing.assert_array_max_ulp(entries[i, j], ref, maxulp=1)
 
 
 class TestRicianSampling:
@@ -116,6 +156,12 @@ class TestRicianSampling:
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
             sample_rician_vector(np.random.default_rng(0).standard_normal((4, 2)), -1.0)
+
+    @pytest.mark.parametrize("k", [math.nan, math.inf])
+    def test_non_finite_k_rejected(self, k):
+        # K = NaN would give all-NaN gains and K = inf NaN real parts
+        with pytest.raises(ValueError, match="Rician factor"):
+            sample_rician_vector(np.random.default_rng(0).standard_normal((4, 2)), k)
 
 
 class TestCorrelateComposite:
@@ -172,7 +218,7 @@ class TestElementLaw:
         # each within 4 standard errors
         n = 200_000
         p = SystemParams(m_per_group=8, n_total=8 * 20, k_h=k_h, spacing=spacing)
-        corr = build_correlation_matrix(p.m_per_group, p.spacing, p.wavelength)
+        corr = build_correlation_matrix(p)
         mus, cov = element_law(corr, p.k_h)
         snap = sample_channels(p, (n, 1), np.random.default_rng(41))[:, 0]
         power_cov = 2.0 * np.outer(mus, mus) * cov + cov ** 2
@@ -194,7 +240,7 @@ class TestElementLaw:
 
     def test_composite_law_sums_the_elements(self):
         p = SystemParams(k_g=3.0)
-        corr = build_correlation_matrix(p.m_per_group, p.spacing, p.wavelength)
+        corr = build_correlation_matrix(p)
         mus, cov = element_law(corr, p.k_g)
         m_c, var_c = composite_law(corr, p.k_g)
         assert m_c.shape == (1,) and var_c.shape == (1, 1)
@@ -209,7 +255,7 @@ class TestElementLaw:
 
 def composite_moments(p, side):
     """Mean and variance of |h_c|^2 (side 'S') or |g_c|^2 (side 'D')."""
-    corr = build_correlation_matrix(p.m_per_group, p.spacing, p.wavelength)
+    corr = build_correlation_matrix(p)
     return power_moments(*composite_law(corr, p.k_h if side == "S" else p.k_g))
 
 
@@ -258,7 +304,7 @@ class TestCompositeLaw:
         # the composite g_c has the law of the sum of M correlated elements
         n = 50_000
         p = SystemParams(m_per_group=10, n_total=10 * 20, k_g=k_g, k_h=k_h, spacing=spacing)
-        corr = build_correlation_matrix(p.m_per_group, p.spacing, p.wavelength)
+        corr = build_correlation_matrix(p)
         snap = sample_channels(p, (n, 1), np.random.default_rng(31))[:, 0]
         rng = np.random.default_rng(32)
         h_c = _per_element(p, corr, p.k_h, n, rng)

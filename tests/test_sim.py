@@ -88,7 +88,7 @@ class TestSimulateBlock:
         else:
             monkeypatch.setattr(channel, "_SLAB_ELEMENTS", 2 * n * m)
         z, h_sq, rgs_u = simulate_block(p, n, block_rng(1, 0))
-        corr = build_correlation_matrix(m, p.spacing, p.wavelength)
+        corr = build_correlation_matrix(p)
         rng = block_rng(1, 0)
         np.testing.assert_array_equal(rgs_u, rng.random(n))
         snap = sample_channels(p, (n, b), rng)

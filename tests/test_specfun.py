@@ -14,7 +14,6 @@ from risgroups.specfun import (
     ConvergenceError,
     reg_incomplete_beta,
     reg_lower_incomplete_gamma,
-    sinc_corr,
 )
 
 
@@ -170,23 +169,6 @@ class TestIdentities:
         assert outage_sbgs(f, b, 1) == pytest.approx(f ** b, abs=_tol(b))
 
 
-class TestSincCorr:
-    def test_reference_values(self):
-        # sin(2 pi d / lambda) / (2 pi d / lambda)  [TRIVIAL]
-        lam = 0.1
-        assert sinc_corr(0.0, lam) == 1.0
-        assert sinc_corr(lam / 2.0, lam) == pytest.approx(0.0, abs=1e-15)
-        t = math.pi / 4.0
-        assert sinc_corr(lam / 8.0, lam) == pytest.approx(math.sin(t) / t, rel=1e-14)
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            sinc_corr(-0.1, 0.1)
-        with pytest.raises(ValueError):
-            sinc_corr(0.1, 0.0)
-
-
-
 NAN = math.nan
 
 
@@ -197,8 +179,6 @@ NAN = math.nan
     (reg_incomplete_beta, (0.5, NAN, 1.0), "a=nan"),
     (reg_incomplete_beta, (0.5, 1.0, NAN), "b=nan"),
     (reg_incomplete_beta, (NAN, 1.0, 1.0), "argument x"),
-    (sinc_corr, (NAN, 0.1), "distance d"),
-    (sinc_corr, (0.1, NAN), "wavelength"),
 ])
 def test_nan_argument_rejected(func, args, name):
     # NaN fails every ordered comparison, so each check is written to pass
