@@ -1,11 +1,11 @@
 """Spatially correlated Rician channels and the Gamma law of Z = |g_c|^2 |h_c|^2.
 
-Per-element channels are unit-second-moment complex Gaussians with a
-deterministic line-of-sight mean sqrt(K/(K+1)) and scattered variance 1/(K+1);
-the path loss alone carries all scaling.  Correlation follows the sinc model
-through the principal square root of the correlation matrix.  ``element_law``
-is the only statement of a group's law; ``composite_law`` and ``power_moments``
-derive from it the law of g_c, the Gamma fit of Z and the energy fits.
+A group's M elements are CN(mus, R/(K+1)) with the line-of-sight mean
+mus = sqrt(K/(K+1)) R^(1/2) 1, R the sinc correlation, so E|h_j|^2 is
+mus_j^2 + 1/(K+1): 1 where R = I, 1.63-2.73 at lambda/8 and K = 1; the path
+loss alone carries all scaling.  ``element_law`` is the only statement of this
+law and of K; ``composite_law`` and ``power_moments`` derive from it the law of
+g_c, the Gamma fit of Z and the energy fits, and ``sample_channels`` draws it.
 
 ``sample_channels`` is the only code that turns normals into channels, and it
 draws one shape, an (n, B) block of n trials of B groups, from the law of
@@ -134,16 +134,14 @@ def build_correlation_matrix(params: SystemParams) -> CorrelationMatrix:
     return CorrelationMatrix(entries=entries, sqrt_entries=sqrt_entries)
 
 
-def sample_rician_vector(noise: np.ndarray, k_factor: float) -> np.ndarray:
-    """I.i.d. unit-power Rician channel gains (LoS mean, scattered CN part) made
-    in place from ``(..., 2)`` standard normals, as their complex view; no rng."""
-    if not 0 <= k_factor < math.inf:  # NaN fails this too
-        raise ValueError(f"Rician factor must be nonnegative and finite, got {k_factor}")
-    los = math.sqrt(k_factor / (k_factor + 1.0))
-    sigma = math.sqrt(0.5 / (k_factor + 1.0))  # per real dimension
-    noise *= sigma
+def sample_rician_vector(noise: np.ndarray, mean: float, var: float) -> np.ndarray:
+    """CN(mean, var) gains made in place from ``(..., 2)`` standard normals (the
+    real ``mean`` goes to the real part), as their complex view; no rng."""
+    if not (math.isfinite(mean) and 0 <= var < math.inf):  # NaN fails both
+        raise ValueError(f"need a finite mean and a finite variance >= 0, got {mean}, {var}")
+    noise *= math.sqrt(0.5 * var)  # per real dimension
     gains = noise.view(np.complex128)[..., 0]
-    gains.real += los
+    gains.real += mean
     return gains
 
 
@@ -191,8 +189,8 @@ class ChannelSnapshot:
 
 
 def element_law(corr: CorrelationMatrix, k: float) -> tuple[np.ndarray, np.ndarray]:
-    """Mean vector and covariance of the M correlated elements x @ R^(1/2), x i.i.d.
-    unit-power Rician with factor k: CN(sqrt(K/(K+1)) R^(1/2) 1, R/(K+1))."""
+    """The law CN(mus, cov) of a group's M elements with Rician factor k: the LoS
+    mean sqrt(K/(K+1)) R^(1/2) 1 and the scattered covariance R/(K+1)."""
     mus = math.sqrt(k / (k + 1.0)) * corr.sqrt_entries.sum(axis=1)
     return mus, (1.0 / (k + 1.0)) * corr.entries
 
@@ -212,25 +210,26 @@ def power_moments(mus: np.ndarray, cov: np.ndarray) -> tuple[float, float]:
 
 def sample_channels(params: SystemParams, shape: tuple,
                     rng: np.random.Generator) -> ChannelSnapshot:
-    """Draw an ``(n, B)`` block group by group, each column's h over ``(n, M)``
-    then its g_c ~ CN(m_c, var_c), a slab of whole columns per normal call."""
+    """Draw an ``(n, B)`` block group by group, each column's h = mus + w @ R^(1/2)
+    over ``(n, M)``, w i.i.d. CN(0, cov[0, 0]) (R's diagonal is 1), then its
+    g_c ~ CN(m_c, var_c), a slab of whole columns per normal call."""
     n, b = shape
     m = params.m_per_group
     corr = build_correlation_matrix(params)
-    # sqrt(m^2 + v) times a unit-power Rician with K = m^2/v is CN(m, v)
+    mus, cov = element_law(corr, params.k_h)
     m_c, var_c = (x.item() for x in composite_law(corr, params.k_g))
-    g_scale, g_k = math.sqrt(m_c ** 2 + var_c), m_c ** 2 / var_c
     h_sq = np.empty((n, b, m))
     h_c_sq = np.empty((n, b))
     g_c_sq = np.empty((n, b))
     cols = max(1, _SLAB_ELEMENTS // (n * m))
     for j in range(0, b, cols):  # one slab row per column: its h normals, then its g
         noise = rng.standard_normal((min(cols, b - j), n * (m + 1), 2))
-        raw = sample_rician_vector(noise[:, :n * m].reshape(-1, n, m, 2), params.k_h)
-        tilde_h = raw @ corr.sqrt_entries
+        scattered = sample_rician_vector(noise[:, :n * m].reshape(-1, n, m, 2), 0.0, cov[0, 0])
+        tilde_h = scattered @ corr.sqrt_entries
+        tilde_h.real += mus
         h_sq[:, j:j + cols] = _abs_sq(tilde_h).swapaxes(0, 1)
         h_c_sq[:, j:j + cols] = _abs_sq(np.sum(tilde_h, axis=-1)).T
-        g_c_sq[:, j:j + cols] = _abs_sq(g_scale * sample_rician_vector(noise[:, n * m:], g_k)).T
+        g_c_sq[:, j:j + cols] = _abs_sq(sample_rician_vector(noise[:, n * m:], m_c, var_c)).T
     return ChannelSnapshot(h_sq=h_sq, h_c_sq=h_c_sq, g_c_sq=g_c_sq)
 
 

@@ -137,8 +137,8 @@ def _block_failures(points: list, n: int, block_idx: int) -> list[int]:
 
 
 def _law_key(params: SystemParams, cfg: TrialConfig) -> tuple:
-    """The unit-power channel law, seed and n: all a block's draw depends on but its
-    width b; points with equal keys share the draw at their widest b."""
+    """The channel law (``element_law``'s R and K factors), seed and n: all a block's
+    draw depends on but its width b; points with equal keys share the widest b."""
     return (params.m_per_group, params.spacing, params.wavelength,
             params.k_h, params.k_g, cfg.seed, cfg.n_trials)
 
@@ -168,7 +168,7 @@ def estimate_outage(points: Sequence, workers: int = 1) -> list[OutageEstimate]:
             members.append(idxs)
             args.append((shared, min(BLOCK_SIZE, n - start), block_idx))
     if workers > 1 and len(args) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(args))) as pool:
             counts = list(pool.map(_block_failures, *zip(*args)))
     else:
         counts = itertools.starmap(_block_failures, args)

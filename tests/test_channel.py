@@ -140,28 +140,39 @@ class TestCorrelationMatrix:
 
 class TestRicianSampling:
     def test_moments(self):
+        # CN(mean, var): the real and imaginary means, the power of h - mean
+        # (exponential with mean var) and the correlation of the two parts,
+        # each within 4 standard errors  [DERIVED: law of h]
         rng = np.random.default_rng(7)
-        k = 2.5
-        h = sample_rician_vector(rng.standard_normal((200_000, 2)), k)
-        # unit second moment with LoS fraction K/(K+1)  [DERIVED: law of h]
-        assert np.mean(np.abs(h) ** 2) == pytest.approx(1.0, rel=5e-3)
-        assert np.mean(h).real == pytest.approx(math.sqrt(k / (k + 1.0)), rel=5e-3)
-        assert abs(np.mean(h).imag) < 5e-3
+        mean, var, n = 1.3, 0.4, 200_000
+        h = sample_rician_vector(rng.standard_normal((n, 2)), mean, var)
+        se = math.sqrt(0.5 * var / n)
+        assert abs(float(np.mean(h.real)) - mean) <= 4.0 * se
+        assert abs(float(np.mean(h.imag))) <= 4.0 * se
+        dev = h - mean
+        assert abs(float(np.mean(np.abs(dev) ** 2)) - var) <= 4.0 * var / math.sqrt(n)
+        assert abs(float(np.mean(dev.real * dev.imag))) <= 4.0 * 0.5 * var / math.sqrt(n)
 
     def test_rayleigh_limit(self):
-        rng = np.random.default_rng(8)
-        h = sample_rician_vector(rng.standard_normal((100_000, 2)), 0.0)
-        assert abs(np.mean(h)) < 5e-3
+        # a zero mean, the scattered part each h is drawn from, gives the
+        # normals scaled by sqrt(var/2) bit for bit
+        normals = np.random.default_rng(8).standard_normal((1000, 2))
+        h = sample_rician_vector(normals.copy(), 0.0, 0.3)
+        np.testing.assert_array_equal(h.real, math.sqrt(0.15) * normals[:, 0])
+        np.testing.assert_array_equal(h.imag, math.sqrt(0.15) * normals[:, 1])
 
-    def test_negative_k_rejected(self):
-        with pytest.raises(ValueError):
-            sample_rician_vector(np.random.default_rng(0).standard_normal((4, 2)), -1.0)
+    def test_zero_variance_is_the_mean(self):
+        h = sample_rician_vector(np.random.default_rng(9).standard_normal((50, 2)), 2.5, 0.0)
+        np.testing.assert_array_equal(h, np.full(50, 2.5 + 0.0j))
 
-    @pytest.mark.parametrize("k", [math.nan, math.inf])
-    def test_non_finite_k_rejected(self, k):
-        # K = NaN would give all-NaN gains and K = inf NaN real parts
-        with pytest.raises(ValueError, match="Rician factor"):
-            sample_rician_vector(np.random.default_rng(0).standard_normal((4, 2)), k)
+    @pytest.mark.parametrize("mean, var", [
+        (0.0, -1.0), (0.0, math.nan), (0.0, math.inf), (math.nan, 1.0), (math.inf, 1.0),
+        (-math.inf, 1.0),
+    ], ids=["negative-var", "nan-var", "inf-var", "nan-mean", "inf-mean", "minus-inf-mean"])
+    def test_invalid_law_rejected(self, mean, var):
+        # a NaN or infinite mean or variance would draw NaN or infinite gains
+        with pytest.raises(ValueError, match="finite mean and a finite variance"):
+            sample_rician_vector(np.random.default_rng(0).standard_normal((4, 2)), mean, var)
 
 
 class TestCorrelateComposite:
@@ -290,9 +301,12 @@ class TestCompositeMoments:
         assert mean == pytest.approx(mu_sq * m * m + sig_sq * m, rel=1e-10)
 
 
-def _per_element(p, corr, k_factor, n, rng):
-    """Composite sum_j of raw @ R^(1/2) over M drawn elements."""
-    raw = sample_rician_vector(rng.standard_normal((n, p.m_per_group, 2)), k_factor)
+def _per_element(p, corr, k, n, rng):
+    """Composite sum_j of raw @ R^(1/2) over M drawn elements, with the LoS mean
+    sqrt(K/(K+1)) inside the product: the same law, built independently of
+    ``sample_channels``' mean added after the product."""
+    raw = sample_rician_vector(rng.standard_normal((n, p.m_per_group, 2)),
+                               math.sqrt(k / (k + 1.0)), 1.0 / (k + 1.0))
     return np.sum(raw @ corr.sqrt_entries, axis=-1)
 
 

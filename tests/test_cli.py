@@ -321,7 +321,7 @@ class TestBoundsCommand:
         assert recorded == (set(_DEFAULTS) - _SWEEP_KEYS) | {"version"}
         assert main(["run", str(path), "-o", str(tmp_path / "r.csv")]) == 2
 
-    def test_csv_layout(self, tmp_path):
+    def test_csv_layout(self, tmp_path, capsys):
         path = tmp_path / "b.cfg"
         # at 17 dBm some of these snapshots are energy-limited
         path.write_text(
@@ -348,6 +348,8 @@ class TestBoundsCommand:
             if row[4]:
                 assert row[4] == "energy-limited" and float(row[1]) == 1.0
         assert {row[3] for row in rows} == {"true", "false"}
+        # some draw is feasible, so no warning
+        assert "no feasible interval" not in capsys.readouterr().err
 
     def test_snapshots_are_columns_of_one_draw(self, tmp_path, monkeypatch):
         # one stream and one (1, n_draws) draw; by the block stream's prefix
@@ -432,7 +434,7 @@ class TestExtremeRequirements:
         assert len(rows) == 100
         assert all(row[3] == "false" for row in rows)
 
-    def test_ps_bounds_at_unreachable_rate(self, tmp_path):
+    def test_ps_bounds_at_unreachable_rate(self, tmp_path, capsys):
         path = _shipped_with(tmp_path, "bounds_ps_linear", r_req=1100)
         out = tmp_path / "b.csv"
         assert main(["bounds", path, "-o", str(out)]) == 0
@@ -441,6 +443,8 @@ class TestExtremeRequirements:
         for row in rows:
             assert float(row[2]) == 0.0 and row[3] == "false"
             assert row[4] == ("energy-limited" if float(row[1]) == 1.0 else "rate-limited")
+        # no draw is feasible, and the run says so on stderr
+        assert capsys.readouterr().err == "warning: no feasible interval in any channel draw\n"
 
     def test_run_at_unreachable_rate(self, tmp_path):
         # at zeta = 0.999 the rate needs 2^(r/(1-zeta)) with r/(1-zeta) > 2000

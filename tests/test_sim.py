@@ -12,6 +12,7 @@ from risgroups.channel import (
     SystemParams,
     build_correlation_matrix,
     composite_law,
+    element_law,
     sample_channels,
 )
 from risgroups.energy import NONLINEAR_DEFAULT, EhModel, harvest_rate
@@ -79,7 +80,9 @@ class TestSimulateBlock:
         # one, so 2·3276 + 5 and 3276 + 1 rows (3276 = 2^16 // 20) check that
         # a column's h is multiplied in one piece, not in rows of 2^16
         # elements.  Every tiling draws and reduces to the bits one
-        # per-column draw gives
+        # per-column draw of the law gives: h = mus + w @ R^½ with w its h
+        # normals scaled by sqrt(cov₀₀/2), and g_c = m_c plus its g normals
+        # scaled by sqrt(var_c/2)
         p = replace(PARAMS, b_groups=5, n_total=5 * PARAMS.m_per_group,
                     k_h=2.0, k_g=0.5)
         b, m = p.b_groups, p.m_per_group
@@ -97,18 +100,17 @@ class TestSimulateBlock:
 
         rng = block_rng(1, 0)
         rng.random(n)
+        mus, cov = element_law(corr, p.k_h)
         (m_c,), ((var_c,),) = composite_law(corr, p.k_g)
         for j in range(b):
-            h_normals = rng.standard_normal((n, m, 2))
-            g_normals = rng.standard_normal((n, 2))
-            scattered = math.sqrt(0.5 / (p.k_h + 1.0)) * h_normals
-            raw = math.sqrt(p.k_h / (p.k_h + 1.0)) + scattered[..., 0] + 1j * scattered[..., 1]
-            tilde_h = raw @ corr.sqrt_entries
+            w = math.sqrt(0.5 * cov[0, 0]) * rng.standard_normal((n, m, 2))
+            g = math.sqrt(0.5 * var_c) * rng.standard_normal((n, 2))
+            tilde_h = (w[..., 0] + 1j * w[..., 1]) @ corr.sqrt_entries + mus
             np.testing.assert_array_equal(snap.h_sq[:, j], np.abs(tilde_h) ** 2)
             np.testing.assert_array_equal(snap.h_c_sq[:, j],
                                           np.abs(np.sum(tilde_h, axis=-1)) ** 2)
-            g_c = m_c + math.sqrt(0.5 * var_c) * (g_normals[..., 0] + 1j * g_normals[..., 1])
-            np.testing.assert_allclose(snap.g_c_sq[:, j], np.abs(g_c) ** 2, rtol=1e-12)
+            g_c = m_c + g[..., 0] + 1j * g[..., 1]
+            np.testing.assert_array_equal(snap.g_c_sq[:, j], np.abs(g_c) ** 2)
 
     def test_one_row_block_is_a_prefix_across_slabs(self):
         # a (1, N) draw comes a slab of columns at a time; a narrower draw that
@@ -145,6 +147,29 @@ class TestEstimateOutage:
         serial = one(PARAMS, c, workers=1)
         parallel = one(PARAMS, c, workers=3)
         assert serial == parallel
+
+    def test_pool_is_no_wider_than_the_blocks(self, monkeypatch):
+        # BLOCK_SIZE + 1 trials are two blocks, so 64 workers open a pool of 2;
+        # the fake pool records its width and maps in this process
+        widths = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                widths.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", SerialPool)
+        c = cfg(n_trials=BLOCK_SIZE + 1)
+        assert one(PARAMS, c, workers=64) == one(PARAMS, c, workers=1)
+        assert widths == [2]
 
     def test_matches_closed_form_rgs_data(self):
         c = cfg(n_trials=40_000)
