@@ -206,7 +206,7 @@ def _fmt(x) -> str:
 def _write_csv(out_path: str, scenario: Scenario, header: str, rows: list) -> None:
     """Write the scenario's metadata lines, ``header`` and one line per row."""
     lines = [f"# version = {__version__}"]
-    lines += [f"# {key} = {_fmt(scenario.raw[key])}" for key in sorted(scenario.raw)]
+    lines += [f"# {k} = {_fmt(v)}" for k, v in sorted(scenario.raw.items()) if v is not None]
     lines.append(header)
     lines += [",".join(_fmt(x) for x in row) for row in rows]
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:

@@ -5,13 +5,12 @@ or its harvested energy below e_req (energy), the events of the closed forms.
 
 Trials are processed in fixed-size blocks; each block gets an independent
 SFC64 stream derived from (seed, block index), so results are bit-identical
-for any worker count and any block execution order.  One block of n trials
-draws, in this order: n uniforms that pick the RGS group, then the (n, B)
-block of ``channel.sample_channels`` under the law of its ``params``, group by
-group (each column's (n, M, 2) h normals, then its (n, 2) composite g
-normals; ``channel`` states how the draw is tiled).  The bounds command's
-snapshots are the group columns of one (1, n_draws) block drawn from
-``block_rng(seed, 0)``.
+for any worker count and any block execution order.  A block of n trials is
+the (n, B) draw of ``channel.sample_channels``, which states its stream.  The
+bounds command's snapshots are the group columns of one (1, n_draws) block
+drawn from ``block_rng(seed, 0)``.  RGS picks its group independently of the
+channels, and each column has the single-group law that ``outage_rgs`` states,
+so RGS takes group 0: only that marginal law matters, even for correlated groups.
 
 A block's draw depends only on the channel law (``m_per_group``, ``spacing``,
 ``wavelength``, ``k_h``, ``k_g``), the seed and the trial count; grid points
@@ -50,7 +49,7 @@ from .selection import (
 
 BLOCK_SIZE = 4096
 
-# the metric each ranking scheme selects its group by; RGS picks at random
+# the metric each ranking scheme selects its group by; RGS takes group 0
 RANKED_METRIC = {"SBGS": "data", "EBGS": "energy"}
 
 
@@ -90,11 +89,10 @@ def block_rng(seed: int, block_idx: int) -> np.random.Generator:
 
 
 def simulate_block(params: SystemParams, n: int, rng: np.random.Generator):
-    """Draw one block: RGS uniforms first, then per-group composite gain z and
-    per-element |h|^2 group by group."""
-    rgs_u = rng.random(n)
+    """Draw one block: the per-group composite gain z and per-element |h|^2 of
+    ``sample_channels`` over shape (n, B)."""
     snap = sample_channels(params, (n, params.b_groups), rng)
-    return snap.z, snap.h_sq, rgs_u
+    return snap.z, snap.h_sq
 
 
 def _group_energy(params: SystemParams, mode: RisMode, eh: EhModel, h_sq, sum_h_sq):
@@ -110,29 +108,26 @@ def _kth_largest_index(values: np.ndarray, k: int) -> np.ndarray:
     return np.argpartition(-values, k - 1, axis=1)[:, k - 1]
 
 
-def _point_failures(params: SystemParams, cfg: TrialConfig, z, h_sq, sum_h_sq, rgs_u) -> int:
+def _point_failures(params: SystemParams, cfg: TrialConfig, z, h_sq, sum_h_sq) -> int:
     """Trials whose selected group's statistic lies below the point's threshold;
     SBGS ranks by z, which the SNR snr_per_z z >= 0 never reorders."""
     stats = {"data": z, "energy": _group_energy(params, cfg.mode, cfg.eh, h_sq, sum_h_sq)}
     ranked = RANKED_METRIC.get(cfg.strategy.scheme)
-    if ranked is None:
-        idx = np.floor(rgs_u * params.b_groups).astype(np.int64)
-    else:
-        idx = _kth_largest_index(stats[ranked], cfg.strategy.k)
+    idx = 0 if ranked is None else _kth_largest_index(stats[ranked], cfg.strategy.k)
     threshold = (data_threshold(params, cfg.mode, cfg.r_req) if cfg.metric == "data"
                  else cfg.e_req)
-    return int(np.sum(stats[cfg.metric][np.arange(len(rgs_u)), idx] < threshold))
+    return int(np.sum(stats[cfg.metric][np.arange(len(z)), idx] < threshold))
 
 
 def _block_failures(points: list, n: int, block_idx: int) -> list[int]:
     """Failures of each point on one block, drawn at the b of ``points[0]``, the
     widest; each point is evaluated on its own first b group columns."""
     params, cfg = points[0]
-    z, h_sq, rgs_u = simulate_block(params, n, block_rng(cfg.seed, block_idx))
+    z, h_sq = simulate_block(params, n, block_rng(cfg.seed, block_idx))
     linear = any(c.eh.kind == "linear" for _, c in points)
     sum_h_sq = h_sq.sum(axis=-1) if linear else None
     return [_point_failures(p, c, z[:, :p.b_groups], h_sq[:, :p.b_groups],
-                            sum_h_sq[:, :p.b_groups] if linear else None, rgs_u)
+                            sum_h_sq[:, :p.b_groups] if linear else None)
             for p, c in points]
 
 

@@ -290,6 +290,17 @@ class TestRunCommand:
         assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flags", [("run", ["--trials", "64"]), ("bounds", [])])
+def test_unset_keys_are_not_echoed(tmp_path, command, flags):
+    # a scenario without gamma_th_db sets r_req; the header echoes no empty key
+    out = tmp_path / "out.csv"
+    path = ROOT / "scenarios" / "bounds_ps_linear.cfg"
+    assert main([command, str(path), "-o", str(out), *flags]) == 0
+    meta = [l for l in out.read_text(encoding="utf-8").splitlines() if l.startswith("#")]
+    assert not [l for l in meta if l.startswith("# gamma_th_db") or l.endswith(" = None")]
+    assert "# r_req = 0.5" in meta
+
+
 class TestBoundsCommand:
     @pytest.mark.parametrize("flag", ["--trials", "--k", "--workers"])
     def test_takes_no_sweep_flags(self, scenario_file, tmp_path, capsys, flag):
@@ -318,7 +329,8 @@ class TestBoundsCommand:
         recorded = {line[2:].partition(" = ")[0]
                     for line in out.read_text(encoding="utf-8").splitlines()
                     if line.startswith("# ")}
-        assert recorded == (set(_DEFAULTS) - _SWEEP_KEYS) | {"version"}
+        # the unset gamma_th_db has no value to echo
+        assert recorded == (set(_DEFAULTS) - _SWEEP_KEYS - {"gamma_th_db"}) | {"version"}
         assert main(["run", str(path), "-o", str(tmp_path / "r.csv")]) == 2
 
     def test_csv_layout(self, tmp_path, capsys):

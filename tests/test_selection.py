@@ -68,7 +68,7 @@ class TestDataThreshold:
         # on one simulate_block draw, at each data_snr_sbgs point, the groups
         # below the Z threshold are those whose rate misses r_req
         sc = load_scenario(str(ROOT / "scenarios" / "data_snr_sbgs.cfg"))
-        z, _, _ = simulate_block(sc.params, 4096, block_rng(5, 0))
+        z, _ = simulate_block(sc.params, 4096, block_rng(5, 0))
         counts = []
         for p, c in sc.points:
             snr_per_z, f = data_wiring(p, mode)

@@ -16,7 +16,7 @@ from risgroups.channel import (
     sample_channels,
 )
 from risgroups.energy import NONLINEAR_DEFAULT, EhModel, harvest_rate
-from risgroups.selection import RisMode, SelectionStrategy, eh_wiring
+from risgroups.selection import RisMode, SelectionStrategy, data_threshold, eh_wiring
 from risgroups import channel, cli, sim
 from risgroups.sim import (
     BLOCK_SIZE,
@@ -61,10 +61,9 @@ class TestBlockRng:
 
 class TestSimulateBlock:
     def test_shapes_and_signs(self):
-        z, h_sq, rgs_u = simulate_block(PARAMS, 7, block_rng(1, 0))
+        z, h_sq = simulate_block(PARAMS, 7, block_rng(1, 0))
         assert z.shape == (7, PARAMS.b_groups)
         assert h_sq.shape == (7, PARAMS.b_groups, PARAMS.m_per_group)
-        assert rgs_u.shape == (7,)
         assert np.all(z >= 0.0)
         assert np.all(h_sq >= 0.0)
 
@@ -72,8 +71,9 @@ class TestSimulateBlock:
                              ids=["slab-1-row", "slab-3-rows", "one-column-per-call",
                                   "one-column-of-3277-rows"])
     def test_stream_layout(self, n, monkeypatch):
-        # n uniforms, then group by group the (n, M, 2) h normals and the
-        # (n, 2) composite g normals of the column.  At n = 1 and 3 the
+        # a block is the sampler's draw: group by group the (n, M, 2) h
+        # normals and the (n, 2) composite g normals of the column, with no
+        # draw before or between them.  At n = 1 and 3 the
         # columns are drawn two per slab, so the 5 columns cross two slab
         # boundaries and end mid-slab; wider columns are drawn one per call.
         # A one-row product @ R^½ rounds differently from a row of a larger
@@ -90,16 +90,13 @@ class TestSimulateBlock:
             assert channel._SLAB_ELEMENTS // (n * m) <= 1
         else:
             monkeypatch.setattr(channel, "_SLAB_ELEMENTS", 2 * n * m)
-        z, h_sq, rgs_u = simulate_block(p, n, block_rng(1, 0))
+        z, h_sq = simulate_block(p, n, block_rng(1, 0))
         corr = build_correlation_matrix(p)
-        rng = block_rng(1, 0)
-        np.testing.assert_array_equal(rgs_u, rng.random(n))
-        snap = sample_channels(p, (n, b), rng)
+        snap = sample_channels(p, (n, b), block_rng(1, 0))
         np.testing.assert_array_equal(z, snap.z)
         np.testing.assert_array_equal(h_sq, snap.h_sq)
 
         rng = block_rng(1, 0)
-        rng.random(n)
         mus, cov = element_law(corr, p.k_h)
         (m_c,), ((var_c,),) = composite_law(corr, p.k_g)
         for j in range(b):
@@ -130,7 +127,7 @@ class TestSimulateBlock:
         simulate_block(p, 8, block_rng(1, 0))
         tracemalloc.start()
         try:
-            _, h_sq, _ = simulate_block(p, BLOCK_SIZE, block_rng(1, 0))
+            _, h_sq = simulate_block(p, BLOCK_SIZE, block_rng(1, 0))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -254,7 +251,7 @@ class TestLinearHarvest:
                   for p, c in scenario.points]
         params, c0 = points[0]
         n = 1500
-        z, h_sq, rgs_u = simulate_block(params, n, block_rng(c0.seed, 0))
+        z, h_sq = simulate_block(params, n, block_rng(c0.seed, 0))
         expected = []
         for p, c in points:
             dur, w_p = eh_wiring(p, c.mode)
@@ -262,15 +259,15 @@ class TestLinearHarvest:
             if scheme == "EBGS":
                 idx = np.argsort(-energy, axis=1)[:, c.strategy.k - 1]
             else:
-                idx = np.floor(rgs_u * p.b_groups).astype(np.int64)
+                idx = 0
             expected.append(int(np.sum(energy[np.arange(n), idx] < c.e_req)))
-            assert sim._point_failures(p, c, z, h_sq, h_sq.sum(axis=-1), rgs_u) == expected[-1]
+            assert sim._point_failures(p, c, z, h_sq, h_sq.sum(axis=-1)) == expected[-1]
         assert sim._block_failures(points, n, 0) == expected
         assert len(set(expected)) > 1
 
     def test_nonlinear_block_makes_no_power_sums(self, monkeypatch):
         seen = []
-        monkeypatch.setattr(sim, "_point_failures", lambda p, c, z, h_sq, sums, u: seen.append(sums))
+        monkeypatch.setattr(sim, "_point_failures", lambda p, c, z, h_sq, sums: seen.append(sums))
         c = cfg(eh=NONLINEAR_DEFAULT, metric="energy", strategy=SelectionStrategy("EBGS", k=1))
         sim._block_failures(sweep_points(PARAMS, c, "p_tx", [1.0, 2.0]), 8, 0)
         assert seen == [None, None]
@@ -444,7 +441,10 @@ class TestDrawReuse:
         points = shared_law_points(*sweep_case)
         batched = estimate_outage(points)
         assert batched == [estimate_outage([pt])[0] for pt in points]
-        assert len({e.p_hat for e in batched}) > 1
+        variable, _, scheme, _, _ = sweep_case
+        # RGS takes group 0, which every b of a shared draw has in common
+        flat = variable == "b" and scheme == "RGS"
+        assert (len({e.p_hat for e in batched}) == 1) == flat
 
     @pytest.mark.parametrize("variable, grid, calls", [
         ("snr", [-56.0, -52.0, -48.0, -44.0], 3),
@@ -498,3 +498,30 @@ class TestDrawReuse:
         for variable, grid in (("snr", [-56.0, -52.0, -48.0]), ("b", [5, 10, 20])):
             points = sweep_points(PARAMS, c, variable, grid)
             assert estimate_outage(points, workers=1) == estimate_outage(points, workers=2)
+
+
+class TestRgsTakesGroupZero:
+    def test_estimate_is_that_of_one_group_at_any_b(self):
+        # group 0 of a block is the same draw at every b (the prefix property),
+        # so RGS at any b estimates exactly the outage of a single group
+        c = cfg(n_trials=BLOCK_SIZE + 100)
+        rgs = [one(with_field(PARAMS, "b_groups", b), c) for b in (1, 5, 20)]
+        single = one(with_field(PARAMS, "b_groups", 1),
+                     replace(c, strategy=SelectionStrategy("SBGS", k=1)))
+        assert rgs == [single] * 3
+        assert 0.0 < single.p_hat < 1.0
+
+    @pytest.mark.parametrize("metric", ["data", "energy"])
+    def test_failures_are_those_of_column_zero(self, metric):
+        n = 1000
+        p = SMALL if metric == "data" else SMALL_ENERGY
+        c = cfg(metric=metric, r_req=23.0, e_req=3e-4)
+        z, h_sq = simulate_block(p, n, block_rng(4, 0))
+        if metric == "data":
+            stat, threshold = z, data_threshold(p, c.mode, c.r_req)
+        else:
+            dur, w_p = eh_wiring(p, c.mode)
+            stat, threshold = dur * harvest_rate(c.eh, w_p * h_sq).sum(-1), c.e_req
+        expected = int(np.sum(stat[:, 0] < threshold))
+        assert sim._point_failures(p, c, z, h_sq, h_sq.sum(axis=-1)) == expected
+        assert 0 < expected < n
