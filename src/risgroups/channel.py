@@ -9,20 +9,17 @@ g_c, the Gamma fit of Z and the energy fits, and ``sample_channels`` draws it.
 
 ``sample_channels`` is the only code that turns normals into channels, and it
 draws one shape, an (n, B) block of n trials of B groups, from the law of
-``params``.  Its stream layout is group-major and fixed: for each group column
-j in turn, the (n, M, 2) normals of its per-element h, then the (n, 2)
-normals of its composite g_c = sum_j tilde_g_j, which alone enters Z and is
-drawn from its exact law CN(m_c, var_c).  A column's h and g normals are
-contiguous in the stream, so one ``standard_normal`` call draws a slab of
-whole columns, as many as fit in 2^12 complex h elements and at least one (a
-wide column is a slab of its own), and the slab is reduced to |tilde_h_j|^2,
-|h_c|^2 = |sum_j tilde_h_j|^2 and |g_c|^2 before the next is drawn; complex
-values exist only within a slab, and the tiling never changes the stream.
-Groups are iid and successive draws continue one stream, so the first b
-columns of a draw are the (n, b) draw bit for bit: a narrower block is a
-prefix of every wider one.  The result is a ``ChannelSnapshot`` of the real
-``h_sq``, ``h_c_sq`` and ``g_c_sq`` whose h reductions run over the last
-(element) axis; indexing its batch axes (``snaps[0, d]``, ``snaps[:, j]``)
+``params``.  Its stream is fixed: one ``standard_normal`` call of shape
+(n, M + 1, 2) per group column in turn, whose row i holds trial i's M
+per-element h normals and then the pair of its composite g_c = sum_j tilde_g_j,
+which alone enters Z and is drawn from its exact law CN(m_c, var_c).  A column
+is reduced to |tilde_h_j|^2, |h_c|^2 = |sum_j tilde_h_j|^2 and |g_c|^2 before
+the next is drawn.  Successive draws continue one stream, so the first b
+columns of a draw are the (n, b) draw and the first n rows of column 0 are the
+(n, 1) draw, bit for bit (from n = 2: numpy hands a one-row product to BLAS
+gemv, which rounds differently).  The result is a ``ChannelSnapshot`` of the
+real ``h_sq``, ``h_c_sq`` and ``g_c_sq`` whose h reductions run over the last
+(element) axis; indexing its batch axes (``snaps[d, 0]``, ``snaps[:, j]``)
 gives one group or one column.
 """
 
@@ -40,9 +37,13 @@ logger = logging.getLogger(__name__)
 # not roundoff, and rejected
 _CLAMP_LIMIT = 1e-8
 
-# complex h elements per slab of whole columns drawn by one call (64 KiB); a
-# wider column is a slab of one column
-_SLAB_ELEMENTS = 2 ** 12
+
+def check_count(name: str, value, least: int = 1) -> None:
+    """Raise naming ``name`` unless ``value`` is an integer >= ``least`` (0 or 1);
+    an integral float such as 2.0 fails too: numpy cannot size or partition by it."""
+    if not (isinstance(value, (int, np.integer)) and value >= least):
+        word = "nonnegative" if least == 0 else "positive"
+        raise ValueError(f"{name} must be {word} and integral, got {value!r}")
 
 
 class DegenerateFitError(ValueError):
@@ -69,6 +70,8 @@ class SystemParams:
     spacing: float = 0.1 / 8.0       # lambda/8
 
     def __post_init__(self):
+        for name in ("m_per_group", "b_groups", "n_total"):
+            check_count(name, getattr(self, name))
         if self.n_total != self.m_per_group * self.b_groups:
             raise ValueError(
                 f"n_total={self.n_total} != m_per_group*b_groups="
@@ -82,8 +85,6 @@ class SystemParams:
             raise ValueError("Rician factors must be nonnegative and finite")
         if not self.alpha >= 2:
             raise ValueError("path-loss exponent must be >= 2 and not NaN")
-        if self.m_per_group < 1 or self.b_groups < 1:
-            raise ValueError("group sizes must be positive")
 
 
 @dataclass(frozen=True)
@@ -167,7 +168,7 @@ class ChannelSnapshot:
     g_c_sq: np.ndarray = field(repr=False)
 
     def __getitem__(self, key):
-        """The snapshot at ``key`` of the batch axes, e.g. ``snaps[0, d]``."""
+        """The snapshot at ``key`` of the batch axes, e.g. ``snaps[d, 0]``."""
         return ChannelSnapshot(h_sq=self.h_sq[key], h_c_sq=self.h_c_sq[key],
                                g_c_sq=self.g_c_sq[key])
 
@@ -210,26 +211,23 @@ def power_moments(mus: np.ndarray, cov: np.ndarray) -> tuple[float, float]:
 
 def sample_channels(params: SystemParams, shape: tuple,
                     rng: np.random.Generator) -> ChannelSnapshot:
-    """Draw an ``(n, B)`` block group by group, each column's h = mus + w @ R^(1/2)
-    over ``(n, M)``, w i.i.d. CN(0, cov[0, 0]) (R's diagonal is 1), then its
-    g_c ~ CN(m_c, var_c), a slab of whole columns per normal call."""
+    """Draw an ``(n, B)`` block, one normal call per group column.  Row i holds
+    trial i's M h normals w, so h = mus + w @ root, root = sqrt(cov[0, 0]/2)
+    R^(1/2) (R's diagonal is 1), and then the pair of its g_c ~ CN(m_c, var_c)."""
     n, b = shape
     m = params.m_per_group
     corr = build_correlation_matrix(params)
     mus, cov = element_law(corr, params.k_h)
     m_c, var_c = (x.item() for x in composite_law(corr, params.k_g))
-    h_sq = np.empty((n, b, m))
-    h_c_sq = np.empty((n, b))
-    g_c_sq = np.empty((n, b))
-    cols = max(1, _SLAB_ELEMENTS // (n * m))
-    for j in range(0, b, cols):  # one slab row per column: its h normals, then its g
-        noise = rng.standard_normal((min(cols, b - j), n * (m + 1), 2))
-        scattered = sample_rician_vector(noise[:, :n * m].reshape(-1, n, m, 2), 0.0, cov[0, 0])
-        tilde_h = scattered @ corr.sqrt_entries
+    root = math.sqrt(0.5 * cov[0, 0]) * corr.sqrt_entries
+    h_sq, h_c_sq, g_c_sq = np.empty((n, b, m)), np.empty((n, b)), np.empty((n, b))
+    for j in range(b):
+        noise = rng.standard_normal((n, m + 1, 2))
+        tilde_h = noise[:, :m].view(np.complex128)[..., 0] @ root
         tilde_h.real += mus
-        h_sq[:, j:j + cols] = _abs_sq(tilde_h).swapaxes(0, 1)
-        h_c_sq[:, j:j + cols] = _abs_sq(np.sum(tilde_h, axis=-1)).T
-        g_c_sq[:, j:j + cols] = _abs_sq(sample_rician_vector(noise[:, n * m:], m_c, var_c)).T
+        h_sq[:, j] = _abs_sq(tilde_h)
+        h_c_sq[:, j] = _abs_sq(np.sum(tilde_h, axis=-1))
+        g_c_sq[:, j] = _abs_sq(sample_rician_vector(noise[:, m], m_c, var_c))
     return ChannelSnapshot(h_sq=h_sq, h_c_sq=h_c_sq, g_c_sq=g_c_sq)
 
 

@@ -178,7 +178,10 @@ def load_scenario(path: str, overrides: dict | None = None, sweep: bool = True) 
                 e_req=required_energy(params, budget, mode) if e_req == "auto" else float(e_req),
                 metric=raw["metric"],
             )
-            grid = [float(v) for v in str(raw["sweep_grid"]).split(",") if v.strip()]
+            entries = [v.strip() for v in str(raw["sweep_grid"]).split(",")]
+            if any(entries) and not all(entries):  # an all-blank grid is empty
+                raise ValueError(f"sweep_grid = {raw['sweep_grid']!r} has an empty entry")
+            grid = [float(v) for v in entries if v]
             points = sweep_points(params, trial, raw["sweep_variable"], grid)
         if raw["n_draws"] < 1:
             raise ValueError("n_draws must be at least 1")
@@ -232,16 +235,17 @@ def run(scenario: Scenario, out_path: str, workers: int = 1) -> int:
 
 def run_bounds(scenario: Scenario, out_path: str) -> int:
     """Emit the feasibility interval of the configured mode/EH model for each
-    of ``n_draws`` snapshots.  Snapshot d is group d of the one trial of a
-    ``(1, n_draws)`` block from ``block_rng(seed, 0)``, so by the block
-    stream's prefix property it depends on the seed and d, not on ``n_draws``."""
+    of ``n_draws`` snapshots.  Snapshot d is group 0 of trial d of an
+    ``(n_draws, 1)`` block from ``block_rng(seed, 0)``, the channel RGS
+    evaluates in a sweep block, so it depends on the seed and d, not on ``n_draws``."""
     params = scenario.params
     trial = scenario.trial
-    snaps = sample_channels(params, (1, scenario.n_draws), block_rng(trial.seed, 0))
+    # at least two rows: BLAS rounds a one-row product differently
+    snaps = sample_channels(params, (max(2, scenario.n_draws), 1), block_rng(trial.seed, 0))
     rows = []
     any_feasible = False
     for draw in range(scenario.n_draws):
-        snap = snaps[0, draw]
+        snap = snaps[draw, 0]
         if trial.mode.kind == "PS" and trial.eh.kind == "linear":
             iv = rho_bounds_linear(params, scenario.budget, snap, trial.r_req)
         elif trial.mode.kind == "PS":

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (DegenerateFitError, GammaFit, SystemParams, build_correlation_matrix,
-                      element_law, gamma_cdf, power_moments)
+                      check_count, element_law, gamma_cdf, power_moments)
 from .energy import EhModel, PowerBudget
 from .specfun import reg_incomplete_beta, reg_lower_incomplete_gamma
 
@@ -36,9 +36,7 @@ class SelectionStrategy:
     def __post_init__(self):
         if self.scheme not in ("RGS", "SBGS", "EBGS"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        # an integral float such as 2.0 fails too: numpy cannot partition by it
-        if not (isinstance(self.k, (int, np.integer)) and self.k >= 1):
-            raise ValueError(f"k must be a positive integer, got {self.k}")
+        check_count("k", self.k)
 
 
 def mean_snr_scale(params: SystemParams) -> float:

@@ -7,10 +7,10 @@ Trials are processed in fixed-size blocks; each block gets an independent
 SFC64 stream derived from (seed, block index), so results are bit-identical
 for any worker count and any block execution order.  A block of n trials is
 the (n, B) draw of ``channel.sample_channels``, which states its stream.  The
-bounds command's snapshots are the group columns of one (1, n_draws) block
-drawn from ``block_rng(seed, 0)``.  RGS picks its group independently of the
-channels, and each column has the single-group law that ``outage_rgs`` states,
-so RGS takes group 0: only that marginal law matters, even for correlated groups.
+bounds command's snapshots are the trials of one (n_draws, 1) block from
+``block_rng(seed, 0)``.  RGS picks its group independently of the channels,
+and each column has the single-group law that ``outage_rgs`` states, so RGS
+takes group 0: only that marginal law matters, even for correlated groups.
 
 A block's draw depends only on the channel law (``m_per_group``, ``spacing``,
 ``wavelength``, ``k_h``, ``k_g``), the seed and the trial count; grid points
@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import SystemParams, fit_gamma_product, sample_channels
+from .channel import SystemParams, check_count, fit_gamma_product, sample_channels
 from .energy import EhModel, harvest_rate
 from .selection import (
     RisMode,
@@ -65,10 +65,8 @@ class TrialConfig:
     metric: str = "data"        # 'data' | 'energy'
 
     def __post_init__(self):
-        if self.n_trials < 1:
-            raise ValueError("n_trials must be at least 1")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+        check_count("n_trials", self.n_trials)
+        check_count("seed", self.seed, least=0)
         if self.metric not in ("data", "energy"):
             raise ValueError(f"unknown metric {self.metric!r}")
         if not (self.r_req >= 0 and self.e_req >= 0):  # NaN fails this too

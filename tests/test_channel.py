@@ -53,6 +53,22 @@ class TestSystemParams:
         with pytest.raises(ValueError, match="p_tx must be strictly positive and finite"):
             SystemParams(p_tx=math.inf)
 
+    @pytest.mark.parametrize("counts", [
+        dict(b_groups=2.5, n_total=50), dict(m_per_group=20.0), dict(n_total=400.0),
+        dict(b_groups=np.float64(20.0)),
+    ], ids=["fractional-b", "integral-float-m", "integral-float-n", "numpy-float-b"])
+    def test_non_integer_count_rejected(self, counts):
+        # a float count once gave an analytic outage and then a TypeError in
+        # the simulator; the check names the field
+        name = next(iter(counts))
+        with pytest.raises(ValueError, match=f"{name} must be positive and integral, got"):
+            SystemParams(**counts)
+
+    def test_numpy_integer_counts_accepted(self):
+        counts = dict(m_per_group=10, b_groups=140, n_total=1400)
+        assert (SystemParams(**{k: np.int64(v) for k, v in counts.items()})
+                == SystemParams(**counts))
+
 
 @pytest.mark.parametrize("make", [
     lambda: SystemParams(k_h=math.nan),

@@ -2,15 +2,17 @@
 
 import collections
 import math
+import os
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import risgroups
-from risgroups import cli
+from risgroups import cli, sim
 from risgroups.cli import _DEFAULTS, _SWEEP_KEYS, ScenarioError, load_scenario, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -200,6 +202,18 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match=rf"sweep\.cfg: .*{message}"):
             load_scenario(str(path))
 
+    @pytest.mark.parametrize("grid", ["-56,,-48", "-56,-52,", ",-56", "-56, ,-48"])
+    def test_empty_grid_entry_rejected(self, tmp_path, grid):
+        # a stray comma is a typo, not a shorter grid; a grid of blanks
+        # alone is empty
+        path = tmp_path / "sweep.cfg"
+        path.write_text(f"sweep_grid = {grid}\n", encoding="utf-8")
+        with pytest.raises(ScenarioError, match=r"sweep\.cfg: sweep_grid = .* has an empty entry"):
+            load_scenario(str(path))
+        path.write_text("sweep_grid =\n", encoding="utf-8")
+        with pytest.raises(ScenarioError, match=r"sweep\.cfg: sweep grid must be nonempty"):
+            load_scenario(str(path))
+
 
 class TestRunCommand:
     def test_csv_layout(self, scenario_file, tmp_path):
@@ -364,8 +378,8 @@ class TestBoundsCommand:
         assert "no feasible interval" not in capsys.readouterr().err
 
     def test_snapshots_are_columns_of_one_draw(self, tmp_path, monkeypatch):
-        # one stream and one (1, n_draws) draw; by the block stream's prefix
-        # property snapshot d does not depend on n_draws
+        # one stream and one (n_draws, 1) draw, whose rows are trials, so
+        # snapshot d does not depend on n_draws
         calls = collections.Counter()
         for name in ("block_rng", "sample_channels"):
             def counting(*args, _fn=getattr(cli, name), _name=name):
@@ -383,6 +397,48 @@ class TestBoundsCommand:
             rows[n_draws] = [l for l in out.read_text(encoding="utf-8").splitlines()
                              if not l.startswith("#")][1:]
         assert len(rows[10]) == 10 and rows[10] == rows[25][:10]
+
+    @pytest.mark.parametrize("seed", [{}, {"seed": 11}], ids=["shipped-seed", "seed-11"])
+    @pytest.mark.parametrize("mode, eh", [("ps", "linear"), ("ps", "nonlinear"),
+                                          ("ts", "linear"), ("ts", "nonlinear")])
+    def test_rows_do_not_depend_on_n_draws(self, tmp_path, mode, eh, seed):
+        # each variant reads its own snapshot fields: PS-linear the power sum
+        # and z, PS-nonlinear h_min and h_max, TS-nonlinear |g_c|^2.  One draw
+        # is the case BLAS would round differently as a one-row product; at
+        # seed 11 that would move the first row of all four variants, at the
+        # shipped seed of none
+        rows = {}
+        for n_draws in (1, 2, 500, 700):
+            scenario = load_scenario(str(ROOT / "scenarios" / "bounds_ps_linear.cfg"),
+                                     {"n_draws": n_draws, "mode": mode, "eh": eh, **seed},
+                                     sweep=False)
+            out = tmp_path / f"{n_draws}.csv"
+            assert cli.run_bounds(scenario, str(out)) == 0
+            rows[n_draws] = [l for l in out.read_text(encoding="utf-8").splitlines()
+                             if not l.startswith("#")][1:]
+        for n_draws in (1, 2, 500):
+            assert rows[n_draws] == rows[700][:n_draws]
+
+    @pytest.mark.parametrize("n_draws", [1, 300])
+    def test_snapshot_is_group_0_of_a_sweep_block(self, monkeypatch, n_draws):
+        # snapshot d is trial d of group 0 of the first sweep block, the
+        # channel RGS evaluates there
+        snaps = []
+
+        def recording(params, budget, snap, r_req, _fn=cli.rho_bounds_linear):
+            snaps.append(snap)
+            return _fn(params, budget, snap, r_req)
+
+        monkeypatch.setattr(cli, "rho_bounds_linear", recording)
+        scenario = load_scenario(str(ROOT / "scenarios" / "bounds_ps_linear.cfg"),
+                                 {"n_draws": n_draws}, sweep=False)
+        assert cli.run_bounds(scenario, os.devnull) == 0
+        z, h_sq = sim.simulate_block(scenario.params, sim.BLOCK_SIZE,
+                                     sim.block_rng(scenario.trial.seed, 0))
+        assert len(snaps) == n_draws
+        for d, snap in enumerate(snaps):
+            assert snap.z == z[d, 0]
+            np.testing.assert_array_equal(snap.h_sq, h_sq[d, 0])
 
 
 def _low_power_nonlinear_energy() -> str:

@@ -67,57 +67,69 @@ class TestSimulateBlock:
         assert np.all(z >= 0.0)
         assert np.all(h_sq >= 0.0)
 
-    @pytest.mark.parametrize("n", [1, 3, 2 * 3276 + 5, 3277],
-                             ids=["slab-1-row", "slab-3-rows", "one-column-per-call",
-                                  "one-column-of-3277-rows"])
+    @pytest.mark.parametrize("n", [1, 3, 3277],
+                             ids=["one-row", "three-rows", "one-column-of-3277-rows"])
     def test_stream_layout(self, n, monkeypatch):
-        # a block is the sampler's draw: group by group the (n, M, 2) h
-        # normals and the (n, 2) composite g normals of the column, with no
-        # draw before or between them.  At n = 1 and 3 the
-        # columns are drawn two per slab, so the 5 columns cross two slab
-        # boundaries and end mid-slab; wider columns are drawn one per call.
-        # A one-row product @ R^½ rounds differently from a row of a larger
-        # one, so 2·3276 + 5 and 3276 + 1 rows (3276 = 2^16 // 20) check that
-        # a column's h is multiplied in one piece, not in rows of 2^16
-        # elements.  Every tiling draws and reduces to the bits one
-        # per-column draw of the law gives: h = mus + w @ R^½ with w its h
-        # normals scaled by sqrt(cov₀₀/2), and g_c = m_c plus its g normals
-        # scaled by sqrt(var_c/2)
+        # a block is the sampler's draw: group by group one (n, M + 1, 2)
+        # normal call whose row i is trial i's M h normals, then its g_c pair,
+        # with no draw before or between the columns.  Each column reduces to
+        # the bits of the law drawn from those normals: h = mus + w @ root, w
+        # the complex h normals and root = sqrt(cov₀₀/2) R^½, and g_c = m_c
+        # plus the g pair scaled by sqrt(var_c/2), the only sample_rician_vector
+        # call of the column
         p = replace(PARAMS, b_groups=5, n_total=5 * PARAMS.m_per_group,
                     k_h=2.0, k_g=0.5)
         b, m = p.b_groups, p.m_per_group
-        if n > 3:
-            assert channel._SLAB_ELEMENTS // (n * m) <= 1
-        else:
-            monkeypatch.setattr(channel, "_SLAB_ELEMENTS", 2 * n * m)
         z, h_sq = simulate_block(p, n, block_rng(1, 0))
         corr = build_correlation_matrix(p)
-        snap = sample_channels(p, (n, b), block_rng(1, 0))
+
+        class CountingRng:
+            def __init__(self, rng):
+                self.rng, self.shapes = rng, []
+
+            def standard_normal(self, shape):
+                self.shapes.append(shape)
+                return self.rng.standard_normal(shape)
+
+        laws = []
+
+        def recording(noise, mean, var, _fn=channel.sample_rician_vector):
+            laws.append((noise.shape, mean, var))
+            return _fn(noise, mean, var)
+
+        monkeypatch.setattr(channel, "sample_rician_vector", recording)
+        counting = CountingRng(block_rng(1, 0))
+        snap = sample_channels(p, (n, b), counting)
         np.testing.assert_array_equal(z, snap.z)
         np.testing.assert_array_equal(h_sq, snap.h_sq)
+        assert counting.shapes == [(n, m + 1, 2)] * b
 
         rng = block_rng(1, 0)
         mus, cov = element_law(corr, p.k_h)
         (m_c,), ((var_c,),) = composite_law(corr, p.k_g)
+        assert laws == [((n, 2), m_c, var_c)] * b
+        root = math.sqrt(0.5 * cov[0, 0]) * corr.sqrt_entries
         for j in range(b):
-            w = math.sqrt(0.5 * cov[0, 0]) * rng.standard_normal((n, m, 2))
-            g = math.sqrt(0.5 * var_c) * rng.standard_normal((n, 2))
-            tilde_h = (w[..., 0] + 1j * w[..., 1]) @ corr.sqrt_entries + mus
+            noise = rng.standard_normal((n, m + 1, 2))
+            w, g = noise[:, :m], math.sqrt(0.5 * var_c) * noise[:, m]
+            tilde_h = (w[..., 0] + 1j * w[..., 1]) @ root + mus
             np.testing.assert_array_equal(snap.h_sq[:, j], np.abs(tilde_h) ** 2)
             np.testing.assert_array_equal(snap.h_c_sq[:, j],
                                           np.abs(np.sum(tilde_h, axis=-1)) ** 2)
             g_c = m_c + g[..., 0] + 1j * g[..., 1]
             np.testing.assert_array_equal(snap.g_c_sq[:, j], np.abs(g_c) ** 2)
 
-    def test_one_row_block_is_a_prefix_across_slabs(self):
-        # a (1, N) draw comes a slab of columns at a time; a narrower draw that
-        # crosses a slab boundary and ends mid-slab is still its prefix
-        cols = channel._SLAB_ELEMENTS // PARAMS.m_per_group
-        wide = sample_channels(PARAMS, (1, 3 * cols), block_rng(2, 0))
-        narrow = sample_channels(PARAMS, (1, cols + 7), block_rng(2, 0))
+    @pytest.mark.parametrize("m", [10, 20])
+    @pytest.mark.parametrize("n", [2, 7, 2500])
+    def test_one_column_draw_is_a_row_prefix(self, n, m):
+        # rows are trials, so an (n, 1) draw, such as the bounds command's, is
+        # trial by trial group 0 of a full block.  From two rows on: a one-row
+        # product goes to BLAS gemv and rounds differently
+        p = SystemParams(m_per_group=m, n_total=m * PARAMS.b_groups)
+        block = sample_channels(p, (BLOCK_SIZE, p.b_groups), block_rng(4, 0))[:n, 0]
+        column = sample_channels(p, (n, 1), block_rng(4, 0))[:, 0]
         for name in ("h_sq", "h_c_sq", "g_c_sq"):
-            np.testing.assert_array_equal(getattr(narrow, name),
-                                          getattr(wide, name)[:, :cols + 7])
+            np.testing.assert_array_equal(getattr(column, name), getattr(block, name))
 
     def test_peak_memory_is_near_the_output(self):
         # h is drawn and reduced one column at a time, so no (n, B, M)
@@ -216,6 +228,15 @@ class TestEstimateOutage:
             cfg(metric="latency")
         with pytest.raises(ValueError, match="seed"):
             cfg(seed=-1)
+
+    @pytest.mark.parametrize("field, value, word", [
+        ("n_trials", 5000.0, "positive"), ("seed", 1.5, "nonnegative"),
+        ("seed", 7.0, "nonnegative"),
+    ])
+    def test_non_integer_count_rejected(self, field, value, word):
+        # numpy cannot size a block by, or seed a stream from, a float
+        with pytest.raises(ValueError, match=f"{field} must be {word} and integral, got"):
+            cfg(**{field: value})
 
     def test_negative_rate_requirement_rejected(self):
         with pytest.raises(ValueError, match="r_req"):
