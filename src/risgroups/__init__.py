@@ -6,7 +6,7 @@ the data link while all groups harvest RF energy, plus a seeded Monte Carlo
 engine that validates every closed form.
 """
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"
 
 from .bounds import (
     FeasibleInterval,
@@ -23,9 +23,7 @@ from .channel import (
     SystemParams,
     build_correlation_matrix,
     fit_gamma_product,
-    gamma_cdf,
     sample_channels,
-    sample_rician_vector,
 )
 from .energy import (
     EhModel,
@@ -46,7 +44,6 @@ from .selection import (
     SelectionStrategy,
     fit_energy_distribution,
     mean_snr_scale,
-    outage_ebgs,
     outage_rgs,
     outage_sbgs,
     required_energy,
@@ -56,7 +53,6 @@ from .sim import (
     TrialConfig,
     analytic_outage,
     estimate_outage,
-    simulate_block,
     sweep_points,
 )
 from .specfun import (
@@ -88,12 +84,10 @@ __all__ = [
     "estimate_outage",
     "fit_energy_distribution",
     "fit_gamma_product",
-    "gamma_cdf",
     "harvest_rate",
     "kth_limit_cdf",
     "mean_snr_scale",
     "normalizing_constants",
-    "outage_ebgs",
     "outage_evt",
     "outage_rgs",
     "outage_sbgs",
@@ -103,8 +97,6 @@ __all__ = [
     "rho_bounds_linear",
     "rho_bounds_nonlinear",
     "sample_channels",
-    "sample_rician_vector",
-    "simulate_block",
     "sweep_points",
     "zeta_bounds_linear",
     "zeta_bounds_nonlinear",

@@ -39,9 +39,9 @@ _CLAMP_LIMIT = 1e-8
 
 
 def check_count(name: str, value, least: int = 1) -> None:
-    """Raise naming ``name`` unless ``value`` is an integer >= ``least`` (0 or 1);
+    """Raise naming ``name`` unless ``value`` is a non-bool integer >= ``least`` (0 or 1);
     an integral float such as 2.0 fails too: numpy cannot size or partition by it."""
-    if not (isinstance(value, (int, np.integer)) and value >= least):
+    if type(value) is bool or not (isinstance(value, (int, np.integer)) and value >= least):
         word = "nonnegative" if least == 0 else "positive"
         raise ValueError(f"{name} must be {word} and integral, got {value!r}")
 
@@ -114,7 +114,8 @@ class GammaFit:
         return cls(shape=mean ** 2 / var, scale=var / mean)
 
     def cdf(self, x: float) -> float:
-        return gamma_cdf(self, x)
+        """The CDF at x >= 0, the regularized lower incomplete gamma P(shape, x/scale)."""
+        return reg_lower_incomplete_gamma(self.shape, x / self.scale)
 
 
 def build_correlation_matrix(params: SystemParams) -> CorrelationMatrix:
@@ -137,7 +138,8 @@ def build_correlation_matrix(params: SystemParams) -> CorrelationMatrix:
 
 def sample_rician_vector(noise: np.ndarray, mean: float, var: float) -> np.ndarray:
     """CN(mean, var) gains made in place from ``(..., 2)`` standard normals (the
-    real ``mean`` goes to the real part), as their complex view; no rng."""
+    real ``mean`` goes to the real part), as their complex view; no rng.  Kept apart
+    from ``sample_channels`` only for the benchmark's trace; ROADMAP item 1 deletes it."""
     if not (math.isfinite(mean) and 0 <= var < math.inf):  # NaN fails both
         raise ValueError(f"need a finite mean and a finite variance >= 0, got {mean}, {var}")
     noise *= math.sqrt(0.5 * var)  # per real dimension
@@ -242,5 +244,5 @@ def fit_gamma_product(params: SystemParams) -> GammaFit:
 
 
 def gamma_cdf(fit: GammaFit, x: float) -> float:
-    """CDF of the moment-matched Gamma law at x >= 0."""
-    return reg_lower_incomplete_gamma(fit.shape, x / fit.scale)
+    """``fit.cdf(x)``, kept only for the benchmark's calls; ROADMAP item 1 deletes it."""
+    return fit.cdf(x)

@@ -12,6 +12,8 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable
 
+from .channel import check_count
+
 
 @dataclass(frozen=True)
 class EvtConstants:
@@ -35,8 +37,7 @@ def kth_limit_cdf(x: float, k: int) -> float:
     """Limiting CDF of the k-th best of many i.i.d. draws, standardized:
     exp(-e^-x) sum_{j<k} e^-jx / j!, each term taken in log space.  Below
     x = -709, e^-x overflows and the CDF lies below the smallest double."""
-    if k < 1:
-        raise ValueError("k must be a positive integer")
+    check_count("k", k)
     if x < -709.0:
         return 0.0
     e = math.exp(-x)

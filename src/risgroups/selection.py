@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (DegenerateFitError, GammaFit, SystemParams, build_correlation_matrix,
-                      check_count, element_law, gamma_cdf, power_moments)
+                      check_count, element_law, power_moments)
 from .energy import EhModel, PowerBudget
 from .specfun import reg_incomplete_beta, reg_lower_incomplete_gamma
 
@@ -82,12 +82,14 @@ def data_threshold(params: SystemParams, mode: RisMode, r_req: float) -> float:
 
 def outage_rgs(params: SystemParams, mode: RisMode, fit: GammaFit, r_req: float) -> float:
     """Closed-form data outage when one group is chosen uniformly at random."""
-    return gamma_cdf(fit, data_threshold(params, mode, r_req))
+    return fit.cdf(data_threshold(params, mode, r_req))
 
 
 def outage_sbgs(cdf_at_threshold: float, set_size: int, k: int) -> float:
     """Outage of the k-th best of set_size groups ranked by SNR."""
-    if not 1 <= k <= set_size:
+    check_count("set_size", set_size)
+    check_count("k", k)
+    if k > set_size:
         raise ValueError(f"k={k} out of range for set size {set_size}")
     if not 0.0 <= cdf_at_threshold <= 1.0:
         raise ValueError("cdf value must lie in [0,1]")
@@ -95,7 +97,7 @@ def outage_sbgs(cdf_at_threshold: float, set_size: int, k: int) -> float:
 
 
 def outage_ebgs(energy_cdf_at_ereq: float, set_size: int, k: int) -> float:
-    """Energy outage of the k-th best of set_size groups ranked by energy."""
+    """``outage_sbgs``, kept only for the benchmark's trace; ROADMAP item 1 deletes it."""
     return outage_sbgs(energy_cdf_at_ereq, set_size, k)
 
 

@@ -87,8 +87,8 @@ def block_rng(seed: int, block_idx: int) -> np.random.Generator:
 
 
 def simulate_block(params: SystemParams, n: int, rng: np.random.Generator):
-    """Draw one block: the per-group composite gain z and per-element |h|^2 of
-    ``sample_channels`` over shape (n, B)."""
+    """The z and h_sq of ``sample_channels`` over shape (n, B), kept only for the
+    benchmark's trace and draw count; ROADMAP item 1 deletes it."""
     snap = sample_channels(params, (n, params.b_groups), rng)
     return snap.z, snap.h_sq
 
@@ -220,7 +220,7 @@ def sweep_points(params: SystemParams, cfg: TrialConfig, variable: str,
                  grid: Sequence) -> list:
     """The ``(params, cfg)`` point of each grid value, after checking the whole
     grid (nonempty, finite, strictly monotone, integral for ``b`` and ``k``,
-    known variable, ``k <= b`` everywhere)."""
+    known variable, read by the mode, ``k <= b`` everywhere)."""
     grid = list(grid)
     if not grid:
         raise ValueError("sweep grid must be nonempty")
@@ -233,6 +233,8 @@ def sweep_points(params: SystemParams, cfg: TrialConfig, variable: str,
         raise ValueError("sweep grid must be strictly monotone")
     if variable in ("b", "k") and np.any(values != np.round(values)):
         raise ValueError(f"{variable} sweep values must be integers")
+    if {"rho": "TS", "zeta": "PS"}.get(variable) == cfg.mode.kind:
+        raise ValueError(f"{cfg.mode.kind} mode does not read {variable}, so its sweep is flat")
     points = [_apply_variable(params, cfg, variable, value) for value in grid]
     _check_k(points)
     return points

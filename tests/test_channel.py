@@ -55,8 +55,8 @@ class TestSystemParams:
 
     @pytest.mark.parametrize("counts", [
         dict(b_groups=2.5, n_total=50), dict(m_per_group=20.0), dict(n_total=400.0),
-        dict(b_groups=np.float64(20.0)),
-    ], ids=["fractional-b", "integral-float-m", "integral-float-n", "numpy-float-b"])
+        dict(b_groups=np.float64(20.0)), dict(m_per_group=True, b_groups=20, n_total=20),
+    ], ids=["fractional-b", "integral-float-m", "integral-float-n", "numpy-float-b", "bool-m"])
     def test_non_integer_count_rejected(self, counts):
         # a float count once gave an analytic outage and then a TypeError in
         # the simulator; the check names the field

@@ -195,6 +195,9 @@ class TestLoadScenario:
         ("sweep_variable = k\nsweep_grid = 1,2.5\n", "k sweep values must be integers"),
         ("sweep_variable = p_tx\nsweep_grid = 1e400\n", "sweep value inf is not finite"),
         ("sweep_variable = spacing\nsweep_grid = 0.01,1e400\n", "sweep value inf is not finite"),
+        # a factor the mode does not read would print the same row at every value
+        ("mode = ts\nsweep_variable = rho\nsweep_grid = 0.1,0.5,0.9\n", "TS mode does not read rho"),
+        ("mode = ps\nsweep_variable = zeta\nsweep_grid = 0.1,0.5,0.9\n", "PS mode does not read zeta"),
     ])
     def test_invalid_sweep_rejected(self, tmp_path, sweep, message):
         path = tmp_path / "sweep.cfg"

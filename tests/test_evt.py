@@ -66,6 +66,11 @@ class TestKthLimitCdf:
     def test_invalid_k(self):
         with pytest.raises(ValueError):
             kth_limit_cdf(0.0, 0)
+        # the limit sums range(1, k) terms, so the order must be whole
+        with pytest.raises(ValueError, match="k must be positive and integral, got 2.5"):
+            kth_limit_cdf(0.0, 2.5)
+        with pytest.raises(ValueError, match="k must be positive and integral, got 2.5"):
+            outage_evt(1.0, 2.5, EvtConstants(0.0, 1.0))
 
 
 class TestQuantileBisect:

@@ -7,6 +7,7 @@ bare name or an attribute, in ``src/risgroups/*.py`` other than
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import risgroups
@@ -29,3 +30,15 @@ def test_every_public_name_has_a_caller():
     library = [p for p in (ROOT / "src" / "risgroups").glob("*.py") if p.name != "__init__.py"]
     used = loaded_names(library + list((ROOT / "perfbench").glob("*.py")))
     assert sorted(set(risgroups.__all__) - used) == []
+
+
+# names the benchmark traces or calls by module path; they are not public API
+BENCHMARK_TWINS = {"gamma_cdf": "channel", "sample_rician_vector": "channel",
+                   "outage_ebgs": "selection", "simulate_block": "sim"}
+
+
+def test_benchmark_twins_live_only_in_their_modules():
+    for name, module in BENCHMARK_TWINS.items():
+        assert name not in risgroups.__all__
+        assert not hasattr(risgroups, name)
+        assert callable(getattr(importlib.import_module(f"risgroups.{module}"), name))

@@ -59,6 +59,9 @@ class TestModeAndStrategy:
         # while the simulator cannot rank a group 2.5th
         with pytest.raises(ValueError, match="2.5"):
             SelectionStrategy("SBGS", k=2.5)
+        # a bool is a flag, not a selection order
+        with pytest.raises(ValueError, match="k must be positive and integral, got True"):
+            SelectionStrategy("SBGS", k=True)
 
 
 class TestDataThreshold:
@@ -132,6 +135,16 @@ class TestClosedFormOutage:
         expected = gamma_cdf(fit, (2.0 ** (r / 0.5) - 1.0) / mean_snr_scale(p))
         assert outage_rgs(p, mode, fit, r) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("name", sorted(p.stem for p in (ROOT / "scenarios").glob("data_*.cfg")))
+    def test_gamma_cdf_is_the_fit_cdf(self, name):
+        # the free gamma_cdf that the benchmark calls is GammaFit.cdf, bit for bit
+        sc = load_scenario(str(ROOT / "scenarios" / f"{name}.cfg"))
+        for params, cfg in sc.points:
+            fit = fit_gamma_product(params)
+            mean = fit.shape * fit.scale
+            for x in (0.0, data_threshold(params, cfg.mode, cfg.r_req), 0.5 * mean, 3.0 * mean):
+                assert gamma_cdf(fit, x) == fit.cdf(x)
+
     def test_degenerate_modes(self):
         p = SystemParams()
         fit = fit_gamma_product(p)
@@ -143,8 +156,13 @@ class TestClosedFormOutage:
     def test_validation(self):
         with pytest.raises(ValueError):
             outage_sbgs(1.2, 5, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"k=6 out of range for set size 5"):
             outage_sbgs(0.5, 5, 6)
+        # the incomplete beta would give a fractional order a value
+        with pytest.raises(ValueError, match="k must be positive and integral, got 1.5"):
+            outage_sbgs(0.5, 20, 1.5)
+        with pytest.raises(ValueError, match="set_size must be positive and integral, got 20.5"):
+            outage_ebgs(0.5, 20.5, 2)
 
 
 class TestEhWiring:

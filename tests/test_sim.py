@@ -231,7 +231,7 @@ class TestEstimateOutage:
 
     @pytest.mark.parametrize("field, value, word", [
         ("n_trials", 5000.0, "positive"), ("seed", 1.5, "nonnegative"),
-        ("seed", 7.0, "nonnegative"),
+        ("seed", 7.0, "nonnegative"), ("n_trials", True, "positive"),
     ])
     def test_non_integer_count_rejected(self, field, value, word):
         # numpy cannot size a block by, or seed a stream from, a float
