@@ -6,7 +6,7 @@ the data link while all groups harvest RF energy, plus a seeded Monte Carlo
 engine that validates every closed form.
 """
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"
 
 from .bounds import (
     FeasibleInterval,
@@ -28,7 +28,6 @@ from .channel import (
 from .energy import (
     EhModel,
     NONLINEAR_DEFAULT,
-    PowerBudget,
     harvest_rate,
 )
 from .evt import (
@@ -73,7 +72,6 @@ __all__ = [
     "GammaFit",
     "NONLINEAR_DEFAULT",
     "OutageEstimate",
-    "PowerBudget",
     "RisMode",
     "SelectionStrategy",
     "SystemParams",

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .channel import ChannelSnapshot, SystemParams
-from .energy import EhModel, PowerBudget, harvest_rate
+from .energy import EhModel, harvest_rate
 from .selection import incident_power, mean_snr_scale, snr_threshold
 
 
@@ -39,21 +39,20 @@ def _interval(lower: float, upper: float) -> FeasibleInterval:
     return FeasibleInterval(clamped_lower, clamped_upper, cause)
 
 
-def _group_need(params: SystemParams, budget: PowerBudget, r_req: float) -> tuple[int, float]:
+def _group_need(params: SystemParams, r_req: float) -> tuple[int, float]:
     """Group size M and its power need w = M p_t + p_ph, after checking r_req."""
     if not r_req >= 0:  # NaN fails this too
         raise ValueError(f"required rate must be nonnegative, got {r_req}")
-    return params.m_per_group, params.m_per_group * budget.p_t + budget.p_ph
+    return params.m_per_group, params.m_per_group * params.p_t + params.p_ph
 
 
 def rho_bounds_linear(
     params: SystemParams,
-    budget: PowerBudget,
     snap: ChannelSnapshot,
     r_req: float,
 ) -> FeasibleInterval:
     """PS feasibility interval under the linear harvesting law."""
-    _, w = _group_need(params, budget, r_req)
+    _, w = _group_need(params, r_req)
     gain = incident_power(params) * snap.sum_h_sq
     if gain == 0.0:
         return FeasibleInterval(1.0, 0.0, "energy-limited")
@@ -65,7 +64,6 @@ def rho_bounds_linear(
 
 def rho_bounds_nonlinear(
     params: SystemParams,
-    budget: PowerBudget,
     model: EhModel,
     snap: ChannelSnapshot,
     r_req: float,
@@ -73,7 +71,7 @@ def rho_bounds_nonlinear(
     """PS feasibility interval under the nonlinear harvesting law."""
     if model.kind != "nonlinear":
         raise ValueError("nonlinear EH model required")
-    m, w = _group_need(params, budget, r_req)
+    m, w = _group_need(params, r_req)
     headroom = model.a - w / m - model.b / model.c
     if headroom <= 0:
         # required per-element energy exceeds the rectifier saturation
@@ -92,14 +90,13 @@ def rho_bounds_nonlinear(
 
 def zeta_bounds_linear(
     params: SystemParams,
-    budget: PowerBudget,
     snap: ChannelSnapshot,
     r_req: float,
 ) -> FeasibleInterval:
     """TS feasibility interval under the linear harvesting law."""
-    m, w = _group_need(params, budget, r_req)
+    m, w = _group_need(params, r_req)
     gain = incident_power(params) * snap.sum_h_sq
-    denom = m * budget.p_t + gain
+    denom = m * params.p_t + gain
     if denom == 0.0 or gain == 0.0:
         return FeasibleInterval(1.0, 0.0, "energy-limited")
     lower = w / denom
@@ -110,7 +107,6 @@ def zeta_bounds_linear(
 
 def zeta_bounds_nonlinear(
     params: SystemParams,
-    budget: PowerBudget,
     model: EhModel,
     snap: ChannelSnapshot,
     r_req: float,
@@ -118,9 +114,9 @@ def zeta_bounds_nonlinear(
     """TS feasibility interval under the nonlinear harvesting law."""
     if model.kind != "nonlinear":
         raise ValueError("nonlinear EH model required")
-    m, w = _group_need(params, budget, r_req)
+    m, w = _group_need(params, r_req)
     phi = incident_power(params) * snap.h_max_sq
-    denom = m * (budget.p_t + float(harvest_rate(model, phi)))
+    denom = m * (params.p_t + float(harvest_rate(model, phi)))
     if denom == 0.0:
         return FeasibleInterval(1.0, 0.0, "energy-limited")
     lower = w / denom

@@ -39,10 +39,10 @@ _CLAMP_LIMIT = 1e-8
 
 
 def check_count(name: str, value, least: int = 1) -> None:
-    """Raise naming ``name`` unless ``value`` is a non-bool integer >= ``least`` (0 or 1);
+    """Raise naming ``name`` unless ``value`` is a non-bool integer >= ``least``;
     an integral float such as 2.0 fails too: numpy cannot size or partition by it."""
     if type(value) is bool or not (isinstance(value, (int, np.integer)) and value >= least):
-        word = "nonnegative" if least == 0 else "positive"
+        word = {0: "nonnegative", 1: "positive"}.get(least, f"at least {least}")
         raise ValueError(f"{name} must be {word} and integral, got {value!r}")
 
 
@@ -52,7 +52,8 @@ class DegenerateFitError(ValueError):
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Physical constants of the link (powers in watts, distances in meters)."""
+    """Physical constants of the link and the surface's own draw, p_t per phase
+    shifter and p_ph for the controller (powers in watts, distances in meters)."""
 
     p_tx: float = 1.0                # 30 dBm
     rho_l: float = 10.0 ** -3.53     # path loss at 1 m
@@ -68,6 +69,8 @@ class SystemParams:
     k_h: float = 1.0
     k_g: float = 1.0
     spacing: float = 0.1 / 8.0       # lambda/8
+    p_t: float = 10.0 ** (5.0 / 10.0) / 1000.0   # 5 dBm per phase shifter
+    p_ph: float = 10.0 ** (5.0 / 10.0) / 1000.0  # 5 dBm for the controller
 
     def __post_init__(self):
         for name in ("m_per_group", "b_groups", "n_total"):
@@ -83,8 +86,17 @@ class SystemParams:
                 raise ValueError(f"{name} must be strictly positive and finite")
         if not (0 <= self.k_h < math.inf and 0 <= self.k_g < math.inf):  # NaN fails too
             raise ValueError("Rician factors must be nonnegative and finite")
+        if not (0 <= self.p_t < math.inf and 0 <= self.p_ph < math.inf):  # NaN fails too
+            raise ValueError("powers p_t and p_ph must be nonnegative and finite")
         if not self.alpha >= 2:
             raise ValueError("path-loss exponent must be >= 2 and not NaN")
+        try:  # the link budget's two path gains; one that underflows to 0 is fine
+            gains = [self.d_sr ** -self.alpha, (self.d_sr * self.d_rd) ** -self.alpha]
+        except ArithmeticError:
+            gains = [math.inf]
+        if not max(gains) < math.inf:
+            raise ValueError(f"path gain (d_sr d_rd)^-alpha or d_sr^-alpha overflows "
+                             f"(d_sr={self.d_sr}, d_rd={self.d_rd}, alpha={self.alpha})")
 
 
 @dataclass(frozen=True)

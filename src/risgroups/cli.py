@@ -19,7 +19,7 @@ from .bounds import (
     zeta_bounds_nonlinear,
 )
 from .channel import SystemParams, sample_channels
-from .energy import NONLINEAR_DEFAULT, EhModel, PowerBudget
+from .energy import NONLINEAR_DEFAULT, EhModel
 from .selection import RisMode, SelectionStrategy, required_energy
 from .sim import TrialConfig, analytic_outage, block_rng, estimate_outage, sweep_points
 
@@ -44,10 +44,10 @@ def _positive_watts(raw: dict, key: str) -> float:
     return watts
 
 
-# SystemParams fields a scenario sets as they are; p_tx and the noise power
-# are given in dBm and n_total follows from the group sizes
+# SystemParams fields a scenario sets as they are; the powers are given in
+# dBm and n_total follows from the group sizes
 _PARAM_DEFAULTS = {f.name: f.default for f in fields(SystemParams)
-                   if f.name not in ("p_tx", "noise_power", "n_total")}
+                   if f.name not in ("p_tx", "noise_power", "p_t", "p_ph", "n_total")}
 
 _DEFAULTS = {
     # physical parameters
@@ -68,7 +68,7 @@ _DEFAULTS = {
     "metric": "data",
     "gamma_th_db": None,
     "r_req": 1.0,
-    "e_req": 0.0,          # joules, or the string 'auto' for the mode's required_energy
+    "e_req": 0.0,          # joules, or the string 'auto' for each point's required_energy
     # trials and sweep
     "n_trials": 100_000,
     "seed": 12345,
@@ -87,7 +87,6 @@ class Scenario:
     point of each ``sweep_grid`` value."""
 
     params: SystemParams
-    budget: PowerBudget
     trial: TrialConfig
     sweep_grid: list
     points: list
@@ -150,18 +149,14 @@ def load_scenario(path: str, overrides: dict | None = None, sweep: bool = True) 
         params = SystemParams(
             p_tx=_positive_watts(raw, "p_tx_dbm"),
             noise_power=_positive_watts(raw, "noise_dbm"),
+            p_t=_positive_watts(raw, "p_t_dbm"),
+            p_ph=_positive_watts(raw, "p_ph_dbm"),
             n_total=raw["m_per_group"] * raw["b_groups"],
             **{key: raw[key] for key in _PARAM_DEFAULTS},
         )
         mode = RisMode(raw["mode"].upper(), rho=raw["rho"], zeta=raw["zeta"])
-        if raw["eh"] == "linear":
-            eh = EhModel("linear")
-        elif raw["eh"] == "nonlinear":
-            eh = EhModel("nonlinear", a=raw["eh_a"], b=raw["eh_b"], c=raw["eh_c"])
-        else:
-            raise ScenarioError(f"unknown eh model {raw['eh']!r}")
-        budget = PowerBudget(p_t=_positive_watts(raw, "p_t_dbm"),
-                             p_ph=_positive_watts(raw, "p_ph_dbm"))
+        abc = {key: raw[f"eh_{key}"] for key in "abc"} if raw["eh"] == "nonlinear" else {}
+        eh = EhModel(raw["eh"], **abc)
         r_req = raw["r_req"]
         if raw["gamma_th_db"] is not None:
             # the threshold sets the rate, so raw drops r_req's unused default
@@ -175,7 +170,7 @@ def load_scenario(path: str, overrides: dict | None = None, sweep: bool = True) 
                 trial,
                 n_trials=raw["n_trials"],
                 strategy=SelectionStrategy(raw["scheme"].upper(), k=raw["k"]),
-                e_req=required_energy(params, budget, mode) if e_req == "auto" else float(e_req),
+                e_req=required_energy(params, mode) if e_req == "auto" else float(e_req),
                 metric=raw["metric"],
             )
             entries = [v.strip() for v in str(raw["sweep_grid"]).split(",")]
@@ -183,6 +178,8 @@ def load_scenario(path: str, overrides: dict | None = None, sweep: bool = True) 
                 raise ValueError(f"sweep_grid = {raw['sweep_grid']!r} has an empty entry")
             grid = [float(v) for v in entries if v]
             points = sweep_points(params, trial, raw["sweep_variable"], grid)
+            if e_req == "auto":  # each point's own need: a zeta sweep moves it
+                points = [(p, replace(c, e_req=required_energy(p, c.mode))) for p, c in points]
         if raw["n_draws"] < 1:
             raise ValueError("n_draws must be at least 1")
     except ScenarioError:
@@ -191,7 +188,6 @@ def load_scenario(path: str, overrides: dict | None = None, sweep: bool = True) 
         raise ScenarioError(f"{path}: {exc}") from exc
     return Scenario(
         params=params,
-        budget=budget,
         trial=trial,
         sweep_grid=grid,
         points=points,
@@ -247,13 +243,13 @@ def run_bounds(scenario: Scenario, out_path: str) -> int:
     for draw in range(scenario.n_draws):
         snap = snaps[draw, 0]
         if trial.mode.kind == "PS" and trial.eh.kind == "linear":
-            iv = rho_bounds_linear(params, scenario.budget, snap, trial.r_req)
+            iv = rho_bounds_linear(params, snap, trial.r_req)
         elif trial.mode.kind == "PS":
-            iv = rho_bounds_nonlinear(params, scenario.budget, trial.eh, snap, trial.r_req)
+            iv = rho_bounds_nonlinear(params, trial.eh, snap, trial.r_req)
         elif trial.eh.kind == "linear":
-            iv = zeta_bounds_linear(params, scenario.budget, snap, trial.r_req)
+            iv = zeta_bounds_linear(params, snap, trial.r_req)
         else:
-            iv = zeta_bounds_nonlinear(params, scenario.budget, trial.eh, snap, trial.r_req)
+            iv = zeta_bounds_nonlinear(params, trial.eh, snap, trial.r_req)
         any_feasible = any_feasible or iv.feasible
         rows.append([draw, iv.lower, iv.upper, str(iv.feasible).lower(), iv.cause or ""])
     _write_csv(out_path, scenario, "channel_draw,lower,upper,feasible,cause", rows)

@@ -1,4 +1,4 @@
-"""Energy-harvesting laws and the phase-shift power budget."""
+"""Energy-harvesting laws: the per-element harvest of an incident power."""
 
 from dataclasses import dataclass
 
@@ -34,18 +34,6 @@ class EhModel:
 
 # circuit constants of the measured rectifier used throughout the experiments
 NONLINEAR_DEFAULT = EhModel(kind="nonlinear", a=2.463, b=1.635, c=0.826)
-
-
-@dataclass(frozen=True)
-class PowerBudget:
-    """Per-patch phase-shift power and controller power (watts)."""
-
-    p_t: float
-    p_ph: float
-
-    def __post_init__(self):
-        if not (0 <= self.p_t < np.inf and 0 <= self.p_ph < np.inf):  # NaN fails too
-            raise ValueError("powers must be nonnegative and finite")
 
 
 def harvest_rate(model: EhModel, incident_power):

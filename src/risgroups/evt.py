@@ -84,6 +84,7 @@ def check_gumbel_domain(
     its first value, indicates a heavy (Frechet-type) tail; a warning is
     emitted and False returned.
     """
+    check_count("b", b, least=2)
     probes = [1.0 - 1.0 / (b * 10 ** i) for i in range(3)]
     ratios = [hazard_ratio(cdf, pdf, _quantile_bisect(cdf, p)) for p in probes]
     if ratios[0] < ratios[1] < ratios[2] and ratios[2] > 2.0 * ratios[0]:
@@ -103,8 +104,7 @@ def normalizing_constants(
     b: int,
 ) -> EvtConstants:
     """Gumbel normalizing constants for the maximum of b i.i.d. draws."""
-    if b < 2:
-        raise ValueError("need at least two groups")
+    check_count("b", b, least=2)
     location = _quantile_bisect(cdf, 1.0 - 1.0 / b)
     return EvtConstants(location=location, scale=hazard_ratio(cdf, pdf, location))
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from .channel import (DegenerateFitError, GammaFit, SystemParams, build_correlation_matrix,
                       check_count, element_law, power_moments)
-from .energy import EhModel, PowerBudget
+from .energy import EhModel
 from .specfun import reg_incomplete_beta, reg_lower_incomplete_gamma
 
 
@@ -141,11 +141,11 @@ def eh_wiring(params: SystemParams, mode: RisMode) -> tuple[float, float]:
     return mode.zeta * params.t_s, pl
 
 
-def required_energy(params: SystemParams, budget: PowerBudget, mode: RisMode) -> float:
+def required_energy(params: SystemParams, mode: RisMode) -> float:
     """Energy a group needs per slot, t_s (on M p_t + p_ph): its M phase shifters
     draw p_t while the data phase is on, on = 1 - zeta for TS and 1 for PS."""
     on = 1.0 - mode.zeta if mode.kind == "TS" else 1.0
-    return params.t_s * (on * params.m_per_group * budget.p_t + budget.p_ph)
+    return params.t_s * (on * params.m_per_group * params.p_t + params.p_ph)
 
 
 # trapezoid nodes in y = ln(c u) for int_0^inf e^{-c u} f(u) du; the integrand

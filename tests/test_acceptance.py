@@ -26,7 +26,6 @@ from risgroups.channel import (
 from risgroups.energy import (
     NONLINEAR_DEFAULT,
     EhModel,
-    PowerBudget,
     harvest_rate,
 )
 from risgroups.evt import normalizing_constants, outage_evt
@@ -42,9 +41,6 @@ from risgroups.sim import TrialConfig, analytic_outage, estimate_outage
 from risgroups.specfun import reg_incomplete_beta, reg_lower_incomplete_gamma
 
 DEFAULTS = SystemParams()
-BUDGET = PowerBudget(
-    p_t=10.0 ** (5.0 / 10.0) / 1000.0, p_ph=10.0 ** (5.0 / 10.0) / 1000.0
-)
 
 
 def _report(num: int, detail: str) -> None:
@@ -160,8 +156,8 @@ def test_criterion_04_spacing_and_correlation_trends():
 def test_criterion_05_feasibility_boundary_equalities():
     params = SystemParams(rho_l=0.1, d_sr=2.0, d_rd=3.0, noise_power=0.05)
     m = params.m_per_group
-    e_ps = required_energy(params, BUDGET, RisMode("PS"))
-    w = m * BUDGET.p_t + BUDGET.p_ph
+    e_ps = required_energy(params, RisMode("PS"))
+    w = m * params.p_t + params.p_ph
     nl = NONLINEAR_DEFAULT
     headroom = nl.a - w / m - nl.b / nl.c
     worst = 0.0
@@ -171,7 +167,7 @@ def test_criterion_05_feasibility_boundary_equalities():
         snap = snaps[0, d]
         pl_sr = params.p_tx * params.rho_l * params.d_sr ** -params.alpha
 
-        iv = rho_bounds_linear(params, BUDGET, snap, r_req=0.5)
+        iv = rho_bounds_linear(params, snap, r_req=0.5)
         assert iv.feasible
         harvested = params.t_s * iv.lower * pl_sr * snap.sum_h_sq
         worst = max(worst, abs(harvested / e_ps - 1.0))
@@ -183,7 +179,7 @@ def test_criterion_05_feasibility_boundary_equalities():
         # so that it stays well conditioned when upper is near 1
         worst = max(worst, abs(iv.upper * (2.0 ** 0.5 - 1.0 + eta) / eta - 1.0))
 
-        iv = rho_bounds_nonlinear(params, BUDGET, nl, snap, r_req=0.25)
+        iv = rho_bounds_nonlinear(params, nl, snap, r_req=0.25)
         assert iv.feasible
         harvested = _harvest(nl, [iv.lower * pl_sr * snap.h_max_sq] * m, params.t_s)
         worst = max(worst, abs(harvested / e_ps - 1.0))
@@ -193,10 +189,10 @@ def test_criterion_05_feasibility_boundary_equalities():
         )
         worst = max(worst, abs(iv.upper * (2.0 ** 0.25 - 1.0 + kappa) / kappa - 1.0))
 
-        iv = zeta_bounds_linear(params, BUDGET, snap, r_req=2.0)
+        iv = zeta_bounds_linear(params, snap, r_req=2.0)
         assert iv.feasible
         harvested = iv.lower * params.t_s * pl_sr * snap.sum_h_sq
-        e_ts = required_energy(params, BUDGET, RisMode("TS", zeta=iv.lower))
+        e_ts = required_energy(params, RisMode("TS", zeta=iv.lower))
         worst = max(worst, abs(harvested / e_ts - 1.0))
         gamma = (
             params.p_tx * params.rho_l ** 2
@@ -206,7 +202,7 @@ def test_criterion_05_feasibility_boundary_equalities():
         rate = (1.0 - iv.upper) * math.log2(1.0 + gamma)
         worst = max(worst, abs(rate / 2.0 - 1.0))
 
-        iv = zeta_bounds_nonlinear(params, BUDGET, nl, snap, r_req=1.5)
+        iv = zeta_bounds_nonlinear(params, nl, snap, r_req=1.5)
         gamma_min = (
             params.p_tx * params.rho_l ** 2
             * (params.d_sr * params.d_rd) ** -params.alpha
@@ -221,7 +217,7 @@ def test_criterion_05_feasibility_boundary_equalities():
             rate_limited += 1
             continue
         harvested = _harvest(nl, [pl_sr * snap.h_max_sq] * m, iv.lower * params.t_s)
-        e_ts = required_energy(params, BUDGET, RisMode("TS", zeta=iv.lower))
+        e_ts = required_energy(params, RisMode("TS", zeta=iv.lower))
         worst = max(worst, abs(harvested / e_ts - 1.0))
         rate = (1.0 - iv.upper) * math.log2(1.0 + gamma_min)
         worst = max(worst, abs(rate / 1.5 - 1.0))

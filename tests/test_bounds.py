@@ -19,7 +19,6 @@ from risgroups.channel import SystemParams, sample_channels
 from risgroups.energy import (
     NONLINEAR_DEFAULT,
     EhModel,
-    PowerBudget,
     harvest_rate,
 )
 from risgroups.selection import RisMode, mean_snr_scale, required_energy
@@ -29,7 +28,6 @@ from risgroups.selection import RisMode, mean_snr_scale, required_energy
 # and a thermal noise floor pushes the rate-limited upper bound within one
 # ulp of 1, where the boundary equality cannot be evaluated in floats
 PARAMS = SystemParams(rho_l=0.1, d_sr=2.0, d_rd=3.0, noise_power=0.05)
-BUDGET = PowerBudget(p_t=10.0 ** (5.0 / 10.0) / 1000.0, p_ph=10.0 ** (5.0 / 10.0) / 1000.0)
 
 
 def snapshot(seed: int, params: SystemParams = PARAMS) -> ChannelSnapshot:
@@ -53,19 +51,19 @@ class TestSnapshot:
 class TestPsLinear:
     def test_lower_bound_balances_energy(self):
         snap = snapshot(0)
-        iv = rho_bounds_linear(PARAMS, BUDGET, snap, r_req=1.0)
+        iv = rho_bounds_linear(PARAMS, snap, r_req=1.0)
         harvested = (
             PARAMS.t_s * iv.lower * PARAMS.p_tx * PARAMS.rho_l
             * PARAMS.d_sr ** -PARAMS.alpha * snap.sum_h_sq
         )
-        e_req = required_energy(PARAMS, BUDGET, RisMode("PS"))
+        e_req = required_energy(PARAMS, RisMode("PS"))
         assert harvested == pytest.approx(e_req, rel=1e-12)
 
     def test_upper_bound_meets_rate(self):
         snap = snapshot(1)
         r_req = 0.5
-        iv = rho_bounds_linear(PARAMS, BUDGET, snap, r_req=r_req)
-        e_req = required_energy(PARAMS, BUDGET, RisMode("PS"))
+        iv = rho_bounds_linear(PARAMS, snap, r_req=r_req)
+        e_req = required_energy(PARAMS, RisMode("PS"))
         eta = (
             PARAMS.rho_l * e_req * PARAMS.d_rd ** -PARAMS.alpha * snap.z
             / (PARAMS.t_s * PARAMS.noise_power * snap.sum_h_sq)
@@ -76,25 +74,25 @@ class TestPsLinear:
     def test_energy_limited_infeasible(self):
         snap = snapshot(2)
         weak = SystemParams(p_tx=1e-12)
-        iv = rho_bounds_linear(weak, BUDGET, snap, r_req=1.0)
+        iv = rho_bounds_linear(weak, snap, r_req=1.0)
         assert not iv.feasible
         assert iv.cause == "energy-limited"
 
     def test_rate_limited_infeasible(self):
         snap = snapshot(3)
-        iv = rho_bounds_linear(PARAMS, BUDGET, snap, r_req=100.0)
+        iv = rho_bounds_linear(PARAMS, snap, r_req=100.0)
         assert not iv.feasible
         assert iv.cause == "rate-limited"
 
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
-            rho_bounds_linear(PARAMS, BUDGET, snapshot(4), r_req=-1.0)
+            rho_bounds_linear(PARAMS, snapshot(4), r_req=-1.0)
 
 
 class TestPsNonlinear:
     def test_lower_bound_balances_energy(self):
         snap = snapshot(5)
-        iv = rho_bounds_nonlinear(PARAMS, BUDGET, NONLINEAR_DEFAULT, snap, r_req=1.0)
+        iv = rho_bounds_nonlinear(PARAMS, NONLINEAR_DEFAULT, snap, r_req=1.0)
         # derivation uses the best-element proxy: all M elements at |h_max|^2
         incident = (
             iv.lower * PARAMS.p_tx * PARAMS.rho_l * PARAMS.d_sr ** -PARAMS.alpha
@@ -103,16 +101,16 @@ class TestPsNonlinear:
         harvested = _harvest(
             NONLINEAR_DEFAULT, [incident] * PARAMS.m_per_group, PARAMS.t_s
         )
-        e_req = required_energy(PARAMS, BUDGET, RisMode("PS"))
+        e_req = required_energy(PARAMS, RisMode("PS"))
         assert harvested == pytest.approx(e_req, rel=1e-12)
 
     def test_upper_bound_meets_rate(self):
         snap = snapshot(6)
         r_req = 0.25
-        iv = rho_bounds_nonlinear(PARAMS, BUDGET, NONLINEAR_DEFAULT, snap, r_req=r_req)
+        iv = rho_bounds_nonlinear(PARAMS, NONLINEAR_DEFAULT, snap, r_req=r_req)
         m = NONLINEAR_DEFAULT
-        e_req = required_energy(PARAMS, BUDGET, RisMode("PS"))
-        w = PARAMS.m_per_group * BUDGET.p_t + BUDGET.p_ph
+        e_req = required_energy(PARAMS, RisMode("PS"))
+        w = PARAMS.m_per_group * PARAMS.p_t + PARAMS.p_ph
         headroom = m.a - w / PARAMS.m_per_group - m.b / m.c
         kappa = (
             m.c * e_req * PARAMS.rho_l * PARAMS.d_rd ** -PARAMS.alpha * snap.z
@@ -128,10 +126,10 @@ class TestPsNonlinear:
         # h_max^2 / h_min^2 is unbounded as h_min -> 0, so upper reaches 1
         # there, the limit of ever weaker elements, instead of inf/inf
         params = replace(PARAMS, m_per_group=2, n_total=2 * PARAMS.b_groups)
-        iv = rho_bounds_nonlinear(params, BUDGET, NONLINEAR_DEFAULT,
+        iv = rho_bounds_nonlinear(params, NONLINEAR_DEFAULT,
                                   ChannelSnapshot(h_sq=np.array([0.0, 1.0]), h_c_sq=1.0,
                                                   g_c_sq=1.0), 1.0)
-        weak = rho_bounds_nonlinear(params, BUDGET, NONLINEAR_DEFAULT,
+        weak = rho_bounds_nonlinear(params, NONLINEAR_DEFAULT,
                                     ChannelSnapshot(h_sq=np.array([1e-300, 1.0]), h_c_sq=1.0,
                                                     g_c_sq=1.0), 1.0)
         assert iv == weak
@@ -139,35 +137,35 @@ class TestPsNonlinear:
         # no SNR at all, or a rate that needs an infinite one, still reads 0
         for h_c_sq, r_req in ((0.0, 1.0), (1.0, 2000.0)):
             snap = ChannelSnapshot(h_sq=np.array([0.0, 1.0]), h_c_sq=h_c_sq, g_c_sq=1.0)
-            iv = rho_bounds_nonlinear(params, BUDGET, NONLINEAR_DEFAULT, snap, r_req)
+            iv = rho_bounds_nonlinear(params, NONLINEAR_DEFAULT, snap, r_req)
             assert iv.cause == "rate-limited" and iv.upper == 0.0
 
     def test_saturation_infeasible(self):
-        big = PowerBudget(p_t=10.0, p_ph=10.0)  # beyond the rectifier ceiling
-        iv = rho_bounds_nonlinear(PARAMS, big, NONLINEAR_DEFAULT, snapshot(7), 1.0)
+        big = replace(PARAMS, p_t=10.0, p_ph=10.0)  # beyond the rectifier ceiling
+        iv = rho_bounds_nonlinear(big, NONLINEAR_DEFAULT, snapshot(7), 1.0)
         assert not iv.feasible
         assert iv.cause == "saturation"
 
     def test_linear_model_rejected(self):
         with pytest.raises(ValueError):
-            rho_bounds_nonlinear(PARAMS, BUDGET, EhModel(), snapshot(8), 1.0)
+            rho_bounds_nonlinear(PARAMS, EhModel(), snapshot(8), 1.0)
 
 
 class TestTsLinear:
     def test_lower_bound_balances_energy(self):
         snap = snapshot(9)
-        iv = zeta_bounds_linear(PARAMS, BUDGET, snap, r_req=1.0)
+        iv = zeta_bounds_linear(PARAMS, snap, r_req=1.0)
         harvested = (
             iv.lower * PARAMS.t_s * PARAMS.p_tx * PARAMS.rho_l
             * PARAMS.d_sr ** -PARAMS.alpha * snap.sum_h_sq
         )
-        e_req = required_energy(PARAMS, BUDGET, RisMode("TS", zeta=iv.lower))
+        e_req = required_energy(PARAMS, RisMode("TS", zeta=iv.lower))
         assert harvested == pytest.approx(e_req, rel=1e-12)
 
     def test_upper_bound_meets_rate(self):
         snap = snapshot(10)
         r_req = 2.0
-        iv = zeta_bounds_linear(PARAMS, BUDGET, snap, r_req=r_req)
+        iv = zeta_bounds_linear(PARAMS, snap, r_req=r_req)
         gamma = (
             PARAMS.p_tx * PARAMS.rho_l ** 2
             * (PARAMS.d_sr * PARAMS.d_rd) ** -PARAMS.alpha * snap.z
@@ -180,20 +178,20 @@ class TestTsLinear:
 class TestTsNonlinear:
     def test_lower_bound_balances_energy(self):
         snap = snapshot(11)
-        iv = zeta_bounds_nonlinear(PARAMS, BUDGET, NONLINEAR_DEFAULT, snap, r_req=1.0)
+        iv = zeta_bounds_nonlinear(PARAMS, NONLINEAR_DEFAULT, snap, r_req=1.0)
         incident = (
             PARAMS.p_tx * PARAMS.rho_l * PARAMS.d_sr ** -PARAMS.alpha * snap.h_max_sq
         )
         harvested = _harvest(
             NONLINEAR_DEFAULT, [incident] * PARAMS.m_per_group, iv.lower * PARAMS.t_s
         )
-        e_req = required_energy(PARAMS, BUDGET, RisMode("TS", zeta=iv.lower))
+        e_req = required_energy(PARAMS, RisMode("TS", zeta=iv.lower))
         assert harvested == pytest.approx(e_req, rel=1e-12)
 
     def test_upper_bound_meets_rate(self):
         snap = snapshot(12)
         r_req = 1.5
-        iv = zeta_bounds_nonlinear(PARAMS, BUDGET, NONLINEAR_DEFAULT, snap, r_req=r_req)
+        iv = zeta_bounds_nonlinear(PARAMS, NONLINEAR_DEFAULT, snap, r_req=r_req)
         gamma_min = (
             PARAMS.p_tx * PARAMS.rho_l ** 2
             * (PARAMS.d_sr * PARAMS.d_rd) ** -PARAMS.alpha
@@ -209,15 +207,15 @@ def _watts(dbm: float) -> float:
 
 
 def _with_fixed_snapshots(test):
-    # the twenty snapshots every interval was first checked on, at PARAMS and BUDGET
+    # the twenty snapshots every interval was first checked on, at PARAMS
     for seed in range(20):
-        test = example(p_tx=PARAMS.p_tx, p_t=BUDGET.p_t, p_ph=BUDGET.p_ph,
+        test = example(p_tx=PARAMS.p_tx, p_t=PARAMS.p_t, p_ph=PARAMS.p_ph,
                        r_req=1.0, seed=seed)(test)
     return test
 
 
 class TestIntervalInvariants:
-    # budgets reach past the 0.484 W per element (27 dBm) that the nonlinear
+    # p_t and p_ph reach past the 0.484 W per element (27 dBm) that the nonlinear
     # law saturates at, so every cause is drawn; transmit powers reach SNRs
     # below 2^-53 and rates reach past 1024 bits/s/Hz, where 2^r overflows
     @settings(max_examples=200, deadline=None)
@@ -226,18 +224,17 @@ class TestIntervalInvariants:
            p_ph=st.just(0.0) | st.floats(-60.0, 33.0).map(_watts),
            r_req=st.floats(0.0, 2000.0),
            seed=st.integers(0, 2**32 - 1))
-    @example(p_tx=1e-22, p_t=BUDGET.p_t, p_ph=BUDGET.p_ph, r_req=1.0, seed=3)
-    @example(p_tx=PARAMS.p_tx, p_t=BUDGET.p_t, p_ph=BUDGET.p_ph, r_req=1100.0, seed=3)
+    @example(p_tx=1e-22, p_t=PARAMS.p_t, p_ph=PARAMS.p_ph, r_req=1.0, seed=3)
+    @example(p_tx=PARAMS.p_tx, p_t=PARAMS.p_t, p_ph=PARAMS.p_ph, r_req=1100.0, seed=3)
     @_with_fixed_snapshots
     def test_clamps_and_verdicts(self, p_tx, p_t, p_ph, r_req, seed):
-        params = replace(PARAMS, p_tx=p_tx)
-        budget = PowerBudget(p_t=p_t, p_ph=p_ph)
+        params = replace(PARAMS, p_tx=p_tx, p_t=p_t, p_ph=p_ph)
         snap = snapshot(seed)
         for iv in (
-            rho_bounds_linear(params, budget, snap, r_req),
-            rho_bounds_nonlinear(params, budget, NONLINEAR_DEFAULT, snap, r_req),
-            zeta_bounds_linear(params, budget, snap, r_req),
-            zeta_bounds_nonlinear(params, budget, NONLINEAR_DEFAULT, snap, r_req),
+            rho_bounds_linear(params, snap, r_req),
+            rho_bounds_nonlinear(params, NONLINEAR_DEFAULT, snap, r_req),
+            zeta_bounds_linear(params, snap, r_req),
+            zeta_bounds_nonlinear(params, NONLINEAR_DEFAULT, snap, r_req),
         ):
             assert 0.0 <= iv.lower <= 1.0
             assert 0.0 <= iv.upper <= 1.0
@@ -248,10 +245,10 @@ class TestIntervalInvariants:
                 assert iv.lower == 1.0
 
     @pytest.mark.parametrize("bounds", [
-        lambda snap, r: rho_bounds_linear(PARAMS, BUDGET, snap, r),
-        lambda snap, r: rho_bounds_nonlinear(PARAMS, BUDGET, NONLINEAR_DEFAULT, snap, r),
-        lambda snap, r: zeta_bounds_linear(PARAMS, BUDGET, snap, r),
-        lambda snap, r: zeta_bounds_nonlinear(PARAMS, BUDGET, NONLINEAR_DEFAULT, snap, r),
+        lambda snap, r: rho_bounds_linear(PARAMS, snap, r),
+        lambda snap, r: rho_bounds_nonlinear(PARAMS, NONLINEAR_DEFAULT, snap, r),
+        lambda snap, r: zeta_bounds_linear(PARAMS, snap, r),
+        lambda snap, r: zeta_bounds_nonlinear(PARAMS, NONLINEAR_DEFAULT, snap, r),
     ], ids=["rho-linear", "rho-nonlinear", "zeta-linear", "zeta-nonlinear"])
     def test_nan_rate_rejected(self, bounds):
         # a NaN r_req would read as an interval, with a NaN upper end for zeta
@@ -260,8 +257,8 @@ class TestIntervalInvariants:
 
 
 TS_BOUNDS = pytest.mark.parametrize("bounds", [
-    lambda p, snap: zeta_bounds_linear(p, BUDGET, snap, 1.0),
-    lambda p, snap: zeta_bounds_nonlinear(p, BUDGET, NONLINEAR_DEFAULT, snap, 1.0),
+    lambda p, snap: zeta_bounds_linear(p, snap, 1.0),
+    lambda p, snap: zeta_bounds_nonlinear(p, NONLINEAR_DEFAULT, snap, 1.0),
 ], ids=["linear", "nonlinear"])
 
 

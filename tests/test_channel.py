@@ -24,7 +24,7 @@ from risgroups.channel import (
     sample_channels,
     sample_rician_vector,
 )
-from risgroups.energy import EhModel, PowerBudget
+from risgroups.energy import EhModel
 from risgroups.selection import SelectionStrategy
 
 
@@ -34,6 +34,8 @@ class TestSystemParams:
         assert p.n_total == p.m_per_group * p.b_groups
         assert p.p_tx == pytest.approx(1.0)
         assert p.noise_power == pytest.approx(10.0 ** (-104.0 / 10.0) / 1000.0, abs=0.0)
+        # 5 dBm per phase shifter and for the controller, as a scenario's default
+        assert p.p_t == p.p_ph == 10.0 ** (5.0 / 10.0) / 1000.0
 
     def test_group_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -52,6 +54,12 @@ class TestSystemParams:
                 SystemParams(**bad)
         with pytest.raises(ValueError, match="p_tx must be strictly positive and finite"):
             SystemParams(p_tx=math.inf)
+        with pytest.raises(ValueError, match="p_t and p_ph must be nonnegative"):
+            SystemParams(p_t=-1.0)
+        # the edges stay valid: an idle surface, and a path gain that
+        # underflows to 0, which the bounds and outages handle
+        SystemParams(p_t=0.0, p_ph=0.0)
+        SystemParams(d_sr=1e200, d_rd=1e200)  # (d_sr d_rd)^-2 is 0.0
 
     @pytest.mark.parametrize("counts", [
         dict(b_groups=2.5, n_total=50), dict(m_per_group=20.0), dict(n_total=400.0),
@@ -76,8 +84,8 @@ class TestSystemParams:
     # sqrt(K/(K+1)) is NaN at K = inf, so an infinite factor would draw NaN channels
     lambda: SystemParams(k_h=math.inf),
     lambda: SystemParams(alpha=math.nan),
-    lambda: PowerBudget(p_t=math.nan, p_ph=0.0),
-    lambda: PowerBudget(p_t=0.0, p_ph=math.nan),
+    lambda: SystemParams(p_t=math.nan, p_ph=0.0),
+    lambda: SystemParams(p_t=0.0, p_ph=math.nan),
     lambda: EhModel("nonlinear", a=math.nan, b=1.635, c=0.826),
     lambda: EhModel("nonlinear", a=2.463, b=math.nan, c=0.826),
     lambda: EhModel("nonlinear", a=2.463, b=1.635, c=math.nan),
@@ -85,16 +93,21 @@ class TestSystemParams:
     lambda: GammaFit(1.0, math.nan),
     lambda: SelectionStrategy("SBGS", k=math.nan),
     # an infinite constant makes the nonlinear saturation or the energy fit's
-    # offset NaN or infinite, and an infinite budget an infinite requirement
+    # offset NaN or infinite, and an infinite power an infinite requirement
     lambda: EhModel("nonlinear", a=math.inf, b=1.635, c=0.826),
     lambda: EhModel("nonlinear", a=2.463, b=1.635, c=math.inf),
-    lambda: PowerBudget(p_t=math.inf, p_ph=0.0),
-    lambda: PowerBudget(p_t=0.0, p_ph=math.inf),
+    lambda: SystemParams(p_t=math.inf, p_ph=0.0),
+    lambda: SystemParams(p_t=0.0, p_ph=math.inf),
     # the simulator ranks groups by an integer partition index
     lambda: SelectionStrategy("SBGS", k=2.0),
+    # a path gain beyond a double once raised OverflowError (d_sr^-alpha) or
+    # ZeroDivisionError ((d_sr d_rd)^-alpha) only when a run evaluated it
+    lambda: SystemParams(d_sr=1e-200),
+    lambda: SystemParams(d_sr=1e-200, d_rd=1e-200),
+    lambda: SystemParams(d_sr=0.5, alpha=math.inf),
 ], ids=["k_h", "k_g", "k_h_inf", "alpha", "p_t", "p_ph", "eh_a", "eh_b", "eh_c",
         "gamma_shape", "gamma_scale", "k", "eh_a_inf", "eh_c_inf", "p_t_inf", "p_ph_inf",
-        "k_float"])
+        "k_float", "gain_d_sr", "gain_d_sr_d_rd", "gain_alpha_inf"])
 def test_config_types_reject_nan(make):
     # every check is written so that NaN fails it, not as x < 0, which NaN passes
     with pytest.raises(ValueError):

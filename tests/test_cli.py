@@ -72,10 +72,19 @@ class TestLoadScenario:
         path = tmp_path / "e.cfg"
         path.write_text("e_req = auto\nmetric = energy\nscheme = ebgs\n")
         sc = load_scenario(str(path))
-        m, b = sc.params.m_per_group, sc.budget
+        p = sc.params
         assert sc.trial.e_req == pytest.approx(
-            sc.params.t_s * (m * b.p_t + b.p_ph)
+            p.t_s * (p.m_per_group * p.p_t + p.p_ph)
         )
+        # each point of a TS zeta sweep needs its own energy: its phase
+        # shifters draw p_t only over the data phase, 1 - zeta of the slot
+        path.write_text("e_req = auto\nmetric = energy\nscheme = ebgs\nmode = ts\n"
+                        "rho_l = 0.1\nd_sr = 2\nd_rd = 3\n"
+                        "sweep_variable = zeta\nsweep_grid = 0.1,0.5,0.9\n")
+        sc = load_scenario(str(path))
+        needs = [cfg.e_req for _, cfg in sc.points]
+        assert needs == pytest.approx([6.0083e-06, 3.4785e-06, 9.4868e-07], rel=1e-4)
+        assert sc.raw["e_req"] == "auto"
 
     def test_unknown_key_reports_line(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -120,6 +129,10 @@ class TestLoadScenario:
         # the SNR per watt underflows to 0, so the snr grid has no p_tx
         ("alpha = 1e4", "no finite p_tx gives snr = 0.0 dB with this rho_l, alpha,"),
         ("e_req = abc", "e_req = 'abc' is not a finite number"),
+        # d_sr^-alpha overflows a double, which a run once met as a traceback
+        ("d_sr = 1e-200", "path gain (d_sr d_rd)^-alpha or d_sr^-alpha overflows "
+                          "(d_sr=1e-200, d_rd=20.0, alpha=2.0)"),
+        ("eh = foo", "unknown EH model kind 'foo'"),
     ])
     def test_bad_scalar_is_a_clean_error(self, tmp_path, capsys, line, message):
         path = tmp_path / "scalar.cfg"
@@ -428,9 +441,9 @@ class TestBoundsCommand:
         # channel RGS evaluates there
         snaps = []
 
-        def recording(params, budget, snap, r_req, _fn=cli.rho_bounds_linear):
+        def recording(params, snap, r_req, _fn=cli.rho_bounds_linear):
             snaps.append(snap)
-            return _fn(params, budget, snap, r_req)
+            return _fn(params, snap, r_req)
 
         monkeypatch.setattr(cli, "rho_bounds_linear", recording)
         scenario = load_scenario(str(ROOT / "scenarios" / "bounds_ps_linear.cfg"),

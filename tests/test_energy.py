@@ -1,4 +1,4 @@
-"""Harvesting laws and phase-shift energy budgets."""
+"""Harvesting laws and the energy a group needs per slot."""
 
 from fractions import Fraction
 
@@ -9,7 +9,6 @@ from risgroups.channel import SystemParams, sample_channels
 from risgroups.energy import (
     EhModel,
     NONLINEAR_DEFAULT,
-    PowerBudget,
     harvest_rate,
 )
 from risgroups.selection import RisMode, required_energy
@@ -96,31 +95,28 @@ class TestHarvest:
 
 
 class TestRequiredEnergy:
-    P10 = SystemParams(m_per_group=10, b_groups=20, n_total=200, t_s=1e-4)
+    P10 = SystemParams(m_per_group=10, b_groups=20, n_total=200, t_s=1e-4, p_t=0.003, p_ph=0.002)
 
     def test_ps_budget(self):
-        b = PowerBudget(p_t=0.003, p_ph=0.002)
         # T_s (M p_t + p_ph)  [TRIVIAL]
-        assert required_energy(self.P10, b, RisMode("PS")) == pytest.approx(1e-4 * 0.032)
+        assert required_energy(self.P10, RisMode("PS")) == pytest.approx(1e-4 * 0.032)
 
     def test_ps_ignores_zeta(self):
         # a PS scenario still carries the default zeta = 0.5, which it must not read
-        b = PowerBudget(p_t=0.003, p_ph=0.002)
-        assert (required_energy(self.P10, b, RisMode("PS", zeta=0.9))
-                == required_energy(self.P10, b, RisMode("PS", zeta=0.0)))
+        assert (required_energy(self.P10, RisMode("PS", zeta=0.9))
+                == required_energy(self.P10, RisMode("PS", zeta=0.0)))
 
     def test_ts_budget_scales_transmit_part(self):
-        b = PowerBudget(p_t=0.003, p_ph=0.002)
-        full = required_energy(self.P10, b, RisMode("TS", zeta=0.0))
-        assert full == pytest.approx(required_energy(self.P10, b, RisMode("PS")))
-        half = required_energy(self.P10, b, RisMode("TS", zeta=0.5))
+        full = required_energy(self.P10, RisMode("TS", zeta=0.0))
+        assert full == pytest.approx(required_energy(self.P10, RisMode("PS")))
+        half = required_energy(self.P10, RisMode("TS", zeta=0.5))
         assert half == pytest.approx(1e-4 * (0.5 * 0.03 + 0.002))
 
     def test_invalid_inputs(self):
-        # the group size and the TS fraction are checked where they are stored
+        # the group size, the TS fraction and the powers are checked where they are stored
         with pytest.raises(ValueError):
             SystemParams(m_per_group=0, b_groups=20, n_total=0)
         with pytest.raises(ValueError):
             RisMode("TS", zeta=1.5)
         with pytest.raises(ValueError):
-            PowerBudget(p_t=-1.0, p_ph=0.0)
+            SystemParams(p_t=-1.0, p_ph=0.0)

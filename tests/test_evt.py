@@ -129,6 +129,13 @@ class TestNormalizingConstants:
         pdf = lambda x: math.exp(-x) if x > 0 else 0.0
         with pytest.raises(ValueError):
             normalizing_constants(cdf, pdf, 1)
+        # a fractional count once bisected the 1 - 1/b quantile of a b no
+        # sweep can have; 2.0 and True fail as every other count does
+        for b in (20.5, 2.0, True):
+            with pytest.raises(ValueError, match="b must be at least 2 and integral"):
+                normalizing_constants(cdf, pdf, b)
+            with pytest.raises(ValueError, match="b must be at least 2 and integral"):
+                check_gumbel_domain(cdf, pdf, b)
         with pytest.raises(ValueError):
             # a pdf that vanishes at the location leaves no reciprocal hazard
             normalizing_constants(cdf, lambda x: 0.0, 50)
@@ -141,6 +148,8 @@ class TestDomainCheck:
         cdf = lambda x: 1.0 - math.exp(-x) if x > 0 else 0.0
         pdf = lambda x: math.exp(-x) if x > 0 else 0.0
         assert check_gumbel_domain(cdf, pdf, 20) is True
+        with pytest.raises(ValueError, match="b must be at least 2 and integral, got 1"):
+            check_gumbel_domain(cdf, pdf, 1)
 
     def test_heavy_tail_warns(self):
         # Pareto(1.5) lies in the Frechet domain: hazard ratio grows like x

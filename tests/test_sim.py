@@ -428,7 +428,7 @@ LAW_FIELDS = {
 }
 OTHER_FIELDS = {
     "p_tx": 3.0, "rho_l": 0.1, "alpha": 3.0, "t_s": 1e-3, "noise_power": 1e-9,
-    "d_sr": 2.0, "d_rd": 3.0, "b_groups": 10,
+    "d_sr": 2.0, "d_rd": 3.0, "b_groups": 10, "p_t": 0.0, "p_ph": 0.02,
 }
 
 
