@@ -6,7 +6,7 @@ the data link while all groups harvest RF energy, plus a seeded Monte Carlo
 engine that validates every closed form.
 """
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"
 
 from .bounds import (
     FeasibleInterval,
@@ -23,6 +23,7 @@ from .channel import (
     SystemParams,
     build_correlation_matrix,
     fit_gamma_product,
+    mean_snr_scale,
     sample_channels,
 )
 from .energy import (
@@ -42,7 +43,6 @@ from .selection import (
     RisMode,
     SelectionStrategy,
     fit_energy_distribution,
-    mean_snr_scale,
     outage_rgs,
     outage_sbgs,
     required_energy,

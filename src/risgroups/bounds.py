@@ -13,9 +13,9 @@ sweeps legitimately cross in and out of feasibility.
 import math
 from dataclasses import dataclass
 
-from .channel import ChannelSnapshot, SystemParams
+from .channel import ChannelSnapshot, SystemParams, incident_power, mean_snr_scale
 from .energy import EhModel, harvest_rate
-from .selection import incident_power, mean_snr_scale, snr_threshold
+from .selection import snr_threshold
 
 
 @dataclass(frozen=True)

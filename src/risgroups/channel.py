@@ -90,13 +90,28 @@ class SystemParams:
             raise ValueError("powers p_t and p_ph must be nonnegative and finite")
         if not self.alpha >= 2:
             raise ValueError("path-loss exponent must be >= 2 and not NaN")
-        try:  # the link budget's two path gains; one that underflows to 0 is fine
-            gains = [self.d_sr ** -self.alpha, (self.d_sr * self.d_rd) ** -self.alpha]
+        try:  # the link budget; a term that underflows to 0 is fine, NaN is not
+            finite = incident_power(self) < math.inf and mean_snr_scale(self) < math.inf
         except ArithmeticError:
-            gains = [math.inf]
-        if not max(gains) < math.inf:
-            raise ValueError(f"path gain (d_sr d_rd)^-alpha or d_sr^-alpha overflows "
-                             f"(d_sr={self.d_sr}, d_rd={self.d_rd}, alpha={self.alpha})")
+            finite = False
+        if not finite:
+            raise ValueError(f"link budget overflows (p_tx={self.p_tx}, rho_l={self.rho_l}, "
+                             f"d_sr={self.d_sr}, d_rd={self.d_rd}, alpha={self.alpha}, "
+                             f"noise_power={self.noise_power})")
+
+
+def mean_snr_scale(params: SystemParams) -> float:
+    """End-to-end SNR per unit Z: P_tx rho_L^2 (d_sr d_rd)^-alpha / sigma0^2."""
+    return (
+        params.p_tx * params.rho_l ** 2
+        * (params.d_sr * params.d_rd) ** -params.alpha
+        / params.noise_power
+    )
+
+
+def incident_power(params: SystemParams) -> float:
+    """Power incident on one element per unit |h|^2: P_tx rho_L d_sr^-alpha."""
+    return params.p_tx * params.rho_l * params.d_sr ** -params.alpha
 
 
 @dataclass(frozen=True)

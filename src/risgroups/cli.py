@@ -1,8 +1,8 @@
 """Scenario-driven experiment runner emitting reproducible CSV sweeps.
 
-Scenario files are plain ``key = value`` text ('#' starts a comment).  dB/dBm
-values are converted to linear watts once at load time; all internal math is
-in SI units.  Unknown keys are a hard error so typos cannot silently fall
+Scenario files are plain ``key = value`` text ('#' starts a comment).  dBm
+values are converted to watts once at load time; all internal math is in SI
+units.  Unknown keys are a hard error so typos cannot silently fall
 back to defaults.
 """
 
@@ -28,17 +28,12 @@ class ScenarioError(ValueError):
     """Malformed or invalid scenario file."""
 
 
-def _from_db(raw: dict, key: str) -> float:
-    """The dB (or dBm) value of ``key`` as a linear ratio (or milliwatts)."""
+def _positive_watts(raw: dict, key: str) -> float:
+    """The dBm value of ``key`` in watts, which must be strictly positive and finite."""
     try:
-        return 10.0 ** (raw[key] / 10.0)
+        watts = 10.0 ** (raw[key] / 10.0) / 1000.0
     except OverflowError:
         raise ValueError(f"{key} = {raw[key]} overflows on conversion from dB") from None
-
-
-def _positive_watts(raw: dict, key: str) -> float:
-    """The dBm value of ``key`` in watts, which must be strictly positive."""
-    watts = _from_db(raw, key) / 1000.0
     if watts == 0.0:
         raise ValueError(f"{key} = {raw[key]} underflows to 0 W on conversion from dB")
     return watts
@@ -66,7 +61,6 @@ _DEFAULTS = {
     "scheme": "sbgs",
     "k": 1,
     "metric": "data",
-    "gamma_th_db": None,
     "r_req": 1.0,
     "e_req": 0.0,          # joules, or the string 'auto' for each point's required_energy
     # trials and sweep
@@ -124,8 +118,7 @@ def _coerce(key: str, value: str):
     try:
         number = int(value) if kind is int else float(value)
         if math.isfinite(number):
-            # e_req keeps its text, which the CSV header echoes as written
-            return value.lower() if key == "e_req" else number
+            return number
     except ValueError:
         pass
     what = "an integer" if kind is int else "a finite number"
@@ -139,10 +132,7 @@ def load_scenario(path: str, overrides: dict | None = None, sweep: bool = True) 
     the trial keeps their defaults, ``raw`` leaves them out and there are no points."""
     raw = {key: value for key, value in _DEFAULTS.items() if sweep or key not in _SWEEP_KEYS}
     try:
-        values = _parse_kv(path)
-        if {"r_req", "gamma_th_db"} <= values.keys():
-            raise ValueError("r_req and gamma_th_db are both set; set only one")
-        for key, value in values.items():
+        for key, value in _parse_kv(path).items():
             if key in raw:
                 raw[key] = _coerce(key, value)
         raw.update(overrides or {})
@@ -157,12 +147,7 @@ def load_scenario(path: str, overrides: dict | None = None, sweep: bool = True) 
         mode = RisMode(raw["mode"].upper(), rho=raw["rho"], zeta=raw["zeta"])
         abc = {key: raw[f"eh_{key}"] for key in "abc"} if raw["eh"] == "nonlinear" else {}
         eh = EhModel(raw["eh"], **abc)
-        r_req = raw["r_req"]
-        if raw["gamma_th_db"] is not None:
-            # the threshold sets the rate, so raw drops r_req's unused default
-            r_req = math.log2(1.0 + _from_db(raw, "gamma_th_db"))
-            del raw["r_req"]
-        trial = TrialConfig(seed=raw["seed"], mode=mode, eh=eh, r_req=r_req)
+        trial = TrialConfig(seed=raw["seed"], mode=mode, eh=eh, r_req=raw["r_req"])
         grid, points = [], []
         if sweep:
             e_req = raw["e_req"]
@@ -170,7 +155,7 @@ def load_scenario(path: str, overrides: dict | None = None, sweep: bool = True) 
                 trial,
                 n_trials=raw["n_trials"],
                 strategy=SelectionStrategy(raw["scheme"].upper(), k=raw["k"]),
-                e_req=required_energy(params, mode) if e_req == "auto" else float(e_req),
+                e_req=required_energy(params, mode) if e_req == "auto" else e_req,
                 metric=raw["metric"],
             )
             entries = [v.strip() for v in str(raw["sweep_grid"]).split(",")]
@@ -205,7 +190,7 @@ def _fmt(x) -> str:
 def _write_csv(out_path: str, scenario: Scenario, header: str, rows: list) -> None:
     """Write the scenario's metadata lines, ``header`` and one line per row."""
     lines = [f"# version = {__version__}"]
-    lines += [f"# {k} = {_fmt(v)}" for k, v in sorted(scenario.raw.items()) if v is not None]
+    lines += [f"# {k} = {_fmt(v)}" for k, v in sorted(scenario.raw.items())]
     lines.append(header)
     lines += [",".join(_fmt(x) for x in row) for row in rows]
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:

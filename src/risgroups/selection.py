@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (DegenerateFitError, GammaFit, SystemParams, build_correlation_matrix,
-                      check_count, element_law, power_moments)
+                      check_count, element_law, incident_power, mean_snr_scale, power_moments)
 from .energy import EhModel
 from .specfun import reg_incomplete_beta, reg_lower_incomplete_gamma
 
@@ -37,20 +37,6 @@ class SelectionStrategy:
         if self.scheme not in ("RGS", "SBGS", "EBGS"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         check_count("k", self.k)
-
-
-def mean_snr_scale(params: SystemParams) -> float:
-    """End-to-end SNR per unit Z: P_tx rho_L^2 (d_sr d_rd)^-alpha / sigma0^2."""
-    return (
-        params.p_tx * params.rho_l ** 2
-        * (params.d_sr * params.d_rd) ** -params.alpha
-        / params.noise_power
-    )
-
-
-def incident_power(params: SystemParams) -> float:
-    """Power incident on one element per unit |h|^2: P_tx rho_L d_sr^-alpha."""
-    return params.p_tx * params.rho_l * params.d_sr ** -params.alpha
 
 
 def snr_threshold(r_req: float) -> float:

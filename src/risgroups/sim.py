@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import SystemParams, check_count, fit_gamma_product, sample_channels
+from .channel import SystemParams, check_count, fit_gamma_product, mean_snr_scale, sample_channels
 from .energy import EhModel, harvest_rate
 from .selection import (
     RisMode,
@@ -41,7 +41,6 @@ from .selection import (
     data_threshold,
     eh_wiring,
     fit_energy_distribution,
-    mean_snr_scale,
     outage_ebgs,
     outage_rgs,
     outage_sbgs,
@@ -179,9 +178,9 @@ def estimate_outage(points: Sequence, workers: int = 1) -> list[OutageEstimate]:
 def _apply_variable(params: SystemParams, cfg: TrialConfig, variable: str, value):
     if variable == "snr":
         # value is the mean SNR scale in dB; realized by adjusting P_tx
-        try:
+        try:  # the link at 1 W may itself overflow its budget (a ValueError)
             p_tx = 10.0 ** (float(value) / 10.0) / mean_snr_scale(replace(params, p_tx=1.0))
-        except ArithmeticError:
+        except (ArithmeticError, ValueError):
             p_tx = math.nan
         if not 0.0 < p_tx < math.inf:
             raise ValueError(f"no finite p_tx gives snr = {value} dB with this "

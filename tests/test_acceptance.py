@@ -388,7 +388,7 @@ def test_criterion_11_reproducibility(tmp_path):
 
     scenario = tmp_path / "repro.cfg"
     scenario.write_text(
-        "scheme = sbgs\nmetric = data\ngamma_th_db = 3\n"
+        "scheme = sbgs\nmetric = data\nr_req = 1.5826823549115563\n"
         "sweep_variable = snr\nsweep_grid = -56,-52,-48\n"
         "n_trials = 8192\nseed = 424242\n",
         encoding="utf-8",

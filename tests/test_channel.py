@@ -105,9 +105,14 @@ class TestSystemParams:
     lambda: SystemParams(d_sr=1e-200),
     lambda: SystemParams(d_sr=1e-200, d_rd=1e-200),
     lambda: SystemParams(d_sr=0.5, alpha=math.inf),
+    # finite path gains, but an incident power or an SNR per unit Z beyond a
+    # double: the nonlinear harvest or the PS bounds once read NaN
+    lambda: SystemParams(p_tx=1e308, rho_l=1.0, d_sr=0.5),
+    lambda: SystemParams(p_tx=1e297, d_sr=1e-5, d_rd=1e-5),
 ], ids=["k_h", "k_g", "k_h_inf", "alpha", "p_t", "p_ph", "eh_a", "eh_b", "eh_c",
         "gamma_shape", "gamma_scale", "k", "eh_a_inf", "eh_c_inf", "p_t_inf", "p_ph_inf",
-        "k_float", "gain_d_sr", "gain_d_sr_d_rd", "gain_alpha_inf"])
+        "k_float", "gain_d_sr", "gain_d_sr_d_rd", "gain_alpha_inf", "budget_incident",
+        "budget_snr"])
 def test_config_types_reject_nan(make):
     # every check is written so that NaN fails it, not as x < 0, which NaN passes
     with pytest.raises(ValueError):

@@ -27,7 +27,7 @@ rho = 0.4
 scheme = sbgs
 k = 2
 metric = data
-gamma_th_db = 3
+r_req = 1.5826823549115563
 sweep_variable = snr
 sweep_grid = -56,-52,-48
 n_trials = 4096
@@ -56,8 +56,8 @@ class TestLoadScenario:
         assert len(sc.points) == 3
         assert [c for _, c in sc.points] == [sc.trial] * 3
         assert sc.points[0][0].p_tx < sc.points[1][0].p_tx < sc.points[2][0].p_tx
-        # gamma_th in dB converted to a rate requirement
-        assert sc.trial.r_req == pytest.approx(math.log2(1.0 + 10.0 ** 0.3))
+        # the rate whose SNR threshold 2^r - 1 is 3 dB, as stated
+        assert sc.trial.r_req == math.log2(1.0 + 10.0 ** 0.3)
         # untouched keys fall back to defaults
         assert sc.params.m_per_group == 20
         assert sc.params.p_tx == pytest.approx(1.0)
@@ -120,24 +120,32 @@ class TestLoadScenario:
         ("noise_dbm = 1e308", "noise_dbm = 1e+308 overflows on conversion from dB"),
         ("p_t_dbm = 1e308", "p_t_dbm = 1e+308 overflows on conversion from dB"),
         ("p_ph_dbm = 1e308", "p_ph_dbm = 1e+308 overflows on conversion from dB"),
-        ("gamma_th_db = 1e308", "gamma_th_db = 1e+308 overflows on conversion from dB"),
         ("p_tx_dbm = -1e300", "p_tx_dbm = -1e+300 underflows to 0 W on conversion from dB"),
         ("noise_dbm = -1e300", "noise_dbm = -1e+300 underflows to 0 W on conversion from dB"),
         ("p_t_dbm = -1e300", "p_t_dbm = -1e+300 underflows to 0 W on conversion from dB"),
         ("p_ph_dbm = -1e300", "p_ph_dbm = -1e+300 underflows to 0 W on conversion from dB"),
-        ("r_req = 0.5\ngamma_th_db = 3", "r_req and gamma_th_db are both set; set only one"),
+        # r_req is the one threshold key: set r_req = log2(1 + 10^(G/10)) for G dB
+        ("gamma_th_db = 3", "unknown key 'gamma_th_db'"),
         # the SNR per watt underflows to 0, so the snr grid has no p_tx
         ("alpha = 1e4", "no finite p_tx gives snr = 0.0 dB with this rho_l, alpha,"),
         ("e_req = abc", "e_req = 'abc' is not a finite number"),
         # d_sr^-alpha overflows a double, which a run once met as a traceback
-        ("d_sr = 1e-200", "path gain (d_sr d_rd)^-alpha or d_sr^-alpha overflows "
-                          "(d_sr=1e-200, d_rd=20.0, alpha=2.0)"),
+        ("d_sr = 1e-200", "link budget overflows (p_tx=1.0, rho_l=0.0002951209226666387, "
+                          "d_sr=1e-200, d_rd=20.0, alpha=2.0, noise_power="),
+        # both path gains are finite, but the SNR per unit Z is not: the
+        # bounds once wrote NaN on every row
+        ("p_tx_dbm = 3000\nd_sr = 1e-5\nd_rd = 1e-5", "link budget overflows (p_tx=1e+297, "),
+        # the link at 1 W overflows, the scenario's own does not: no finite
+        # p_tx reaches the snr grid
+        ("rho_l = 1\nd_sr = 1e-5\nd_rd = 1e-5\nnoise_dbm = -2900\np_tx_dbm = -2900",
+         "no finite p_tx gives snr = 0.0 dB with this rho_l, alpha,"),
         ("eh = foo", "unknown EH model kind 'foo'"),
     ])
     def test_bad_scalar_is_a_clean_error(self, tmp_path, capsys, line, message):
         path = tmp_path / "scalar.cfg"
         path.write_text(line + "\n", encoding="utf-8")
-        with pytest.raises(ScenarioError, match=r"scalar\.cfg: " + re.escape(message)):
+        # a parse error (an unknown key) also names the line
+        with pytest.raises(ScenarioError, match=r"scalar\.cfg:(1:)? " + re.escape(message)):
             load_scenario(str(path))
         out = tmp_path / "x.csv"
         assert main(["run", str(path), "-o", str(out)]) == 2
@@ -180,9 +188,7 @@ class TestLoadScenario:
     def test_raw_keys_round_trip(self, tmp_path, shipped, sweep, keys):
         # a scenario written back from its raw keys loads to the same points
         text = shipped.read_text(encoding="utf-8")
-        # a drawn r_req takes the place of the file's gamma_th_db
-        dropped = set(keys) | ({"gamma_th_db"} if "r_req" in keys else set())
-        kept = [l for l in text.splitlines() if l.partition("=")[0].strip() not in dropped]
+        kept = [l for l in text.splitlines() if l.partition("=")[0].strip() not in keys]
         first = tmp_path / "first.cfg"
         first.write_text("\n".join(kept + [f"{k} = {v!r}" for k, v in keys.items()]) + "\n",
                          encoding="utf-8")
@@ -191,8 +197,7 @@ class TestLoadScenario:
         except ScenarioError:
             assume(False)
         again = tmp_path / "again.cfg"
-        again.write_text("".join(f"{k} = {v}\n" for k, v in sc.raw.items() if v is not None),
-                         encoding="utf-8")
+        again.write_text("".join(f"{k} = {v}\n" for k, v in sc.raw.items()), encoding="utf-8")
         back = load_scenario(str(again), sweep=sweep)
         assert back.points == sc.points
         assert back.sweep_grid == sc.sweep_grid
@@ -239,9 +244,7 @@ class TestRunCommand:
         meta = [l for l in lines if l.startswith("#")]
         data = [l for l in lines if not l.startswith("#")]
         assert [l for l in meta if l.startswith("# seed = ")] == ["# seed = 77"]
-        # gamma_th_db sets the rate, so the unused r_req is not echoed
-        assert "# gamma_th_db = 3" in meta
-        assert not [l for l in meta if l.startswith("# r_req")]
+        assert "# r_req = 1.5826823549115563" in meta
         assert data[0] == (
             "sweep_value,analytic_outage,empirical_outage,"
             "ci_halfwidth,n_trials,scheme,k,mode"
@@ -322,12 +325,15 @@ class TestRunCommand:
 
 @pytest.mark.parametrize("command, flags", [("run", ["--trials", "64"]), ("bounds", [])])
 def test_unset_keys_are_not_echoed(tmp_path, command, flags):
-    # a scenario without gamma_th_db sets r_req; the header echoes no empty key
+    # every key has a value, set or default, and the header echoes each one
+    # the command reads, once
     out = tmp_path / "out.csv"
     path = ROOT / "scenarios" / "bounds_ps_linear.cfg"
     assert main([command, str(path), "-o", str(out), *flags]) == 0
     meta = [l for l in out.read_text(encoding="utf-8").splitlines() if l.startswith("#")]
-    assert not [l for l in meta if l.startswith("# gamma_th_db") or l.endswith(" = None")]
+    keys = set(_DEFAULTS) - (set() if command == "run" else _SWEEP_KEYS)
+    assert sorted(l[2:].partition(" = ")[0] for l in meta) == sorted(keys | {"version"})
+    assert not [l for l in meta if l.endswith(" = None")]
     assert "# r_req = 0.5" in meta
 
 
@@ -359,8 +365,7 @@ class TestBoundsCommand:
         recorded = {line[2:].partition(" = ")[0]
                     for line in out.read_text(encoding="utf-8").splitlines()
                     if line.startswith("# ")}
-        # the unset gamma_th_db has no value to echo
-        assert recorded == (set(_DEFAULTS) - _SWEEP_KEYS - {"gamma_th_db"}) | {"version"}
+        assert recorded == (set(_DEFAULTS) - _SWEEP_KEYS) | {"version"}
         assert main(["run", str(path), "-o", str(tmp_path / "r.csv")]) == 2
 
     def test_csv_layout(self, tmp_path, capsys):
@@ -470,7 +475,7 @@ STRONG_LOS_DATA = """
 k_h = 1e5
 k_g = 1e5
 scheme = rgs
-gamma_th_db = 3
+r_req = 1.5826823549115563
 sweep_variable = snr
 sweep_grid = -57.66
 """

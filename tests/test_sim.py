@@ -254,12 +254,12 @@ class TestEstimateOutage:
 
     def test_infinite_incident_power_rejected(self):
         # w_p |h|^2 overflows to inf here; its NaN nonlinear harvest would lie
-        # below no e_req, so a true outage of 1 would read 0
-        p = SystemParams(p_tx=1e308, rho_l=1.0, d_sr=0.5)
+        # below no e_req, so a true outage of 1 would read 0.  An infinite
+        # incident power per unit |h|^2 fails the link budget check at once
         c = cfg(n_trials=64, strategy=SelectionStrategy("EBGS", k=1), eh=NONLINEAR_DEFAULT,
                 metric="energy", e_req=1e3)
-        with pytest.raises(ValueError, match="finite"):
-            one(p, c)
+        with pytest.raises(ValueError, match="link budget overflows"):
+            one(SystemParams(p_tx=1e308, rho_l=1.0, d_sr=0.5), c)
 
 
 class TestLinearHarvest:
