@@ -6,7 +6,7 @@ the data link while all groups harvest RF energy, plus a seeded Monte Carlo
 engine that validates every closed form.
 """
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"
 
 from .bounds import (
     FeasibleInterval,

@@ -9,18 +9,27 @@ g_c, the Gamma fit of Z and the energy fits, and ``sample_channels`` draws it.
 
 ``sample_channels`` is the only code that turns normals into channels, and it
 draws one shape, an (n, B) block of n trials of B groups, from the law of
-``params``.  Its stream is fixed: one ``standard_normal`` call of shape
-(n, M + 1, 2) per group column in turn, whose row i holds trial i's M
-per-element h normals and then the pair of its composite g_c = sum_j tilde_g_j,
-which alone enters Z and is drawn from its exact law CN(m_c, var_c).  A column
-is reduced to |tilde_h_j|^2, |h_c|^2 = |sum_j tilde_h_j|^2 and |g_c|^2 before
-the next is drawn.  Successive draws continue one stream, so the first b
-columns of a draw are the (n, b) draw and the first n rows of column 0 are the
-(n, 1) draw, bit for bit (from n = 2: numpy hands a one-row product to BLAS
-gemv, which rounds differently).  The result is a ``ChannelSnapshot`` of the
-real ``h_sq``, ``h_c_sq`` and ``g_c_sq`` whose h reductions run over the last
-(element) axis; indexing its batch axes (``snaps[d, 0]``, ``snaps[:, j]``)
-gives one group or one column.
+``params``, in the eigenbasis R = V Lambda V^T: h's eigen-coordinate
+c_i = (V^T h)_i is nu_i + s sqrt(lambda_i) u_i, with nu = V^T mus =
+sqrt(K/(K+1)) Lambda^(1/2) V^T 1, s = sqrt(cov[0, 0]/2) and u_i a complex
+normal of unit variance per real dimension.  Only the r leading coordinates
+are drawn, r being the fewest whose dropped eigenvalues sum to at most
+1e-12 tr R (13 of 20 at lambda/8, all M where R = I); a dropped coordinate is
+its mean nu_i.  Its stream is fixed: one ``standard_normal`` call of shape
+(n, r + 1, 2) per group column in turn, whose row i holds trial i's r
+coordinate normals u and then the pair of its composite g_c = sum_j tilde_g_j,
+which alone enters Z and is drawn from its exact law CN(m_c, var_c).  Row by
+row, before the next column is drawn and with no matrix product, a column
+reduces to sum_j |tilde_h_j|^2 = sum_i |c_i|^2 (V is orthogonal),
+h_c = sum_j tilde_h_j = sum_i (V^T 1)_i c_i and |g_c|^2.  Only when asked does
+it also form the per-element gains |tilde_h_j|^2 of
+h = mus + u @ (s Lambda_r^(1/2) V_r^T), which the nonlinear law and the bounds
+read, leaving every other output's bits as they are.  Successive draws
+continue one stream, so the first b columns of a draw are the (n, b) draw and
+the first n rows of column 0 are the (n, 1) draw, bit for bit (for the
+per-element gains from n = 2: numpy hands a one-row product to BLAS gemv, which
+rounds differently).  The result is a ``ChannelSnapshot``; indexing its batch
+axes (``snaps[d, 0]``, ``snaps[:, j]``) gives one group or one column.
 """
 
 import logging
@@ -36,6 +45,8 @@ logger = logging.getLogger(__name__)
 # negative eigenvalues beyond this are treated as genuinely indefinite,
 # not roundoff, and rejected
 _CLAMP_LIMIT = 1e-8
+# the share of tr R that the eigen-directions a draw leaves out may carry
+_DROPPED_TRACE = 1e-12
 
 
 def check_count(name: str, value, least: int = 1) -> None:
@@ -116,10 +127,20 @@ def incident_power(params: SystemParams) -> float:
 
 @dataclass(frozen=True)
 class CorrelationMatrix:
-    """Spatial correlation matrix with its precomputed principal square root."""
+    """Spatial correlation matrix with its principal square root and its
+    eigenpairs, the eigenvalues clamped to >= 0 and in descending order."""
 
     entries: np.ndarray = field(repr=False)
     sqrt_entries: np.ndarray = field(repr=False)
+    eigenvalues: np.ndarray = field(repr=False)
+    eigenvectors: np.ndarray = field(repr=False)
+
+    @property
+    def rank(self) -> int:
+        """r, the fewest leading eigenvalues whose dropped tail sums to at most
+        1e-12 tr R."""
+        tail = np.cumsum(self.eigenvalues[::-1])
+        return len(tail) - int(np.count_nonzero(tail <= _DROPPED_TRACE * np.trace(self.entries)))
 
 
 @dataclass(frozen=True)
@@ -147,7 +168,7 @@ class GammaFit:
 
 def build_correlation_matrix(params: SystemParams) -> CorrelationMatrix:
     """Sinc correlation R_ij = sin(t)/t, t = 2 pi |x_i - x_j| / lambda, of the
-    uniform linear array of one group, with its principal square root."""
+    uniform linear array of one group, with its principal square root and eigenpairs."""
     x = np.arange(params.m_per_group) * params.spacing
     t = 2.0 * math.pi * np.abs(x[:, None] - x[None, :]) / params.wavelength
     entries = np.divide(np.sin(t), t, out=np.ones_like(t), where=t != 0)
@@ -159,8 +180,9 @@ def build_correlation_matrix(params: SystemParams) -> CorrelationMatrix:
         )
     if worst < 0:
         logger.debug("clamping correlation eigenvalues by %.3e", -worst)
-    sqrt_entries = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
-    return CorrelationMatrix(entries=entries, sqrt_entries=sqrt_entries)
+    w = np.clip(w, 0.0, None)
+    return CorrelationMatrix(entries=entries, sqrt_entries=(v * np.sqrt(w)) @ v.T,
+                             eigenvalues=w[::-1], eigenvectors=v[:, ::-1])
 
 
 def sample_rician_vector(noise: np.ndarray, mean: float, var: float) -> np.ndarray:
@@ -175,43 +197,40 @@ def sample_rician_vector(noise: np.ndarray, mean: float, var: float) -> np.ndarr
     return gains
 
 
-def _abs_sq(x):
-    """|x|^2 as one multiply, in place on |x| so it allocates no second array."""
-    mag = np.abs(x)
-    mag *= mag
-    return mag
-
-
 @dataclass(frozen=True)
 class ChannelSnapshot:
-    """Per-element gains h_sq = |tilde_h_j|^2 of shape (*batch, M) and the
-    composite gains h_c_sq = |sum_j tilde_h_j|^2 (under the optimal common
-    phase) and g_c_sq = |g_c|^2 of shape (*batch), all real.
+    """The composite gains h_c_sq = |sum_j tilde_h_j|^2 (under the optimal
+    common phase) and g_c_sq = |g_c|^2 and the power sum sum_h_sq =
+    sum_j |tilde_h_j|^2, of shape (*batch), and, where a reader needs them, the
+    per-element gains h_sq = |tilde_h_j|^2 of shape (*batch, M), else None; all real.
 
-    Every h reduction runs over the last (element) axis, so a batch reduces
+    Every h_sq reduction runs over the last (element) axis, so a batch reduces
     to the bits its rows would give one at a time.
     """
 
-    h_sq: np.ndarray = field(repr=False)
     h_c_sq: np.ndarray = field(repr=False)
     g_c_sq: np.ndarray = field(repr=False)
+    sum_h_sq: np.ndarray = field(repr=False)
+    h_sq: np.ndarray | None = field(default=None, repr=False)
 
     def __getitem__(self, key):
         """The snapshot at ``key`` of the batch axes, e.g. ``snaps[d, 0]``."""
-        return ChannelSnapshot(h_sq=self.h_sq[key], h_c_sq=self.h_c_sq[key],
-                               g_c_sq=self.g_c_sq[key])
-
-    @property
-    def sum_h_sq(self):
-        return np.sum(self.h_sq, axis=-1)
+        return ChannelSnapshot(h_c_sq=self.h_c_sq[key], g_c_sq=self.g_c_sq[key],
+                               sum_h_sq=self.sum_h_sq[key],
+                               h_sq=None if self.h_sq is None else self.h_sq[key])
 
     @property
     def h_min_sq(self):
-        return np.min(self.h_sq, axis=-1)
+        return np.min(self._elements(), axis=-1)
 
     @property
     def h_max_sq(self):
-        return np.max(self.h_sq, axis=-1)
+        return np.max(self._elements(), axis=-1)
+
+    def _elements(self):
+        if self.h_sq is None:
+            raise ValueError("snapshot has no per-element gains: draw it with per_element=True")
+        return self.h_sq
 
     @property
     def z(self):
@@ -238,26 +257,54 @@ def power_moments(mus: np.ndarray, cov: np.ndarray) -> tuple[float, float]:
     return mean, float(np.sum(2.0 * np.outer(mus, mus) * cov + cov ** 2))
 
 
-def sample_channels(params: SystemParams, shape: tuple,
-                    rng: np.random.Generator) -> ChannelSnapshot:
+def _element_gains(u: np.ndarray, factor: np.ndarray, mus: np.ndarray, out: np.ndarray):
+    """re^2 + im^2 of h = mus + u @ factor into ``out``, from the (n, r, 2) normals u."""
+    h = u.view(np.complex128)[..., 0] @ factor
+    h.real += mus
+    np.multiply(h.real, h.real, out=out)
+    out += h.imag * h.imag
+
+
+def sample_channels(params: SystemParams, shape: tuple, rng: np.random.Generator,
+                    per_element: bool = False) -> ChannelSnapshot:
     """Draw an ``(n, B)`` block, one normal call per group column.  Row i holds
-    trial i's M h normals w, so h = mus + w @ root, root = sqrt(cov[0, 0]/2)
-    R^(1/2) (R's diagonal is 1), and then the pair of its g_c ~ CN(m_c, var_c)."""
+    trial i's r eigen-coordinate normals u, then the pair of its g_c ~ CN(m_c, var_c);
+    ``per_element`` also forms every |h_j|^2, which only the nonlinear law and the
+    bounds read."""
     n, b = shape
-    m = params.m_per_group
     corr = build_correlation_matrix(params)
     mus, cov = element_law(corr, params.k_h)
     m_c, var_c = (x.item() for x in composite_law(corr, params.k_g))
-    root = math.sqrt(0.5 * cov[0, 0]) * corr.sqrt_entries
-    h_sq, h_c_sq, g_c_sq = np.empty((n, b, m)), np.empty((n, b)), np.empty((n, b))
+    r, root_w = corr.rank, np.sqrt(corr.eigenvalues)
+    # V^T 1, and V^T mus from the eigenpairs alone: mus' R^(1/2) is a BLAS
+    # product, which rounds by the thread count at some M
+    ones = np.sum(corr.eigenvectors, axis=0)
+    nu = math.sqrt(params.k_h / (params.k_h + 1.0)) * root_w * ones
+    scale = math.sqrt(0.5 * cov[0, 0]) * root_w[:r]
+    factor = scale[:, None] * corr.eigenvectors[:, :r].T
+    # each dropped coordinate is its mean
+    dropped_sq, dropped_c = float(np.sum(nu[r:] ** 2)), float(np.sum(ones[r:] * nu[r:]))
+    # per normal of a row: the scale s sqrt(lambda_i) and mean (nu_i, 0) of each
+    # coordinate pair, then 1 and 0 for the g pair, which passes unchanged
+    row_scale = np.append(np.repeat(scale, 2), [1.0, 1.0])
+    row_mean = np.append(np.stack([nu[:r], np.zeros(r)], -1), [0.0, 0.0])
+    h_c_sq, g_c_sq, sum_h_sq = np.empty((n, b)), np.empty((n, b)), np.empty((n, b))
+    h_sq = np.empty((n, b, params.m_per_group)) if per_element else None
     for j in range(b):
-        noise = rng.standard_normal((n, m + 1, 2))
-        tilde_h = noise[:, :m].view(np.complex128)[..., 0] @ root
-        tilde_h.real += mus
-        h_sq[:, j] = _abs_sq(tilde_h)
-        h_c_sq[:, j] = _abs_sq(np.sum(tilde_h, axis=-1))
-        g_c_sq[:, j] = _abs_sq(sample_rician_vector(noise[:, m], m_c, var_c))
-    return ChannelSnapshot(h_sq=h_sq, h_c_sq=h_c_sq, g_c_sq=g_c_sq)
+        noise = rng.standard_normal((n, r + 1, 2))
+        if per_element:
+            _element_gains(noise[:, :r], factor, mus, out=h_sq[:, j])
+        row = noise.reshape(n, 2 * r + 2)  # c_i = nu_i + s sqrt(lambda_i) u_i, in place
+        row *= row_scale
+        row += row_mean
+        coords = row[:, :2 * r]
+        sum_h_sq[:, j] = np.einsum("ij,ij->i", coords, coords) + dropped_sq
+        re = np.einsum("ij,j->i", coords[:, 0::2], ones[:r]) + dropped_c
+        im = np.einsum("ij,j->i", coords[:, 1::2], ones[:r])
+        h_c_sq[:, j] = re * re + im * im
+        g_c = sample_rician_vector(noise[:, r], m_c, var_c)
+        g_c_sq[:, j] = g_c.real * g_c.real + g_c.imag * g_c.imag
+    return ChannelSnapshot(h_c_sq=h_c_sq, g_c_sq=g_c_sq, sum_h_sq=sum_h_sq, h_sq=h_sq)
 
 
 def fit_gamma_product(params: SystemParams) -> GammaFit:

@@ -222,7 +222,8 @@ def run_bounds(scenario: Scenario, out_path: str) -> int:
     params = scenario.params
     trial = scenario.trial
     # at least two rows: BLAS rounds a one-row product differently
-    snaps = sample_channels(params, (max(2, scenario.n_draws), 1), block_rng(trial.seed, 0))
+    snaps = sample_channels(params, (max(2, scenario.n_draws), 1), block_rng(trial.seed, 0),
+                            per_element=True)
     rows = []
     any_feasible = False
     for draw in range(scenario.n_draws):

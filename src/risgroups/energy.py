@@ -44,5 +44,8 @@ def harvest_rate(model: EhModel, incident_power):
         raise ValueError("incident powers must be nonnegative, finite and not NaN")
     if model.kind == "linear":
         return p
-    return (model.a - model.b / model.c) * (p / (p + model.c))
+    t = np.asarray(p + model.c)  # an array even for a 0-d p, so the divide can write into it
+    np.divide(p, t, out=t)
+    t *= model.a - model.b / model.c
+    return t
 

@@ -20,9 +20,11 @@ part of the law: the first b columns of a wider block are the b-group block,
 so a sweep over b draws once at its widest b and evaluates each point on its
 own first b columns.  A sweep over spacing still draws once per point.  The
 linear EH law is additive, so it harvests each group's power sum sum_j |h_j|^2,
-reduced once per block if a point uses that law (a row sum does not depend on
-b); only the nonlinear law harvests per element.  Data points compute the
-energy too, because the benchmark traces ``harvest_rate`` there.
+which every block reduces from its r eigen-coordinates per group; only the
+nonlinear law harvests per element, so a block forms the (n, B, M) per-element
+gains only if a point of its law uses that law, and its z and power sums have
+the same bits either way.  Data points compute the energy too, because the
+benchmark traces ``harvest_rate`` there.
 """
 
 import itertools
@@ -85,11 +87,13 @@ def block_rng(seed: int, block_idx: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(ss))
 
 
-def simulate_block(params: SystemParams, n: int, rng: np.random.Generator):
-    """The z and h_sq of ``sample_channels`` over shape (n, B), kept only for the
-    benchmark's trace and draw count; ROADMAP item 1 deletes it."""
-    snap = sample_channels(params, (n, params.b_groups), rng)
-    return snap.z, snap.h_sq
+def simulate_block(params: SystemParams, n: int, rng: np.random.Generator,
+                   per_element: bool = False):
+    """The z, h_sq (None unless ``per_element``) and sum_h_sq of ``sample_channels``
+    over shape (n, B), kept only for the benchmark's trace and draw count; ROADMAP
+    item 1 deletes it."""
+    snap = sample_channels(params, (n, params.b_groups), rng, per_element)
+    return snap.z, snap.h_sq, snap.sum_h_sq
 
 
 def _group_energy(params: SystemParams, mode: RisMode, eh: EhModel, h_sq, sum_h_sq):
@@ -120,11 +124,12 @@ def _block_failures(points: list, n: int, block_idx: int) -> list[int]:
     """Failures of each point on one block, drawn at the b of ``points[0]``, the
     widest; each point is evaluated on its own first b group columns."""
     params, cfg = points[0]
-    z, h_sq = simulate_block(params, n, block_rng(cfg.seed, block_idx))
-    linear = any(c.eh.kind == "linear" for _, c in points)
-    sum_h_sq = h_sq.sum(axis=-1) if linear else None
-    return [_point_failures(p, c, z[:, :p.b_groups], h_sq[:, :p.b_groups],
-                            sum_h_sq[:, :p.b_groups] if linear else None)
+    nonlinear = any(c.eh.kind == "nonlinear" for _, c in points)
+    z, h_sq, sum_h_sq = simulate_block(params, n, block_rng(cfg.seed, block_idx),
+                                       per_element=nonlinear)
+    return [_point_failures(p, c, z[:, :p.b_groups],
+                            None if h_sq is None else h_sq[:, :p.b_groups],
+                            sum_h_sq[:, :p.b_groups])
             for p, c in points]
 
 

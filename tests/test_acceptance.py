@@ -162,7 +162,7 @@ def test_criterion_05_feasibility_boundary_equalities():
     headroom = nl.a - w / m - nl.b / nl.c
     worst = 0.0
     rate_limited = 0
-    snaps = sample_channels(params, (1, 100), np.random.default_rng(105))
+    snaps = sample_channels(params, (1, 100), np.random.default_rng(105), per_element=True)
     for d in range(100):
         snap = snaps[0, d]
         pl_sr = params.p_tx * params.rho_l * params.d_sr ** -params.alpha

@@ -31,7 +31,7 @@ PARAMS = SystemParams(rho_l=0.1, d_sr=2.0, d_rd=3.0, noise_power=0.05)
 
 
 def snapshot(seed: int, params: SystemParams = PARAMS) -> ChannelSnapshot:
-    return sample_channels(params, (1, 1), np.random.default_rng(seed))[0, 0]
+    return sample_channels(params, (1, 1), np.random.default_rng(seed), per_element=True)[0, 0]
 
 
 def _harvest(model, incident_powers, duration: float) -> float:
@@ -42,8 +42,7 @@ def _harvest(model, incident_powers, duration: float) -> float:
 class TestSnapshot:
     def test_derived_quantities(self):
         # tilde_h = (1, i)
-        snap = ChannelSnapshot(h_sq=np.array([1.0, 1.0]), h_c_sq=2.0, g_c_sq=4.0)
-        assert snap.sum_h_sq == pytest.approx(2.0)
+        snap = ChannelSnapshot(h_c_sq=2.0, g_c_sq=4.0, sum_h_sq=2.0, h_sq=np.array([1.0, 1.0]))
         assert snap.h_min_sq == pytest.approx(1.0)
         assert snap.z == pytest.approx(8.0)
 
@@ -127,16 +126,17 @@ class TestPsNonlinear:
         # there, the limit of ever weaker elements, instead of inf/inf
         params = replace(PARAMS, m_per_group=2, n_total=2 * PARAMS.b_groups)
         iv = rho_bounds_nonlinear(params, NONLINEAR_DEFAULT,
-                                  ChannelSnapshot(h_sq=np.array([0.0, 1.0]), h_c_sq=1.0,
-                                                  g_c_sq=1.0), 1.0)
+                                  ChannelSnapshot(h_c_sq=1.0, g_c_sq=1.0, sum_h_sq=1.0,
+                                                  h_sq=np.array([0.0, 1.0])), 1.0)
         weak = rho_bounds_nonlinear(params, NONLINEAR_DEFAULT,
-                                    ChannelSnapshot(h_sq=np.array([1e-300, 1.0]), h_c_sq=1.0,
-                                                    g_c_sq=1.0), 1.0)
+                                    ChannelSnapshot(h_c_sq=1.0, g_c_sq=1.0, sum_h_sq=1.0,
+                                                    h_sq=np.array([1e-300, 1.0])), 1.0)
         assert iv == weak
         assert iv.feasible and 0.0 < iv.lower < 1.0 and iv.upper == 1.0
         # no SNR at all, or a rate that needs an infinite one, still reads 0
         for h_c_sq, r_req in ((0.0, 1.0), (1.0, 2000.0)):
-            snap = ChannelSnapshot(h_sq=np.array([0.0, 1.0]), h_c_sq=h_c_sq, g_c_sq=1.0)
+            snap = ChannelSnapshot(h_c_sq=h_c_sq, g_c_sq=1.0, sum_h_sq=1.0,
+                                   h_sq=np.array([0.0, 1.0]))
             iv = rho_bounds_nonlinear(params, NONLINEAR_DEFAULT, snap, r_req)
             assert iv.cause == "rate-limited" and iv.upper == 0.0
 

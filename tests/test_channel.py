@@ -1,6 +1,7 @@
 """Correlated Rician channel construction and the Gamma law of Z."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -172,6 +173,80 @@ class TestCorrelationMatrix:
                 np.testing.assert_array_max_ulp(entries[i, j], ref, maxulp=1)
 
 
+SHIPPED_SPACINGS = [0.05, 0.033333333, 0.025, 0.016666667, 0.0125]
+
+
+def _factor(p, corr):
+    """F = s Lambda_r^(1/2) V_r^T with s = sqrt(cov[0, 0]/2): h = mus + u @ F."""
+    _, cov = element_law(corr, p.k_h)
+    r = corr.rank
+    scale = math.sqrt(0.5 * cov[0, 0]) * np.sqrt(corr.eigenvalues[:r])
+    return scale[:, None] * corr.eigenvectors[:, :r].T
+
+
+class TestEigenDraw:
+    @pytest.mark.parametrize("m", [10, 20])
+    @pytest.mark.parametrize("spacing", SHIPPED_SPACINGS)
+    def test_factor_reproduces_the_covariance(self, m, spacing):
+        # the r kept eigen-directions carry the law to within 1e-12 tr R: u @ F
+        # has the per-dimension covariance F^T F of cov / 2
+        p = _params(m, spacing)
+        corr = build_correlation_matrix(p)
+        _, cov = element_law(corr, p.k_h)
+        factor = _factor(p, corr)
+        assert np.max(np.abs(factor.T @ factor - 0.5 * cov)) <= 1e-12 * np.trace(corr.entries)
+        assert np.all(np.diff(corr.eigenvalues) <= 0.0) and corr.eigenvalues[-1] >= 0.0
+        if spacing == 0.05:
+            assert corr.rank == m  # R = I keeps every direction
+
+    def test_ranks_at_lambda_over_8(self):
+        # the line aperture's degrees of freedom: 13 of 20 and 9 of 10
+        assert [build_correlation_matrix(_params(m, 0.0125)).rank for m in (20, 10)] == [13, 9]
+
+    @pytest.mark.parametrize("k_h, spacing", [(1.0, 0.0125), (2.0, 0.025), (0.5, 0.05)])
+    def test_coordinate_sums_equal_the_element_sums(self, k_h, spacing):
+        # the coordinates' power sum and composite are those of the per-element
+        # gains drawn from the same normals
+        p = replace(_params(20, spacing), k_h=k_h)
+        corr = build_correlation_matrix(p)
+        mus, _ = element_law(corr, p.k_h)
+        n, r = 3000, corr.rank
+        snap = sample_channels(p, (n, 1), np.random.default_rng(5), per_element=True)[:, 0]
+        noise = np.random.default_rng(5).standard_normal((n, r + 1, 2))
+        h = (noise[:, :r, 0] + 1j * noise[:, :r, 1]) @ _factor(p, corr) + mus
+        np.testing.assert_allclose(snap.h_sq, np.abs(h) ** 2, rtol=1e-12)
+        np.testing.assert_allclose(snap.sum_h_sq, np.sum(np.abs(h) ** 2, axis=-1), rtol=1e-12)
+        np.testing.assert_allclose(snap.sum_h_sq, np.sum(snap.h_sq, axis=-1), rtol=1e-12)
+        np.testing.assert_allclose(snap.h_c_sq, np.abs(np.sum(h, axis=-1)) ** 2, rtol=1e-12)
+
+    @pytest.mark.parametrize("m", [10, 20])
+    def test_per_element_gains_leave_the_rest_unchanged(self, m):
+        # a point's z and power sum never depend on whether a nonlinear point
+        # sharing its law made the block form per-element gains
+        p = SystemParams(m_per_group=m, n_total=m * 20)
+        lean = sample_channels(p, (500, 20), np.random.default_rng(6))
+        full = sample_channels(p, (500, 20), np.random.default_rng(6), per_element=True)
+        for name in ("z", "sum_h_sq", "h_c_sq", "g_c_sq"):
+            np.testing.assert_array_equal(getattr(lean, name), getattr(full, name), err_msg=name)
+
+    @pytest.mark.parametrize("k_h, spacing", [(1.0, 0.0125), (0.0, 0.025), (3.0, 0.05)])
+    def test_drawn_moments_match_the_law(self, k_h, spacing):
+        # drawn without per-element gains, the power sum has the mean and
+        # variance of power_moments over element_law, and the composite those
+        # over composite_law, each within 4 standard errors
+        n = 200_000
+        p = replace(_params(20, spacing), k_h=k_h)
+        corr = build_correlation_matrix(p)
+        snap = sample_channels(p, (n, 1), np.random.default_rng(43))[:, 0]
+        for drawn, law in ((snap.sum_h_sq, element_law(corr, k_h)),
+                           (snap.h_c_sq, composite_law(corr, k_h))):
+            mean, var = power_moments(*law)
+            dev_sq = (drawn - drawn.mean()) ** 2
+            m2, m4 = float(dev_sq.mean()), float(np.mean(dev_sq ** 2))
+            assert abs(float(drawn.mean()) - mean) <= 4.0 * math.sqrt(m2 / n)
+            assert abs(m2 - var) <= 4.0 * math.sqrt((m4 - m2 ** 2) / n)
+
+
 class TestRicianSampling:
     def test_moments(self):
         # CN(mean, var): the real and imaginary means, the power of h - mean
@@ -211,15 +286,24 @@ class TestRicianSampling:
 
 class TestCorrelateComposite:
     def test_correlate_applies_sqrt(self):
+        # the per-element gains are formed only when asked for
         p = SystemParams(m_per_group=5, n_total=5 * 20)
-        one = sample_channels(p, (3, 2), np.random.default_rng(4))
+        one = sample_channels(p, (3, 2), np.random.default_rng(4), per_element=True)
         assert one.h_sq.shape == (3, 2, 5)
-        assert one.h_c_sq.shape == one.g_c_sq.shape == (3, 2)
+        assert one.h_c_sq.shape == one.g_c_sq.shape == one.sum_h_sq.shape == (3, 2)
+        lean = sample_channels(p, (3, 2), np.random.default_rng(4))
+        assert lean.h_sq is None
+        # a reader of the per-element gains says how to get them, rather than
+        # failing on None deep inside a bound
+        for name in ("h_min_sq", "h_max_sq"):
+            with pytest.raises(ValueError, match="per_element=True"):
+                getattr(lean[0, 0], name)
 
     def test_composite_is_sum(self):
         v = np.array([1 + 1j, 2 - 1j, -0.5 + 0.25j])
         h_c_sq = abs(np.sum(v)) ** 2
-        snap = ChannelSnapshot(h_sq=np.abs(v) ** 2, h_c_sq=h_c_sq, g_c_sq=4.0 * h_c_sq)
+        snap = ChannelSnapshot(h_c_sq=h_c_sq, g_c_sq=4.0 * h_c_sq,
+                               sum_h_sq=float(np.sum(np.abs(v) ** 2)), h_sq=np.abs(v) ** 2)
         assert snap.z == pytest.approx(4.0 * abs(np.sum(v)) ** 4)
 
 
@@ -240,12 +324,14 @@ class TestChannelSnapshot:
     def test_batch_reductions_match_rows(self, gains):
         # one snapshot type serves a block of trials and a single group
         h_sq, h_c_sq, g_c_sq = gains
-        batch = ChannelSnapshot(h_sq=h_sq, h_c_sq=h_c_sq, g_c_sq=g_c_sq)
+        batch = ChannelSnapshot(h_c_sq=h_c_sq, g_c_sq=g_c_sq, sum_h_sq=np.sum(h_sq, axis=-1),
+                                h_sq=h_sq)
         # every reduction runs over the last axis, so each row, and the batch
         # indexed at it, gives the bits of its batch row
         names = ("h_sq", "sum_h_sq", "h_min_sq", "h_max_sq", "h_c_sq", "g_c_sq", "z")
         for i in range(h_sq.shape[0]):
-            row = ChannelSnapshot(h_sq=h_sq[i], h_c_sq=h_c_sq[i], g_c_sq=g_c_sq[i])
+            row = ChannelSnapshot(h_c_sq=h_c_sq[i], g_c_sq=g_c_sq[i],
+                                  sum_h_sq=np.sum(h_sq[i], axis=-1), h_sq=h_sq[i])
             for name in names:
                 np.testing.assert_array_equal(
                     getattr(batch, name)[i], getattr(row, name), err_msg=name
@@ -265,7 +351,7 @@ class TestElementLaw:
         p = SystemParams(m_per_group=8, n_total=8 * 20, k_h=k_h, spacing=spacing)
         corr = build_correlation_matrix(p)
         mus, cov = element_law(corr, p.k_h)
-        snap = sample_channels(p, (n, 1), np.random.default_rng(41))[:, 0]
+        snap = sample_channels(p, (n, 1), np.random.default_rng(41), per_element=True)[:, 0]
         power_cov = 2.0 * np.outer(mus, mus) * cov + cov ** 2
         se_mean = np.sqrt(np.diag(power_cov) / n)
         h_sq = snap.h_sq

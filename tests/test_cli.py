@@ -403,9 +403,9 @@ class TestBoundsCommand:
         # snapshot d does not depend on n_draws
         calls = collections.Counter()
         for name in ("block_rng", "sample_channels"):
-            def counting(*args, _fn=getattr(cli, name), _name=name):
+            def counting(*args, _fn=getattr(cli, name), _name=name, **kwargs):
                 calls[_name] += 1
-                return _fn(*args)
+                return _fn(*args, **kwargs)
             monkeypatch.setattr(cli, name, counting)
         rows = {}
         for n_draws in (10, 25):
@@ -454,11 +454,12 @@ class TestBoundsCommand:
         scenario = load_scenario(str(ROOT / "scenarios" / "bounds_ps_linear.cfg"),
                                  {"n_draws": n_draws}, sweep=False)
         assert cli.run_bounds(scenario, os.devnull) == 0
-        z, h_sq = sim.simulate_block(scenario.params, sim.BLOCK_SIZE,
-                                     sim.block_rng(scenario.trial.seed, 0))
+        z, h_sq, sum_h_sq = sim.simulate_block(scenario.params, sim.BLOCK_SIZE,
+                                               sim.block_rng(scenario.trial.seed, 0),
+                                               per_element=True)
         assert len(snaps) == n_draws
         for d, snap in enumerate(snaps):
-            assert snap.z == z[d, 0]
+            assert snap.z == z[d, 0] and snap.sum_h_sq == sum_h_sq[d, 0]
             np.testing.assert_array_equal(snap.h_sq, h_sq[d, 0])
 
 

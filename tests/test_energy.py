@@ -42,6 +42,17 @@ class TestEhModel:
         exact = [float((a * x + b) / (x + c) - b / c) for x in map(Fraction, p.tolist())]
         np.testing.assert_allclose(harvest_rate(m, p), exact, rtol=1e-15, atol=0.0)
 
+    @pytest.mark.parametrize("shape", [(), (7,), (64, 20, 20)])
+    def test_nonlinear_is_the_saturation_times_the_fraction(self, shape):
+        # the harvest is (a - b/c) * (p / (p + c)) bit for bit, for a 0-d
+        # power (a bound's) as for a block's (n, B, M) gains, and leaves its
+        # input as it was
+        m = NONLINEAR_DEFAULT
+        p = np.random.default_rng(3).exponential(0.5, size=shape)
+        given = p.copy()
+        np.testing.assert_array_equal(harvest_rate(m, p), (m.a - m.b / m.c) * (p / (p + m.c)))
+        np.testing.assert_array_equal(p, given)
+
     def test_nonlinear_monotone_concave(self):
         p = np.linspace(0.0, 10.0, 200)
         r = harvest_rate(NONLINEAR_DEFAULT, p)
@@ -83,13 +94,14 @@ class TestHarvest:
         # columns of 3281 rows, each drawn and reduced by its own normal call
         n = 3281
         # the block is the sampler's draw of group by group h and g, from one stream
-        snap = sample_channels(p, (n, p.b_groups), block_rng(2, 0))
+        snap = sample_channels(p, (n, p.b_groups), block_rng(2, 0), per_element=True)
         incident = p.p_tx * p.rho_l * p.d_sr ** -p.alpha * snap.h_sq
-        z, h_sq = simulate_block(p, n, block_rng(2, 0))
+        z, h_sq, sum_h_sq = simulate_block(p, n, block_rng(2, 0), per_element=True)
         np.testing.assert_array_equal(h_sq, snap.h_sq)
+        np.testing.assert_array_equal(sum_h_sq, snap.sum_h_sq)
         np.testing.assert_array_equal(z, snap.z)
         for eh in (EhModel(), NONLINEAR_DEFAULT):
-            harvested = _group_energy(p, RisMode("TS", zeta=0.25), eh, h_sq, h_sq.sum(axis=-1))
+            harvested = _group_energy(p, RisMode("TS", zeta=0.25), eh, h_sq, sum_h_sq)
             expected = 0.25 * p.t_s * harvest_rate(eh, incident).sum(axis=-1)
             np.testing.assert_allclose(harvested, expected, rtol=1e-12)
 

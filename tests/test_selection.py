@@ -71,7 +71,7 @@ class TestDataThreshold:
         # on one simulate_block draw, at each data_snr_sbgs point, the groups
         # below the Z threshold are those whose rate misses r_req
         sc = load_scenario(str(ROOT / "scenarios" / "data_snr_sbgs.cfg"))
-        z, _ = simulate_block(sc.params, 4096, block_rng(5, 0))
+        z, _, _ = simulate_block(sc.params, 4096, block_rng(5, 0))
         counts = []
         for p, c in sc.points:
             snr_per_z, f = data_wiring(p, mode)
@@ -182,7 +182,7 @@ class TestEhWiring:
 
 
 def _simulate_group_energy(params, mode, eh, n, seed):
-    snap = sample_channels(params, (n, 1), np.random.default_rng(seed))[:, 0]
+    snap = sample_channels(params, (n, 1), np.random.default_rng(seed), per_element=True)[:, 0]
     dur, w_p = eh_wiring(params, mode)
     return dur * harvest_rate(eh, w_p * snap.h_sq).sum(axis=1)
 

@@ -61,27 +61,31 @@ class TestBlockRng:
 
 class TestSimulateBlock:
     def test_shapes_and_signs(self):
-        z, h_sq = simulate_block(PARAMS, 7, block_rng(1, 0))
-        assert z.shape == (7, PARAMS.b_groups)
+        z, h_sq, sum_h_sq = simulate_block(PARAMS, 7, block_rng(1, 0), per_element=True)
+        assert z.shape == sum_h_sq.shape == (7, PARAMS.b_groups)
         assert h_sq.shape == (7, PARAMS.b_groups, PARAMS.m_per_group)
-        assert np.all(z >= 0.0)
+        assert np.all(z >= 0.0) and np.all(sum_h_sq >= 0.0)
         assert np.all(h_sq >= 0.0)
+        assert simulate_block(PARAMS, 7, block_rng(1, 0))[1] is None
 
     @pytest.mark.parametrize("n", [1, 3, 3277],
                              ids=["one-row", "three-rows", "one-column-of-3277-rows"])
     def test_stream_layout(self, n, monkeypatch):
-        # a block is the sampler's draw: group by group one (n, M + 1, 2)
-        # normal call whose row i is trial i's M h normals, then its g_c pair,
-        # with no draw before or between the columns.  Each column reduces to
-        # the bits of the law drawn from those normals: h = mus + w @ root, w
-        # the complex h normals and root = sqrt(cov₀₀/2) R^½, and g_c = m_c
-        # plus the g pair scaled by sqrt(var_c/2), the only sample_rician_vector
-        # call of the column
+        # a block is the sampler's draw: group by group one (n, r + 1, 2)
+        # normal call whose row i is trial i's r eigen-coordinate normals u,
+        # then its g_c pair, with no draw before or between the columns.  Each
+        # column reduces to the bits of the coordinates c = nu + s sqrt(lambda) u,
+        # nu = V^T mus and s = sqrt(cov₀₀/2): the power sum sum_i |c_i|^2, the
+        # composite sum_i (V^T 1)_i c_i, each dropped coordinate counting its
+        # mean, and g_c = m_c plus the g pair scaled by sqrt(var_c/2), the only
+        # sample_rician_vector call of the column
         p = replace(PARAMS, b_groups=5, n_total=5 * PARAMS.m_per_group,
                     k_h=2.0, k_g=0.5)
-        b, m = p.b_groups, p.m_per_group
-        z, h_sq = simulate_block(p, n, block_rng(1, 0))
+        b = p.b_groups
         corr = build_correlation_matrix(p)
+        r, vecs = corr.rank, corr.eigenvectors
+        assert r == 13
+        z, h_sq, sum_h_sq = simulate_block(p, n, block_rng(1, 0))
 
         class CountingRng:
             def __init__(self, rng):
@@ -101,48 +105,74 @@ class TestSimulateBlock:
         counting = CountingRng(block_rng(1, 0))
         snap = sample_channels(p, (n, b), counting)
         np.testing.assert_array_equal(z, snap.z)
-        np.testing.assert_array_equal(h_sq, snap.h_sq)
-        assert counting.shapes == [(n, m + 1, 2)] * b
+        np.testing.assert_array_equal(sum_h_sq, snap.sum_h_sq)
+        assert h_sq is None and snap.h_sq is None
+        assert counting.shapes == [(n, r + 1, 2)] * b
 
         rng = block_rng(1, 0)
         mus, cov = element_law(corr, p.k_h)
         (m_c,), ((var_c,),) = composite_law(corr, p.k_g)
         assert laws == [((n, 2), m_c, var_c)] * b
-        root = math.sqrt(0.5 * cov[0, 0]) * corr.sqrt_entries
+        # nu = V^T mus = sqrt(K/(K+1)) Lambda^(1/2) V^T 1, from the eigenpairs alone
+        ones = np.sum(vecs, axis=0)
+        nu = math.sqrt(p.k_h / (p.k_h + 1.0)) * np.sqrt(corr.eigenvalues) * ones
+        np.testing.assert_allclose(nu, vecs.T @ mus, rtol=0.0, atol=1e-12)
+        scale = math.sqrt(0.5 * cov[0, 0]) * np.sqrt(corr.eigenvalues[:r])
         for j in range(b):
-            noise = rng.standard_normal((n, m + 1, 2))
-            w, g = noise[:, :m], math.sqrt(0.5 * var_c) * noise[:, m]
-            tilde_h = (w[..., 0] + 1j * w[..., 1]) @ root + mus
-            np.testing.assert_array_equal(snap.h_sq[:, j], np.abs(tilde_h) ** 2)
-            np.testing.assert_array_equal(snap.h_c_sq[:, j],
-                                          np.abs(np.sum(tilde_h, axis=-1)) ** 2)
-            g_c = m_c + g[..., 0] + 1j * g[..., 1]
-            np.testing.assert_array_equal(snap.g_c_sq[:, j], np.abs(g_c) ** 2)
+            noise = rng.standard_normal((n, r + 1, 2))
+            re = noise[:, :r, 0] * scale + nu[:r]
+            im = noise[:, :r, 1] * scale
+            pairs = np.stack([re, im], axis=-1).reshape(n, 2 * r)
+            np.testing.assert_array_equal(
+                snap.sum_h_sq[:, j],
+                np.einsum("ij,ij->i", pairs, pairs) + float(np.sum(nu[r:] ** 2)))
+            h_c_re = (np.einsum("ij,j->i", pairs[:, 0::2], ones[:r])
+                      + float(np.sum(ones[r:] * nu[r:])))
+            h_c_im = np.einsum("ij,j->i", pairs[:, 1::2], ones[:r])
+            np.testing.assert_array_equal(snap.h_c_sq[:, j], h_c_re * h_c_re + h_c_im * h_c_im)
+            g = math.sqrt(0.5 * var_c) * noise[:, r]
+            g_re = g[:, 0] + m_c
+            np.testing.assert_array_equal(snap.g_c_sq[:, j], g_re * g_re + g[:, 1] * g[:, 1])
 
-    @pytest.mark.parametrize("m", [10, 20])
+    @pytest.mark.parametrize("m", [10, 20, 100])
     @pytest.mark.parametrize("n", [2, 7, 2500])
     def test_one_column_draw_is_a_row_prefix(self, n, m):
         # rows are trials, so an (n, 1) draw, such as the bounds command's, is
-        # trial by trial group 0 of a full block.  From two rows on: a one-row
-        # product goes to BLAS gemv and rounds differently
+        # trial by trial group 0 of a full block.  The power sum and the
+        # composites are row reductions; the per-element gains hold from two
+        # rows: a one-row product goes to BLAS gemv and rounds differently
         p = SystemParams(m_per_group=m, n_total=m * PARAMS.b_groups)
-        block = sample_channels(p, (BLOCK_SIZE, p.b_groups), block_rng(4, 0))[:n, 0]
-        column = sample_channels(p, (n, 1), block_rng(4, 0))[:, 0]
-        for name in ("h_sq", "h_c_sq", "g_c_sq"):
+        block = sample_channels(p, (BLOCK_SIZE, p.b_groups), block_rng(4, 0),
+                                per_element=True)[:n, 0]
+        column = sample_channels(p, (n, 1), block_rng(4, 0), per_element=True)[:, 0]
+        for name in ("h_sq", "sum_h_sq", "h_c_sq", "g_c_sq"):
             np.testing.assert_array_equal(getattr(column, name), getattr(block, name))
 
-    def test_peak_memory_is_near_the_output(self):
-        # h is drawn and reduced one column at a time, so no (n, B, M)
-        # complex or (n, B, M, 2) normal array adds to the (n, B, M) h_sq
-        # output
-        p = SystemParams(m_per_group=10, b_groups=140, n_total=10 * 140)
-        simulate_block(p, 8, block_rng(1, 0))
+    @staticmethod
+    def _peak(p, per_element):
+        simulate_block(p, 8, block_rng(1, 0), per_element)
         tracemalloc.start()
         try:
-            _, h_sq = simulate_block(p, BLOCK_SIZE, block_rng(1, 0))
+            out = simulate_block(p, BLOCK_SIZE, block_rng(1, 0), per_element)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        return peak, out
+
+    def test_peak_memory_without_per_element_gains(self):
+        # each column is drawn and reduced before the next, and without
+        # per-element gains no (n, B, M) array exists: the peak is the
+        # snapshot's three (n, B) arrays, z and at most half an (n, B) array
+        p = SystemParams(m_per_group=10, b_groups=140, n_total=10 * 140)
+        peak, (z, h_sq, _) = self._peak(p, per_element=False)
+        assert h_sq is None
+        assert peak <= 4.5 * z.nbytes
+
+    def test_peak_memory_with_per_element_gains(self):
+        # no (n, B, M) complex or (n, B, M, 2) normal array adds to the
+        # (n, B, M) h_sq output
+        p = SystemParams(m_per_group=10, b_groups=140, n_total=10 * 140)
+        peak, (_, h_sq, _) = self._peak(p, per_element=True)
         assert peak <= 2.0 * h_sq.nbytes
 
 
@@ -272,7 +302,7 @@ class TestLinearHarvest:
                   for p, c in scenario.points]
         params, c0 = points[0]
         n = 1500
-        z, h_sq = simulate_block(params, n, block_rng(c0.seed, 0))
+        z, h_sq, sum_h_sq = simulate_block(params, n, block_rng(c0.seed, 0), per_element=True)
         expected = []
         for p, c in points:
             dur, w_p = eh_wiring(p, c.mode)
@@ -282,16 +312,24 @@ class TestLinearHarvest:
             else:
                 idx = 0
             expected.append(int(np.sum(energy[np.arange(n), idx] < c.e_req)))
-            assert sim._point_failures(p, c, z, h_sq, h_sq.sum(axis=-1)) == expected[-1]
+            assert sim._point_failures(p, c, z, h_sq, sum_h_sq) == expected[-1]
         assert sim._block_failures(points, n, 0) == expected
         assert len(set(expected)) > 1
 
-    def test_nonlinear_block_makes_no_power_sums(self, monkeypatch):
+    def test_data_or_linear_block_forms_no_per_element_gains(self, monkeypatch):
+        # only the nonlinear law reads |h_j|^2, so only a block whose law has a
+        # nonlinear point forms the (n, B, M) gains
         seen = []
-        monkeypatch.setattr(sim, "_point_failures", lambda p, c, z, h_sq, sums: seen.append(sums))
-        c = cfg(eh=NONLINEAR_DEFAULT, metric="energy", strategy=SelectionStrategy("EBGS", k=1))
-        sim._block_failures(sweep_points(PARAMS, c, "p_tx", [1.0, 2.0]), 8, 0)
-        assert seen == [None, None]
+        monkeypatch.setattr(sim, "_point_failures", lambda p, c, z, h_sq, sums: seen.append(h_sq))
+        nonlinear = cfg(eh=NONLINEAR_DEFAULT, metric="energy",
+                        strategy=SelectionStrategy("EBGS", k=1))
+        sim._block_failures(sweep_points(PARAMS, nonlinear, "p_tx", [1.0, 2.0]), 8, 0)
+        assert [h_sq.shape for h_sq in seen] == [(8, PARAMS.b_groups, PARAMS.m_per_group)] * 2
+        seen.clear()
+        monkeypatch.setattr(channel, "_element_gains", forbidden)
+        for c in (cfg(), replace(nonlinear, eh=EhModel())):
+            sim._block_failures(sweep_points(PARAMS, c, "p_tx", [1.0, 2.0]), 8, 0)
+        assert seen == [None] * 4
 
 
 def forbidden(*args, **kwargs):
@@ -453,7 +491,7 @@ def with_field(params, name, value):
 
 
 def draw(params):
-    return sample_channels(params, (3, params.b_groups), block_rng(4, 0))
+    return sample_channels(params, (3, params.b_groups), block_rng(4, 0), per_element=True)
 
 
 class TestDrawReuse:
@@ -475,9 +513,9 @@ class TestDrawReuse:
         seen = []
         original = sim.simulate_block
 
-        def counting(params, n, rng):
+        def counting(params, n, rng, **kwargs):
             seen.append(params.b_groups)
-            return original(params, n, rng)
+            return original(params, n, rng, **kwargs)
 
         monkeypatch.setattr(sim, "simulate_block", counting)
         c = cfg(n_trials=3 * BLOCK_SIZE, strategy=SelectionStrategy("SBGS", k=1))
@@ -501,6 +539,7 @@ class TestDrawReuse:
             snap = draw(with_field(PARAMS, name, value))
             b = snap.h_c_sq.shape[-1]
             np.testing.assert_array_equal(snap.h_sq, ref.h_sq[:, :b])
+            np.testing.assert_array_equal(snap.sum_h_sq, ref.sum_h_sq[:, :b])
             np.testing.assert_array_equal(snap.h_c_sq, ref.h_c_sq[:, :b])
             np.testing.assert_array_equal(snap.g_c_sq, ref.g_c_sq[:, :b])
 
@@ -537,12 +576,12 @@ class TestRgsTakesGroupZero:
         n = 1000
         p = SMALL if metric == "data" else SMALL_ENERGY
         c = cfg(metric=metric, r_req=23.0, e_req=3e-4)
-        z, h_sq = simulate_block(p, n, block_rng(4, 0))
+        z, h_sq, sum_h_sq = simulate_block(p, n, block_rng(4, 0), per_element=True)
         if metric == "data":
             stat, threshold = z, data_threshold(p, c.mode, c.r_req)
         else:
             dur, w_p = eh_wiring(p, c.mode)
             stat, threshold = dur * harvest_rate(c.eh, w_p * h_sq).sum(-1), c.e_req
         expected = int(np.sum(stat[:, 0] < threshold))
-        assert sim._point_failures(p, c, z, h_sq, h_sq.sum(axis=-1)) == expected
+        assert sim._point_failures(p, c, z, h_sq, sum_h_sq) == expected
         assert 0 < expected < n
