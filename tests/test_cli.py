@@ -1,6 +1,7 @@
 """Scenario parsing and the run/bounds CSV harness."""
 
 import collections
+import difflib
 import math
 import os
 import re
@@ -547,17 +548,39 @@ class TestExtremeRequirements:
         assert float(rows[1][1]) == 1.0 and float(rows[1][2]) == 1.0
 
 
+def _fields_match(ref: str, new: str) -> bool:
+    """A field matches its reference exactly, or, where both read as floats,
+    within 1e-12 relative (NaN matches NaN); an integer field below 1e12 can
+    only match exactly."""
+    if ref == new:
+        return True
+    try:
+        a, b = float(ref), float(new)
+    except ValueError:
+        return False
+    return (math.isnan(a) and math.isnan(b)) or math.isclose(a, b, rel_tol=1e-12, abs_tol=0.0)
+
+
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
 def test_shipped_scenario_runs(path, tmp_path):
+    # each shipped scenario writes its committed reference output: the sweeps
+    # at 4100 trials, the bounds at the shipped n_draws; README gives the
+    # command that regenerates reference/
     out = tmp_path / "out.csv"
-    scenario = load_scenario(str(path))
     if path.stem.startswith("bounds"):
         code = main(["bounds", str(path), "-o", str(out)])
-        expected_rows = scenario.n_draws
     else:
-        code = main(["run", str(path), "-o", str(out), "--trials", "256"])
-        expected_rows = len(scenario.sweep_grid)
+        code = main(["run", str(path), "-o", str(out), "--trials", "4100"])
     assert code == 0
-    data = [l for l in out.read_text(encoding="utf-8").splitlines()
-            if not l.startswith("#")]
-    assert len(data) == 1 + expected_rows
+    reference = ROOT / "reference" / f"{path.stem}.csv"
+    want, got = (
+        [line for line in p.read_text(encoding="utf-8").splitlines()
+         if not line.startswith("# version = ")]
+        for p in (reference, out))
+    same = len(want) == len(got) and all(
+        a == b if a.startswith("#") else
+        len(a.split(",")) == len(b.split(",")) and all(map(_fields_match, a.split(","), b.split(",")))
+        for a, b in zip(want, got))
+    if not same:
+        diff = "\n".join(difflib.unified_diff(want, got, str(reference), "output", lineterm=""))
+        pytest.fail(f"output differs from {reference.name} (numpy {np.__version__}):\n{diff}")
