@@ -6,7 +6,7 @@ the data link while all groups harvest RF energy, plus a seeded Monte Carlo
 engine that validates every closed form.
 """
 
-__version__ = "0.14.0"
+__version__ = "0.15.0"
 
 from .bounds import (
     FeasibleInterval,
@@ -16,12 +16,12 @@ from .bounds import (
     zeta_bounds_nonlinear,
 )
 from .channel import (
+    ChannelLaw,
     ChannelSnapshot,
-    CorrelationMatrix,
     DegenerateFitError,
     GammaFit,
     SystemParams,
-    build_correlation_matrix,
+    channel_law,
     fit_gamma_product,
     mean_snr_scale,
     sample_channels,
@@ -62,9 +62,9 @@ from .specfun import (
 
 __all__ = [
     "BisectionError",
+    "ChannelLaw",
     "ChannelSnapshot",
     "ConvergenceError",
-    "CorrelationMatrix",
     "DegenerateFitError",
     "EhModel",
     "EvtConstants",
@@ -77,7 +77,7 @@ __all__ = [
     "SystemParams",
     "TrialConfig",
     "analytic_outage",
-    "build_correlation_matrix",
+    "channel_law",
     "check_gumbel_domain",
     "estimate_outage",
     "fit_energy_distribution",

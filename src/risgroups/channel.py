@@ -3,13 +3,15 @@
 A group's M elements are CN(mus, R/(K+1)) with the line-of-sight mean
 mus = sqrt(K/(K+1)) R^(1/2) 1, R the sinc correlation, so E|h_j|^2 is
 mus_j^2 + 1/(K+1): 1 where R = I, 1.63-2.73 at lambda/8 and K = 1; the path
-loss alone carries all scaling.  ``element_law`` is the only statement of this
-law and of K; ``composite_law`` and ``power_moments`` derive from it the law of
-g_c, the Gamma fit of Z and the energy fits, and ``sample_channels`` draws it.
+loss alone carries all scaling.  ``channel_law`` is the only statement of this
+law and of K: its ``ChannelLaw`` holds h's element law, the eigenpairs and rank
+of R, the eigenbasis mean nu and the composite law of g_c, from which
+``power_moments`` gives the Gamma fit of Z and the energy fits, and which
+``sample_channels`` draws.
 
 ``sample_channels`` is the only code that turns normals into channels, and it
-draws one shape, an (n, B) block of n trials of B groups, from the law of
-``params``, in the eigenbasis R = V Lambda V^T: h's eigen-coordinate
+draws one shape, an (n, B) block of n trials of B groups, from
+``channel_law(params)`` in the eigenbasis R = V Lambda V^T: h's eigen-coordinate
 c_i = (V^T h)_i is nu_i + s sqrt(lambda_i) u_i, with nu = V^T mus =
 sqrt(K/(K+1)) Lambda^(1/2) V^T 1, s = sqrt(cov[0, 0]/2) and u_i a complex
 normal of unit variance per real dimension.  Only the r leading coordinates
@@ -126,21 +128,21 @@ def incident_power(params: SystemParams) -> float:
 
 
 @dataclass(frozen=True)
-class CorrelationMatrix:
-    """Spatial correlation matrix with its principal square root and its
-    eigenpairs, the eigenvalues clamped to >= 0 and in descending order."""
+class ChannelLaw:
+    """The law of one group's channels, built by ``channel_law`` from the
+    ``SystemParams`` fields in ``key``: h's elements CN(mus, cov), the eigenpairs
+    of R (eigenvalues clamped to >= 0, in descending order), its rank r, the
+    eigenbasis mean nu = V^T mus, and ``g_c``, the 1x1 law (mean, variance) of
+    g's composite sum_j g_j."""
 
-    entries: np.ndarray = field(repr=False)
-    sqrt_entries: np.ndarray = field(repr=False)
+    key: tuple
+    mus: np.ndarray = field(repr=False)
+    cov: np.ndarray = field(repr=False)
     eigenvalues: np.ndarray = field(repr=False)
     eigenvectors: np.ndarray = field(repr=False)
-
-    @property
-    def rank(self) -> int:
-        """r, the fewest leading eigenvalues whose dropped tail sums to at most
-        1e-12 tr R."""
-        tail = np.cumsum(self.eigenvalues[::-1])
-        return len(tail) - int(np.count_nonzero(tail <= _DROPPED_TRACE * np.trace(self.entries)))
+    rank: int
+    nu: np.ndarray = field(repr=False)
+    g_c: tuple = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -166,23 +168,39 @@ class GammaFit:
         return reg_lower_incomplete_gamma(self.shape, x / self.scale)
 
 
-def build_correlation_matrix(params: SystemParams) -> CorrelationMatrix:
+def build_correlation_matrix(params: SystemParams) -> np.ndarray:
     """Sinc correlation R_ij = sin(t)/t, t = 2 pi |x_i - x_j| / lambda, of the
-    uniform linear array of one group, with its principal square root and eigenpairs."""
+    uniform linear array of one group, as an (M, M) array."""
     x = np.arange(params.m_per_group) * params.spacing
     t = 2.0 * math.pi * np.abs(x[:, None] - x[None, :]) / params.wavelength
-    entries = np.divide(np.sin(t), t, out=np.ones_like(t), where=t != 0)
+    return np.divide(np.sin(t), t, out=np.ones_like(t), where=t != 0)
+
+
+def channel_law(params: SystemParams) -> ChannelLaw:
+    """The law of a group: elements CN(sqrt(K/(K+1)) R^(1/2) 1, R/(K+1)) with
+    Rician factor K (k_h for h, k_g for g), and r, the fewest leading eigenvalues
+    of R whose dropped tail sums to at most 1e-12 tr R.  The only code that turns
+    K into a mean and a variance."""
+    entries = build_correlation_matrix(params)
     w, v = np.linalg.eigh(entries)
     worst = w.min()
     if worst < -_CLAMP_LIMIT:
-        raise ValueError(
-            f"correlation matrix is indefinite (min eigenvalue {worst:.3e})"
-        )
+        raise ValueError(f"correlation matrix is indefinite (min eigenvalue {worst:.3e})")
     if worst < 0:
         logger.debug("clamping correlation eigenvalues by %.3e", -worst)
     w = np.clip(w, 0.0, None)
-    return CorrelationMatrix(entries=entries, sqrt_entries=(v * np.sqrt(w)) @ v.T,
-                             eigenvalues=w[::-1], eigenvectors=v[:, ::-1])
+    root = ((v * np.sqrt(w)) @ v.T).sum(axis=1)  # R^(1/2) 1
+    (los_h, scatter_h), (los_g, scatter_g) = (
+        (math.sqrt(k / (k + 1.0)), 1.0 / (k + 1.0)) for k in (params.k_h, params.k_g))
+    vecs = v[:, ::-1]
+    rank = int(np.count_nonzero(np.cumsum(w) > _DROPPED_TRACE * np.trace(entries)))
+    # nu = V^T mus from the eigenpairs alone: mus' R^(1/2) is a BLAS product,
+    # which rounds by the thread count at some M
+    return ChannelLaw(
+        key=(params.m_per_group, params.spacing, params.wavelength, params.k_h, params.k_g),
+        mus=los_h * root, cov=scatter_h * entries, eigenvalues=w[::-1], eigenvectors=vecs,
+        rank=rank, nu=los_h * np.sqrt(w[::-1]) * np.sum(vecs, axis=0),
+        g_c=((los_g * root).sum(keepdims=True), (scatter_g * entries).sum(keepdims=True)))
 
 
 def sample_rician_vector(noise: np.ndarray, mean: float, var: float) -> np.ndarray:
@@ -237,19 +255,6 @@ class ChannelSnapshot:
         return self.h_c_sq * self.g_c_sq
 
 
-def element_law(corr: CorrelationMatrix, k: float) -> tuple[np.ndarray, np.ndarray]:
-    """The law CN(mus, cov) of a group's M elements with Rician factor k: the LoS
-    mean sqrt(K/(K+1)) R^(1/2) 1 and the scattered covariance R/(K+1)."""
-    mus = math.sqrt(k / (k + 1.0)) * corr.sqrt_entries.sum(axis=1)
-    return mus, (1.0 / (k + 1.0)) * corr.entries
-
-
-def composite_law(corr: CorrelationMatrix, k: float) -> tuple[np.ndarray, np.ndarray]:
-    """The 1x1 law (mean, variance) of the composite sum_j of the elements."""
-    mus, cov = element_law(corr, k)
-    return mus.sum(keepdims=True), cov.sum(keepdims=True)
-
-
 def power_moments(mus: np.ndarray, cov: np.ndarray) -> tuple[float, float]:
     """Mean and variance of sum_j |x_j|^2 for x ~ CN(mus, cov) with a real mean;
     for a 1x1 law (m, v) these are m^2 + v and 2 m^2 v + v^2."""
@@ -267,21 +272,17 @@ def _element_gains(u: np.ndarray, factor: np.ndarray, mus: np.ndarray, out: np.n
 
 def sample_channels(params: SystemParams, shape: tuple, rng: np.random.Generator,
                     per_element: bool = False) -> ChannelSnapshot:
-    """Draw an ``(n, B)`` block, one normal call per group column.  Row i holds
-    trial i's r eigen-coordinate normals u, then the pair of its g_c ~ CN(m_c, var_c);
-    ``per_element`` also forms every |h_j|^2, which only the nonlinear law and the
-    bounds read."""
+    """Draw an ``(n, B)`` block of ``channel_law(params)``, one normal call per
+    group column.  Row i holds trial i's r eigen-coordinate normals u, then the
+    pair of its g_c ~ CN(m_c, var_c); ``per_element`` also forms every |h_j|^2,
+    which only the nonlinear law and the bounds read."""
     n, b = shape
-    corr = build_correlation_matrix(params)
-    mus, cov = element_law(corr, params.k_h)
-    m_c, var_c = (x.item() for x in composite_law(corr, params.k_g))
-    r, root_w = corr.rank, np.sqrt(corr.eigenvalues)
-    # V^T 1, and V^T mus from the eigenpairs alone: mus' R^(1/2) is a BLAS
-    # product, which rounds by the thread count at some M
-    ones = np.sum(corr.eigenvectors, axis=0)
-    nu = math.sqrt(params.k_h / (params.k_h + 1.0)) * root_w * ones
-    scale = math.sqrt(0.5 * cov[0, 0]) * root_w[:r]
-    factor = scale[:, None] * corr.eigenvectors[:, :r].T
+    law = channel_law(params)
+    m_c, var_c = (x.item() for x in law.g_c)
+    r, root_w, nu, vecs = law.rank, np.sqrt(law.eigenvalues), law.nu, law.eigenvectors
+    ones = np.sum(vecs, axis=0)  # V^T 1
+    scale = math.sqrt(0.5 * law.cov[0, 0]) * root_w[:r]
+    factor = scale[:, None] * vecs[:, :r].T
     # each dropped coordinate is its mean
     dropped_sq, dropped_c = float(np.sum(nu[r:] ** 2)), float(np.sum(ones[r:] * nu[r:]))
     # per normal of a row: the scale s sqrt(lambda_i) and mean (nu_i, 0) of each
@@ -289,11 +290,11 @@ def sample_channels(params: SystemParams, shape: tuple, rng: np.random.Generator
     row_scale = np.append(np.repeat(scale, 2), [1.0, 1.0])
     row_mean = np.append(np.stack([nu[:r], np.zeros(r)], -1), [0.0, 0.0])
     h_c_sq, g_c_sq, sum_h_sq = np.empty((n, b)), np.empty((n, b)), np.empty((n, b))
-    h_sq = np.empty((n, b, params.m_per_group)) if per_element else None
+    h_sq = np.empty((n, b, len(law.mus))) if per_element else None
     for j in range(b):
         noise = rng.standard_normal((n, r + 1, 2))
         if per_element:
-            _element_gains(noise[:, :r], factor, mus, out=h_sq[:, j])
+            _element_gains(noise[:, :r], factor, law.mus, out=h_sq[:, j])
         row = noise.reshape(n, 2 * r + 2)  # c_i = nu_i + s sqrt(lambda_i) u_i, in place
         row *= row_scale
         row += row_mean
@@ -309,9 +310,9 @@ def sample_channels(params: SystemParams, shape: tuple, rng: np.random.Generator
 
 def fit_gamma_product(params: SystemParams) -> GammaFit:
     """Moment-matched Gamma approximation of Z = |g_c|^2 |h_c|^2."""
-    corr = build_correlation_matrix(params)
-    mean_h, var_h = power_moments(*composite_law(corr, params.k_h))
-    mean_g, var_g = power_moments(*composite_law(corr, params.k_g))
+    law = channel_law(params)
+    mean_h, var_h = power_moments(law.mus.sum(keepdims=True), law.cov.sum(keepdims=True))
+    mean_g, var_g = power_moments(*law.g_c)
     mean_z = mean_h * mean_g
     second_z = (mean_h ** 2 + var_h) * (mean_g ** 2 + var_g)
     return GammaFit.from_moments(mean_z, second_z - mean_z ** 2)

@@ -198,10 +198,10 @@ def _write_csv(out_path: str, scenario: Scenario, header: str, rows: list) -> No
 
 
 def run(scenario: Scenario, out_path: str, workers: int = 1) -> int:
-    """Evaluate every sweep point and write one CSV row per point; each row's
-    scheme, k and mode are those of its own point."""
-    analytic = [analytic_outage(p, c) for p, c in scenario.points]
+    """Evaluate every sweep point, the simulation before the closed forms, and write
+    one CSV row per point; each row's scheme, k and mode are those of its own point."""
     estimates = estimate_outage(scenario.points, workers=workers)
+    analytic = [analytic_outage(p, c) for p, c in scenario.points]
     rows = [
         [value, float(a), est.p_hat, est.ci_halfwidth, cfg.n_trials,
          cfg.strategy.scheme, cfg.strategy.k, cfg.mode.kind]
@@ -273,7 +273,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             return run(scenario, args.output, workers=workers)
         return run_bounds(scenario, args.output)
-    except (ScenarioError, OSError) as exc:
+    except (ScenarioError, OverflowError, OSError) as exc:  # OverflowError names a point's p_tx
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

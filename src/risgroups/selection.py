@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (DegenerateFitError, GammaFit, SystemParams, build_correlation_matrix,
-                      check_count, element_law, incident_power, mean_snr_scale, power_moments)
+from .channel import (DegenerateFitError, GammaFit, SystemParams, channel_law, check_count,
+                      incident_power, mean_snr_scale, power_moments)
 from .energy import EhModel
 from .specfun import reg_incomplete_beta, reg_lower_incomplete_gamma
 
@@ -189,14 +189,13 @@ def fit_energy_distribution(params: SystemParams, mode: RisMode, model: EhModel)
     dur, w_p = eh_wiring(params, mode)
     if dur == 0.0 or w_p == 0.0:
         return DegenerateDist(0.0)
-    corr = build_correlation_matrix(params)
-    mus, cov = element_law(corr, params.k_h)
+    law = channel_law(params)
     if model.kind == "linear":
-        mean_s, var_s = power_moments(mus, cov)
+        mean_s, var_s = power_moments(law.mus, law.cov)
         return GammaFit.from_moments(dur * w_p * mean_s, (dur * w_p) ** 2 * var_s)
 
     # nonlinear: E = dur (ac - b) (M/c - T), T = sum_j 1/(w_p |h_j|^2 + c)
-    mean_t, var_t = _recip_moments(mus, cov, w_p, model.c)
+    mean_t, var_t = _recip_moments(law.mus, law.cov, w_p, model.c)
     if var_t <= 0:
         raise DegenerateFitError("vanishing variance in nonlinear energy fit")
     inv_shape = mean_t ** 2 / var_t + 2.0

@@ -12,19 +12,20 @@ bounds command's snapshots are the trials of one (n_draws, 1) block from
 and each column has the single-group law that ``outage_rgs`` states, so RGS
 takes group 0: only that marginal law matters, even for correlated groups.
 
-A block's draw depends only on the channel law (``m_per_group``, ``spacing``,
-``wavelength``, ``k_h``, ``k_g``), the seed and the trial count; grid points
-that share these share each block's draw, so a sweep over snr,
-p_tx, rho, zeta or k draws its channels once.  The number of groups is not
-part of the law: the first b columns of a wider block are the b-group block,
-so a sweep over b draws once at its widest b and evaluates each point on its
-own first b columns.  A sweep over spacing still draws once per point.  The
-linear EH law is additive, so it harvests each group's power sum sum_j |h_j|^2,
-which every block reduces from its r eigen-coordinates per group; only the
-nonlinear law harvests per element, so a block forms the (n, B, M) per-element
-gains only if a point of its law uses that law, and its z and power sums have
-the same bits either way.  Data points compute the energy too, because the
-benchmark traces ``harvest_rate`` there.
+A block's draw depends only on the channel law, the seed and the trial count:
+``sample_channels`` reads its parameters only through ``channel_law``, whose
+``key`` holds the fields it read (``m_per_group``, ``spacing``, ``wavelength``,
+``k_h``, ``k_g``).  Grid points whose keys are equal share each block's draw, so
+a sweep over snr, p_tx, rho, zeta or k draws its channels once.  The number of
+groups is not part of the law: the first b columns of a wider block are the
+b-group block, so a sweep over b draws once at its widest b and evaluates each
+point on its own first b columns.  A sweep over spacing still draws once per
+point.  The linear EH law is additive, so it harvests each group's power sum
+sum_j |h_j|^2, which every block reduces from its r eigen-coordinates per
+group; only the nonlinear law harvests per element, so a block forms the
+(n, B, M) per-element gains only if a point of its law uses that law, and its
+z and power sums have the same bits either way.  Data points compute the
+energy too, because the benchmark traces ``harvest_rate`` there.
 """
 
 import itertools
@@ -35,7 +36,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import SystemParams, check_count, fit_gamma_product, mean_snr_scale, sample_channels
+from .channel import (SystemParams, channel_law, check_count, fit_gamma_product, mean_snr_scale,
+                      sample_channels)
 from .energy import EhModel, harvest_rate
 from .selection import (
     RisMode,
@@ -100,9 +102,13 @@ def _group_energy(params: SystemParams, mode: RisMode, eh: EhModel, h_sq, sum_h_
     """Energy each group harvests over the EH phase of one grid point: the linear
     law from its power sum ``sum_h_sq``, the nonlinear law element by element."""
     dur, w_p = eh_wiring(params, mode)
-    if eh.kind == "linear":
-        return dur * harvest_rate(eh, w_p * sum_h_sq)
-    return dur * harvest_rate(eh, w_p * h_sq).sum(axis=-1)
+    try:  # an incident power that overflows to inf fails harvest_rate's finiteness check
+        with np.errstate(over="ignore"):
+            if eh.kind == "linear":
+                return dur * harvest_rate(eh, w_p * sum_h_sq)
+            return dur * harvest_rate(eh, w_p * h_sq).sum(axis=-1)
+    except ValueError as exc:
+        raise OverflowError(f"at p_tx = {params.p_tx!r} W: {exc}") from None
 
 
 def _kth_largest_index(values: np.ndarray, k: int) -> np.ndarray:
@@ -133,13 +139,6 @@ def _block_failures(points: list, n: int, block_idx: int) -> list[int]:
             for p, c in points]
 
 
-def _law_key(params: SystemParams, cfg: TrialConfig) -> tuple:
-    """The channel law (``element_law``'s R and K factors), seed and n: all a block's
-    draw depends on but its width b; points with equal keys share the widest b."""
-    return (params.m_per_group, params.spacing, params.wavelength,
-            params.k_h, params.k_g, cfg.seed, cfg.n_trials)
-
-
 def _check_k(points: list) -> None:
     for params, cfg in points:
         if cfg.strategy.k > params.b_groups:
@@ -148,13 +147,14 @@ def _check_k(points: list) -> None:
 
 def estimate_outage(points: Sequence, workers: int = 1) -> list[OutageEstimate]:
     """Empirical outage of each ``(params, cfg)`` point with a 95% normal-approximation
-    binomial interval; each block is drawn once per channel law (``_law_key``), at
-    the widest b of the points that share it."""
+    binomial interval.  The law's key, the seed and n are all a block's draw depends
+    on but its width b, so each block is drawn once per such key, at the widest b
+    of the points that share it."""
     points = list(points)
     _check_k(points)
     groups = {}
     for i, (params, cfg) in enumerate(points):
-        groups.setdefault(_law_key(params, cfg), []).append(i)
+        groups.setdefault(channel_law(params).key + (cfg.seed, cfg.n_trials), []).append(i)
     members, args = [], []
     for idxs in groups.values():
         # widest first: it is drawn, and evaluating it before the narrower

@@ -8,17 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import linalg, stats
 from scipy import special as sp
-from scipy import stats
 
+from risgroups import channel
 from risgroups.channel import (
     ChannelSnapshot,
     DegenerateFitError,
     GammaFit,
     SystemParams,
     build_correlation_matrix,
-    composite_law,
-    element_law,
+    channel_law,
     fit_gamma_product,
     gamma_cdf,
     power_moments,
@@ -125,27 +125,42 @@ def _params(m, spacing, wavelength=0.1):
                         wavelength=wavelength)
 
 
+def _sqrtm(p):
+    """R^(1/2) by scipy's Schur method, independent of the eigenpairs the law
+    uses; its imaginary part, where R is numerically singular, is roundoff."""
+    return np.real(linalg.sqrtm(build_correlation_matrix(p)))
+
+
+def _los_mean(p, k):
+    """The LoS mean sqrt(K/(K+1)) R^(1/2) 1 with scipy's R^(1/2)."""
+    return math.sqrt(k / (k + 1.0)) * _sqrtm(p) @ np.ones(p.m_per_group)
+
+
 class TestCorrelationMatrix:
     def test_half_wavelength_is_identity(self):
-        corr = build_correlation_matrix(_params(8, 0.05))
-        np.testing.assert_allclose(corr.entries, np.eye(8), atol=1e-14)
-        np.testing.assert_allclose(corr.sqrt_entries, np.eye(8), atol=1e-7)
+        p = _params(8, 0.05)
+        np.testing.assert_allclose(build_correlation_matrix(p), np.eye(8), atol=1e-14)
+        # R = I: the LoS mean is sqrt(K/(K+1)) on every element
+        law = channel_law(p)
+        np.testing.assert_allclose(law.mus, _los_mean(p, p.k_h), rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(law.mus, np.full(8, math.sqrt(0.5)), rtol=0.0, atol=1e-7)
 
     def test_sqrt_reproduces_matrix(self):
-        corr = build_correlation_matrix(_params(12, 0.1 / 8.0))
-        np.testing.assert_allclose(
-            corr.sqrt_entries @ corr.sqrt_entries, corr.entries, atol=1e-12
-        )
+        # the law's mean is sqrt(K/(K+1)) R^(1/2) 1 for the principal root of R,
+        # built from the clamped eigenpairs, at lambda/8 where R is near-singular
+        p = replace(_params(12, 0.1 / 8.0), k_h=2.0)
+        np.testing.assert_allclose(channel_law(p).mus, _los_mean(p, 2.0), rtol=0.0, atol=1e-12)
 
     def test_entries_follow_sinc(self):
         # sin(2 pi d / lambda) / (2 pi d / lambda)  [TRIVIAL]
         lam = 0.1
-        corr = build_correlation_matrix(_params(4, lam / 8.0, lam))
+        entries = build_correlation_matrix(_params(4, lam / 8.0, lam))
+        assert entries.shape == (4, 4)
         t = math.pi / 4.0
-        assert corr.entries[0, 1] == pytest.approx(math.sin(t) / t, rel=1e-14)
-        assert corr.entries[0, 0] == 1.0
+        assert entries[0, 1] == pytest.approx(math.sin(t) / t, rel=1e-14)
+        assert entries[0, 0] == 1.0
         half = build_correlation_matrix(_params(2, lam / 2.0, lam))
-        assert half.entries[0, 1] == pytest.approx(0.0, abs=1e-15)
+        assert half[0, 1] == pytest.approx(0.0, abs=1e-15)
 
     def test_invalid_inputs(self):
         # the matrix reads m_per_group, spacing and wavelength and checks none
@@ -164,7 +179,7 @@ class TestCorrelationMatrix:
         # t = 2 pi d / lambda to within 1 ulp (numpy's vectorised sin may
         # round differently from libm's)
         p = _params(m, spacing)
-        entries = build_correlation_matrix(p).entries
+        entries = build_correlation_matrix(p)
         x = np.arange(m) * p.spacing
         for i in range(m):
             for j in range(m):
@@ -176,12 +191,11 @@ class TestCorrelationMatrix:
 SHIPPED_SPACINGS = [0.05, 0.033333333, 0.025, 0.016666667, 0.0125]
 
 
-def _factor(p, corr):
+def _factor(law):
     """F = s Lambda_r^(1/2) V_r^T with s = sqrt(cov[0, 0]/2): h = mus + u @ F."""
-    _, cov = element_law(corr, p.k_h)
-    r = corr.rank
-    scale = math.sqrt(0.5 * cov[0, 0]) * np.sqrt(corr.eigenvalues[:r])
-    return scale[:, None] * corr.eigenvectors[:, :r].T
+    r = law.rank
+    scale = math.sqrt(0.5 * law.cov[0, 0]) * np.sqrt(law.eigenvalues[:r])
+    return scale[:, None] * law.eigenvectors[:, :r].T
 
 
 class TestEigenDraw:
@@ -191,29 +205,28 @@ class TestEigenDraw:
         # the r kept eigen-directions carry the law to within 1e-12 tr R: u @ F
         # has the per-dimension covariance F^T F of cov / 2
         p = _params(m, spacing)
-        corr = build_correlation_matrix(p)
-        _, cov = element_law(corr, p.k_h)
-        factor = _factor(p, corr)
-        assert np.max(np.abs(factor.T @ factor - 0.5 * cov)) <= 1e-12 * np.trace(corr.entries)
-        assert np.all(np.diff(corr.eigenvalues) <= 0.0) and corr.eigenvalues[-1] >= 0.0
+        law = channel_law(p)
+        factor = _factor(law)
+        trace = np.trace(build_correlation_matrix(p))
+        assert np.max(np.abs(factor.T @ factor - 0.5 * law.cov)) <= 1e-12 * trace
+        assert np.all(np.diff(law.eigenvalues) <= 0.0) and law.eigenvalues[-1] >= 0.0
         if spacing == 0.05:
-            assert corr.rank == m  # R = I keeps every direction
+            assert law.rank == m  # R = I keeps every direction
 
     def test_ranks_at_lambda_over_8(self):
         # the line aperture's degrees of freedom: 13 of 20 and 9 of 10
-        assert [build_correlation_matrix(_params(m, 0.0125)).rank for m in (20, 10)] == [13, 9]
+        assert [channel_law(_params(m, 0.0125)).rank for m in (20, 10)] == [13, 9]
 
     @pytest.mark.parametrize("k_h, spacing", [(1.0, 0.0125), (2.0, 0.025), (0.5, 0.05)])
     def test_coordinate_sums_equal_the_element_sums(self, k_h, spacing):
         # the coordinates' power sum and composite are those of the per-element
         # gains drawn from the same normals
         p = replace(_params(20, spacing), k_h=k_h)
-        corr = build_correlation_matrix(p)
-        mus, _ = element_law(corr, p.k_h)
-        n, r = 3000, corr.rank
+        law = channel_law(p)
+        n, r = 3000, law.rank
         snap = sample_channels(p, (n, 1), np.random.default_rng(5), per_element=True)[:, 0]
         noise = np.random.default_rng(5).standard_normal((n, r + 1, 2))
-        h = (noise[:, :r, 0] + 1j * noise[:, :r, 1]) @ _factor(p, corr) + mus
+        h = (noise[:, :r, 0] + 1j * noise[:, :r, 1]) @ _factor(law) + law.mus
         np.testing.assert_allclose(snap.h_sq, np.abs(h) ** 2, rtol=1e-12)
         np.testing.assert_allclose(snap.sum_h_sq, np.sum(np.abs(h) ** 2, axis=-1), rtol=1e-12)
         np.testing.assert_allclose(snap.sum_h_sq, np.sum(snap.h_sq, axis=-1), rtol=1e-12)
@@ -229,18 +242,33 @@ class TestEigenDraw:
         for name in ("z", "sum_h_sq", "h_c_sq", "g_c_sq"):
             np.testing.assert_array_equal(getattr(lean, name), getattr(full, name), err_msg=name)
 
+    def test_draw_reads_its_parameters_only_through_the_law(self, monkeypatch):
+        # sample_channels reads no SystemParams field itself: handed the law of
+        # q for the parameters p, it draws q's bits, per-element gains included
+        p = SystemParams()
+        q = SystemParams(m_per_group=10, b_groups=40, n_total=400, spacing=0.02,
+                         wavelength=0.12, k_h=2.5, k_g=0.5, p_tx=3.0, d_sr=9.0)
+        want = sample_channels(q, (300, 3), np.random.default_rng(8), per_element=True)
+        law = channel_law(q)
+        monkeypatch.setattr(channel, "channel_law", lambda params: law)
+        got = sample_channels(p, (300, 3), np.random.default_rng(8), per_element=True)
+        assert got.h_sq.shape == (300, 3, 10)
+        for name in ("h_sq", "sum_h_sq", "h_c_sq", "g_c_sq"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+
     @pytest.mark.parametrize("k_h, spacing", [(1.0, 0.0125), (0.0, 0.025), (3.0, 0.05)])
     def test_drawn_moments_match_the_law(self, k_h, spacing):
         # drawn without per-element gains, the power sum has the mean and
-        # variance of power_moments over element_law, and the composite those
-        # over composite_law, each within 4 standard errors
+        # variance of power_moments over the law's elements, and the composite
+        # those over their sum, each within 4 standard errors
         n = 200_000
         p = replace(_params(20, spacing), k_h=k_h)
-        corr = build_correlation_matrix(p)
+        law = channel_law(p)
         snap = sample_channels(p, (n, 1), np.random.default_rng(43))[:, 0]
-        for drawn, law in ((snap.sum_h_sq, element_law(corr, k_h)),
-                           (snap.h_c_sq, composite_law(corr, k_h))):
-            mean, var = power_moments(*law)
+        for drawn, moments in ((snap.sum_h_sq, (law.mus, law.cov)),
+                               (snap.h_c_sq, (law.mus.sum(keepdims=True),
+                                              law.cov.sum(keepdims=True)))):
+            mean, var = power_moments(*moments)
             dev_sq = (drawn - drawn.mean()) ** 2
             m2, m4 = float(dev_sq.mean()), float(np.mean(dev_sq ** 2))
             assert abs(float(drawn.mean()) - mean) <= 4.0 * math.sqrt(m2 / n)
@@ -349,8 +377,8 @@ class TestElementLaw:
         # each within 4 standard errors
         n = 200_000
         p = SystemParams(m_per_group=8, n_total=8 * 20, k_h=k_h, spacing=spacing)
-        corr = build_correlation_matrix(p)
-        mus, cov = element_law(corr, p.k_h)
+        law = channel_law(p)
+        mus, cov = law.mus, law.cov
         snap = sample_channels(p, (n, 1), np.random.default_rng(41), per_element=True)[:, 0]
         power_cov = 2.0 * np.outer(mus, mus) * cov + cov ** 2
         se_mean = np.sqrt(np.diag(power_cov) / n)
@@ -362,7 +390,7 @@ class TestElementLaw:
             est = prod.mean(axis=0)
             se = np.sqrt(np.mean((prod - est) ** 2, axis=0) / n)
             assert np.all(np.abs(est - power_cov[j]) <= 4.0 * se), j
-        mean_c, var_c = power_moments(*composite_law(corr, p.k_h))
+        mean_c, var_c = power_moments(mus.sum(keepdims=True), cov.sum(keepdims=True))
         h_c_sq = snap.h_c_sq
         dev_sq = (h_c_sq - h_c_sq.mean()) ** 2
         m2, m4 = float(dev_sq.mean()), float(np.mean(dev_sq ** 2))
@@ -370,12 +398,16 @@ class TestElementLaw:
         assert abs(m2 - var_c) <= 4.0 * math.sqrt((m4 - m2 ** 2) / n)
 
     def test_composite_law_sums_the_elements(self):
-        p = SystemParams(k_g=3.0)
-        corr = build_correlation_matrix(p)
-        mus, cov = element_law(corr, p.k_g)
-        m_c, var_c = composite_law(corr, p.k_g)
+        # g's composite law is the 1x1 sum of its element law, which is h's
+        # where the two Rician factors are equal
+        law = channel_law(SystemParams(k_h=3.0, k_g=3.0))
+        m_c, var_c = law.g_c
         assert m_c.shape == (1,) and var_c.shape == (1, 1)
-        assert m_c[0] == mus.sum() and var_c[0, 0] == cov.sum()
+        assert m_c[0] == law.mus.sum() and var_c[0, 0] == law.cov.sum()
+        p = SystemParams(k_g=3.0)
+        m_c, var_c = channel_law(p).g_c
+        assert m_c[0] == pytest.approx(_los_mean(p, 3.0).sum(), rel=1e-12)
+        assert var_c[0, 0] == np.sum(build_correlation_matrix(p) / 4.0)
 
     @pytest.mark.parametrize("m, v", [(0.0, 1.0), (1.7, 0.3), (12.5, 4e-3)])
     def test_power_moments_of_one_by_one_law(self, m, v):
@@ -386,8 +418,10 @@ class TestElementLaw:
 
 def composite_moments(p, side):
     """Mean and variance of |h_c|^2 (side 'S') or |g_c|^2 (side 'D')."""
-    corr = build_correlation_matrix(p)
-    return power_moments(*composite_law(corr, p.k_h if side == "S" else p.k_g))
+    law = channel_law(p)
+    if side == "S":
+        return power_moments(law.mus.sum(keepdims=True), law.cov.sum(keepdims=True))
+    return power_moments(*law.g_c)
 
 
 class TestCompositeMoments:
@@ -421,13 +455,13 @@ class TestCompositeMoments:
         assert mean == pytest.approx(mu_sq * m * m + sig_sq * m, rel=1e-10)
 
 
-def _per_element(p, corr, k, n, rng):
-    """Composite sum_j of raw @ R^(1/2) over M drawn elements, with the LoS mean
-    sqrt(K/(K+1)) inside the product: the same law, built independently of
-    ``sample_channels``' mean added after the product."""
+def _per_element(p, k, n, rng):
+    """Composite sum_j of raw @ R^(1/2) over M drawn elements, with scipy's
+    R^(1/2) and the LoS mean sqrt(K/(K+1)) inside the product: the same law,
+    built independently of ``channel_law`` and ``sample_channels``."""
     raw = sample_rician_vector(rng.standard_normal((n, p.m_per_group, 2)),
                                math.sqrt(k / (k + 1.0)), 1.0 / (k + 1.0))
-    return np.sum(raw @ corr.sqrt_entries, axis=-1)
+    return np.sum(raw @ _sqrtm(p), axis=-1)
 
 
 class TestCompositeLaw:
@@ -438,11 +472,10 @@ class TestCompositeLaw:
         # the composite g_c has the law of the sum of M correlated elements
         n = 50_000
         p = SystemParams(m_per_group=10, n_total=10 * 20, k_g=k_g, k_h=k_h, spacing=spacing)
-        corr = build_correlation_matrix(p)
         snap = sample_channels(p, (n, 1), np.random.default_rng(31))[:, 0]
         rng = np.random.default_rng(32)
-        h_c = _per_element(p, corr, p.k_h, n, rng)
-        g_c = _per_element(p, corr, p.k_g, n, rng)
+        h_c = _per_element(p, p.k_h, n, rng)
+        g_c = _per_element(p, p.k_g, n, rng)
         assert stats.ks_2samp(snap.g_c_sq, np.abs(g_c) ** 2).pvalue > 1e-3
         assert stats.ks_2samp(snap.z, np.abs(h_c) ** 2 * np.abs(g_c) ** 2).pvalue > 1e-3
 

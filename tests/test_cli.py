@@ -548,6 +548,39 @@ class TestExtremeRequirements:
         assert float(rows[1][1]) == 1.0 and float(rows[1][2]) == 1.0
 
 
+# a finite link budget (SystemParams checks it) whose per-element incident
+# power w_p |h_j|^2 overflows a double at the one grid point
+OVERFLOWING_HARVEST = """
+rho_l = 1
+d_sr = 1
+d_rd = 1
+noise_dbm = 30
+mode = ps
+scheme = ebgs
+metric = energy
+eh = nonlinear
+e_req = 1
+sweep_variable = p_tx
+sweep_grid = 1.7e308
+n_trials = 64
+"""
+
+
+@pytest.mark.parametrize("flags", [["--workers", "1"], ["--workers", "2", "--trials", "4100"]],
+                         ids=["one-worker", "two-workers"])
+def test_overflowing_incident_power_is_an_error(tmp_path, capsys, flags):
+    # once a harvest_rate traceback (exit 1) after a numpy overflow warning.
+    # 64 trials are one block, which runs in-process, so two workers take
+    # 4100 trials: two blocks, one per worker process
+    path = tmp_path / "overflow.cfg"
+    path.write_text(OVERFLOWING_HARVEST, encoding="utf-8")
+    out = tmp_path / "out.csv"
+    assert main(["run", str(path), "-o", str(out), *flags]) == 2
+    assert capsys.readouterr().err == ("error: at p_tx = 1.7e+308 W: incident powers must be "
+                                       "nonnegative, finite and not NaN\n")
+    assert not out.exists()
+
+
 def _fields_match(ref: str, new: str) -> bool:
     """A field matches its reference exactly, or, where both read as floats,
     within 1e-12 relative (NaN matches NaN); an integer field below 1e12 can

@@ -10,8 +10,7 @@ from scipy import integrate, special
 from risgroups.channel import (
     GammaFit,
     SystemParams,
-    build_correlation_matrix,
-    element_law,
+    channel_law,
     fit_gamma_product,
     gamma_cdf,
     sample_channels,
@@ -338,7 +337,8 @@ class TestRecipMoments:
         p = SystemParams(rho_l=0.1, d_sr=2.0, p_tx=p_tx, k_h=k_h, m_per_group=m,
                          b_groups=400 // m, spacing=0.1 / per_wavelength)
         _, w_p = eh_wiring(p, RisMode(kind, rho=0.5, zeta=0.4))
-        mus, cov = element_law(build_correlation_matrix(p), k_h)
+        law = channel_law(p)
+        mus, cov = law.mus, law.cov
         c = NONLINEAR_DEFAULT.c
         mean_t, var_t = _recip_moments(mus, cov, w_p, c)
         ref_mean, ref_var = _reference_recip_moments(mus, cov, w_p, c)

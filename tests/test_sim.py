@@ -8,13 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from risgroups.channel import (
-    SystemParams,
-    build_correlation_matrix,
-    composite_law,
-    element_law,
-    sample_channels,
-)
+from risgroups.channel import SystemParams, channel_law, sample_channels
 from risgroups.energy import NONLINEAR_DEFAULT, EhModel, harvest_rate
 from risgroups.selection import RisMode, SelectionStrategy, data_threshold, eh_wiring
 from risgroups import channel, cli, sim
@@ -82,8 +76,8 @@ class TestSimulateBlock:
         p = replace(PARAMS, b_groups=5, n_total=5 * PARAMS.m_per_group,
                     k_h=2.0, k_g=0.5)
         b = p.b_groups
-        corr = build_correlation_matrix(p)
-        r, vecs = corr.rank, corr.eigenvectors
+        law = channel_law(p)
+        r, vecs = law.rank, law.eigenvectors
         assert r == 13
         z, h_sq, sum_h_sq = simulate_block(p, n, block_rng(1, 0))
 
@@ -110,14 +104,14 @@ class TestSimulateBlock:
         assert counting.shapes == [(n, r + 1, 2)] * b
 
         rng = block_rng(1, 0)
-        mus, cov = element_law(corr, p.k_h)
-        (m_c,), ((var_c,),) = composite_law(corr, p.k_g)
+        (m_c,), ((var_c,),) = law.g_c
         assert laws == [((n, 2), m_c, var_c)] * b
         # nu = V^T mus = sqrt(K/(K+1)) Lambda^(1/2) V^T 1, from the eigenpairs alone
         ones = np.sum(vecs, axis=0)
-        nu = math.sqrt(p.k_h / (p.k_h + 1.0)) * np.sqrt(corr.eigenvalues) * ones
-        np.testing.assert_allclose(nu, vecs.T @ mus, rtol=0.0, atol=1e-12)
-        scale = math.sqrt(0.5 * cov[0, 0]) * np.sqrt(corr.eigenvalues[:r])
+        nu = math.sqrt(p.k_h / (p.k_h + 1.0)) * np.sqrt(law.eigenvalues) * ones
+        np.testing.assert_array_equal(nu, law.nu)
+        np.testing.assert_allclose(nu, vecs.T @ law.mus, rtol=0.0, atol=1e-12)
+        scale = math.sqrt(0.5 * law.cov[0, 0]) * np.sqrt(law.eigenvalues[:r])
         for j in range(b):
             noise = rng.standard_normal((n, r + 1, 2))
             re = noise[:, :r, 0] * scale + nu[:r]
@@ -527,11 +521,11 @@ class TestDrawReuse:
     def test_law_key_covers_every_field(self):
         names = {f.name for f in fields(SystemParams)}
         assert names == set(LAW_FIELDS) | set(OTHER_FIELDS) | {"n_total"}
-        c = cfg()
+        key = channel_law(PARAMS).key
         for name in LAW_FIELDS:
-            assert sim._law_key(with_field(PARAMS, name, LAW_FIELDS[name]), c) != sim._law_key(PARAMS, c)
+            assert channel_law(with_field(PARAMS, name, LAW_FIELDS[name])).key != key
         for name in OTHER_FIELDS:
-            assert sim._law_key(with_field(PARAMS, name, OTHER_FIELDS[name]), c) == sim._law_key(PARAMS, c)
+            assert channel_law(with_field(PARAMS, name, OTHER_FIELDS[name])).key == key
 
     def test_fields_outside_the_key_leave_the_draw_unchanged(self):
         ref = draw(PARAMS)
