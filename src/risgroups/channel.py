@@ -30,8 +30,11 @@ read, leaving every other output's bits as they are.  Successive draws
 continue one stream, so the first b columns of a draw are the (n, b) draw and
 the first n rows of column 0 are the (n, 1) draw, bit for bit (for the
 per-element gains from n = 2: numpy hands a one-row product to BLAS gemv, which
-rounds differently).  The result is a ``ChannelSnapshot``; indexing its batch
-axes (``snaps[d, 0]``, ``snaps[:, j]``) gives one group or one column.
+rounds differently).  The block is group-major in memory as in the stream:
+column j is written as one contiguous (n,) or (n, M) slab of (B, n) and
+(B, n, M) arrays.  The result is a ``ChannelSnapshot`` of their transposed
+(n, B) and (n, B, M) views; indexing its batch axes (``snaps[d, 0]``,
+``snaps[:, j]``) gives one group or one column.
 """
 
 import logging
@@ -221,6 +224,8 @@ class ChannelSnapshot:
     common phase) and g_c_sq = |g_c|^2 and the power sum sum_h_sq =
     sum_j |tilde_h_j|^2, of shape (*batch), and, where a reader needs them, the
     per-element gains h_sq = |tilde_h_j|^2 of shape (*batch, M), else None; all real.
+    A drawn block's fields are views of group-major storage, so its group
+    column ``[:, j]`` is contiguous.
 
     Every h_sq reduction runs over the last (element) axis, so a batch reduces
     to the bits its rows would give one at a time.
@@ -289,23 +294,24 @@ def sample_channels(params: SystemParams, shape: tuple, rng: np.random.Generator
     # coordinate pair, then 1 and 0 for the g pair, which passes unchanged
     row_scale = np.append(np.repeat(scale, 2), [1.0, 1.0])
     row_mean = np.append(np.stack([nu[:r], np.zeros(r)], -1), [0.0, 0.0])
-    h_c_sq, g_c_sq, sum_h_sq = np.empty((n, b)), np.empty((n, b)), np.empty((n, b))
-    h_sq = np.empty((n, b, len(law.mus))) if per_element else None
+    h_c_sq, g_c_sq, sum_h_sq = np.empty((b, n)), np.empty((b, n)), np.empty((b, n))
+    h_sq = np.empty((b, n, len(law.mus))) if per_element else None
     for j in range(b):
         noise = rng.standard_normal((n, r + 1, 2))
         if per_element:
-            _element_gains(noise[:, :r], factor, law.mus, out=h_sq[:, j])
+            _element_gains(noise[:, :r], factor, law.mus, out=h_sq[j])
         row = noise.reshape(n, 2 * r + 2)  # c_i = nu_i + s sqrt(lambda_i) u_i, in place
         row *= row_scale
         row += row_mean
         coords = row[:, :2 * r]
-        sum_h_sq[:, j] = np.einsum("ij,ij->i", coords, coords) + dropped_sq
+        sum_h_sq[j] = np.einsum("ij,ij->i", coords, coords) + dropped_sq
         re = np.einsum("ij,j->i", coords[:, 0::2], ones[:r]) + dropped_c
         im = np.einsum("ij,j->i", coords[:, 1::2], ones[:r])
-        h_c_sq[:, j] = re * re + im * im
+        h_c_sq[j] = re * re + im * im
         g_c = sample_rician_vector(noise[:, r], m_c, var_c)
-        g_c_sq[:, j] = g_c.real * g_c.real + g_c.imag * g_c.imag
-    return ChannelSnapshot(h_c_sq=h_c_sq, g_c_sq=g_c_sq, sum_h_sq=sum_h_sq, h_sq=h_sq)
+        g_c_sq[j] = g_c.real * g_c.real + g_c.imag * g_c.imag
+    return ChannelSnapshot(h_c_sq=h_c_sq.T, g_c_sq=g_c_sq.T, sum_h_sq=sum_h_sq.T,
+                           h_sq=None if h_sq is None else h_sq.swapaxes(0, 1))
 
 
 def fit_gamma_product(params: SystemParams) -> GammaFit:

@@ -3,6 +3,7 @@ statistics, the closed-form outage of the RGS / SBGS / EBGS group selection
 schemes, and the per-group energy fits.  A selected group is in outage when
 its Z lies below ``data_threshold`` (data) or its energy below e_req (energy)."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,31 +149,57 @@ def _recip_moments(mus: np.ndarray, cov: np.ndarray, w_p: float,
     Laplace transform of a complex Gaussian pair (Turin 1960): with a = w_p u,
     b = w_p v, C = cov[j, k] and the marginal variance s^2 = cov[j, j],
     E[e^{-a|h_j|^2 - b|h_k|^2}] = e^{-q}/D, D = (1+s^2 a)(1+s^2 b) - C^2 ab,
-    q = (a(1+s^2 b) m_j^2 + b(1+s^2 a) m_k^2 - 2abC m_j m_k)/D.  The mean takes
-    every node.  The covariance integrand, the marginal transforms times expm1
-    of the log of its ratio to them, keeps full relative accuracy at any drive
-    and is O(ab) as a, b -> 0: nodes with a max_j E|h_j|^2 < e^-20 and y < -20
-    add under e^-40 of it, so it drops them."""
-    a = w_p * np.exp(_Y_NODES) / c
-    wt = _Y_STEP * np.exp(_Y_NODES - np.exp(_Y_NODES)) / c
-    d1 = 1.0 + cov[0, 0] * a  # R has a unit diagonal: every element shares it
-    q1 = np.outer(mus ** 2, a / d1)
-    lap = np.exp(-q1) / d1
-    keep = _Y_NODES >= min(0.0, np.log(c / (w_p * np.max(np.diag(cov) + mus ** 2)))) - 20.0
-    q1, lw = q1[:, keep], lap[:, keep] * wt[keep]  # transforms times node weights
-    abdd = np.outer(a[keep], a[keep]) / np.outer(d1[keep], d1[keep])
+    q = (a(1+s^2 b) m_j^2 + b(1+s^2 a) m_k^2 - 2abC m_j m_k)/D.  The mean's
+    integrand is flat in y wherever s^2 a >> 1, so its nodes reach 36 below
+    lo = min(0, ln(c/(w_p max_j E|h_j|^2))), by whole steps below the fixed
+    grid.  The covariance integrand, the marginal transforms times expm1 of
+    the log of its ratio to them, keeps full relative accuracy at any drive
+    and is O(ab) as a, b -> 0: nodes with y < lo - 20 add under e^-40 of it,
+    so it drops them and keeps to the fixed grid.  It is written through
+    u = 1/(1+s^2 a), so that no product of two a's forms and no term cancels
+    as s^2 a grows."""
+    lo = min(0.0, np.log(c / (w_p * np.max(np.diag(cov) + mus ** 2))))
+    y = np.append(_Y_NODES[0] - _Y_STEP * np.arange(math.ceil(-lo / _Y_STEP), 0, -1), _Y_NODES)
+    a = w_p * np.exp(y) / c
+    wt = _Y_STEP * np.exp(y - np.exp(y)) / c
+    s2 = cov[0, 0]  # R has a unit diagonal: every element shares it
+    d1 = 1.0 + s2 * a
+    lap = np.exp(-np.outer(mus ** 2, a / d1)) / d1
+    keep = y >= max(lo - 20.0, _Y_NODES[0])
+    lw = lap[:, keep] * wt[keep]  # transforms times node weights
+    u, a_d = 1.0 / d1[keep], (a / d1)[keep]
+    abdd = np.outer(a_d, a_d)  # ab / ((1+s^2 a)(1+s^2 b)), at most 1/s^4
+    mu_u = np.outer(mus ** 2, u)
+    # x = -C^2 abdd >= -(s^2 a u)(s^2 b u), whose factors rise with the node:
+    # 1 + x keeps its accuracy unless both nodes lie past i0, where s^2 a u
+    # passes 1/sqrt(2).  There x may near -1 or round below it, so 1 + x is
+    # the sum of nonnegative terms (1 - s^4 abdd) + (s^4 - C^2) abdd, with
+    # 1 - s^4 abdd = u_a + (1 - u_a) u_b, and ln(1 + x) is ln of that sum:
+    # every diagonal term is at least expm1(ln 2) there, so an absolute
+    # rounding error in the log is a relative one in the sum
+    i0 = int(np.searchsorted(s2 * a_d, math.sqrt(0.5), side="right"))
+    past = np.s_[:, i0:, i0:]
+    near = u[i0:, None] + np.outer(s2 * a_d[i0:], u[i0:])
     buf, var_t = np.empty((3, len(mus), *abdd.shape)), 0.0  # row j, k >= j: buf[:, j:]
     for j, m_j in enumerate(mus):
-        ck, (x, r, e) = cov[j, j:, None, None], buf[:, j:]
+        ck, m_k, (x, r, e) = cov[j, j:, None, None], mus[j:, None, None], buf[:, j:]
         np.multiply(-ck ** 2, abdd, out=x)  # D / ((1+s^2 a)(1+s^2 b)) - 1
-        # q_j(a) + q_k(b) - q = abC (2 m_j m_k - C (q_j(a) + q_k(b))) / D
-        np.add(q1[j, :, None], q1[j:, None, :], out=e)
-        e *= -ck
-        e += 2.0 * m_j * mus[j:, None, None]
-        e *= ck
+        np.add(x, 1.0, out=r)
+        np.multiply(s2 ** 2 - ck ** 2, abdd[i0:, i0:], out=r[past])
+        r[past] += near
+        # q_j(a) + q_k(b) - q = abC (2 m_j m_k - C (q_j(a) + q_k(b))) / D, whose
+        # bracket is 2 (1 - rho) m_j m_k - rho (m_j - m_k)^2 + rho (m_j^2 u_a +
+        # m_k^2 u_b) with rho = C/s^2: its constant part is 0 on the diagonal,
+        # where the written bracket would cancel to its rounding error
+        rho = ck / s2
+        const = 2.0 * (s2 - ck) / s2 * m_j * m_k - rho * (m_j - m_k) ** 2
+        np.add(ck * rho * mu_u[j, :, None], ck * (rho * mu_u[j:, None, :] + const), out=e)
         e *= abdd
-        e /= np.add(x, 1.0, out=r)
-        e -= np.log1p(x, out=x)
+        e /= r
+        with np.errstate(divide="ignore", invalid="ignore"):  # overwritten past i0
+            np.log1p(x, out=x)
+        np.log(r[past], out=x[past])
+        e -= x
         np.expm1(e, out=e)
         row = (e @ lw[j:, :, None])[..., 0] @ lw[j]
         var_t += row[0] + 2.0 * row[1:].sum()

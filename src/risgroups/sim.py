@@ -22,10 +22,11 @@ b-group block, so a sweep over b draws once at its widest b and evaluates each
 point on its own first b columns.  A sweep over spacing still draws once per
 point.  The linear EH law is additive, so it harvests each group's power sum
 sum_j |h_j|^2, which every block reduces from its r eigen-coordinates per
-group; only the nonlinear law harvests per element, so a block forms the
-(n, B, M) per-element gains only if a point of its law uses that law, and its
-z and power sums have the same bits either way.  Data points compute the
-energy too, because the benchmark traces ``harvest_rate`` there.
+group; only the nonlinear law harvests per element, one (n, M) group column
+at a time, so a block forms the (n, B, M) per-element gains only if a point of
+its law uses that law, and its z and power sums have the same bits either
+way.  Data points compute the energy too, because the benchmark traces
+``harvest_rate`` there.
 """
 
 import itertools
@@ -99,14 +100,19 @@ def simulate_block(params: SystemParams, n: int, rng: np.random.Generator,
 
 
 def _group_energy(params: SystemParams, mode: RisMode, eh: EhModel, h_sq, sum_h_sq):
-    """Energy each group harvests over the EH phase of one grid point: the linear
-    law from its power sum ``sum_h_sq``, the nonlinear law element by element."""
+    """Energy each group harvests over the EH phase of one grid point, as an
+    (n, B) view of group-major storage: the linear law from its power sum
+    ``sum_h_sq``, the nonlinear law element by element, one (n, M) group column
+    of ``h_sq`` at a time."""
     dur, w_p = eh_wiring(params, mode)
     try:  # an incident power that overflows to inf fails harvest_rate's finiteness check
         with np.errstate(over="ignore"):
             if eh.kind == "linear":
                 return dur * harvest_rate(eh, w_p * sum_h_sq)
-            return dur * harvest_rate(eh, w_p * h_sq).sum(axis=-1)
+            energy = np.empty(sum_h_sq.shape[::-1])
+            for j in range(len(energy)):
+                energy[j] = dur * harvest_rate(eh, w_p * h_sq[:, j]).sum(axis=-1)
+            return energy.T
     except ValueError as exc:
         raise OverflowError(f"at p_tx = {params.p_tx!r} W: {exc}") from None
 
@@ -116,14 +122,19 @@ def _kth_largest_index(values: np.ndarray, k: int) -> np.ndarray:
 
 
 def _point_failures(params: SystemParams, cfg: TrialConfig, z, h_sq, sum_h_sq) -> int:
-    """Trials whose selected group's statistic lies below the point's threshold;
-    SBGS ranks by z, which the SNR snr_per_z z >= 0 never reorders."""
+    """Trials whose selected group's statistic lies below the point's threshold t;
+    SBGS ranks by z, which the SNR snr_per_z z >= 0 never reorders.  Where the
+    scheme ranks by the point's own metric, the k-th largest value lies below t
+    exactly when fewer than k groups reach t, so no group is selected."""
     stats = {"data": z, "energy": _group_energy(params, cfg.mode, cfg.eh, h_sq, sum_h_sq)}
-    ranked = RANKED_METRIC.get(cfg.strategy.scheme)
-    idx = 0 if ranked is None else _kth_largest_index(stats[ranked], cfg.strategy.k)
+    stat = stats[cfg.metric]
     threshold = (data_threshold(params, cfg.mode, cfg.r_req) if cfg.metric == "data"
                  else cfg.e_req)
-    return int(np.sum(stats[cfg.metric][np.arange(len(z)), idx] < threshold))
+    ranked, k = RANKED_METRIC.get(cfg.strategy.scheme), cfg.strategy.k
+    if ranked == cfg.metric:
+        return int(np.count_nonzero(np.count_nonzero(stat >= threshold, axis=1) < k))
+    idx = 0 if ranked is None else _kth_largest_index(stats[ranked], k)
+    return int(np.count_nonzero(stat[np.arange(len(z)), idx] < threshold))
 
 
 def _block_failures(points: list, n: int, block_idx: int) -> list[int]:

@@ -581,6 +581,35 @@ def test_overflowing_incident_power_is_an_error(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+# a drive far beyond any link, at which the nonlinear energy fit once divided
+# 0 by 0 (1e16 W) and overflowed a product of two nodes (1e160 W)
+STRONG_DRIVE = """
+rho_l = 1
+d_sr = 1
+d_rd = 1
+mode = ps
+rho = 0.5
+scheme = ebgs
+metric = energy
+eh = nonlinear
+e_req = 9e-4
+sweep_variable = p_tx
+n_trials = 64
+"""
+
+
+@pytest.mark.parametrize("p_tx", ["1e16", "1e160"])
+def test_strong_drive_energy_fit_is_finite(tmp_path, p_tx):
+    # a numpy warning fails the suite, so a clean exit is a fit without NaN
+    path = tmp_path / "strong.cfg"
+    path.write_text(STRONG_DRIVE + f"sweep_grid = {p_tx}\n", encoding="utf-8")
+    out = tmp_path / "out.csv"
+    assert main(["run", str(path), "-o", str(out)]) == 0
+    (row,) = _data_rows(out)
+    assert float(row[0]) == float(p_tx)
+    assert math.isfinite(float(row[1]))
+
+
 def _fields_match(ref: str, new: str) -> bool:
     """A field matches its reference exactly, or, where both read as floats,
     within 1e-12 relative (NaN matches NaN); an integer field below 1e12 can

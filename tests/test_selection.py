@@ -2,9 +2,13 @@
 
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import integrate, special
 
 from risgroups.channel import (
@@ -33,7 +37,8 @@ from risgroups.selection import (
     outage_sbgs,
 )
 from risgroups.cli import load_scenario
-from risgroups.sim import _kth_largest_index, block_rng, simulate_block
+from risgroups import sim
+from risgroups.sim import TrialConfig, _kth_largest_index, block_rng, simulate_block
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -97,6 +102,37 @@ class TestKthBest:
         for k in range(1, 10):
             picked = values[rows, _kth_largest_index(values, k)]
             np.testing.assert_array_equal(picked, np.sort(values, axis=1)[:, -k])
+
+
+@st.composite
+def _ranked_stats(draw):
+    """An (n, B) statistic from a few integers, so that groups tie, in either
+    memory layout, and a threshold equal to one of its values, 0 or inf."""
+    shape = (draw(st.integers(1, 12)), draw(st.integers(1, 8)))
+    stat = draw(arrays(np.float64, shape, elements=st.sampled_from([0.0, 1.0, 2.0, 3.0])))
+    if draw(st.booleans()):
+        stat = np.ascontiguousarray(stat.T).T  # group-major, as a drawn block
+    return stat, draw(st.sampled_from([0.0, math.inf, *np.unique(stat).tolist()]))
+
+
+class TestRankedCount:
+    @settings(max_examples=200, deadline=None)
+    @given(_ranked_stats())
+    def test_count_equals_kth_largest_selection(self, case):
+        # where a scheme ranks by the point's own metric, a trial fails when
+        # fewer than k groups reach t: the count of its k-th largest below t
+        stat, t = case
+        n, b = stat.shape
+        p = SystemParams(m_per_group=1, b_groups=b, n_total=b)
+        rows = np.arange(n)
+        with mock.patch.object(sim, "_group_energy", return_value=stat), \
+                mock.patch.object(sim, "data_threshold", return_value=t):
+            for k in range(1, b + 1):
+                expected = int(np.count_nonzero(stat[rows, _kth_largest_index(stat, k)] < t))
+                for scheme, metric in (("SBGS", "data"), ("EBGS", "energy")):
+                    c = TrialConfig(n_trials=n, strategy=SelectionStrategy(scheme, k=k),
+                                    metric=metric, e_req=t)
+                    assert sim._point_failures(p, c, stat, None, stat) == expected
 
 
 class TestClosedFormOutage:
@@ -255,6 +291,32 @@ class TestEnergyDistributionFit:
         assert mean_t == pytest.approx(m1, rel=1e-9, abs=0.0)
         assert var_t == pytest.approx(m2 - m1 ** 2, rel=1e-9, abs=0.0)
 
+    @pytest.mark.parametrize("p_tx", [1e10, 1e16, 1e160])
+    @pytest.mark.parametrize("k_h", [0.0, 3.0])
+    def test_nonlinear_single_element_under_strong_drive(self, k_h, p_tx):
+        # E[T] ~ ln(w_p)/w_p takes the Laplace integrand over every y from
+        # ln(c/w_p) to 0, and var T ~ 1/(w_p c) its region where w_p |h|^2 ~ c;
+        # the quadrature runs in ln |h|^2, which resolves |h|^2 ~ c/w_p
+        law = channel_law(SystemParams(k_h=k_h, m_per_group=1, b_groups=400))
+        (mu,), ((s_sq,),) = law.mus, law.cov
+        w_p, c = 0.5 * p_tx, NONLINEAR_DEFAULT.c
+
+        def moment(n):
+            def integrand(t):  # |h|^2 = e^t
+                x = math.exp(t)
+                pdf = (math.exp(-(math.sqrt(x) - mu) ** 2 / s_sq)
+                       * special.i0e(2.0 * mu * math.sqrt(x) / s_sq) / s_sq)
+                return pdf * x * (1.0 / (w_p * x + c)) ** n
+
+            edges = np.linspace(math.log(c / w_p) - 40.0, math.log(60.0), 80)
+            return sum(integrate.quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-13)[0]
+                       for lo, hi in zip(edges[:-1], edges[1:]))
+
+        m1, m2 = moment(1), moment(2)
+        mean_t, var_t = _recip_moments(law.mus, law.cov, w_p, c)
+        assert mean_t == pytest.approx(m1, rel=1e-9, abs=0.0)
+        assert var_t == pytest.approx(m2 - m1 ** 2, rel=1e-9, abs=0.0)
+
     @pytest.mark.parametrize("p_tx", [1e-3, 1e-2])
     def test_nonlinear_variance_under_weak_drive(self, p_tx):
         # T ~ M/c - (w_p/c^2) sum_j |h_j|^2 as w_p -> 0, so var T tends to
@@ -299,13 +361,19 @@ class TestEnergyDistributionFit:
 
 def _reference_recip_moments(mus, cov, w_p, c):
     """Mean and variance of T = sum_j 1/(w_p |h_j|^2 + c), h ~ CN(mus, cov):
-    the Laplace-transform integrals on every node, pair (j, k) by pair."""
-    a = w_p * np.exp(_Y_NODES) / c
-    wt = _Y_STEP * np.exp(_Y_NODES - np.exp(_Y_NODES)) / c
-    d = 1.0 + cov[0, 0] * a
-    q = [m ** 2 * a / d for m in mus]
-    lap = [np.exp(-q_j) / d for q_j in q]
+    the Laplace-transform integrals, the mean on nodes reaching 90 below the
+    lowest of ``_Y_NODES`` (its integrand is flat in y wherever w_p u |h_j|^2
+    is large), the variance on every node, pair (j, k) by pair."""
+
+    def transforms(y):
+        a = w_p * np.exp(y) / c
+        d = 1.0 + cov[0, 0] * a
+        q = [m ** 2 * a / d for m in mus]
+        return a, d, q, [np.exp(-q_j) / d for q_j in q], _Y_STEP * np.exp(y - np.exp(y)) / c
+
+    *_, lap, wt = transforms(np.arange(_Y_NODES[0] - 90.0, 3.7, _Y_STEP))
     mean = sum(float(lap_j @ wt) for lap_j in lap)
+    a, d, q, lap, wt = transforms(_Y_NODES)
     ab, dd = np.outer(a, a), np.outer(d, d)
     var = 0.0
     for j in range(len(mus)):

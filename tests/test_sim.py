@@ -169,6 +169,41 @@ class TestSimulateBlock:
         peak, (_, h_sq, _) = self._peak(p, per_element=True)
         assert peak <= 2.0 * h_sq.nbytes
 
+    def test_group_columns_are_contiguous(self):
+        # a block is stored group-major: each group column is one slab
+        snap = sample_channels(PARAMS, (300, PARAMS.b_groups), block_rng(2, 0),
+                               per_element=True)
+        for j in range(PARAMS.b_groups):
+            for name in ("h_sq", "sum_h_sq", "h_c_sq", "g_c_sq", "z"):
+                assert getattr(snap, name)[:, j].flags.c_contiguous, (name, j)
+
+
+class TestGroupEnergy:
+    MODE, EH = RisMode("PS", rho=0.5), NONLINEAR_DEFAULT
+    P = SystemParams(rho_l=0.1, d_sr=2.0, p_tx=20.0)
+
+    def test_column_harvest_keeps_the_bits_of_the_block_harvest(self):
+        # on a b-prefix of a block, as a b sweep evaluates it
+        _, h_sq, sum_h_sq = simulate_block(self.P, 500, block_rng(3, 0), per_element=True)
+        dur, w_p = eh_wiring(self.P, self.MODE)
+        for b in (1, 7, self.P.b_groups):
+            energy = sim._group_energy(self.P, self.MODE, self.EH, h_sq[:, :b],
+                                       sum_h_sq[:, :b])
+            assert np.array_equal(energy, dur * harvest_rate(self.EH, w_p * h_sq[:, :b]).sum(-1))
+
+    def test_peak_memory_is_a_few_group_columns(self):
+        # one (n, M) group column at a time: no (n, B, M) temporary
+        _, h_sq, sum_h_sq = simulate_block(self.P, BLOCK_SIZE, block_rng(3, 0),
+                                           per_element=True)
+        assert h_sq.shape == (BLOCK_SIZE, 20, 20)
+        tracemalloc.start()
+        try:
+            sim._group_energy(self.P, self.MODE, self.EH, h_sq, sum_h_sq)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * h_sq.nbytes
+
 
 def one(params, c, workers=1):
     return estimate_outage([(params, c)], workers=workers)[0]
@@ -344,6 +379,39 @@ EDGES = [
     *[pytest.param(RisMode("PS", rho=0.0), "energy", e_req, "EBGS", id=f"PS-rho=0-e_req={e_req:g}")
       for e_req in (0.0, 1e-9)],
 ]
+
+
+class TestCrossCells:
+    # a scheme that ranks by the other metric is the one user of
+    # _kth_largest_index; its counts must be those of a full argsort
+    @pytest.mark.parametrize("name, scheme", [("data_snr_sbgs", "EBGS"),
+                                              ("energy_ptx_linear", "SBGS"),
+                                              ("energy_ptx_nonlinear", "SBGS")])
+    def test_failures_match_an_argsort_reference(self, name, scheme):
+        n = 1500
+        scenario = cli.load_scenario(str(ROOT / "scenarios" / f"{name}.cfg"))
+        points = [(p, replace(c, n_trials=n, strategy=replace(c.strategy, scheme=scheme)))
+                  for p, c in scenario.points]
+        params, c0 = points[0]
+        nonlinear = c0.eh.kind == "nonlinear"
+        z, h_sq, sum_h_sq = simulate_block(params, n, block_rng(c0.seed, 0),
+                                           per_element=nonlinear)
+        assert z.T.flags.c_contiguous and sum_h_sq.T.flags.c_contiguous
+        expected = []
+        for p, c in points:
+            dur, w_p = eh_wiring(p, c.mode)
+            energy = dur * (harvest_rate(c.eh, w_p * h_sq).sum(-1) if nonlinear
+                            else harvest_rate(c.eh, w_p * sum_h_sq))
+            stats = {"data": z, "energy": energy}
+            ranked = sim.RANKED_METRIC[scheme]
+            assert ranked != c.metric
+            idx = np.argsort(-stats[ranked], axis=1)[:, c.strategy.k - 1]
+            threshold = (data_threshold(p, c.mode, c.r_req) if c.metric == "data"
+                         else c.e_req)
+            expected.append(int(np.sum(stats[c.metric][np.arange(n), idx] < threshold)))
+            assert sim._point_failures(p, c, z, h_sq, sum_h_sq) == expected[-1]
+        assert [e.p_hat for e in estimate_outage(points)] == [f / n for f in expected]
+        assert len(set(expected)) > 1
 
 
 class TestAnalyticOutage:
