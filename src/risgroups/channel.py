@@ -7,7 +7,8 @@ loss alone carries all scaling.  ``channel_law`` is the only statement of this
 law and of K: its ``ChannelLaw`` holds h's element law, the eigenpairs and rank
 of R, the eigenbasis mean nu and the composite law of g_c, from which
 ``power_moments`` gives the Gamma fit of Z and the energy fits, and which
-``sample_channels`` draws.
+``sample_channels`` draws.  R^(1/2) 1 = V Lambda^(1/2) V^T 1 is a fixed-order
+sum over the eigenpairs, not a BLAS product: its bits ignore the thread count.
 
 ``sample_channels`` is the only code that turns normals into channels, and it
 draws one shape, an (n, B) block of n trials of B groups, from
@@ -192,17 +193,15 @@ def channel_law(params: SystemParams) -> ChannelLaw:
     if worst < 0:
         logger.debug("clamping correlation eigenvalues by %.3e", -worst)
     w = np.clip(w, 0.0, None)
-    root = ((v * np.sqrt(w)) @ v.T).sum(axis=1)  # R^(1/2) 1
+    root_w, ones = np.sqrt(w), np.sum(v, axis=0)  # Lambda^(1/2) and V^T 1
+    root = np.einsum("ij,j->i", v, root_w * ones)  # R^(1/2) 1 in a fixed order, not by BLAS
     (los_h, scatter_h), (los_g, scatter_g) = (
         (math.sqrt(k / (k + 1.0)), 1.0 / (k + 1.0)) for k in (params.k_h, params.k_g))
-    vecs = v[:, ::-1]
     rank = int(np.count_nonzero(np.cumsum(w) > _DROPPED_TRACE * np.trace(entries)))
-    # nu = V^T mus from the eigenpairs alone: mus' R^(1/2) is a BLAS product,
-    # which rounds by the thread count at some M
     return ChannelLaw(
         key=(params.m_per_group, params.spacing, params.wavelength, params.k_h, params.k_g),
-        mus=los_h * root, cov=scatter_h * entries, eigenvalues=w[::-1], eigenvectors=vecs,
-        rank=rank, nu=los_h * np.sqrt(w[::-1]) * np.sum(vecs, axis=0),
+        mus=los_h * root, cov=scatter_h * entries, eigenvalues=w[::-1], eigenvectors=v[:, ::-1],
+        rank=rank, nu=(los_h * root_w * ones)[::-1],
         g_c=((los_g * root).sum(keepdims=True), (scatter_g * entries).sum(keepdims=True)))
 
 

@@ -222,7 +222,11 @@ def fit_energy_distribution(params: SystemParams, mode: RisMode, model: EhModel)
         return GammaFit.from_moments(dur * w_p * mean_s, (dur * w_p) ** 2 * var_s)
 
     # nonlinear: E = dur (ac - b) (M/c - T), T = sum_j 1/(w_p |h_j|^2 + c)
-    mean_t, var_t = _recip_moments(law.mus, law.cov, w_p, model.c)
+    try:  # a drive whose nodes or integrand overflow a double has no fit
+        with np.errstate(over="raise", invalid="raise"):
+            mean_t, var_t = _recip_moments(law.mus, law.cov, w_p, model.c)
+    except FloatingPointError as exc:
+        raise OverflowError(f"at p_tx = {params.p_tx!r} W: nonlinear energy fit: {exc}") from None
     if var_t <= 0:
         raise DegenerateFitError("vanishing variance in nonlinear energy fit")
     inv_shape = mean_t ** 2 / var_t + 2.0

@@ -235,7 +235,7 @@ def sweep_points(params: SystemParams, cfg: TrialConfig, variable: str,
                  grid: Sequence) -> list:
     """The ``(params, cfg)`` point of each grid value, after checking the whole
     grid (nonempty, finite, strictly monotone, integral for ``b`` and ``k``,
-    known variable, read by the mode, ``k <= b`` everywhere)."""
+    known variable, read by the mode and the scheme, ``k <= b`` everywhere)."""
     grid = list(grid)
     if not grid:
         raise ValueError("sweep grid must be nonempty")
@@ -250,6 +250,8 @@ def sweep_points(params: SystemParams, cfg: TrialConfig, variable: str,
         raise ValueError(f"{variable} sweep values must be integers")
     if {"rho": "TS", "zeta": "PS"}.get(variable) == cfg.mode.kind:
         raise ValueError(f"{cfg.mode.kind} mode does not read {variable}, so its sweep is flat")
+    if variable in ("b", "k") and cfg.strategy.scheme == "RGS":
+        raise ValueError(f"RGS takes group 0 and does not read {variable}, so its sweep is flat")
     points = [_apply_variable(params, cfg, variable, value) for value in grid]
     _check_k(points)
     return points

@@ -145,10 +145,13 @@ class TestCorrelationMatrix:
         np.testing.assert_allclose(law.mus, _los_mean(p, p.k_h), rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(law.mus, np.full(8, math.sqrt(0.5)), rtol=0.0, atol=1e-7)
 
-    def test_sqrt_reproduces_matrix(self):
+    @pytest.mark.parametrize("m", [12, 100, 200])
+    def test_sqrt_reproduces_matrix(self, m):
         # the law's mean is sqrt(K/(K+1)) R^(1/2) 1 for the principal root of R,
-        # built from the clamped eigenpairs, at lambda/8 where R is near-singular
-        p = replace(_params(12, 0.1 / 8.0), k_h=2.0)
+        # summed in a fixed order from the clamped eigenpairs, at lambda/8 where
+        # R is near-singular, up to the sizes where a BLAS product rounded by
+        # the thread count
+        p = replace(_params(m, 0.1 / 8.0), k_h=2.0)
         np.testing.assert_allclose(channel_law(p).mus, _los_mean(p, 2.0), rtol=0.0, atol=1e-12)
 
     def test_entries_follow_sinc(self):

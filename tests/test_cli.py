@@ -217,10 +217,16 @@ class TestLoadScenario:
         # a factor the mode does not read would print the same row at every value
         ("mode = ts\nsweep_variable = rho\nsweep_grid = 0.1,0.5,0.9\n", "TS mode does not read rho"),
         ("mode = ps\nsweep_variable = zeta\nsweep_grid = 0.1,0.5,0.9\n", "PS mode does not read zeta"),
+        # RGS takes group 0, so it reads neither the group count nor k
+        ("scheme = rgs\nsweep_variable = b\nsweep_grid = 20,80,140\n",
+         "RGS takes group 0 and does not read b"),
+        ("scheme = rgs\nsweep_variable = k\nsweep_grid = 1,3,6\n",
+         "RGS takes group 0 and does not read k"),
     ])
     def test_invalid_sweep_rejected(self, tmp_path, sweep, message):
         path = tmp_path / "sweep.cfg"
-        path.write_text("scheme = sbgs\nk = 6\n" + sweep, encoding="utf-8")
+        scheme = "" if sweep.startswith("scheme = ") else "scheme = sbgs\n"  # unless the case sets it
+        path.write_text(scheme + "k = 6\n" + sweep, encoding="utf-8")
         with pytest.raises(ScenarioError, match=rf"sweep\.cfg: .*{message}"):
             load_scenario(str(path))
 
@@ -582,11 +588,13 @@ def test_overflowing_incident_power_is_an_error(tmp_path, capsys, flags):
 
 
 # a drive far beyond any link, at which the nonlinear energy fit once divided
-# 0 by 0 (1e16 W) and overflowed a product of two nodes (1e160 W)
+# 0 by 0 (1e16 W), overflowed a product of two nodes (1e160 W) and, past
+# 1e300 W, ended in a NaN shape; a 1 W noise keeps the link budget finite
 STRONG_DRIVE = """
 rho_l = 1
 d_sr = 1
 d_rd = 1
+noise_dbm = 30
 mode = ps
 rho = 0.5
 scheme = ebgs
@@ -598,16 +606,26 @@ n_trials = 64
 """
 
 
-@pytest.mark.parametrize("p_tx", ["1e16", "1e160"])
-def test_strong_drive_energy_fit_is_finite(tmp_path, p_tx):
-    # a numpy warning fails the suite, so a clean exit is a fit without NaN
+@pytest.mark.parametrize("p_tx", ["1e16", "1e160", "1e300", "1e306", "1e307"])
+def test_strong_drive_energy_fit_is_finite(tmp_path, capsys, p_tx):
+    # a numpy warning fails the suite, so a clean exit is a fit without NaN.
+    # From 1e306 W the fit's nodes or its integrand overflow a double, which
+    # stops the run as the simulator's overflow does: one line, no CSV
     path = tmp_path / "strong.cfg"
     path.write_text(STRONG_DRIVE + f"sweep_grid = {p_tx}\n", encoding="utf-8")
     out = tmp_path / "out.csv"
-    assert main(["run", str(path), "-o", str(out)]) == 0
-    (row,) = _data_rows(out)
-    assert float(row[0]) == float(p_tx)
-    assert math.isfinite(float(row[1]))
+    code = main(["run", str(path), "-o", str(out)])
+    if float(p_tx) > 1e300:
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: at p_tx = {float(p_tx)!r} W: nonlinear energy fit: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+    else:
+        assert code == 0
+        (row,) = _data_rows(out)
+        assert float(row[0]) == float(p_tx)
+        assert math.isfinite(float(row[1]))
 
 
 def _fields_match(ref: str, new: str) -> bool:

@@ -544,6 +544,8 @@ def shared_law_points(variable, grid, scheme, metric, threshold):
         metric=metric,
     )
     base = SMALL_ENERGY if metric == "energy" else SMALL
+    if variable == "b" and scheme == "RGS":  # flat, so sweep_points rejects it
+        return [(with_field(base, "b_groups", b), c) for b in grid]
     return sweep_points(base, c, variable, grid)
 
 
