@@ -26,12 +26,12 @@ row, before the next column is drawn and with no matrix product, a column
 reduces to sum_j |tilde_h_j|^2 = sum_i |c_i|^2 (V is orthogonal),
 h_c = sum_j tilde_h_j = sum_i (V^T 1)_i c_i and |g_c|^2.  Only when asked does
 it also form the per-element gains |tilde_h_j|^2 of
-h = mus + u @ (s Lambda_r^(1/2) V_r^T), which the nonlinear law and the bounds
-read, leaving every other output's bits as they are.  Successive draws
-continue one stream, so the first b columns of a draw are the (n, b) draw and
-the first n rows of column 0 are the (n, 1) draw, bit for bit (for the
-per-element gains from n = 2: numpy hands a one-row product to BLAS gemv, which
-rounds differently).  The block is group-major in memory as in the stream:
+h = mus + u @ (s Lambda_r^(1/2) V_r^T), which only the nonlinear law reads (in
+a sweep or a bounds run), leaving every other output's bits as they are.
+Successive draws continue one stream, so the first b columns of a draw are the
+(n, b) draw and the first n rows of column 0 are the (n, 1) draw, bit for bit
+(for the per-element gains from n = 2: numpy hands a one-row product to BLAS
+gemv, which rounds differently).  The block is group-major in memory as in the stream:
 column j is written as one contiguous (n,) or (n, M) slab of (B, n) and
 (B, n, M) arrays.  The result is a ``ChannelSnapshot`` of their transposed
 (n, B) and (n, B, M) views; indexing its batch axes (``snaps[d, 0]``,
@@ -279,7 +279,7 @@ def sample_channels(params: SystemParams, shape: tuple, rng: np.random.Generator
     """Draw an ``(n, B)`` block of ``channel_law(params)``, one normal call per
     group column.  Row i holds trial i's r eigen-coordinate normals u, then the
     pair of its g_c ~ CN(m_c, var_c); ``per_element`` also forms every |h_j|^2,
-    which only the nonlinear law and the bounds read."""
+    which only the nonlinear law reads, in a sweep or a bounds run."""
     n, b = shape
     law = channel_law(params)
     m_c, var_c = (x.item() for x in law.g_c)

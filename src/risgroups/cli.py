@@ -218,24 +218,21 @@ def run_bounds(scenario: Scenario, out_path: str) -> int:
     """Emit the feasibility interval of the configured mode/EH model for each
     of ``n_draws`` snapshots.  Snapshot d is group 0 of trial d of an
     ``(n_draws, 1)`` block from ``block_rng(seed, 0)``, the channel RGS
-    evaluates in a sweep block, so it depends on the seed and d, not on ``n_draws``."""
-    params = scenario.params
-    trial = scenario.trial
-    # at least two rows: BLAS rounds a one-row product differently
+    evaluates in a sweep block, so it depends on the seed and d, not on ``n_draws``.
+    Only the nonlinear law reads, and so draws, the per-element gains."""
+    params, trial = scenario.params, scenario.trial
+    nonlinear = trial.eh.kind == "nonlinear"
+    # looked up per run, not at import, so a rebinding of these module names holds
+    interval = {"PS": (rho_bounds_linear, rho_bounds_nonlinear),
+                "TS": (zeta_bounds_linear, zeta_bounds_nonlinear)}[trial.mode.kind][nonlinear]
+    head = (params, trial.eh) if nonlinear else (params,)
+    # at least two rows: BLAS rounds the per-element gains' one-row product differently
     snaps = sample_channels(params, (max(2, scenario.n_draws), 1), block_rng(trial.seed, 0),
-                            per_element=True)
+                            per_element=nonlinear)
     rows = []
     any_feasible = False
     for draw in range(scenario.n_draws):
-        snap = snaps[draw, 0]
-        if trial.mode.kind == "PS" and trial.eh.kind == "linear":
-            iv = rho_bounds_linear(params, snap, trial.r_req)
-        elif trial.mode.kind == "PS":
-            iv = rho_bounds_nonlinear(params, trial.eh, snap, trial.r_req)
-        elif trial.eh.kind == "linear":
-            iv = zeta_bounds_linear(params, snap, trial.r_req)
-        else:
-            iv = zeta_bounds_nonlinear(params, trial.eh, snap, trial.r_req)
+        iv = interval(*head, snaps[draw, 0], trial.r_req)
         any_feasible = any_feasible or iv.feasible
         rows.append([draw, iv.lower, iv.upper, str(iv.feasible).lower(), iv.cause or ""])
     _write_csv(out_path, scenario, "channel_draw,lower,upper,feasible,cause", rows)

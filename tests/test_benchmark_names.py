@@ -68,22 +68,24 @@ def test_simulate_block_binds_params_and_n():
     assert bound.arguments["n"] == 7
 
 
-def count_calls(monkeypatch, names) -> collections.Counter:
-    """Count calls of each ``module.function`` through every name it is bound to."""
-    calls = collections.Counter()
+def record_calls(monkeypatch, names) -> dict:
+    """The results of each ``module.function``'s calls through every name it is
+    bound to, by name; a name never called has no entry."""
+    calls = collections.defaultdict(list)
     for name in names:
         module_name, _, attr = f"risgroups.{name}".rpartition(".")
         original = getattr(importlib.import_module(module_name), attr)
 
-        def counting(*args, _fn=original, _name=name, **kwargs):
-            calls[_name] += 1
-            return _fn(*args, **kwargs)
+        def recording(*args, _fn=original, _name=name, **kwargs):
+            result = _fn(*args, **kwargs)
+            calls[_name].append(result)
+            return result
 
         for mod_name, module in list(sys.modules.items()):
             if mod_name.startswith("risgroups") and module is not None:
                 for key, value in list(vars(module).items()):
                     if value is original:
-                        monkeypatch.setattr(module, key, counting)
+                        monkeypatch.setattr(module, key, recording)
     return calls
 
 
@@ -103,7 +105,7 @@ def test_expected_calls_are_reached(workload, tmp_path, monkeypatch):
     expected = {name for name in CONSTANTS["EXPECTED_CALLS"][workload]
                 if not name.startswith("evt.")}
     spec = CONSTANTS["WORKLOADS"][workload]
-    calls = count_calls(monkeypatch, expected)
+    calls = record_calls(monkeypatch, expected)
     for i, variant in enumerate(spec.get("variants", [{}])):
         cfg = tmp_path / f"{i}.cfg"
         cfg.write_text(scenario_text(spec, variant), encoding="utf-8")
@@ -113,3 +115,7 @@ def test_expected_calls_are_reached(workload, tmp_path, monkeypatch):
         else:
             cli.run(scenario, str(tmp_path / f"{i}.csv"), workers=1)
     assert sorted(expected - set(calls)) == []
+    # the tracer counts each interval by its verdict and its cause
+    for result in (r for name in expected if name.startswith("bounds.") for r in calls[name]):
+        assert bool(result.feasible) == (result.cause is None)
+        assert result.cause in (None, *CONSTANTS["CAUSES"])

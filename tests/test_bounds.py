@@ -30,8 +30,9 @@ from risgroups.selection import RisMode, mean_snr_scale, required_energy
 PARAMS = SystemParams(rho_l=0.1, d_sr=2.0, d_rd=3.0, noise_power=0.05)
 
 
-def snapshot(seed: int, params: SystemParams = PARAMS) -> ChannelSnapshot:
-    return sample_channels(params, (1, 1), np.random.default_rng(seed), per_element=True)[0, 0]
+def snapshot(seed: int, params: SystemParams = PARAMS, per_element=True) -> ChannelSnapshot:
+    return sample_channels(params, (1, 1), np.random.default_rng(seed),
+                           per_element=per_element)[0, 0]
 
 
 def _harvest(model, incident_powers, duration: float) -> float:
@@ -254,6 +255,23 @@ class TestIntervalInvariants:
         # a NaN r_req would read as an interval, with a NaN upper end for zeta
         with pytest.raises(ValueError, match="nan"):
             bounds(snapshot(4), math.nan)
+
+
+class TestPerElementGains:
+    # a linear bounds run draws its snapshots without the per-element gains
+    @pytest.mark.parametrize("bounds", [rho_bounds_nonlinear, zeta_bounds_nonlinear],
+                             ids=["rho", "zeta"])
+    def test_nonlinear_bounds_ask_for_them(self, bounds):
+        lean = snapshot(9, per_element=False)
+        assert lean.h_sq is None
+        with pytest.raises(ValueError, match="draw it with per_element=True"):
+            bounds(PARAMS, NONLINEAR_DEFAULT, lean, 1.0)
+
+    @pytest.mark.parametrize("bounds", [rho_bounds_linear, zeta_bounds_linear],
+                             ids=["rho", "zeta"])
+    def test_linear_bounds_do_not_read_them(self, bounds):
+        lean, full = snapshot(9, per_element=False), snapshot(9)
+        assert bounds(PARAMS, lean, 1.0) == bounds(PARAMS, full, 1.0)
 
 
 TS_BOUNDS = pytest.mark.parametrize("bounds", [

@@ -2,6 +2,7 @@
 
 import collections
 import difflib
+import inspect
 import math
 import os
 import re
@@ -426,15 +427,17 @@ class TestBoundsCommand:
                              if not l.startswith("#")][1:]
         assert len(rows[10]) == 10 and rows[10] == rows[25][:10]
 
-    @pytest.mark.parametrize("seed", [{}, {"seed": 11}], ids=["shipped-seed", "seed-11"])
+    @pytest.mark.parametrize("seed", [{}, {"seed": 11}, {"seed": 0}],
+                             ids=["shipped-seed", "seed-11", "seed-0"])
     @pytest.mark.parametrize("mode, eh", [("ps", "linear"), ("ps", "nonlinear"),
                                           ("ts", "linear"), ("ts", "nonlinear")])
     def test_rows_do_not_depend_on_n_draws(self, tmp_path, mode, eh, seed):
         # each variant reads its own snapshot fields: PS-linear the power sum
         # and z, PS-nonlinear h_min and h_max, TS-nonlinear |g_c|^2.  One draw
-        # is the case BLAS would round differently as a one-row product; at
-        # seed 11 that would move the first row of all four variants, at the
-        # shipped seed of none
+        # is the case BLAS would round differently as a one-row product, which
+        # only the nonlinear variants form; with OpenBLAS 0.3.31 that would
+        # move the first row of both of them at seed 0, and of none at seed 11
+        # or the shipped seed
         rows = {}
         for n_draws in (1, 2, 500, 700):
             scenario = load_scenario(str(ROOT / "scenarios" / "bounds_ps_linear.cfg"),
@@ -447,27 +450,61 @@ class TestBoundsCommand:
         for n_draws in (1, 2, 500):
             assert rows[n_draws] == rows[700][:n_draws]
 
+    @staticmethod
+    def _bounds_snapshots(monkeypatch, name, overrides):
+        """The snapshots ``run_bounds`` hands ``cli.<name>`` on the shipped
+        bounds scenario, and the (z, h_sq, sum_h_sq) of the first sweep block."""
+        snaps = []
+
+        def recording(*args, _fn=getattr(cli, name)):
+            snaps.append(args[-2])  # the snapshot comes just before r_req
+            return _fn(*args)
+
+        monkeypatch.setattr(cli, name, recording)
+        scenario = load_scenario(str(ROOT / "scenarios" / "bounds_ps_linear.cfg"),
+                                 overrides, sweep=False)
+        assert cli.run_bounds(scenario, os.devnull) == 0
+        assert len(snaps) == scenario.n_draws
+        return snaps, sim.simulate_block(scenario.params, sim.BLOCK_SIZE,
+                                         sim.block_rng(scenario.trial.seed, 0),
+                                         per_element=True)
+
     @pytest.mark.parametrize("n_draws", [1, 300])
     def test_snapshot_is_group_0_of_a_sweep_block(self, monkeypatch, n_draws):
         # snapshot d is trial d of group 0 of the first sweep block, the
-        # channel RGS evaluates there
-        snaps = []
+        # channel RGS evaluates there; the linear law reads no per-element
+        # gains, so none are drawn
+        snaps, (z, _, sum_h_sq) = self._bounds_snapshots(
+            monkeypatch, "rho_bounds_linear", {"n_draws": n_draws})
+        for d, snap in enumerate(snaps):
+            assert snap.z == z[d, 0] and snap.sum_h_sq == sum_h_sq[d, 0]
+            assert snap.h_sq is None
 
-        def recording(params, snap, r_req, _fn=cli.rho_bounds_linear):
-            snaps.append(snap)
-            return _fn(params, snap, r_req)
-
-        monkeypatch.setattr(cli, "rho_bounds_linear", recording)
-        scenario = load_scenario(str(ROOT / "scenarios" / "bounds_ps_linear.cfg"),
-                                 {"n_draws": n_draws}, sweep=False)
-        assert cli.run_bounds(scenario, os.devnull) == 0
-        z, h_sq, sum_h_sq = sim.simulate_block(scenario.params, sim.BLOCK_SIZE,
-                                               sim.block_rng(scenario.trial.seed, 0),
-                                               per_element=True)
-        assert len(snaps) == n_draws
+    @pytest.mark.parametrize("n_draws", [1, 300])
+    def test_nonlinear_snapshot_is_group_0_of_a_sweep_block(self, monkeypatch, n_draws):
+        # the nonlinear law's per-element gains are those of the sweep block too
+        snaps, (z, h_sq, sum_h_sq) = self._bounds_snapshots(
+            monkeypatch, "rho_bounds_nonlinear", {"n_draws": n_draws, "eh": "nonlinear"})
         for d, snap in enumerate(snaps):
             assert snap.z == z[d, 0] and snap.sum_h_sq == sum_h_sq[d, 0]
             np.testing.assert_array_equal(snap.h_sq, h_sq[d, 0])
+
+    @pytest.mark.parametrize("mode", ["ps", "ts"])
+    @pytest.mark.parametrize("eh", ["linear", "nonlinear"])
+    def test_only_the_nonlinear_law_draws_per_element_gains(self, monkeypatch, mode, eh):
+        asked = []
+
+        def recording(*args, _fn=cli.sample_channels, **kwargs):
+            bound = inspect.signature(_fn).bind(*args, **kwargs)
+            bound.apply_defaults()
+            asked.append(bound.arguments["per_element"])
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "sample_channels", recording)
+        scenario = load_scenario(str(ROOT / "scenarios" / "bounds_ps_linear.cfg"),
+                                 {"n_draws": 3, "mode": mode, "eh": eh}, sweep=False)
+        assert cli.run_bounds(scenario, os.devnull) == 0
+        assert asked == [eh == "nonlinear"]
 
 
 def _low_power_nonlinear_energy() -> str:
