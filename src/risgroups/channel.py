@@ -227,13 +227,16 @@ class ChannelSnapshot:
     column ``[:, j]`` is contiguous.
 
     Every h_sq reduction runs over the last (element) axis, so a batch reduces
-    to the bits its rows would give one at a time.
+    to the bits its rows would give one at a time.  h_min_sq and h_max_sq are
+    reduced from h_sq when read, unless ``extremes`` holds them already: the
+    trial snapshots of ``trials`` carry theirs from one reduction of the batch.
     """
 
     h_c_sq: np.ndarray = field(repr=False)
     g_c_sq: np.ndarray = field(repr=False)
     sum_h_sq: np.ndarray = field(repr=False)
     h_sq: np.ndarray | None = field(default=None, repr=False)
+    extremes: tuple | None = field(default=None, repr=False)  # (h_min_sq, h_max_sq)
 
     def __getitem__(self, key):
         """The snapshot at ``key`` of the batch axes, e.g. ``snaps[d, 0]``."""
@@ -241,13 +244,22 @@ class ChannelSnapshot:
                                sum_h_sq=self.sum_h_sq[key],
                                h_sq=None if self.h_sq is None else self.h_sq[key])
 
+    def trials(self):
+        """The snapshots of a 1-D batch one trial at a time, of plain floats: each
+        keeps its (M,) h_sq row, if any, and that row's extremes, reduced once
+        over the batch.  They give a reader the bits of ``self[d]``."""
+        fields = [self.h_c_sq.tolist(), self.g_c_sq.tolist(), self.sum_h_sq.tolist()]
+        if self.h_sq is not None:
+            fields += [self.h_sq, zip(self.h_min_sq.tolist(), self.h_max_sq.tolist())]
+        return (ChannelSnapshot(*trial) for trial in zip(*fields))
+
     @property
     def h_min_sq(self):
-        return np.min(self._elements(), axis=-1)
+        return np.min(self._elements(), axis=-1) if self.extremes is None else self.extremes[0]
 
     @property
     def h_max_sq(self):
-        return np.max(self._elements(), axis=-1)
+        return np.max(self._elements(), axis=-1) if self.extremes is None else self.extremes[1]
 
     def _elements(self):
         if self.h_sq is None:

@@ -188,11 +188,12 @@ def _fmt(x) -> str:
 
 
 def _write_csv(out_path: str, scenario: Scenario, header: str, rows: list) -> None:
-    """Write the scenario's metadata lines, ``header`` and one line per row."""
+    """Write the scenario's metadata lines, ``header`` and the formatted data
+    ``rows``, whose floats are written as ``_fmt`` writes them, with ``.17g``."""
     lines = [f"# version = {__version__}"]
     lines += [f"# {k} = {_fmt(v)}" for k, v in sorted(scenario.raw.items())]
     lines.append(header)
-    lines += [",".join(_fmt(x) for x in row) for row in rows]
+    lines += rows
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -203,8 +204,8 @@ def run(scenario: Scenario, out_path: str, workers: int = 1) -> int:
     estimates = estimate_outage(scenario.points, workers=workers)
     analytic = [analytic_outage(p, c) for p, c in scenario.points]
     rows = [
-        [value, float(a), est.p_hat, est.ci_halfwidth, cfg.n_trials,
-         cfg.strategy.scheme, cfg.strategy.k, cfg.mode.kind]
+        f"{value:.17g},{float(a):.17g},{est.p_hat:.17g},{est.ci_halfwidth:.17g},{cfg.n_trials},"
+        f"{cfg.strategy.scheme},{cfg.strategy.k},{cfg.mode.kind}"
         for value, a, est, (_, cfg) in zip(scenario.sweep_grid, analytic, estimates,
                                            scenario.points)
     ]
@@ -219,7 +220,8 @@ def run_bounds(scenario: Scenario, out_path: str) -> int:
     of ``n_draws`` snapshots.  Snapshot d is group 0 of trial d of an
     ``(n_draws, 1)`` block from ``block_rng(seed, 0)``, the channel RGS
     evaluates in a sweep block, so it depends on the seed and d, not on ``n_draws``.
-    Only the nonlinear law reads, and so draws, the per-element gains."""
+    Only the nonlinear law reads, and so draws, the per-element gains.  Each
+    interval sees one trial's plain floats, from ``ChannelSnapshot.trials``."""
     params, trial = scenario.params, scenario.trial
     nonlinear = trial.eh.kind == "nonlinear"
     # looked up per run, not at import, so a rebinding of these module names holds
@@ -231,10 +233,11 @@ def run_bounds(scenario: Scenario, out_path: str) -> int:
                             per_element=nonlinear)
     rows = []
     any_feasible = False
-    for draw in range(scenario.n_draws):
-        iv = interval(*head, snaps[draw, 0], trial.r_req)
+    for draw, snap in enumerate(snaps[:scenario.n_draws, 0].trials()):
+        iv = interval(*head, snap, trial.r_req)
         any_feasible = any_feasible or iv.feasible
-        rows.append([draw, iv.lower, iv.upper, str(iv.feasible).lower(), iv.cause or ""])
+        rows.append(f"{draw},{iv.lower:.17g},{iv.upper:.17g},"
+                    f"{'true' if iv.feasible else 'false'},{iv.cause or ''}")
     _write_csv(out_path, scenario, "channel_draw,lower,upper,feasible,cause", rows)
     if not any_feasible:
         print("warning: no feasible interval in any channel draw", file=sys.stderr)

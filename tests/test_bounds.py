@@ -305,3 +305,60 @@ class TestZeroSnr:
         iv = bounds(params, snap)
         assert not iv.feasible
         assert iv.upper == 0.0
+
+
+# zero, subnormal, ordinary and near-overflow gains; each of zero sum_h_sq,
+# h_min_sq, h_max_sq and g_c_sq reaches a zero guard of some interval
+_EDGE_GAIN = (st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 1e308,
+                               1.7976931348623157e308])
+              | st.floats(0.0, 1.7976931348623157e308))
+_ALL_BOUNDS = [
+    rho_bounds_linear,
+    lambda p, snap, r: rho_bounds_nonlinear(p, NONLINEAR_DEFAULT, snap, r),
+    zeta_bounds_linear,
+    lambda p, snap, r: zeta_bounds_nonlinear(p, NONLINEAR_DEFAULT, snap, r),
+]
+
+
+def _outcome(bounds, params, snap, r_req):
+    """The interval's ends as bits and its cause, or the message of an
+    overflowing incident power; any other exception propagates."""
+    try:
+        iv = bounds(params, snap, r_req)
+    except OverflowError as exc:
+        return str(exc)
+    return float.hex(iv.lower), float.hex(iv.upper), iv.cause
+
+
+class TestFloatSnapshots:
+    # risgroups bounds hands each interval a snapshot of plain floats: Python
+    # divides by 0.0 with ZeroDivisionError where numpy returned inf, so the
+    # same bits on numpy scalars show that every zero guard holds
+    @settings(max_examples=300, deadline=None)
+    @given(p_tx=st.floats(-200.0, 60.0).map(_watts),
+           p_t=st.just(0.0) | st.floats(-60.0, 33.0).map(_watts),
+           p_ph=st.just(0.0) | st.floats(-60.0, 33.0).map(_watts),
+           r_req=st.just(0.0) | st.floats(0.0, 2000.0),
+           trials=st.lists(st.tuples(_EDGE_GAIN, _EDGE_GAIN, _EDGE_GAIN,
+                                     st.lists(_EDGE_GAIN, min_size=3, max_size=3)),
+                           min_size=1, max_size=3))
+    @example(p_tx=1.0, p_t=0.0, p_ph=0.0, r_req=0.0,
+             trials=[(0.0, 0.0, 0.0, [0.0, 0.0, 0.0]), (1.0, 0.0, 1.0, [0.0, 1.0, 2.0]),
+                     (1.0, 0.0, 1.0, [1.0, 1.0, 2.0])])
+    @example(p_tx=1e6, p_t=0.0, p_ph=0.0, r_req=1.0,
+             trials=[(1e308, 1e308, 1e308, [5e-324, 1e308, 1e308])])
+    def test_same_bits_as_numpy_scalars(self, p_tx, p_t, p_ph, r_req, trials):
+        params = replace(PARAMS, m_per_group=3, n_total=3 * PARAMS.b_groups,
+                         p_tx=p_tx, p_t=p_t, p_ph=p_ph)
+        h_c_sq, g_c_sq, sum_h_sq, h_sq = (np.array(x) for x in zip(*trials))
+        # an (n, 1) block, as sample_channels draws for risgroups bounds
+        snaps = ChannelSnapshot(h_c_sq=h_c_sq[:, None], g_c_sq=g_c_sq[:, None],
+                                sum_h_sq=sum_h_sq[:, None], h_sq=h_sq[:, None])
+        for d, snap in enumerate(snaps[:, 0].trials()):
+            assert all(type(getattr(snap, name)) is float for name in
+                       ("h_c_sq", "g_c_sq", "sum_h_sq", "h_min_sq", "h_max_sq"))
+            for bounds in _ALL_BOUNDS:
+                # the numpy oracle warns on overflow and on inf / inf; floats do not
+                with np.errstate(all="ignore"):
+                    want = _outcome(bounds, params, snaps[d, 0], r_req)
+                assert _outcome(bounds, params, snap, r_req) == want

@@ -357,10 +357,13 @@ class TestChannelSnapshot:
         h_sq, h_c_sq, g_c_sq = gains
         batch = ChannelSnapshot(h_c_sq=h_c_sq, g_c_sq=g_c_sq, sum_h_sq=np.sum(h_sq, axis=-1),
                                 h_sq=h_sq)
-        # every reduction runs over the last axis, so each row, and the batch
-        # indexed at it, gives the bits of its batch row
+        # every reduction runs over the last axis, so each row, the batch
+        # indexed at it and its trial of plain floats (the extremes reduced
+        # once over the batch) give the bits of its batch row
         names = ("h_sq", "sum_h_sq", "h_min_sq", "h_max_sq", "h_c_sq", "g_c_sq", "z")
-        for i in range(h_sq.shape[0]):
+        trials = list(batch.trials())
+        assert len(trials) == h_sq.shape[0]
+        for i, trial in enumerate(trials):
             row = ChannelSnapshot(h_c_sq=h_c_sq[i], g_c_sq=g_c_sq[i],
                                   sum_h_sq=np.sum(h_sq[i], axis=-1), h_sq=h_sq[i])
             for name in names:
@@ -370,6 +373,10 @@ class TestChannelSnapshot:
                 np.testing.assert_array_equal(
                     getattr(batch[i], name), getattr(row, name), err_msg=name
                 )
+                np.testing.assert_array_equal(getattr(trial, name), getattr(row, name),
+                                              err_msg=name)
+                assert name == "h_sq" or type(getattr(trial, name)) is float, name
+            assert np.shares_memory(trial.h_sq, h_sq)
 
 
 class TestElementLaw:

@@ -14,7 +14,8 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import risgroups
-from risgroups import cli, sim
+from risgroups import bounds, cli, sim
+from risgroups.channel import sample_channels
 from risgroups.cli import _DEFAULTS, _SWEEP_KEYS, ScenarioError, load_scenario, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -507,6 +508,53 @@ class TestBoundsCommand:
         assert asked == [eh == "nonlinear"]
 
 
+def _fmt_file(scenario, header: str, rows: list) -> str:
+    """A CSV as it was written field by field through ``cli._fmt``."""
+    lines = [f"# version = {risgroups.__version__}", *(
+        f"# {k} = {cli._fmt(v)}" for k, v in sorted(scenario.raw.items())), header]
+    return "\n".join(lines + [",".join(cli._fmt(x) for x in row) for row in rows]) + "\n"
+
+
+@pytest.mark.parametrize("p_tx_dbm", [17, 30])
+@pytest.mark.parametrize("mode, eh", [("ps", "linear"), ("ps", "nonlinear"),
+                                      ("ts", "linear"), ("ts", "nonlinear")])
+def test_bounds_csv_is_the_numpy_scalar_loop(tmp_path, mode, eh, p_tx_dbm):
+    # each row formatted at once from one trial's plain floats gives the bytes
+    # of bounds.* on the numpy-scalar snaps[d, 0], each field through _fmt;
+    # at 17 dBm the PS rows take the feasible and the infeasible branches
+    scenario = load_scenario(str(ROOT / "scenarios" / "bounds_ps_linear.cfg"),
+                             {"n_draws": 300, "mode": mode, "eh": eh, "p_tx_dbm": p_tx_dbm},
+                             sweep=False)
+    out = tmp_path / "b.csv"
+    assert cli.run_bounds(scenario, str(out)) == 0
+    params, trial = scenario.params, scenario.trial
+    nonlinear = eh == "nonlinear"
+    interval = getattr(bounds, {"ps": "rho", "ts": "zeta"}[mode] + f"_bounds_{eh}")
+    head = (params, trial.eh) if nonlinear else (params,)
+    snaps = sample_channels(params, (300, 1), sim.block_rng(trial.seed, 0), per_element=nonlinear)
+    rows = []
+    for d in range(300):
+        iv = interval(*head, snaps[d, 0], trial.r_req)
+        rows.append([d, iv.lower, iv.upper, str(iv.feasible).lower(), iv.cause or ""])
+    want = _fmt_file(scenario, "channel_draw,lower,upper,feasible,cause", rows)
+    assert out.read_text(encoding="utf-8") == want
+    if p_tx_dbm == 17 and mode == "ps":
+        assert {"", "energy-limited"} <= {row[4] for row in rows}
+
+
+def test_run_csv_is_each_field_through_fmt(tmp_path):
+    # a sweep's rows are formatted at once, with the bytes of _fmt field by field
+    scenario = load_scenario(str(ROOT / "scenarios" / "data_rho.cfg"), {"n_trials": 64})
+    out = tmp_path / "r.csv"
+    assert cli.run(scenario, str(out)) == 0
+    rows = [[value, float(sim.analytic_outage(p, c)), est.p_hat, est.ci_halfwidth, c.n_trials,
+             c.strategy.scheme, c.strategy.k, c.mode.kind]
+            for value, (p, c), est in zip(scenario.sweep_grid, scenario.points,
+                                          sim.estimate_outage(scenario.points))]
+    header = "sweep_value,analytic_outage,empirical_outage,ci_halfwidth,n_trials,scheme,k,mode"
+    assert out.read_text(encoding="utf-8") == _fmt_file(scenario, header, rows)
+
+
 def _low_power_nonlinear_energy() -> str:
     # the shipped nonlinear energy sweep at 20 and 25 dBm, with e_req in the
     # bulk of the energy law: the fitted shape is 1.05e6 at 0.1 W
@@ -621,6 +669,31 @@ def test_overflowing_incident_power_is_an_error(tmp_path, capsys, flags):
     assert main(["run", str(path), "-o", str(out), *flags]) == 2
     assert capsys.readouterr().err == ("error: at p_tx = 1.7e+308 W: incident powers must be "
                                        "nonnegative, finite and not NaN\n")
+    assert not out.exists()
+
+
+# a finite link budget at which incident_power * sum_h_sq and * h_max_sq overflow
+OVERFLOWING_BOUNDS = """
+rho_l = 30
+d_sr = 0.3
+d_rd = 3.3333333333333335
+p_tx_dbm = 3082
+noise_dbm = 3000
+r_req = 0.5
+n_draws = 200
+"""
+
+
+@pytest.mark.parametrize("mode, eh", [("ps", "linear"), ("ps", "nonlinear"),
+                                      ("ts", "linear"), ("ts", "nonlinear")])
+def test_overflowing_incident_power_is_a_bounds_error(tmp_path, capsys, mode, eh):
+    # once 0,0,0,true on every PS row, and a harvest_rate traceback for TS-nonlinear
+    path = tmp_path / "overflow.cfg"
+    path.write_text(OVERFLOWING_BOUNDS + f"mode = {mode}\neh = {eh}\n", encoding="utf-8")
+    out = tmp_path / "out.csv"
+    assert main(["bounds", str(path), "-o", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: at p_tx = 1.5848931924610721e+305 W: "
+                                       "the incident power overflows a double\n")
     assert not out.exists()
 
 
