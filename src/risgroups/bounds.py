@@ -1,16 +1,18 @@
 """Feasibility intervals for the power-splitting factor rho and the
 time-switching factor zeta, for linear and nonlinear harvesting.
 
-The PS upper bounds eliminate the transmit power through the harvested-energy
-budget taken at the operating point (harvested = required): their SNR term is
-lower * psi * z, times h_max^2/h_min^2 for the nonlinear law, where lower falls
-and psi = ``mean_snr_scale`` grows in proportion to P_tx.  Every interval is a
-deterministic function of one channel snapshot, whose fields may be numpy
-scalars or plain floats: every division is guarded against a zero divisor, so
-both give the same bits.  Infeasible intervals are returned with a
-machine-readable cause instead of raising, since parameter sweeps legitimately
-cross in and out of feasibility; an incident power that overflows a double
-raises ``OverflowError`` naming P_tx, as in the simulator.
+An interval runs from its energy end (inf where nothing is harvested) to its
+rate end, written once per mode: x / (thr + x) for PS, thr = 2^r_req - 1, with
+SNR term x = lower * psi * z, times h_max^2/h_min^2 for the nonlinear law (P_tx
+cancels: lower falls and psi = ``mean_snr_scale`` grows in proportion to it);
+1 - r_req / log2(1 + gamma) for TS.  The limit rule: a rate end is 0 where the
+rate needs an infinite SNR (2^r_req overflows), else 1 where the SNR is
+unbounded (an overflowed product, or h_min = 0); at zero SNR it is 0 unless
+r_req = 0, which is always met.  Snapshot fields are read as plain floats, so
+numpy scalars give the same bits; each end returned is a float in [0, 1].
+Infeasibility is a machine-readable cause, since sweeps cross in and out of it;
+an incident power that overflows a double raises ``OverflowError`` naming P_tx,
+as in the simulator.
 """
 
 import math
@@ -33,13 +35,30 @@ class FeasibleInterval:
 
 
 def _interval(lower: float, upper: float) -> FeasibleInterval:
-    """The clamped interval; a NaN end fails the test, so it reads infeasible."""
-    clamped_lower = min(max(lower, 0.0), 1.0)
-    clamped_upper = min(max(upper, 0.0), 1.0)
-    if lower <= 1.0 and lower <= upper:
-        return FeasibleInterval(clamped_lower, clamped_upper)
-    cause = "energy-limited" if lower > 1.0 else "rate-limited"
-    return FeasibleInterval(clamped_lower, clamped_upper, cause)
+    """The ends clamped to [0, 1]: energy-limited where lower > 1 (inf where nothing
+    is harvested), else rate-limited unless lower <= upper, which a NaN end fails."""
+    cause = "energy-limited" if lower > 1.0 else None if lower <= upper else "rate-limited"
+    return FeasibleInterval(min(max(lower, 0.0), 1.0), min(max(upper, 0.0), 1.0), cause)
+
+
+def _over(num: float, den: float) -> float:
+    """num / den, or its limit inf where den = 0: nothing harvested, or h_min = 0."""
+    return num / den if den else math.inf
+
+
+def _ps_rate_end(x: float, r_req: float) -> float:
+    """The PS rate end, or its limit; a NaN x is a zero SNR times an unbounded factor."""
+    thr = snr_threshold(r_req)
+    if x == math.inf:
+        return float(thr < math.inf)
+    return x / (thr + x) if x > 0 else float(r_req == 0.0)
+
+
+def _ts_rate_end(gamma: float, r_req: float) -> float:
+    """The TS rate end, or its limit; log1p keeps an SNR below 2^-53 from dividing by 0."""
+    if gamma == math.inf:
+        return float(snr_threshold(r_req) < math.inf)
+    return 1.0 - r_req / (math.log1p(gamma) / math.log(2.0)) if gamma > 0 else float(r_req == 0.0)
 
 
 def _unless_overflowed(params: SystemParams, power: float) -> float:
@@ -64,13 +83,8 @@ def rho_bounds_linear(
 ) -> FeasibleInterval:
     """PS feasibility interval under the linear harvesting law."""
     _, w = _group_need(params, r_req)
-    gain = _unless_overflowed(params, incident_power(params) * snap.sum_h_sq)
-    if gain == 0.0:
-        return FeasibleInterval(1.0, 0.0, "energy-limited")
-    lower = w / gain
-    eta = lower * mean_snr_scale(params) * snap.z
-    upper = eta / (snr_threshold(r_req) + eta) if eta > 0 else 0.0
-    return _interval(lower, upper)
+    lower = _over(w, _unless_overflowed(params, incident_power(params) * float(snap.sum_h_sq)))
+    return _interval(lower, _ps_rate_end(lower * mean_snr_scale(params) * float(snap.z), r_req))
 
 
 def rho_bounds_nonlinear(
@@ -87,17 +101,11 @@ def rho_bounds_nonlinear(
     if headroom <= 0:
         # required per-element energy exceeds the rectifier saturation
         return FeasibleInterval(1.0, 0.0, "saturation")
-    h_max_sq = snap.h_max_sq
+    h_max_sq = float(snap.h_max_sq)
     denom = _unless_overflowed(params, m * incident_power(params) * h_max_sq * headroom)
-    if denom == 0.0:
-        return FeasibleInterval(1.0, 0.0, "energy-limited")
-    lower = model.c * w / denom
-    if (h_min_sq := snap.h_min_sq) == 0.0:  # h_min -> 0 sends kappa to inf
-        grows = lower * mean_snr_scale(params) * snap.z > 0 and snr_threshold(r_req) < math.inf
-        return _interval(lower, 1.0 if grows else 0.0)
-    kappa = lower * (h_max_sq / h_min_sq) * mean_snr_scale(params) * snap.z
-    upper = kappa / (snr_threshold(r_req) + kappa) if kappa > 0 else 0.0
-    return _interval(lower, upper)
+    lower = _over(model.c * w, denom)
+    kappa = lower * _over(h_max_sq, float(snap.h_min_sq)) * mean_snr_scale(params) * float(snap.z)
+    return _interval(lower, _ps_rate_end(kappa, r_req))
 
 
 def zeta_bounds_linear(
@@ -107,14 +115,9 @@ def zeta_bounds_linear(
 ) -> FeasibleInterval:
     """TS feasibility interval under the linear harvesting law."""
     m, w = _group_need(params, r_req)
-    gain = _unless_overflowed(params, incident_power(params) * snap.sum_h_sq)
-    denom = m * params.p_t + gain
-    if denom == 0.0 or gain == 0.0:
-        return FeasibleInterval(1.0, 0.0, "energy-limited")
-    lower = w / denom
-    gamma = mean_snr_scale(params) * snap.z
-    upper = 1.0 - r_req / (math.log1p(gamma) / math.log(2.0)) if gamma > 0 else 0.0
-    return _interval(lower, upper)
+    gain = _unless_overflowed(params, incident_power(params) * float(snap.sum_h_sq))
+    lower = _over(w, m * params.p_t + gain)
+    return _interval(lower, _ts_rate_end(mean_snr_scale(params) * float(snap.z), r_req))
 
 
 def zeta_bounds_nonlinear(
@@ -127,12 +130,8 @@ def zeta_bounds_nonlinear(
     if model.kind != "nonlinear":
         raise ValueError("nonlinear EH model required")
     m, w = _group_need(params, r_req)
-    phi = _unless_overflowed(params, incident_power(params) * snap.h_max_sq)
-    denom = m * (params.p_t + float(harvest_rate(model, phi)))
-    if denom == 0.0:
-        return FeasibleInterval(1.0, 0.0, "energy-limited")
-    lower = w / denom
+    phi = _unless_overflowed(params, incident_power(params) * float(snap.h_max_sq))
+    lower = _over(w, m * (params.p_t + float(harvest_rate(model, phi))))
     # worst-case achievable rate: all elements at |h_min|, so |h_c|^2 = M^2 |h_min|^2
-    gamma_min = mean_snr_scale(params) * m ** 2 * snap.h_min_sq * snap.g_c_sq
-    upper = 1.0 - r_req / (math.log1p(gamma_min) / math.log(2.0)) if gamma_min > 0 else 0.0
-    return _interval(lower, upper)
+    gamma_min = mean_snr_scale(params) * m ** 2 * float(snap.h_min_sq) * float(snap.g_c_sq)
+    return _interval(lower, _ts_rate_end(gamma_min, r_req))

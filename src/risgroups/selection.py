@@ -11,7 +11,7 @@ import numpy as np
 from .channel import (DegenerateFitError, GammaFit, SystemParams, channel_law, check_count,
                       incident_power, mean_snr_scale, power_moments)
 from .energy import EhModel
-from .specfun import reg_incomplete_beta, reg_lower_incomplete_gamma
+from .specfun import reg_incomplete_beta
 
 
 @dataclass(frozen=True)
@@ -102,22 +102,20 @@ class DegenerateDist:
 class ShiftedInvGammaEnergyDist:
     """Harvested energy E = offset - slope * T with T inverse-Gamma (nonlinear law).
 
-    T is the summed reciprocal term of the rational rectifier expansion; the
-    offset is the group saturation energy.
+    T is the summed reciprocal term of the rational rectifier expansion, and
+    ``recip`` the Gamma law of 1/T; the offset is the group saturation energy.
     """
 
     offset: float
     slope: float
-    inv_shape: float
-    inv_scale: float
+    recip: GammaFit
 
-    def cdf(self, x: float) -> float:
+    def cdf(self, x: float) -> float:  # P(E < x) = P(1/T < slope / (offset - x))
         if x >= self.offset:
             return 1.0
         if x <= 0:
             return 0.0
-        t = (self.offset - x) / self.slope
-        return reg_lower_incomplete_gamma(self.inv_shape, self.inv_scale / t)
+        return self.recip.cdf(self.slope / (self.offset - x))
 
 
 def eh_wiring(params: SystemParams, mode: RisMode) -> tuple[float, float]:
@@ -231,6 +229,5 @@ def fit_energy_distribution(params: SystemParams, mode: RisMode, model: EhModel)
         raise DegenerateFitError("vanishing variance in nonlinear energy fit")
     inv_shape = mean_t ** 2 / var_t + 2.0
     slope = dur * (model.a * model.c - model.b)
-    return ShiftedInvGammaEnergyDist(
-        offset=slope * params.m_per_group / model.c, slope=slope,
-        inv_shape=inv_shape, inv_scale=mean_t * (inv_shape - 1.0))
+    return ShiftedInvGammaEnergyDist(offset=slope * params.m_per_group / model.c, slope=slope,
+                                     recip=GammaFit(inv_shape, 1.0 / (mean_t * (inv_shape - 1.0))))

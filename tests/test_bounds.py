@@ -322,18 +322,21 @@ _ALL_BOUNDS = [
 
 def _outcome(bounds, params, snap, r_req):
     """The interval's ends as bits and its cause, or the message of an
-    overflowing incident power; any other exception propagates."""
+    overflowing incident power; any other exception propagates.  Each end
+    must be a Python float in [0, 1]."""
     try:
         iv = bounds(params, snap, r_req)
     except OverflowError as exc:
         return str(exc)
+    for end in (iv.lower, iv.upper):
+        assert type(end) is float and 0.0 <= end <= 1.0  # NaN fails this too
     return float.hex(iv.lower), float.hex(iv.upper), iv.cause
 
 
 class TestFloatSnapshots:
-    # risgroups bounds hands each interval a snapshot of plain floats: Python
-    # divides by 0.0 with ZeroDivisionError where numpy returned inf, so the
-    # same bits on numpy scalars show that every zero guard holds
+    # risgroups bounds hands each interval a snapshot of plain floats, and every
+    # bound reads a numpy-scalar snapshot's fields as floats too, so both give
+    # the same bits: a limit taken in the bounds is taken for both
     @settings(max_examples=300, deadline=None)
     @given(p_tx=st.floats(-200.0, 60.0).map(_watts),
            p_t=st.just(0.0) | st.floats(-60.0, 33.0).map(_watts),
@@ -347,6 +350,9 @@ class TestFloatSnapshots:
                      (1.0, 0.0, 1.0, [1.0, 1.0, 2.0])])
     @example(p_tx=1e6, p_t=0.0, p_ph=0.0, r_req=1.0,
              trials=[(1e308, 1e308, 1e308, [5e-324, 1e308, 1e308])])
+    # lower * psi * z overflows with a finite incident power: once a NaN upper end
+    @example(p_tx=1.0, p_t=PARAMS.p_t, p_ph=PARAMS.p_ph, r_req=0.5,
+             trials=[(1e308, 1.0, 1e-300, [1e-300, 1e-300, 1e-300])])
     def test_same_bits_as_numpy_scalars(self, p_tx, p_t, p_ph, r_req, trials):
         params = replace(PARAMS, m_per_group=3, n_total=3 * PARAMS.b_groups,
                          p_tx=p_tx, p_t=p_t, p_ph=p_ph)
@@ -362,3 +368,67 @@ class TestFloatSnapshots:
                 with np.errstate(all="ignore"):
                     want = _outcome(bounds, params, snaps[d, 0], r_req)
                 assert _outcome(bounds, params, snap, r_req) == want
+
+
+# the link of test_cli.py::test_overflowing_snr_term_is_its_limit: an incident
+# power of 2.5e-305 W per unit gain, at which lower is about 2e302 and the PS SNR
+# term lower * psi * z overflows; and a link whose psi = 2.8e296 overflows
+# psi * z itself at |h_c|^2 = 1e13
+_PAIR = replace(PARAMS, m_per_group=2, n_total=2 * PARAMS.b_groups)
+_FAINT = replace(_PAIR, p_tx=1e-303, noise_power=1e-311, d_rd=1.0)
+_QUIET = replace(_PAIR, noise_power=1e-300)
+IN, EL, RL = "interior", "energy-limited", "rate-limited"  # IN: an end inside (0, 1)
+
+
+def _pair(h_sq, h_c_sq=1e6):
+    # |h_c|^2 = 1e6 keeps the TS rate ends of a zero-harvest snapshot interior
+    return ChannelSnapshot(h_c_sq=h_c_sq, g_c_sq=1.0, sum_h_sq=sum(h_sq), h_sq=np.array(h_sq))
+
+
+# (params, snapshot, r_req, (lower, upper, cause) of PS linear, PS nonlinear,
+# TS linear and TS nonlinear); each end takes its limit
+DEGENERATE = {
+    # nothing harvested: the energy end is inf, so PS reads its SNR term as
+    # unbounded, and TS keeps its rate end; both TS laws agree on the cause
+    "zero-harvest": (_PAIR, _pair([0.0, 0.0]), 0.5,
+                     ((1.0, 1.0, EL), (1.0, 1.0, EL), (1.0, IN, EL), (1.0, 0.0, EL))),
+    "zero-harvest-no-p_ph-r0": (replace(_PAIR, p_ph=0.0), _pair([0.0, 0.0]), 0.0,
+                                ((1.0, 1.0, EL), (1.0, 1.0, EL), (1.0, 1.0, None),
+                                 (1.0, 1.0, None))),
+    "zero-harvest-no-p_ph": (replace(_PAIR, p_ph=0.0), _pair([0.0, 0.0]), 0.5,
+                             ((1.0, 1.0, EL), (1.0, 1.0, EL), (1.0, IN, RL), (1.0, 0.0, RL))),
+    "zero-harvest-no-p_t": (replace(_PAIR, p_t=0.0), _pair([0.0, 0.0]), 0.5,
+                            ((1.0, 1.0, EL), (1.0, 1.0, EL), (1.0, IN, EL), (1.0, 0.0, EL))),
+    # h_max^2 / h_min^2 is unbounded; the TS worst case has no SNR
+    "h_min-zero": (_PAIR, _pair([0.0, 1.0]), 0.5,
+                   ((IN, IN, None), (IN, 1.0, None), (IN, IN, None), (IN, 0.0, RL))),
+    # |h_c|^2 = 0 leaves no SNR but TS-nonlinear's worst case, M^2 |h_min|^2 |g_c|^2;
+    # a zero rate is always met, as in selection.data_threshold
+    "zero-snr-r0": (_PAIR, _pair([1.0, 1.0], h_c_sq=0.0), 0.0,
+                    ((IN, 1.0, None), (IN, 1.0, None), (IN, 1.0, None), (IN, 1.0, None))),
+    "zero-snr": (_PAIR, _pair([1.0, 1.0], h_c_sq=0.0), 0.5,
+                 ((IN, 0.0, RL), (IN, 0.0, RL), (IN, 0.0, RL), (IN, 0.0, RL))),
+    # an SNR that overflows a double is unbounded, with a finite incident power
+    "snr-term-overflow": (_FAINT, _pair([1.0, 1.0]), 0.5,
+                          ((1.0, 1.0, EL), (1.0, 1.0, EL), (1.0, IN, EL), (1.0, IN, EL))),
+    "snr-overflow": (_QUIET, _pair([1.0, 1.0], h_c_sq=1e13), 0.5,
+                     ((IN, 1.0, None), (IN, 1.0, None), (IN, 1.0, None), (IN, IN, None))),
+    # 2^r overflows: the rate needs an infinite SNR, even where the SNR is unbounded
+    "rate-1100": (_PAIR, _pair([1.0, 1.0]), 1100.0,
+                  ((IN, 0.0, RL), (IN, 0.0, RL), (IN, 0.0, RL), (IN, 0.0, RL))),
+    "rate-1100-snr-term-overflow": (_FAINT, _pair([1.0, 1.0]), 1100.0,
+                                    ((1.0, 0.0, EL), (1.0, 0.0, EL), (1.0, 0.0, EL),
+                                     (1.0, 0.0, EL))),
+    "rate-1100-snr-overflow": (_QUIET, _pair([1.0, 1.0], h_c_sq=1e13), 1100.0,
+                               ((IN, 0.0, RL), (IN, 0.0, RL), (IN, 0.0, RL), (IN, 0.0, RL))),
+}
+
+
+@pytest.mark.parametrize("params, snap, r_req, want", DEGENERATE.values(), ids=DEGENERATE)
+def test_degenerate_snapshot(params, snap, r_req, want):
+    for bounds, (lower, upper, cause) in zip(_ALL_BOUNDS, want):
+        iv = bounds(params, snap, r_req)
+        assert iv.cause == cause
+        for end, limit in ((iv.lower, lower), (iv.upper, upper)):
+            assert type(end) is float
+            assert 0.0 < end < 1.0 if limit == IN else end == limit

@@ -697,6 +697,26 @@ def test_overflowing_incident_power_is_a_bounds_error(tmp_path, capsys, mode, eh
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode, eh", [("ps", "linear"), ("ps", "nonlinear"),
+                                      ("ts", "linear"), ("ts", "nonlinear")])
+def test_overflowing_snr_term_is_its_limit(tmp_path, capsys, mode, eh):
+    # the incident power is finite but the PS SNR term lower * psi * z
+    # overflows: once 1,nan,false,energy-limited on every PS row
+    path = _shipped_with(tmp_path, "bounds_ps_linear", noise_dbm=-3080, p_tx_dbm=-3000,
+                         d_rd=1, mode=mode, eh=eh)
+    out = tmp_path / "b.csv"
+    assert main(["bounds", path, "-o", str(out)]) == 0
+    assert capsys.readouterr().err == "warning: no feasible interval in any channel draw\n"
+    assert "nan" not in out.read_text(encoding="utf-8")
+    rows = _data_rows(out)
+    assert len(rows) == 100
+    for row in rows:
+        if mode == "ps":
+            assert row[1:] == ["1", "1", "false", "energy-limited"]
+        else:
+            assert 0.0 < float(row[2]) < 1.0 and row[3:] == ["false", "energy-limited"]
+
+
 # a drive far beyond any link, at which the nonlinear energy fit once divided
 # 0 by 0 (1e16 W), overflowed a product of two nodes (1e160 W) and, past
 # 1e300 W, ended in a NaN shape; a 1 W noise keeps the link budget finite

@@ -223,9 +223,10 @@ def _simulate_group_energy(params, mode, eh, n, seed):
 
 
 def _t_moments(dist):
-    """Mean and variance of the fitted inverse-Gamma T."""
-    mean_t = dist.inv_scale / (dist.inv_shape - 1.0)
-    return mean_t, mean_t ** 2 / (dist.inv_shape - 2.0)
+    """Mean and variance of the fitted inverse-Gamma T, whose reciprocal is Gamma."""
+    shape, scale = dist.recip.shape, dist.recip.scale
+    mean_t = 1.0 / (scale * (shape - 1.0))
+    return mean_t, mean_t ** 2 / (shape - 2.0)
 
 
 def _check_nonlinear_moments(p_tx):
