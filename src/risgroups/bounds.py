@@ -25,6 +25,8 @@ from .selection import snr_threshold
 
 @dataclass(frozen=True)
 class FeasibleInterval:
+    """[lower, upper] and why it is empty; ``feasible`` reads ``cause``, so they agree."""
+
     lower: float
     upper: float
     cause: str | None = None  # 'energy-limited' | 'rate-limited' | 'saturation'

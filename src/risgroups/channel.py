@@ -1,14 +1,20 @@
 """Spatially correlated Rician channels and the Gamma law of Z = |g_c|^2 |h_c|^2.
 
 A group's M elements are CN(mus, R/(K+1)) with the line-of-sight mean
-mus = sqrt(K/(K+1)) R^(1/2) 1, R the sinc correlation, so E|h_j|^2 is
-mus_j^2 + 1/(K+1): 1 where R = I, 1.63-2.73 at lambda/8 and K = 1; the path
-loss alone carries all scaling.  ``channel_law`` is the only statement of this
-law and of K: its ``ChannelLaw`` holds h's element law, the eigenpairs and rank
-of R, the eigenbasis mean nu and the composite law of g_c, from which
-``power_moments`` gives the Gamma fit of Z and the energy fits, and which
-``sample_channels`` draws.  R^(1/2) 1 = V Lambda^(1/2) V^T 1 is a fixed-order
-sum over the eigenpairs, not a BLAS product: its bits ignore the thread count.
+mus = sqrt(K/(K+1)) R^(1/2) 1, R the sinc correlation of a uniform linear array
+(Bjornson & Sanguinetti 2021), so E|h_j|^2 is mus_j^2 + 1/(K+1): 1 where R = I,
+1.63-2.73 at lambda/8 and K = 1; the path loss alone carries all scaling.
+``channel_law`` is the only statement of this law and of K: its ``ChannelLaw``
+holds h's element law, the eigenpairs and rank of R, the eigenbasis mean nu
+and the composite law of g_c, from which ``power_moments`` gives the Gamma fit
+of Z and the energy fits, and which ``sample_channels`` draws.  The law's
+``key`` is the tuple of the fields it reads, and ``sample_channels`` reads its
+parameters only through ``channel_law``: a draw depends on them only through
+that key.  R^(1/2) 1 = V Lambda^(1/2) V^T 1 is a fixed-order sum over the
+eigenpairs, not a BLAS product: its bits ignore the thread count.  The link
+budget is stated once, in ``incident_power`` and ``mean_snr_scale``, the only
+readers of rho_l, d_rd and the noise power; ``SystemParams`` rejects a budget
+that overflows a double.
 
 ``sample_channels`` is the only code that turns normals into channels, and it
 draws one shape, an (n, B) block of n trials of B groups, from
@@ -17,25 +23,26 @@ c_i = (V^T h)_i is nu_i + s sqrt(lambda_i) u_i, with nu = V^T mus =
 sqrt(K/(K+1)) Lambda^(1/2) V^T 1, s = sqrt(cov[0, 0]/2) and u_i a complex
 normal of unit variance per real dimension.  Only the r leading coordinates
 are drawn, r being the fewest whose dropped eigenvalues sum to at most
-1e-12 tr R (13 of 20 at lambda/8, all M where R = I); a dropped coordinate is
-its mean nu_i.  Its stream is fixed: one ``standard_normal`` call of shape
-(n, r + 1, 2) per group column in turn, whose row i holds trial i's r
-coordinate normals u and then the pair of its composite g_c = sum_j tilde_g_j,
-which alone enters Z and is drawn from its exact law CN(m_c, var_c).  Row by
-row, before the next column is drawn and with no matrix product, a column
-reduces to sum_j |tilde_h_j|^2 = sum_i |c_i|^2 (V is orthogonal),
-h_c = sum_j tilde_h_j = sum_i (V^T 1)_i c_i and |g_c|^2.  Only when asked does
-it also form the per-element gains |tilde_h_j|^2 of
+1e-12 tr R: at lambda/8, 13 of 20 and 9 of 10, and all M where R = I (the
+aperture's degrees of freedom; Pizzo, Marzetta & Sanguinetti 2020); a dropped
+coordinate is its mean nu_i.  Its stream is fixed: one ``standard_normal``
+call of shape (n, r + 1, 2) per group column in turn, whose row i holds trial
+i's r coordinate normals u and then the pair of its composite
+g_c = sum_j tilde_g_j, which alone enters Z and is drawn from its exact law
+CN(m_c, var_c).  Row by row, before the next column is drawn and with no
+matrix product, a column reduces to sum_j |tilde_h_j|^2 = sum_i |c_i|^2 (V is
+orthogonal), h_c = sum_j tilde_h_j = sum_i (V^T 1)_i c_i and |g_c|^2.  Only
+when asked does it also form the per-element gains |tilde_h_j|^2 of
 h = mus + u @ (s Lambda_r^(1/2) V_r^T), which only the nonlinear law reads (in
 a sweep or a bounds run), leaving every other output's bits as they are.
 Successive draws continue one stream, so the first b columns of a draw are the
 (n, b) draw and the first n rows of column 0 are the (n, 1) draw, bit for bit
-(for the per-element gains from n = 2: numpy hands a one-row product to BLAS
-gemv, which rounds differently).  The block is group-major in memory as in the stream:
-column j is written as one contiguous (n,) or (n, M) slab of (B, n) and
-(B, n, M) arrays.  The result is a ``ChannelSnapshot`` of their transposed
-(n, B) and (n, B, M) views; indexing its batch axes (``snaps[d, 0]``,
-``snaps[:, j]``) gives one group or one column.
+(the prefix property; for the per-element gains from n = 2: numpy hands a
+one-row product to BLAS gemv, which rounds differently).  The block is
+group-major in memory as in the stream: column j is written as one contiguous
+(n,) or (n, M) slab of (B, n) and (B, n, M) arrays.  The result is a
+``ChannelSnapshot`` of their transposed (n, B) and (n, B, M) views; indexing
+its batch axes (``snaps[d, 0]``, ``snaps[:, j]``) gives one group or one column.
 """
 
 import logging
@@ -168,7 +175,7 @@ class GammaFit:
         return cls(shape=mean ** 2 / var, scale=var / mean)
 
     def cdf(self, x: float) -> float:
-        """The CDF at x >= 0, the regularized lower incomplete gamma P(shape, x/scale)."""
+        """The CDF at x >= 0, P(shape, x/scale): the package's one Gamma CDF."""
         return reg_lower_incomplete_gamma(self.shape, x / self.scale)
 
 
@@ -181,10 +188,8 @@ def build_correlation_matrix(params: SystemParams) -> np.ndarray:
 
 
 def channel_law(params: SystemParams) -> ChannelLaw:
-    """The law of a group: elements CN(sqrt(K/(K+1)) R^(1/2) 1, R/(K+1)) with
-    Rician factor K (k_h for h, k_g for g), and r, the fewest leading eigenvalues
-    of R whose dropped tail sums to at most 1e-12 tr R.  The only code that turns
-    K into a mean and a variance."""
+    """The ``ChannelLaw`` of a group, the law the module docstring states, with
+    Rician factor K = k_h for h and k_g for g."""
     entries = build_correlation_matrix(params)
     w, v = np.linalg.eigh(entries)
     worst = w.min()
@@ -223,8 +228,6 @@ class ChannelSnapshot:
     common phase) and g_c_sq = |g_c|^2 and the power sum sum_h_sq =
     sum_j |tilde_h_j|^2, of shape (*batch), and, where a reader needs them, the
     per-element gains h_sq = |tilde_h_j|^2 of shape (*batch, M), else None; all real.
-    A drawn block's fields are views of group-major storage, so its group
-    column ``[:, j]`` is contiguous.
 
     Every h_sq reduction runs over the last (element) axis, so a batch reduces
     to the bits its rows would give one at a time.  h_min_sq and h_max_sq are
@@ -288,10 +291,8 @@ def _element_gains(u: np.ndarray, factor: np.ndarray, mus: np.ndarray, out: np.n
 
 def sample_channels(params: SystemParams, shape: tuple, rng: np.random.Generator,
                     per_element: bool = False) -> ChannelSnapshot:
-    """Draw an ``(n, B)`` block of ``channel_law(params)``, one normal call per
-    group column.  Row i holds trial i's r eigen-coordinate normals u, then the
-    pair of its g_c ~ CN(m_c, var_c); ``per_element`` also forms every |h_j|^2,
-    which only the nonlinear law reads, in a sweep or a bounds run."""
+    """Draw an ``(n, B)`` block of ``channel_law(params)`` in the stream the module
+    docstring states; ``per_element`` also forms every |h_j|^2."""
     n, b = shape
     law = channel_law(params)
     m_c, var_c = (x.item() for x in law.g_c)

@@ -1,4 +1,6 @@
-"""Energy-harvesting laws: the per-element harvest of an incident power."""
+"""Energy-harvesting laws: the per-element harvest of an incident power.  The
+nonlinear law is also written inverted in ``bounds.rho_bounds_nonlinear`` and,
+as its slope dur (a c - b), in ``selection.fit_energy_distribution``."""
 
 from dataclasses import dataclass
 

@@ -1,7 +1,10 @@
 """RIS modes and their data, EH and energy-need wiring, k-th-best order
 statistics, the closed-form outage of the RGS / SBGS / EBGS group selection
 schemes, and the per-group energy fits.  A selected group is in outage when
-its Z lies below ``data_threshold`` (data) or its energy below e_req (energy)."""
+its Z lies below ``data_threshold`` (data) or its energy below e_req (energy).
+Under RGS that is the single-group CDF F at the threshold (``GammaFit.cdf`` for
+Z); the k-th best of B groups, by either ranking, is in outage with probability
+I_F(B - k + 1, k) (``outage_sbgs``), which holds for iid groups only."""
 
 import math
 from dataclasses import dataclass
@@ -209,8 +212,7 @@ def fit_energy_distribution(params: SystemParams, mode: RisMode, model: EhModel)
 
     Linear law: ``GammaFit`` of the weighted power-gain sum.  Nonlinear law:
     an affine function of the summed reciprocal term T, whose inverse-Gamma
-    fit matches the mean and variance from ``_recip_moments``: the mean on
-    every trapezoid node, the variance on the nodes above double precision."""
+    fit matches the mean and variance from ``_recip_moments``."""
     dur, w_p = eh_wiring(params, mode)
     if dur == 0.0 or w_p == 0.0:
         return DegenerateDist(0.0)

@@ -1,32 +1,26 @@
 """Seeded Monte Carlo engine for the outage of the group selection schemes.
 
-A trial fails when its selected group's z lies below ``data_threshold`` (data)
-or its harvested energy below e_req (energy), the events of the closed forms.
+A trial fails on the outage event that ``selection`` states for its selected
+group, the event of the closed forms, so both sides agree exactly at the edges.
 
 Trials are processed in fixed-size blocks; each block gets an independent
 SFC64 stream derived from (seed, block index), so results are bit-identical
 for any worker count and any block execution order.  A block of n trials is
-the (n, B) draw of ``channel.sample_channels``, which states its stream.  The
-bounds command's snapshots are the trials of one (n_draws, 1) block from
-``block_rng(seed, 0)``.  RGS picks its group independently of the channels,
-and each column has the single-group law that ``outage_rgs`` states, so RGS
-takes group 0: only that marginal law matters, even for correlated groups.
+the (n, B) draw of ``channel.sample_channels``; the ``channel`` docstring
+states its stream, its law key and its prefix property.  Grid points with equal
+law keys, seeds and trial counts share each block's draw, made at their widest
+b, so a sweep over snr, p_tx, rho, zeta, k or b draws its channels once, and
+one over spacing once per point.  These common random numbers keep the
+empirical outage of a sweep exactly monotone wherever its failure event only
+grows.  RGS picks its group independently of the channels, and each column has
+the single-group law that ``outage_rgs`` states, so RGS takes group 0: only
+that marginal law matters, even for correlated groups.
 
-A block's draw depends only on the channel law, the seed and the trial count:
-``sample_channels`` reads its parameters only through ``channel_law``, whose
-``key`` holds the fields it read (``m_per_group``, ``spacing``, ``wavelength``,
-``k_h``, ``k_g``).  Grid points whose keys are equal share each block's draw, so
-a sweep over snr, p_tx, rho, zeta or k draws its channels once.  The number of
-groups is not part of the law: the first b columns of a wider block are the
-b-group block, so a sweep over b draws once at its widest b and evaluates each
-point on its own first b columns.  A sweep over spacing still draws once per
-point.  The linear EH law is additive, so it harvests each group's power sum
-sum_j |h_j|^2, which every block reduces from its r eigen-coordinates per
-group; only the nonlinear law harvests per element, one (n, M) group column
-at a time, so a block forms the (n, B, M) per-element gains only if a point of
-its law uses that law, and its z and power sums have the same bits either
-way.  Data points compute the energy too, because the benchmark traces
-``harvest_rate`` there.
+The linear EH law is additive, so it harvests each group's power sum
+sum_j |h_j|^2, which the draw returns; only the nonlinear law harvests per
+element, one (n, M) group column at a time, so a block forms the (n, B, M)
+per-element gains only if a point of its law uses that law.  Data points
+compute the energy too, because the benchmark traces ``harvest_rate`` there.
 """
 
 import itertools
@@ -158,9 +152,7 @@ def _check_k(points: list) -> None:
 
 def estimate_outage(points: Sequence, workers: int = 1) -> list[OutageEstimate]:
     """Empirical outage of each ``(params, cfg)`` point with a 95% normal-approximation
-    binomial interval.  The law's key, the seed and n are all a block's draw depends
-    on but its width b, so each block is drawn once per such key, at the widest b
-    of the points that share it."""
+    binomial interval; one draw of each block serves all the points that share it."""
     points = list(points)
     _check_k(points)
     groups = {}

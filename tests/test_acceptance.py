@@ -20,7 +20,6 @@ from risgroups.bounds import (
 from risgroups.channel import (
     SystemParams,
     fit_gamma_product,
-    gamma_cdf,
     sample_channels,
 )
 from risgroups.energy import (
@@ -137,7 +136,7 @@ def test_criterion_04_spacing_and_correlation_trends():
     for g_db in (2.0, 4.0, 6.0):
         g = 10.0 ** (g_db / 10.0)
         vals = [
-            gamma_cdf(fit_gamma_product(replace(p_op, spacing=s)), g / (0.5 * psi))
+            fit_gamma_product(replace(p_op, spacing=s)).cdf(g / (0.5 * psi))
             for s in spacings
         ]
         assert all(b <= a + 1e-15 for a, b in zip(vals, vals[1:]))
@@ -147,7 +146,7 @@ def test_criterion_04_spacing_and_correlation_trends():
     fit_i = fit_gamma_product(replace(DEFAULTS, spacing=lam / 2))
     mean_i, mean_c = fit_i.shape * fit_i.scale, fit_c.shape * fit_c.scale
     for u in (0.01, 0.05, 0.1, 0.3, 0.5, 0.8, 1.0):
-        assert gamma_cdf(fit_i, u * mean_i) <= gamma_cdf(fit_c, u * mean_c)
+        assert fit_i.cdf(u * mean_i) <= fit_c.cdf(u * mean_c)
     _report(4, "analytic outage nonincreasing over spacing lambda/2 -> lambda/8 "
                "for 3 thresholds; identity baseline below correlated curve at "
                "equal normalized SNR (exact inequalities)")
@@ -287,9 +286,9 @@ def test_criterion_08_splitting_factor_monotonicity():
             p = replace(DEFAULTS, p_tx=p_op, k_h=k_factor, k_g=k_factor)
             fit = fit_gamma_product(p)
             psi = mean_snr_scale(p)
-            ps = [gamma_cdf(fit, g / ((1.0 - r) * psi)) for r in grid]
+            ps = [fit.cdf(g / ((1.0 - r) * psi)) for r in grid]
             ts = [
-                gamma_cdf(fit, (2.0 ** (r_req / (1.0 - z)) - 1.0) / psi)
+                fit.cdf((2.0 ** (r_req / (1.0 - z)) - 1.0) / psi)
                 for z in grid
             ]
             assert all(a <= b + 1e-15 for a, b in zip(ps, ps[1:]))
@@ -308,7 +307,7 @@ def test_criterion_09_evt_convergence():
     mean = fit.shape * fit.scale
 
     def cdf(x):
-        return gamma_cdf(fit, x)
+        return fit.cdf(x)
 
     def pdf(x):
         return math.exp(

@@ -20,7 +20,6 @@ from risgroups.channel import (
     build_correlation_matrix,
     channel_law,
     fit_gamma_product,
-    gamma_cdf,
     power_moments,
     sample_channels,
     sample_rician_vector,
@@ -515,13 +514,13 @@ class TestGammaFit:
     def test_cdf_matches_scipy(self):
         fit = GammaFit(shape=3.2, scale=1.7)
         for x in (0.5, 3.0, 10.0):
-            assert gamma_cdf(fit, x) == pytest.approx(
+            assert fit.cdf(x) == pytest.approx(
                 float(sp.gammainc(3.2, x / 1.7)), abs=1e-12
             )
-        assert gamma_cdf(fit, 0.0) == 0.0
+        assert fit.cdf(0.0) == 0.0
 
     def test_invalid_fit(self):
         with pytest.raises(ValueError):
             GammaFit(shape=-1.0, scale=1.0)
         with pytest.raises(ValueError):
-            gamma_cdf(GammaFit(1.0, 1.0), -0.5)
+            GammaFit(1.0, 1.0).cdf(-0.5)

@@ -157,8 +157,8 @@ class TestClosedFormOutage:
         fit = fit_gamma_product(p)
         mode = RisMode("PS", rho=0.4)
         r = 21.0
-        expected = gamma_cdf(
-            fit, (2.0 ** r - 1.0) / ((1.0 - mode.rho) * mean_snr_scale(p))
+        expected = fit.cdf(
+            (2.0 ** r - 1.0) / ((1.0 - mode.rho) * mean_snr_scale(p))
         )
         assert outage_rgs(p, mode, fit, r) == pytest.approx(expected, rel=1e-12)
 
@@ -167,7 +167,7 @@ class TestClosedFormOutage:
         fit = fit_gamma_product(p)
         mode = RisMode("TS", zeta=0.5)
         r = 10.0
-        expected = gamma_cdf(fit, (2.0 ** (r / 0.5) - 1.0) / mean_snr_scale(p))
+        expected = fit.cdf((2.0 ** (r / 0.5) - 1.0) / mean_snr_scale(p))
         assert outage_rgs(p, mode, fit, r) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("name", sorted(p.stem for p in (ROOT / "scenarios").glob("data_*.cfg")))
