@@ -74,6 +74,10 @@ class DegenerateFitError(ValueError):
     """Moment matching is undefined when the target variance vanishes."""
 
 
+class LinkBudgetError(ValueError):
+    """The link budget of ``SystemParams`` overflows a double."""
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Physical constants of the link and the surface's own draw, p_t per phase
@@ -119,9 +123,9 @@ class SystemParams:
         except ArithmeticError:
             finite = False
         if not finite:
-            raise ValueError(f"link budget overflows (p_tx={self.p_tx}, rho_l={self.rho_l}, "
-                             f"d_sr={self.d_sr}, d_rd={self.d_rd}, alpha={self.alpha}, "
-                             f"noise_power={self.noise_power})")
+            raise LinkBudgetError(f"link budget overflows (p_tx={self.p_tx}, rho_l={self.rho_l}, "
+                                  f"d_sr={self.d_sr}, d_rd={self.d_rd}, alpha={self.alpha}, "
+                                  f"noise_power={self.noise_power})")
 
 
 def mean_snr_scale(params: SystemParams) -> float:

@@ -18,7 +18,7 @@ from .bounds import (
     zeta_bounds_linear,
     zeta_bounds_nonlinear,
 )
-from .channel import SystemParams, sample_channels
+from .channel import LinkBudgetError, SystemParams, sample_channels
 from .energy import NONLINEAR_DEFAULT, EhModel
 from .selection import RisMode, SelectionStrategy, required_energy
 from .sim import TrialConfig, analytic_outage, block_rng, estimate_outage, sweep_points
@@ -136,14 +136,19 @@ def load_scenario(path: str, overrides: dict | None = None, sweep: bool = True) 
             if key in raw:
                 raw[key] = _coerce(key, value)
         raw.update(overrides or {})
-        params = SystemParams(
-            p_tx=_positive_watts(raw, "p_tx_dbm"),
-            noise_power=_positive_watts(raw, "noise_dbm"),
-            p_t=_positive_watts(raw, "p_t_dbm"),
-            p_ph=_positive_watts(raw, "p_ph_dbm"),
-            n_total=raw["m_per_group"] * raw["b_groups"],
-            **{key: raw[key] for key in _PARAM_DEFAULTS},
-        )
+        try:
+            params = SystemParams(
+                p_tx=_positive_watts(raw, "p_tx_dbm"),
+                noise_power=_positive_watts(raw, "noise_dbm"),
+                p_t=_positive_watts(raw, "p_t_dbm"),
+                p_ph=_positive_watts(raw, "p_ph_dbm"),
+                n_total=raw["m_per_group"] * raw["b_groups"],
+                **{key: raw[key] for key in _PARAM_DEFAULTS},
+            )
+        except LinkBudgetError:  # name its terms as the file sets them, not in watts
+            terms = ", ".join(f"{key}={raw[key]}" for key in
+                              ("p_tx_dbm", "rho_l", "d_sr", "d_rd", "alpha", "noise_dbm"))
+            raise ValueError(f"link budget overflows ({terms})") from None
         mode = RisMode(raw["mode"].upper(), rho=raw["rho"], zeta=raw["zeta"])
         abc = {key: raw[f"eh_{key}"] for key in "abc"} if raw["eh"] == "nonlinear" else {}
         eh = EhModel(raw["eh"], **abc)
@@ -163,6 +168,8 @@ def load_scenario(path: str, overrides: dict | None = None, sweep: bool = True) 
                 raise ValueError(f"sweep_grid = {raw['sweep_grid']!r} has an empty entry")
             grid = [float(v) for v in entries if v]
             points = sweep_points(params, trial, raw["sweep_variable"], grid)
+            if trial.strategy.scheme == "RGS" and trial.strategy.k != 1:
+                raise ValueError(f"RGS takes group 0 and does not read k, got k = {raw['k']}")
             if e_req == "auto":  # each point's own need: a zeta sweep moves it
                 points = [(p, replace(c, e_req=required_energy(p, c.mode))) for p, c in points]
         if raw["n_draws"] < 1:

@@ -2,9 +2,9 @@
 statistics, the closed-form outage of the RGS / SBGS / EBGS group selection
 schemes, and the per-group energy fits.  A selected group is in outage when
 its Z lies below ``data_threshold`` (data) or its energy below e_req (energy).
-Under RGS that is the single-group CDF F at the threshold (``GammaFit.cdf`` for
-Z); the k-th best of B groups, by either ranking, is in outage with probability
-I_F(B - k + 1, k) (``outage_sbgs``), which holds for iid groups only."""
+Each scheme selects the k-th best of b groups, RGS the best of group 0 alone
+(``SelectionStrategy.order``), in outage with probability I_F(b - k + 1, k)
+(``outage_sbgs``) for a single-group CDF F (``GammaFit.cdf`` for Z) and iid groups."""
 
 import math
 from dataclasses import dataclass
@@ -41,6 +41,10 @@ class SelectionStrategy:
         if self.scheme not in ("RGS", "SBGS", "EBGS"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         check_count("k", self.k)
+
+    def order(self, b_groups: int) -> tuple[int, int]:
+        """(set size, k) of the k-th best group selected; RGS, blind to channels: group 0."""
+        return (1, 1) if self.scheme == "RGS" else (b_groups, self.k)
 
 
 def snr_threshold(r_req: float) -> float:
@@ -83,6 +87,8 @@ def outage_sbgs(cdf_at_threshold: float, set_size: int, k: int) -> float:
         raise ValueError(f"k={k} out of range for set size {set_size}")
     if not 0.0 <= cdf_at_threshold <= 1.0:
         raise ValueError("cdf value must lie in [0,1]")
+    if set_size == 1:  # I_F(1, 1) = F; the continued fraction is off by up to 2.2e-16
+        return cdf_at_threshold
     return reg_incomplete_beta(cdf_at_threshold, set_size - k + 1, k)
 
 

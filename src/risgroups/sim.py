@@ -6,15 +6,14 @@ group, the event of the closed forms, so both sides agree exactly at the edges.
 Trials are processed in fixed-size blocks; each block gets an independent
 SFC64 stream derived from (seed, block index), so results are bit-identical
 for any worker count and any block execution order.  A block of n trials is
-the (n, B) draw of ``channel.sample_channels``; the ``channel`` docstring
+an (n, b) draw of ``channel.sample_channels``; the ``channel`` docstring
 states its stream, its law key and its prefix property.  Grid points with equal
-law keys, seeds and trial counts share each block's draw, made at their widest
-b, so a sweep over snr, p_tx, rho, zeta, k or b draws its channels once, and
-one over spacing once per point.  These common random numbers keep the
-empirical outage of a sweep exactly monotone wherever its failure event only
-grows.  RGS picks its group independently of the channels, and each column has
-the single-group law that ``outage_rgs`` states, so RGS takes group 0: only
-that marginal law matters, even for correlated groups.
+law keys, seeds and trial counts share each block's draw, as wide as their
+widest set of groups (``SelectionStrategy.order``), and each ranks the first
+columns, its own set; so a sweep over snr, p_tx, rho, zeta, k or b draws its
+channels once, and one over spacing once per point.  These common random
+numbers keep the empirical outage of a sweep exactly monotone wherever its
+failure event only grows.
 
 The linear EH law is additive, so it harvests each group's power sum
 sum_j |h_j|^2, which the draw returns; only the nonlinear law harvests per
@@ -47,7 +46,7 @@ from .selection import (
 
 BLOCK_SIZE = 4096
 
-# the metric each ranking scheme selects its group by; RGS takes group 0
+# the metric each ranking scheme selects by; a one-group set ranks alike by any
 RANKED_METRIC = {"SBGS": "data", "EBGS": "energy"}
 
 
@@ -116,32 +115,33 @@ def _kth_largest_index(values: np.ndarray, k: int) -> np.ndarray:
 
 
 def _point_failures(params: SystemParams, cfg: TrialConfig, z, h_sq, sum_h_sq) -> int:
-    """Trials whose selected group's statistic lies below the point's threshold t;
-    SBGS ranks by z, which the SNR snr_per_z z >= 0 never reorders.  Where the
-    scheme ranks by the point's own metric, the k-th largest value lies below t
-    exactly when fewer than k groups reach t, so no group is selected."""
+    """Trials whose selected group of the block's first ``order`` columns has its
+    statistic below the point's threshold t; SBGS ranks by z, which the SNR
+    snr_per_z z >= 0 never reorders.  Where the scheme ranks by the point's own
+    metric, the k-th largest value lies below t exactly when fewer than k reach t."""
+    size, k = cfg.strategy.order(params.b_groups)
+    z, h_sq, sum_h_sq = (None if a is None else a[:, :size] for a in (z, h_sq, sum_h_sq))
     stats = {"data": z, "energy": _group_energy(params, cfg.mode, cfg.eh, h_sq, sum_h_sq)}
     stat = stats[cfg.metric]
     threshold = (data_threshold(params, cfg.mode, cfg.r_req) if cfg.metric == "data"
                  else cfg.e_req)
-    ranked, k = RANKED_METRIC.get(cfg.strategy.scheme), cfg.strategy.k
+    ranked = RANKED_METRIC.get(cfg.strategy.scheme, cfg.metric)
     if ranked == cfg.metric:
         return int(np.count_nonzero(np.count_nonzero(stat >= threshold, axis=1) < k))
-    idx = 0 if ranked is None else _kth_largest_index(stats[ranked], k)
+    idx = _kth_largest_index(stats[ranked], k)
     return int(np.count_nonzero(stat[np.arange(len(z)), idx] < threshold))
 
 
 def _block_failures(points: list, n: int, block_idx: int) -> list[int]:
-    """Failures of each point on one block, drawn at the b of ``points[0]``, the
-    widest; each point is evaluated on its own first b group columns."""
+    """Failures of each point on one block, drawn as wide as the widest set
+    among the points; each point reads its own first columns."""
     params, cfg = points[0]
+    width = max(c.strategy.order(p.b_groups)[0] for p, c in points)
     nonlinear = any(c.eh.kind == "nonlinear" for _, c in points)
-    z, h_sq, sum_h_sq = simulate_block(params, n, block_rng(cfg.seed, block_idx),
-                                       per_element=nonlinear)
-    return [_point_failures(p, c, z[:, :p.b_groups],
-                            None if h_sq is None else h_sq[:, :p.b_groups],
-                            sum_h_sq[:, :p.b_groups])
-            for p, c in points]
+    z, h_sq, sum_h_sq = simulate_block(
+        replace(params, b_groups=width, n_total=params.m_per_group * width), n,
+        block_rng(cfg.seed, block_idx), per_element=nonlinear)
+    return [_point_failures(p, c, z, h_sq, sum_h_sq) for p, c in points]
 
 
 def _check_k(points: list) -> None:
@@ -160,9 +160,9 @@ def estimate_outage(points: Sequence, workers: int = 1) -> list[OutageEstimate]:
         groups.setdefault(channel_law(params).key + (cfg.seed, cfg.n_trials), []).append(i)
     members, args = [], []
     for idxs in groups.values():
-        # widest first: it is drawn, and evaluating it before the narrower
-        # points lets their smaller temporaries reuse its freed memory
-        idxs.sort(key=lambda i: -points[i][0].b_groups)
+        # widest set first: evaluating it before the narrower points lets
+        # their smaller temporaries reuse its freed memory
+        idxs.sort(key=lambda i: -points[i][1].strategy.order(points[i][0].b_groups)[0])
         shared, n = [points[i] for i in idxs], points[idxs[0]][1].n_trials
         for block_idx, start in enumerate(range(0, n, BLOCK_SIZE)):
             members.append(idxs)
@@ -213,14 +213,13 @@ def _apply_variable(params: SystemParams, cfg: TrialConfig, variable: str, value
 def analytic_outage(params: SystemParams, cfg: TrialConfig) -> float:
     """Closed-form outage for the configured scheme/metric; NaN, before any law
     is fitted, when the scheme ranks groups by the other metric."""
-    scheme, k = cfg.strategy.scheme, cfg.strategy.k
-    if RANKED_METRIC.get(scheme, cfg.metric) != cfg.metric:
+    if RANKED_METRIC.get(cfg.strategy.scheme, cfg.metric) != cfg.metric:
         return math.nan
+    size, k = cfg.strategy.order(params.b_groups)
     if cfg.metric == "data":
         f_single = outage_rgs(params, cfg.mode, fit_gamma_product(params), cfg.r_req)
-        return f_single if scheme == "RGS" else outage_sbgs(f_single, params.b_groups, k)
-    f_single = fit_energy_distribution(params, cfg.mode, cfg.eh).cdf(cfg.e_req)
-    return f_single if scheme == "RGS" else outage_ebgs(f_single, params.b_groups, k)
+        return outage_sbgs(f_single, size, k)
+    return outage_ebgs(fit_energy_distribution(params, cfg.mode, cfg.eh).cdf(cfg.e_req), size, k)
 
 
 def sweep_points(params: SystemParams, cfg: TrialConfig, variable: str,

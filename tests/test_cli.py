@@ -133,16 +133,22 @@ class TestLoadScenario:
         ("alpha = 1e4", "no finite p_tx gives snr = 0.0 dB with this rho_l, alpha,"),
         ("e_req = abc", "e_req = 'abc' is not a finite number"),
         # d_sr^-alpha overflows a double, which a run once met as a traceback
-        ("d_sr = 1e-200", "link budget overflows (p_tx=1.0, rho_l=0.0002951209226666387, "
-                          "d_sr=1e-200, d_rd=20.0, alpha=2.0, noise_power="),
+        ("d_sr = 1e-200", "link budget overflows (p_tx_dbm=30.0, rho_l=0.0002951209226666387, "
+                          "d_sr=1e-200, d_rd=20.0, alpha=2.0, noise_dbm=-104.0)"),
         # both path gains are finite, but the SNR per unit Z is not: the
-        # bounds once wrote NaN on every row
-        ("p_tx_dbm = 3000\nd_sr = 1e-5\nd_rd = 1e-5", "link budget overflows (p_tx=1e+297, "),
+        # bounds once wrote NaN on every row.  The message names the keys the
+        # file sets, not the watts of SystemParams
+        ("p_tx_dbm = 3000\nd_sr = 1e-5\nd_rd = 1e-5",
+         "link budget overflows (p_tx_dbm=3000.0, rho_l=0.0002951209226666387, "
+         "d_sr=1e-05, d_rd=1e-05, alpha=2.0, noise_dbm=-104.0)"),
         # the link at 1 W overflows, the scenario's own does not: no finite
         # p_tx reaches the snr grid
         ("rho_l = 1\nd_sr = 1e-5\nd_rd = 1e-5\nnoise_dbm = -2900\np_tx_dbm = -2900",
          "no finite p_tx gives snr = 0.0 dB with this rho_l, alpha,"),
         ("eh = foo", "unknown EH model kind 'foo'"),
+        # RGS takes group 0 alone, so a k other than 1 would print on every
+        # row of a run that never read it
+        ("scheme = rgs\nk = 3", "RGS takes group 0 and does not read k, got k = 3"),
     ])
     def test_bad_scalar_is_a_clean_error(self, tmp_path, capsys, line, message):
         path = tmp_path / "scalar.cfg"
@@ -301,6 +307,14 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_k_override_of_an_rgs_scenario_is_an_error(self, tmp_path, capsys):
+        # an RGS run reads no k, so a k of 3 would print on every row
+        out = tmp_path / "x.csv"
+        rgs = str(ROOT / "scenarios" / "data_snr_rgs.cfg")
+        assert main(["run", rgs, "-o", str(out), "--k", "3"]) == 2
+        assert "RGS takes group 0 and does not read k, got k = 3" in capsys.readouterr().err
         assert not out.exists()
 
     def test_rows_state_their_own_point(self, tmp_path):

@@ -67,6 +67,15 @@ class TestModeAndStrategy:
         with pytest.raises(ValueError, match="k must be positive and integral, got True"):
             SelectionStrategy("SBGS", k=True)
 
+    @pytest.mark.parametrize("scheme, k, b, order", [
+        ("SBGS", 1, 20, (20, 1)), ("SBGS", 6, 140, (140, 6)),
+        ("EBGS", 2, 8, (8, 2)), ("EBGS", 1, 1, (1, 1)),
+        # RGS ignores the channels, so its pick is the best of group 0 alone
+        ("RGS", 1, 20, (1, 1)), ("RGS", 3, 20, (1, 1)), ("RGS", 1, 1, (1, 1)),
+    ])
+    def test_order_is_the_set_and_rank_selected(self, scheme, k, b, order):
+        assert SelectionStrategy(scheme, k=k).order(b) == order
+
 
 class TestDataThreshold:
     @pytest.mark.parametrize("mode", [RisMode("PS", rho=0.5), RisMode("TS", zeta=0.5)],
@@ -144,6 +153,12 @@ class TestClosedFormOutage:
                 math.comb(n, j) * (1.0 - f) ** j * f ** (n - j) for j in range(k)
             )
             assert outage_sbgs(f, n, k) == pytest.approx(direct, rel=1e-12)
+
+    @given(st.floats(0.0, 1.0))
+    def test_one_group_set_is_the_cdf_bit_for_bit(self, f):
+        # I_F(1, 1) = F: RGS's closed form is the single-group CDF as it is
+        assert outage_sbgs(f, 1, 1) == f
+        assert outage_ebgs(f, 1, 1) == f
 
     def test_sbgs_monotone_in_k(self):
         vals = [outage_sbgs(0.6, 10, k) for k in range(1, 11)]

@@ -588,6 +588,30 @@ class TestDrawReuse:
         # every block is drawn at the widest b of the sweep
         assert seen == [max(p.b_groups for p, _ in points)] * calls
 
+    @pytest.mark.parametrize("schemes, width", [(("RGS",), 1),
+                                                (("RGS", "SBGS"), PARAMS.b_groups)])
+    def test_block_is_as_wide_as_the_widest_set(self, monkeypatch, schemes, width):
+        # RGS's set is group 0 alone, so an all-RGS law draws one column; a law
+        # it shares with SBGS (criterion 07's mix) draws SBGS's b, and RGS
+        # estimates the same from either block
+        seen = []
+        original = sim.simulate_block
+
+        def recording(params, n, rng, **kwargs):
+            seen.append(params.b_groups)
+            return original(params, n, rng, **kwargs)
+
+        monkeypatch.setattr(sim, "simulate_block", recording)
+        c = cfg(n_trials=BLOCK_SIZE + 100, r_req=math.log2(1.0 + 10.0 ** 0.3))
+        points = sweep_points(PARAMS, c, "snr", [-58.0, -52.0, -46.0])
+        mixed = [(p, replace(pc, strategy=SelectionStrategy(scheme, k=1)))
+                 for p, pc in points for scheme in schemes]
+        estimates = estimate_outage(mixed)
+        assert seen == [width] * 2
+        seen.clear()
+        assert estimates[::len(schemes)] == estimate_outage(points)
+        assert seen == [1] * 2
+
     def test_law_key_covers_every_field(self):
         names = {f.name for f in fields(SystemParams)}
         assert names == set(LAW_FIELDS) | set(OTHER_FIELDS) | {"n_total"}
