@@ -7,8 +7,8 @@ mus = sqrt(K/(K+1)) R^(1/2) 1, R the sinc correlation of a uniform linear array
 ``channel_law`` is the only statement of this law and of K: its ``ChannelLaw``
 holds h's element law, the eigenpairs and rank of R, the eigenbasis mean nu
 and the composite law of g_c, from which ``power_moments`` gives the Gamma fit
-of Z and the energy fits, and which ``sample_channels`` draws.  The law's
-``key`` is the tuple of the fields it reads, and ``sample_channels`` reads its
+of Z and the energy fits, and which ``sample_columns`` draws.  The law's
+``key`` is the tuple of the fields it reads, and ``sample_columns`` reads its
 parameters only through ``channel_law``: a draw depends on them only through
 that key.  R^(1/2) 1 = V Lambda^(1/2) V^T 1 is a fixed-order sum over the
 eigenpairs, not a BLAS product: its bits ignore the thread count.  The link
@@ -16,9 +16,9 @@ budget is stated once, in ``incident_power`` and ``mean_snr_scale``, the only
 readers of rho_l, d_rd and the noise power; ``SystemParams`` rejects a budget
 that overflows a double.
 
-``sample_channels`` is the only code that turns normals into channels, and it
-draws one shape, an (n, B) block of n trials of B groups, from
-``channel_law(params)`` in the eigenbasis R = V Lambda V^T: h's eigen-coordinate
+``sample_columns`` is the only code that turns normals into channels: it draws
+n trials of B groups from ``channel_law(params)`` one (n,) group column at a
+time, in the eigenbasis R = V Lambda V^T: h's eigen-coordinate
 c_i = (V^T h)_i is nu_i + s sqrt(lambda_i) u_i, with nu = V^T mus =
 sqrt(K/(K+1)) Lambda^(1/2) V^T 1, s = sqrt(cov[0, 0]/2) and u_i a complex
 normal of unit variance per real dimension.  Only the r leading coordinates
@@ -34,15 +34,19 @@ matrix product, a column reduces to sum_j |tilde_h_j|^2 = sum_i |c_i|^2 (V is
 orthogonal), h_c = sum_j tilde_h_j = sum_i (V^T 1)_i c_i and |g_c|^2.  Only
 when asked does it also form the per-element gains |tilde_h_j|^2 of
 h = mus + u @ (s Lambda_r^(1/2) V_r^T), which only the nonlinear law reads (in
-a sweep or a bounds run), leaving every other output's bits as they are.
+a sweep or a bounds run), leaving every other output's bits as they are; they
+go into one (n, M) buffer that every column reuses, so a reader folds a column
+before it draws the next (``sim`` does) and a draw's memory does not grow
+with B.
 Successive draws continue one stream, so the first b columns of a draw are the
 (n, b) draw and the first n rows of column 0 are the (n, 1) draw, bit for bit
 (the prefix property; for the per-element gains from n = 2: numpy hands a
-one-row product to BLAS gemv, which rounds differently).  The block is
-group-major in memory as in the stream: column j is written as one contiguous
-(n,) or (n, M) slab of (B, n) and (B, n, M) arrays.  The result is a
-``ChannelSnapshot`` of their transposed (n, B) and (n, B, M) views; indexing
-its batch axes (``snaps[d, 0]``, ``snaps[:, j]``) gives one group or one column.
+one-row product to BLAS gemv, which rounds differently).  ``sample_channels``
+stores a whole (n, B) block, group-major in memory as in the stream: column j
+is written as one contiguous (n,) or (n, M) slab of (B, n) and (B, n, M)
+arrays.  The result is a ``ChannelSnapshot`` of their transposed (n, B) and
+(n, B, M) views; indexing its batch axes (``snaps[d, 0]``, ``snaps[:, j]``)
+gives one group or one column.
 """
 
 import logging
@@ -293,11 +297,13 @@ def _element_gains(u: np.ndarray, factor: np.ndarray, mus: np.ndarray, out: np.n
     out += h.imag * h.imag
 
 
-def sample_channels(params: SystemParams, shape: tuple, rng: np.random.Generator,
-                    per_element: bool = False) -> ChannelSnapshot:
-    """Draw an ``(n, B)`` block of ``channel_law(params)`` in the stream the module
-    docstring states; ``per_element`` also forms every |h_j|^2."""
-    n, b = shape
+def sample_columns(params: SystemParams, n: int, b: int, rng: np.random.Generator,
+                   per_element: bool = False):
+    """Yield the ``(n,)`` ``ChannelSnapshot`` of each of the ``b`` group columns
+    of ``channel_law(params)`` in turn, in the stream the module docstring
+    states; ``per_element`` also forms every |h_j|^2.  A column's arrays are
+    valid until the next column is drawn: its per-element gains are one (n, M)
+    buffer that every column reuses."""
     law = channel_law(params)
     m_c, var_c = (x.item() for x in law.g_c)
     r, root_w, nu, vecs = law.rank, np.sqrt(law.eigenvalues), law.nu, law.eigenvectors
@@ -310,24 +316,41 @@ def sample_channels(params: SystemParams, shape: tuple, rng: np.random.Generator
     # coordinate pair, then 1 and 0 for the g pair, which passes unchanged
     row_scale = np.append(np.repeat(scale, 2), [1.0, 1.0])
     row_mean = np.append(np.stack([nu[:r], np.zeros(r)], -1), [0.0, 0.0])
-    h_c_sq, g_c_sq, sum_h_sq = np.empty((b, n)), np.empty((b, n)), np.empty((b, n))
-    h_sq = np.empty((b, n, len(law.mus))) if per_element else None
-    for j in range(b):
+    h_sq = np.empty((n, len(law.mus))) if per_element else None
+
+    def column():  # its normals are freed on return, before the next column's draw
         noise = rng.standard_normal((n, r + 1, 2))
         if per_element:
-            _element_gains(noise[:, :r], factor, law.mus, out=h_sq[j])
+            _element_gains(noise[:, :r], factor, law.mus, out=h_sq)
         row = noise.reshape(n, 2 * r + 2)  # c_i = nu_i + s sqrt(lambda_i) u_i, in place
         row *= row_scale
         row += row_mean
         coords = row[:, :2 * r]
-        sum_h_sq[j] = np.einsum("ij,ij->i", coords, coords) + dropped_sq
+        sum_h_sq = np.einsum("ij,ij->i", coords, coords) + dropped_sq
         re = np.einsum("ij,j->i", coords[:, 0::2], ones[:r]) + dropped_c
         im = np.einsum("ij,j->i", coords[:, 1::2], ones[:r])
-        h_c_sq[j] = re * re + im * im
         g_c = sample_rician_vector(noise[:, r], m_c, var_c)
-        g_c_sq[j] = g_c.real * g_c.real + g_c.imag * g_c.imag
-    return ChannelSnapshot(h_c_sq=h_c_sq.T, g_c_sq=g_c_sq.T, sum_h_sq=sum_h_sq.T,
-                           h_sq=None if h_sq is None else h_sq.swapaxes(0, 1))
+        return ChannelSnapshot(h_c_sq=re * re + im * im,
+                               g_c_sq=g_c.real * g_c.real + g_c.imag * g_c.imag,
+                               sum_h_sq=sum_h_sq, h_sq=h_sq)
+
+    for _ in range(b):
+        yield column()
+
+
+def sample_channels(params: SystemParams, shape: tuple, rng: np.random.Generator,
+                    per_element: bool = False) -> ChannelSnapshot:
+    """Draw an ``(n, B)`` block of ``channel_law(params)``: the columns of
+    ``sample_columns``, stored group-major; ``per_element`` also forms every |h_j|^2."""
+    n, b = shape
+    check_count("B", b)
+    names = ("h_c_sq", "g_c_sq", "sum_h_sq", "h_sq")[:4 if per_element else 3]
+    for j, column in enumerate(sample_columns(params, n, b, rng, per_element)):
+        if not j:
+            block = {name: np.empty((b, *getattr(column, name).shape)) for name in names}
+        for name in names:
+            block[name][j] = getattr(column, name)
+    return ChannelSnapshot(**{name: a.swapaxes(0, 1) for name, a in block.items()})
 
 
 def fit_gamma_product(params: SystemParams) -> GammaFit:

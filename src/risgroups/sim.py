@@ -6,20 +6,25 @@ group, the event of the closed forms, so both sides agree exactly at the edges.
 Trials are processed in fixed-size blocks; each block gets an independent
 SFC64 stream derived from (seed, block index), so results are bit-identical
 for any worker count and any block execution order.  A block of n trials is
-an (n, b) draw of ``channel.sample_channels``; the ``channel`` docstring
-states its stream, its law key and its prefix property.  Grid points with equal
-law keys, seeds and trial counts share each block's draw, as wide as their
-widest set of groups (``SelectionStrategy.order``), and each ranks the first
-columns, its own set; so a sweep over snr, p_tx, rho, zeta, k or b draws its
-channels once, and one over spacing once per point.  These common random
-numbers keep the empirical outage of a sweep exactly monotone wherever its
-failure event only grows.
+drawn by ``channel.sample_columns`` one group column at a time; the ``channel``
+docstring states its stream, its law key and its prefix property.  Grid points
+with equal law keys, seeds and trial counts share each block's draw, as wide
+as their widest set of groups (``SelectionStrategy.order``), and each ranks
+the first columns, its own set; so a sweep over snr, p_tx, rho, zeta, k or b
+draws its channels once, and one over spacing once per point.  These common
+random numbers keep the empirical outage of a sweep exactly monotone wherever
+its failure event only grows.
 
-The linear EH law is additive, so it harvests each group's power sum
-sum_j |h_j|^2, which the draw returns; only the nonlinear law harvests per
-element, one (n, M) group column at a time, so a block forms the (n, B, M)
+Each point folds the block column by column (``_Fold``) and keeps per trial
+only what its selection reads: where it ranks by its own metric, the count of
+its columns that reach its threshold; a cross cell, its two (n, B)
+statistics.  No other (n, B) or (n, B, M) array exists, so a block of
+own-metric points takes O(n M) memory whatever B.  The linear EH law is
+additive, so it harvests each group's power sum sum_j |h_j|^2, which the draw
+returns; only the nonlinear law harvests per element, so a block forms the
 per-element gains only if a point of its law uses that law.  Data points
-compute the energy too, because the benchmark traces ``harvest_rate`` there.
+still harvest energy, column by column, because the benchmark traces
+``harvest_rate`` there.
 """
 
 import itertools
@@ -31,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .channel import (SystemParams, channel_law, check_count, fit_gamma_product, mean_snr_scale,
-                      sample_channels)
+                      sample_columns)
 from .energy import EhModel, harvest_rate
 from .selection import (
     RisMode,
@@ -83,29 +88,27 @@ def block_rng(seed: int, block_idx: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(ss))
 
 
-def simulate_block(params: SystemParams, n: int, rng: np.random.Generator,
-                   per_element: bool = False):
-    """The z, h_sq (None unless ``per_element``) and sum_h_sq of ``sample_channels``
-    over shape (n, B), kept only for the benchmark's trace and draw count; ROADMAP
-    item 1 deletes it."""
-    snap = sample_channels(params, (n, params.b_groups), rng, per_element)
-    return snap.z, snap.h_sq, snap.sum_h_sq
+def simulate_block(params: SystemParams, n: int, rng: np.random.Generator, folds=(),
+                   per_element: bool = False) -> None:
+    """Draw ``sample_columns``' n trials of ``params.b_groups`` columns one column at
+    a time and hand each column to every fold whose set holds it; the benchmark
+    traces it as one block and counts its draw."""
+    for j, column in enumerate(sample_columns(params, n, params.b_groups, rng, per_element)):
+        for fold in folds:
+            if j < fold.size:
+                fold.add(column)
 
 
-def _group_energy(params: SystemParams, mode: RisMode, eh: EhModel, h_sq, sum_h_sq):
-    """Energy each group harvests over the EH phase of one grid point, as an
-    (n, B) view of group-major storage: the linear law from its power sum
-    ``sum_h_sq``, the nonlinear law element by element, one (n, M) group column
-    of ``h_sq`` at a time."""
+def _group_energy(params: SystemParams, mode: RisMode, eh: EhModel, column):
+    """Energy each trial's group harvests over the EH phase of one grid point,
+    from one (n,) group column: the linear law from its power sum, the nonlinear
+    law element by element."""
     dur, w_p = eh_wiring(params, mode)
     try:  # an incident power that overflows to inf fails harvest_rate's finiteness check
         with np.errstate(over="ignore"):
             if eh.kind == "linear":
-                return dur * harvest_rate(eh, w_p * sum_h_sq)
-            energy = np.empty(sum_h_sq.shape[::-1])
-            for j in range(len(energy)):
-                energy[j] = dur * harvest_rate(eh, w_p * h_sq[:, j]).sum(axis=-1)
-            return energy.T
+                return dur * harvest_rate(eh, w_p * column.sum_h_sq)
+            return dur * harvest_rate(eh, w_p * column.h_sq).sum(axis=-1)
     except ValueError as exc:
         raise OverflowError(f"at p_tx = {params.p_tx!r} W: {exc}") from None
 
@@ -114,40 +117,60 @@ def _kth_largest_index(values: np.ndarray, k: int) -> np.ndarray:
     return np.argpartition(-values, k - 1, axis=1)[:, k - 1]
 
 
-def _point_failures(params: SystemParams, cfg: TrialConfig, z, h_sq, sum_h_sq) -> int:
-    """Trials whose selected group of the block's first ``order`` columns has its
-    statistic below the point's threshold t; SBGS ranks by z, which the SNR
-    snr_per_z z >= 0 never reorders.  Where the scheme ranks by the point's own
-    metric, the k-th largest value lies below t exactly when fewer than k reach t."""
-    size, k = cfg.strategy.order(params.b_groups)
-    z, h_sq, sum_h_sq = (None if a is None else a[:, :size] for a in (z, h_sq, sum_h_sq))
-    stats = {"data": z, "energy": _group_energy(params, cfg.mode, cfg.eh, h_sq, sum_h_sq)}
-    stat = stats[cfg.metric]
-    threshold = (data_threshold(params, cfg.mode, cfg.r_req) if cfg.metric == "data"
-                 else cfg.e_req)
-    ranked = RANKED_METRIC.get(cfg.strategy.scheme, cfg.metric)
-    if ranked == cfg.metric:
-        return int(np.count_nonzero(np.count_nonzero(stat >= threshold, axis=1) < k))
-    idx = _kth_largest_index(stats[ranked], k)
-    return int(np.count_nonzero(stat[np.arange(len(z)), idx] < threshold))
+class _Fold:
+    """The failures of one point on one block of n trials, folded over the
+    columns of its own set (``add`` each in turn): trials whose selected group
+    has its statistic below the point's threshold t.  SBGS ranks by z, which
+    the SNR snr_per_z z >= 0 never reorders.  Where the scheme ranks by the
+    point's own metric, the k-th largest value lies below t exactly when fewer
+    than k columns reach t, so only that count per trial is kept; a cross cell
+    keeps both statistics of its set, trial-major, so that the k-th largest
+    index partitions contiguous rows."""
+
+    def __init__(self, params: SystemParams, cfg: TrialConfig, n: int):
+        self.params, self.cfg = params, cfg
+        self.size, self.k = cfg.strategy.order(params.b_groups)
+        self.threshold = (data_threshold(params, cfg.mode, cfg.r_req) if cfg.metric == "data"
+                          else cfg.e_req)
+        self.ranked = RANKED_METRIC.get(cfg.strategy.scheme, cfg.metric)
+        if self.ranked == cfg.metric:
+            self.reached = np.zeros(n, dtype=np.intp)
+        else:
+            self.own, self.by_rank, self.j = np.empty((n, self.size)), np.empty((n, self.size)), 0
+
+    def add(self, column) -> None:
+        cfg = self.cfg
+        stats = {"data": column.z, "energy": _group_energy(self.params, cfg.mode, cfg.eh, column)}
+        if self.ranked == cfg.metric:
+            self.reached += stats[cfg.metric] >= self.threshold
+        else:
+            self.own[:, self.j], self.by_rank[:, self.j] = stats[cfg.metric], stats[self.ranked]
+            self.j += 1
+
+    def failures(self) -> int:
+        if self.ranked == self.cfg.metric:
+            return int(np.count_nonzero(self.reached < self.k))
+        idx = _kth_largest_index(self.by_rank, self.k)
+        return int(np.count_nonzero(self.own[np.arange(len(idx)), idx] < self.threshold))
 
 
 def _block_failures(points: list, n: int, block_idx: int) -> list[int]:
     """Failures of each point on one block, drawn as wide as the widest set
-    among the points; each point reads its own first columns."""
+    among the points and folded column by column."""
     params, cfg = points[0]
-    width = max(c.strategy.order(p.b_groups)[0] for p, c in points)
+    folds = [_Fold(p, c, n) for p, c in points]
+    width = max(fold.size for fold in folds)
     nonlinear = any(c.eh.kind == "nonlinear" for _, c in points)
-    z, h_sq, sum_h_sq = simulate_block(
-        replace(params, b_groups=width, n_total=params.m_per_group * width), n,
-        block_rng(cfg.seed, block_idx), per_element=nonlinear)
-    return [_point_failures(p, c, z, h_sq, sum_h_sq) for p, c in points]
+    simulate_block(replace(params, b_groups=width, n_total=params.m_per_group * width), n,
+                   block_rng(cfg.seed, block_idx), folds=folds, per_element=nonlinear)
+    return [fold.failures() for fold in folds]
 
 
 def _check_k(points: list) -> None:
     for params, cfg in points:
-        if cfg.strategy.k > params.b_groups:
-            raise ValueError(f"k={cfg.strategy.k} exceeds the number of groups {params.b_groups}")
+        size, k = cfg.strategy.order(params.b_groups)
+        if k > size:
+            raise ValueError(f"k={k} exceeds the number of groups {size}")
 
 
 def estimate_outage(points: Sequence, workers: int = 1) -> list[OutageEstimate]:
@@ -160,9 +183,6 @@ def estimate_outage(points: Sequence, workers: int = 1) -> list[OutageEstimate]:
         groups.setdefault(channel_law(params).key + (cfg.seed, cfg.n_trials), []).append(i)
     members, args = [], []
     for idxs in groups.values():
-        # widest set first: evaluating it before the narrower points lets
-        # their smaller temporaries reuse its freed memory
-        idxs.sort(key=lambda i: -points[i][1].strategy.order(points[i][0].b_groups)[0])
         shared, n = [points[i] for i in idxs], points[idxs[0]][1].n_trials
         for block_idx, start in enumerate(range(0, n, BLOCK_SIZE)):
             members.append(idxs)

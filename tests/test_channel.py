@@ -22,6 +22,7 @@ from risgroups.channel import (
     fit_gamma_product,
     power_moments,
     sample_channels,
+    sample_columns,
     sample_rician_vector,
 )
 from risgroups.energy import EhModel
@@ -257,6 +258,31 @@ class TestEigenDraw:
         assert got.h_sq.shape == (300, 3, 10)
         for name in ("h_sq", "sum_h_sq", "h_c_sq", "g_c_sq"):
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+
+    @pytest.mark.parametrize("per_element", [False, True])
+    def test_block_stacks_the_columns(self, per_element):
+        # sample_channels stores the generator's columns, group-major, bit for
+        # bit; every column's per-element gains are the one reused buffer
+        p = SystemParams(m_per_group=10, n_total=10 * 20)
+        block = sample_channels(p, (300, 20), np.random.default_rng(9), per_element)
+        buffers = []
+        for j, column in enumerate(sample_columns(p, 300, 20, np.random.default_rng(9),
+                                                  per_element)):
+            assert column.h_c_sq.shape == (300,)
+            for name in ("h_sq", "sum_h_sq", "h_c_sq", "g_c_sq"):
+                if per_element or name != "h_sq":
+                    np.testing.assert_array_equal(getattr(column, name),
+                                                  getattr(block, name)[:, j], err_msg=name)
+            buffers.append(column.h_sq)
+        assert len(buffers) == 20
+        if per_element:
+            assert all(h is buffers[0] for h in buffers)
+        else:
+            assert block.h_sq is None and buffers == [None] * 20
+
+    def test_block_of_no_groups_rejected(self):
+        with pytest.raises(ValueError, match="B must be positive"):
+            sample_channels(SystemParams(), (3, 0), np.random.default_rng(9))
 
     @pytest.mark.parametrize("k_h, spacing", [(1.0, 0.0125), (0.0, 0.025), (3.0, 0.05)])
     def test_drawn_moments_match_the_law(self, k_h, spacing):

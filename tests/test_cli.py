@@ -480,9 +480,9 @@ class TestBoundsCommand:
                                  overrides, sweep=False)
         assert cli.run_bounds(scenario, os.devnull) == 0
         assert len(snaps) == scenario.n_draws
-        return snaps, sim.simulate_block(scenario.params, sim.BLOCK_SIZE,
-                                         sim.block_rng(scenario.trial.seed, 0),
-                                         per_element=True)
+        block = sample_channels(scenario.params, (sim.BLOCK_SIZE, scenario.params.b_groups),
+                                sim.block_rng(scenario.trial.seed, 0), per_element=True)
+        return snaps, (block.z, block.h_sq, block.sum_h_sq)
 
     @pytest.mark.parametrize("n_draws", [1, 300])
     def test_snapshot_is_group_0_of_a_sweep_block(self, monkeypatch, n_draws):

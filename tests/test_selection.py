@@ -12,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 from scipy import integrate, special
 
 from risgroups.channel import (
+    ChannelSnapshot,
     GammaFit,
     SystemParams,
     channel_law,
@@ -38,7 +39,7 @@ from risgroups.selection import (
 )
 from risgroups.cli import load_scenario
 from risgroups import sim
-from risgroups.sim import TrialConfig, _kth_largest_index, block_rng, simulate_block
+from risgroups.sim import TrialConfig, _kth_largest_index, block_rng
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -81,10 +82,10 @@ class TestDataThreshold:
     @pytest.mark.parametrize("mode", [RisMode("PS", rho=0.5), RisMode("TS", zeta=0.5)],
                              ids=["PS", "TS"])
     def test_failures_match_rate_form(self, mode):
-        # on one simulate_block draw, at each data_snr_sbgs point, the groups
+        # on one sweep block's draw, at each data_snr_sbgs point, the groups
         # below the Z threshold are those whose rate misses r_req
         sc = load_scenario(str(ROOT / "scenarios" / "data_snr_sbgs.cfg"))
-        z, _, _ = simulate_block(sc.params, 4096, block_rng(5, 0))
+        z = sample_channels(sc.params, (4096, sc.params.b_groups), block_rng(5, 0)).z
         counts = []
         for p, c in sc.points:
             snr_per_z, f = data_wiring(p, mode)
@@ -134,14 +135,19 @@ class TestRankedCount:
         n, b = stat.shape
         p = SystemParams(m_per_group=1, b_groups=b, n_total=b)
         rows = np.arange(n)
-        with mock.patch.object(sim, "_group_energy", return_value=stat), \
+        # the block's columns carry the statistic as z (times a unit g_c) and as energy
+        columns = (lambda params, n, b, rng, per_element: (
+            ChannelSnapshot(h_c_sq=stat[:, j], g_c_sq=np.ones(n), sum_h_sq=stat[:, j])
+            for j in range(b)))
+        with mock.patch.object(sim, "sample_columns", columns), \
+                mock.patch.object(sim, "_group_energy", lambda *args: args[-1].sum_h_sq), \
                 mock.patch.object(sim, "data_threshold", return_value=t):
             for k in range(1, b + 1):
                 expected = int(np.count_nonzero(stat[rows, _kth_largest_index(stat, k)] < t))
                 for scheme, metric in (("SBGS", "data"), ("EBGS", "energy")):
                     c = TrialConfig(n_trials=n, strategy=SelectionStrategy(scheme, k=k),
                                     metric=metric, e_req=t)
-                    assert sim._point_failures(p, c, stat, None, stat) == expected
+                    assert sim._block_failures([(p, c)], n, 0) == [expected]
 
 
 class TestClosedFormOutage:

@@ -18,7 +18,6 @@ from risgroups.sim import (
     analytic_outage,
     block_rng,
     estimate_outage,
-    simulate_block,
     sweep_points,
 )
 
@@ -55,12 +54,13 @@ class TestBlockRng:
 
 class TestSimulateBlock:
     def test_shapes_and_signs(self):
-        z, h_sq, sum_h_sq = simulate_block(PARAMS, 7, block_rng(1, 0), per_element=True)
+        snap = sample_channels(PARAMS, (7, PARAMS.b_groups), block_rng(1, 0), per_element=True)
+        z, h_sq, sum_h_sq = snap.z, snap.h_sq, snap.sum_h_sq
         assert z.shape == sum_h_sq.shape == (7, PARAMS.b_groups)
         assert h_sq.shape == (7, PARAMS.b_groups, PARAMS.m_per_group)
         assert np.all(z >= 0.0) and np.all(sum_h_sq >= 0.0)
         assert np.all(h_sq >= 0.0)
-        assert simulate_block(PARAMS, 7, block_rng(1, 0))[1] is None
+        assert sample_channels(PARAMS, (7, PARAMS.b_groups), block_rng(1, 0)).h_sq is None
 
     @pytest.mark.parametrize("n", [1, 3, 3277],
                              ids=["one-row", "three-rows", "one-column-of-3277-rows"])
@@ -79,7 +79,8 @@ class TestSimulateBlock:
         law = channel_law(p)
         r, vecs = law.rank, law.eigenvectors
         assert r == 13
-        z, h_sq, sum_h_sq = simulate_block(p, n, block_rng(1, 0))
+        block = sample_channels(p, (n, b), block_rng(1, 0))
+        z, h_sq, sum_h_sq = block.z, block.h_sq, block.sum_h_sq
 
         class CountingRng:
             def __init__(self, rng):
@@ -142,33 +143,6 @@ class TestSimulateBlock:
         for name in ("h_sq", "sum_h_sq", "h_c_sq", "g_c_sq"):
             np.testing.assert_array_equal(getattr(column, name), getattr(block, name))
 
-    @staticmethod
-    def _peak(p, per_element):
-        simulate_block(p, 8, block_rng(1, 0), per_element)
-        tracemalloc.start()
-        try:
-            out = simulate_block(p, BLOCK_SIZE, block_rng(1, 0), per_element)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        return peak, out
-
-    def test_peak_memory_without_per_element_gains(self):
-        # each column is drawn and reduced before the next, and without
-        # per-element gains no (n, B, M) array exists: the peak is the
-        # snapshot's three (n, B) arrays, z and at most half an (n, B) array
-        p = SystemParams(m_per_group=10, b_groups=140, n_total=10 * 140)
-        peak, (z, h_sq, _) = self._peak(p, per_element=False)
-        assert h_sq is None
-        assert peak <= 4.5 * z.nbytes
-
-    def test_peak_memory_with_per_element_gains(self):
-        # no (n, B, M) complex or (n, B, M, 2) normal array adds to the
-        # (n, B, M) h_sq output
-        p = SystemParams(m_per_group=10, b_groups=140, n_total=10 * 140)
-        peak, (_, h_sq, _) = self._peak(p, per_element=True)
-        assert peak <= 2.0 * h_sq.nbytes
-
     def test_group_columns_are_contiguous(self):
         # a block is stored group-major: each group column is one slab
         snap = sample_channels(PARAMS, (300, PARAMS.b_groups), block_rng(2, 0),
@@ -184,25 +158,109 @@ class TestGroupEnergy:
 
     def test_column_harvest_keeps_the_bits_of_the_block_harvest(self):
         # on a b-prefix of a block, as a b sweep evaluates it
-        _, h_sq, sum_h_sq = simulate_block(self.P, 500, block_rng(3, 0), per_element=True)
+        snap = sample_channels(self.P, (500, self.P.b_groups), block_rng(3, 0), per_element=True)
+        h_sq = snap.h_sq
         dur, w_p = eh_wiring(self.P, self.MODE)
         for b in (1, 7, self.P.b_groups):
-            energy = sim._group_energy(self.P, self.MODE, self.EH, h_sq[:, :b],
-                                       sum_h_sq[:, :b])
+            energy = np.stack([sim._group_energy(self.P, self.MODE, self.EH, snap[:, j])
+                               for j in range(b)], axis=-1)
             assert np.array_equal(energy, dur * harvest_rate(self.EH, w_p * h_sq[:, :b]).sum(-1))
 
-    def test_peak_memory_is_a_few_group_columns(self):
-        # one (n, M) group column at a time: no (n, B, M) temporary
-        _, h_sq, sum_h_sq = simulate_block(self.P, BLOCK_SIZE, block_rng(3, 0),
-                                           per_element=True)
-        assert h_sq.shape == (BLOCK_SIZE, 20, 20)
+
+def scenario_points(name, scheme=None):
+    """The points of a shipped scenario, optionally under another scheme."""
+    points = cli.load_scenario(str(ROOT / "scenarios" / f"{name}.cfg")).points
+    if scheme is None:
+        return points
+    return [(p, replace(c, strategy=replace(c.strategy, scheme=scheme))) for p, c in points]
+
+
+def block_reference(points, n):
+    """Each point's failures on block 0 by the full-block formulas: the
+    (n, size) statistics of its set's columns of one ``sample_channels`` block,
+    then the count of trials with fewer than k columns at the threshold, or the
+    statistic at the k-th largest index of the ranked metric."""
+    params, c0 = points[0]
+    width = max(c.strategy.order(p.b_groups)[0] for p, c in points)
+    block = sample_channels(replace(params, b_groups=width, n_total=params.m_per_group * width),
+                            (n, width), block_rng(c0.seed, 0),
+                            per_element=any(c.eh.kind == "nonlinear" for _, c in points))
+    failures = []
+    for p, c in points:
+        size, k = c.strategy.order(p.b_groups)
+        own = block[:, :size]
+        dur, w_p = eh_wiring(p, c.mode)
+        energy = dur * (harvest_rate(c.eh, w_p * own.h_sq).sum(-1) if c.eh.kind == "nonlinear"
+                        else harvest_rate(c.eh, w_p * own.sum_h_sq))
+        stats = {"data": own.z, "energy": energy}
+        stat = stats[c.metric]
+        threshold = data_threshold(p, c.mode, c.r_req) if c.metric == "data" else c.e_req
+        ranked = sim.RANKED_METRIC.get(c.strategy.scheme, c.metric)
+        if ranked == c.metric:
+            failures.append(int(np.count_nonzero(np.count_nonzero(stat >= threshold, axis=1) < k)))
+        else:
+            idx = sim._kth_largest_index(stats[ranked], k)
+            failures.append(int(np.count_nonzero(stat[np.arange(n), idx] < threshold)))
+    return failures
+
+
+def rgs_beside_sbgs():
+    # a law shared by one-column RGS points and 20-column SBGS points
+    points = scenario_points("data_snr_sbgs")
+    return [(p, replace(c, strategy=SelectionStrategy(scheme, k=1)))
+            for p, c in points for scheme in ("RGS", "SBGS")]
+
+
+FOLD_CASES = {
+    "own-data": lambda: scenario_points("data_snr_sbgs"),
+    "own-data-mixed-b": lambda: scenario_points("evt_groups"),
+    "own-energy-linear": lambda: scenario_points("energy_ptx_linear"),
+    "own-energy-nonlinear": lambda: scenario_points("energy_ptx_nonlinear"),
+    "rgs-beside-sbgs": rgs_beside_sbgs,
+    "cross-ebgs-data": lambda: scenario_points("data_snr_sbgs", "EBGS"),
+    "cross-sbgs-energy-linear": lambda: scenario_points("energy_ptx_linear", "SBGS"),
+    "cross-sbgs-energy-nonlinear": lambda: scenario_points("energy_ptx_nonlinear", "SBGS"),
+}
+
+
+class TestFold:
+    @pytest.mark.parametrize("n", [BLOCK_SIZE, 300])
+    @pytest.mark.parametrize("case", list(FOLD_CASES))
+    def test_fold_equals_the_full_block_formulas(self, case, n):
+        # folding a block column by column counts each point's failures as
+        # the formulas on the whole stored block do
+        points = FOLD_CASES[case]()
+        expected = block_reference(points, n)
+        assert sim._block_failures(points, n, 0) == expected
+        assert any(0 < f < n for f in expected)
+
+    @staticmethod
+    def _peak(points):
+        sim._block_failures(points, 8, 0)
         tracemalloc.start()
         try:
-            sim._group_energy(self.P, self.MODE, self.EH, h_sq, sum_h_sq)
-            _, peak = tracemalloc.get_traced_memory()
+            sim._block_failures(points, BLOCK_SIZE, 0)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 0.25 * h_sq.nbytes
+
+    def test_data_peak_memory_does_not_grow_with_b(self):
+        # no (n, B) array: the peak is one column's normals and reductions
+        c = cfg(strategy=SelectionStrategy("SBGS", k=6))
+        low, high = (self._peak([(SystemParams(m_per_group=10, b_groups=b, n_total=10 * b), c)])
+                     for b in (140, 560))
+        assert high <= 1.1 * low
+        assert high <= 4 * BLOCK_SIZE * 10 * 8  # four (n, M) columns of doubles
+
+    def test_nonlinear_peak_memory_does_not_grow_with_b(self):
+        # no (n, B, M) array: the per-element gains of one column at a time
+        c = cfg(strategy=SelectionStrategy("EBGS", k=1), eh=NONLINEAR_DEFAULT,
+                metric="energy", e_req=2e-4)
+        low, high = (self._peak([(SystemParams(rho_l=0.1, d_sr=2.0, p_tx=20.0, b_groups=b,
+                                               n_total=20 * b), c)])
+                     for b in (20, 80))
+        assert high <= 1.1 * low
+        assert high <= 7 * BLOCK_SIZE * 20 * 8  # seven (n, M) columns of doubles
 
 
 def one(params, c, workers=1):
@@ -273,6 +331,14 @@ class TestEstimateOutage:
         with pytest.raises(ValueError):
             one(PARAMS, cfg(strategy=SelectionStrategy("SBGS", k=21)))
 
+    def test_rgs_reads_no_k(self):
+        # RGS selects from a set of one group, whatever k says
+        p = SystemParams(b_groups=1, n_total=20)
+        rgs = [cfg(n_trials=BLOCK_SIZE + 100, strategy=SelectionStrategy("RGS", k=k))
+               for k in (1, 2)]
+        assert one(p, rgs[1]) == one(p, rgs[0])
+        assert analytic_outage(p, rgs[1]) == analytic_outage(p, rgs[0])
+
     def test_k_checked_before_any_block_or_pool(self, monkeypatch):
         forbid_work(monkeypatch)
         ok = cfg(n_trials=2 * BLOCK_SIZE)
@@ -331,7 +397,9 @@ class TestLinearHarvest:
                   for p, c in scenario.points]
         params, c0 = points[0]
         n = 1500
-        z, h_sq, sum_h_sq = simulate_block(params, n, block_rng(c0.seed, 0), per_element=True)
+        block = sample_channels(params, (n, params.b_groups), block_rng(c0.seed, 0),
+                                per_element=True)
+        z, h_sq, sum_h_sq = block.z, block.h_sq, block.sum_h_sq
         expected = []
         for p, c in points:
             dur, w_p = eh_wiring(p, c.mode)
@@ -341,24 +409,30 @@ class TestLinearHarvest:
             else:
                 idx = 0
             expected.append(int(np.sum(energy[np.arange(n), idx] < c.e_req)))
-            assert sim._point_failures(p, c, z, h_sq, sum_h_sq) == expected[-1]
+            assert sim._block_failures([(p, c)], n, 0) == expected[-1:]
         assert sim._block_failures(points, n, 0) == expected
         assert len(set(expected)) > 1
 
     def test_data_or_linear_block_forms_no_per_element_gains(self, monkeypatch):
         # only the nonlinear law reads |h_j|^2, so only a block whose law has a
-        # nonlinear point forms the (n, B, M) gains
+        # nonlinear point forms the per-element gains, one (n, M) column at a time
         seen = []
-        monkeypatch.setattr(sim, "_point_failures", lambda p, c, z, h_sq, sums: seen.append(h_sq))
+
+        def recording(params, mode, eh, column, _fn=sim._group_energy):
+            seen.append(column.h_sq)
+            return _fn(params, mode, eh, column)
+
+        monkeypatch.setattr(sim, "_group_energy", recording)
         nonlinear = cfg(eh=NONLINEAR_DEFAULT, metric="energy",
                         strategy=SelectionStrategy("EBGS", k=1))
         sim._block_failures(sweep_points(PARAMS, nonlinear, "p_tx", [1.0, 2.0]), 8, 0)
-        assert [h_sq.shape for h_sq in seen] == [(8, PARAMS.b_groups, PARAMS.m_per_group)] * 2
+        assert [h_sq.shape for h_sq in seen] == [(8, PARAMS.m_per_group)] * 2 * PARAMS.b_groups
         seen.clear()
         monkeypatch.setattr(channel, "_element_gains", forbidden)
         for c in (cfg(), replace(nonlinear, eh=EhModel())):
             sim._block_failures(sweep_points(PARAMS, c, "p_tx", [1.0, 2.0]), 8, 0)
-        assert seen == [None] * 4
+        # the two RGS points read column 0, the two EBGS points every column
+        assert seen == [None] * (2 + 2 * PARAMS.b_groups)
 
 
 def forbidden(*args, **kwargs):
@@ -394,8 +468,9 @@ class TestCrossCells:
                   for p, c in scenario.points]
         params, c0 = points[0]
         nonlinear = c0.eh.kind == "nonlinear"
-        z, h_sq, sum_h_sq = simulate_block(params, n, block_rng(c0.seed, 0),
-                                           per_element=nonlinear)
+        block = sample_channels(params, (n, params.b_groups), block_rng(c0.seed, 0),
+                                per_element=nonlinear)
+        z, h_sq, sum_h_sq = block.z, block.h_sq, block.sum_h_sq
         assert z.T.flags.c_contiguous and sum_h_sq.T.flags.c_contiguous
         expected = []
         for p, c in points:
@@ -409,7 +484,7 @@ class TestCrossCells:
             threshold = (data_threshold(p, c.mode, c.r_req) if c.metric == "data"
                          else c.e_req)
             expected.append(int(np.sum(stats[c.metric][np.arange(n), idx] < threshold)))
-            assert sim._point_failures(p, c, z, h_sq, sum_h_sq) == expected[-1]
+            assert sim._block_failures([(p, c)], n, 0) == expected[-1:]
         assert [e.p_hat for e in estimate_outage(points)] == [f / n for f in expected]
         assert len(set(expected)) > 1
 
@@ -663,13 +738,14 @@ class TestRgsTakesGroupZero:
     def test_failures_are_those_of_column_zero(self, metric):
         n = 1000
         p = SMALL if metric == "data" else SMALL_ENERGY
-        c = cfg(metric=metric, r_req=23.0, e_req=3e-4)
-        z, h_sq, sum_h_sq = simulate_block(p, n, block_rng(4, 0), per_element=True)
+        c = cfg(metric=metric, r_req=23.0, e_req=3e-4, seed=4)
+        block = sample_channels(p, (n, p.b_groups), block_rng(c.seed, 0), per_element=True)
+        z, h_sq, sum_h_sq = block.z, block.h_sq, block.sum_h_sq
         if metric == "data":
             stat, threshold = z, data_threshold(p, c.mode, c.r_req)
         else:
             dur, w_p = eh_wiring(p, c.mode)
             stat, threshold = dur * harvest_rate(c.eh, w_p * h_sq).sum(-1), c.e_req
         expected = int(np.sum(stat[:, 0] < threshold))
-        assert sim._point_failures(p, c, z, h_sq, sum_h_sq) == expected
+        assert sim._block_failures([(p, c)], n, 0) == [expected]
         assert 0 < expected < n
